@@ -1,10 +1,11 @@
 """Command-line entry point wiring config, backends, and pipelines.
 
-Verbs: eval | search | elasticity | ptdata | audit. The CLI owns the only
-scheduler (a bounded worker pool over per-question tasks); everything under
-it runs sequentially per question. All outputs land under --out-dir next to
-a run manifest, and re-running with an intact cache issues no upstream calls
-and reproduces byte-identical files.
+Verbs: eval | search | elasticity | ptdata | audit. The cohort verbs fan
+their per-question tasks out through the only scheduler, evaluate._pool_map
+(a bounded worker pool, results in input order); everything under it runs
+sequentially per question. All outputs land under --out-dir next to a run
+manifest, and re-running with an intact cache issues no upstream calls and
+reproduces byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .backend import (
+    CompletionBackend,
     LiveBackend,
     ResponseCache,
     RetryPolicy,
@@ -33,6 +34,7 @@ from .evaluate import (
     JSON_FORMAT,
     TABLE_TEXT,
     CSV_FORMAT,
+    _pool_map,
     load_dataset,
     parse_method,
     render_report,
@@ -198,20 +200,20 @@ def _resolve_seed(args, config: HarnessConfig) -> int:
     return args.seed if args.seed is not None else config.seed
 
 
-def _resolve_concurrency(args, config: HarnessConfig) -> int:
-    value = args.concurrency if args.concurrency is not None else config.concurrency
-    if value < 1:
-        raise ConfigError("concurrency must be >= 1")
-    return value
-
-
-def _load_cohort(args, config: HarnessConfig) -> Dataset:
+def _open_verb(args) -> tuple[HarnessConfig, Dataset, CompletionBackend, int]:
+    """Shared preamble of the cohort verbs: config, cohort, out-dir, backend, concurrency."""
+    config = load_config(args.config)
     if not args.dataset:
         raise ConfigError("this command requires --dataset")
     dataset = load_dataset(args.dataset, args.dataset_format)
     if args.sample_n is not None:
         dataset = sample_dataset(dataset, args.sample_n, _resolve_seed(args, config))
-    return dataset
+    os.makedirs(args.out_dir, exist_ok=True)
+    backend = build_backend(config, args.out_dir, args.dataset)
+    concurrency = args.concurrency if args.concurrency is not None else config.concurrency
+    if concurrency < 1:
+        raise ConfigError("concurrency must be >= 1")
+    return config, dataset, backend, concurrency
 
 
 def _write_json(path: str, document: dict) -> None:
@@ -233,47 +235,34 @@ def _write_manifest(out_dir: str, verb: str, config: HarnessConfig, details: dic
     _write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
 
 
-def _pool_map(worker, items, concurrency: int):
-    """Run worker over items with a bounded pool, results in input order."""
-    if concurrency == 1:
-        return [worker(item) for item in items]
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        futures = [pool.submit(worker, item) for item in items]
-        return [future.result() for future in futures]
-
-
 # ---------------------------------------------------------------------------
 # Verbs
 # ---------------------------------------------------------------------------
 
 
 def cmd_eval(args) -> int:
-    config = load_config(args.config)
-    dataset = _load_cohort(args, config)
+    config, dataset, backend, concurrency = _open_verb(args)
     out_dir = args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    backend = build_backend(config, out_dir, args.dataset)
-    concurrency = _resolve_concurrency(args, config)
 
     methods = [parse_method(token, alpha=args.alpha) for token in args.methods.split(",")]
     runs = []
-    any_failed = False
     for method in methods:
+        run = run_method(
+            backend,
+            dataset,
+            method,
+            config.pricing,
+            params=config.sampling,
+            templates=config.templates,
+            concurrency=concurrency,
+            include_estimation_tokens=args.include_estimation_tokens,
+        )
         records_path = os.path.join(out_dir, f"records_{method.slug}.jsonl")
         with open(records_path, "w", encoding="utf-8") as sink:
-            run = run_method(
-                backend,
-                dataset,
-                method,
-                config.pricing,
-                params=config.sampling,
-                templates=config.templates,
-                concurrency=concurrency,
-                include_estimation_tokens=args.include_estimation_tokens,
-                record_sink=sink,
-            )
+            for record in run.records:
+                sink.write(json.dumps(vars(record), sort_keys=True) + "\n")
         runs.append(run)
-        any_failed = any_failed or run.report.failed_count > 0
+    any_failed = any(run.report.failed_count > 0 for run in runs)
 
     report_text = render_report(runs, TABLE_TEXT, config_hash=config.config_hash)
     print(report_text, end="")
@@ -300,12 +289,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_search(args) -> int:
-    config = load_config(args.config)
-    dataset = _load_cohort(args, config)
+    config, dataset, backend, concurrency = _open_verb(args)
     out_dir = args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    backend = build_backend(config, out_dir, args.dataset)
-    concurrency = _resolve_concurrency(args, config)
 
     def worker(question: Question):
         try:
@@ -460,12 +445,8 @@ def cmd_elasticity(args) -> int:
 
 
 def cmd_ptdata(args) -> int:
-    config = load_config(args.config)
-    dataset = _load_cohort(args, config)
+    config, dataset, backend, concurrency = _open_verb(args)
     out_dir = args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    backend = build_backend(config, out_dir, args.dataset)
-    concurrency = _resolve_concurrency(args, config)
 
     def worker(question: Question):
         builder = generate_target if args.format == SFT_FORMAT else build_preference_pair
@@ -519,12 +500,8 @@ def cmd_ptdata(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    config = load_config(args.config)
-    dataset = _load_cohort(args, config)
+    config, dataset, backend, concurrency = _open_verb(args)
     out_dir = args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    backend = build_backend(config, out_dir, args.dataset)
-    concurrency = _resolve_concurrency(args, config)
     multipliers = [float(token) for token in args.multipliers.split(",")]
 
     questions = {q.id: q for q in dataset.questions}
@@ -591,15 +568,7 @@ def cmd_audit(args) -> int:
                 "question_id": audit.question_id,
                 "optimal_budget": audit.optimal_budget,
                 "is_monotonic": audit.is_monotonic,
-                "checks": [
-                    {
-                        "multiplier": check.multiplier,
-                        "budget": check.budget,
-                        "correct": check.correct,
-                        "output_tokens": check.output_tokens,
-                    }
-                    for check in audit.checks
-                ],
+                "checks": [vars(check) for check in audit.checks],
             }
             for audit in audits
         ],

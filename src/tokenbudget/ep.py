@@ -12,8 +12,8 @@ import re
 from dataclasses import dataclass
 
 from .backend import DEFAULT_SAMPLING, CompletionBackend, SamplingParams
-from .core import CompletionOutcome, Question, TokenUsage, clamp_budget
-from .errors import EstimationParseError, HarnessError
+from .core import Question, TokenUsage, clamp_budget
+from .errors import EstimationParseError
 from .grading import Verdict, grade
 from .prompting import PromptKind, PromptTemplates, build_estimation_prompt, build_prompt
 
@@ -43,32 +43,6 @@ def parse_estimate(raw_response: str) -> EstimatedBudget:
     )
 
 
-def _estimate_with_outcome(
-    backend: CompletionBackend,
-    question: Question,
-    params: SamplingParams,
-    templates: PromptTemplates | None,
-) -> tuple[EstimatedBudget, CompletionOutcome]:
-    prompt = build_estimation_prompt(question, templates=templates)
-    outcome = backend.complete(prompt, params)
-    try:
-        return parse_estimate(outcome.text), outcome
-    except EstimationParseError as exc:
-        exc.outcome = outcome
-        raise
-
-
-def estimate_budget(
-    backend: CompletionBackend,
-    question: Question,
-    params: SamplingParams = DEFAULT_SAMPLING,
-    templates: PromptTemplates | None = None,
-) -> EstimatedBudget:
-    """Ask the model how many reasoning tokens the question needs."""
-    estimate, _ = _estimate_with_outcome(backend, question, params, templates)
-    return estimate
-
-
 def scale_budget(estimate: EstimatedBudget, alpha: float) -> int:
     """Scale an estimate by alpha, rounding and clamping to >= 1."""
     if alpha <= 0:
@@ -86,7 +60,6 @@ class EpResult:
     estimate: EstimatedBudget | None
     budget_used: int | None
     used_fallback: bool
-    answer_text: str
 
     @property
     def total_usage(self) -> TokenUsage:
@@ -103,45 +76,24 @@ def run_ep(
     """Estimate a budget, answer under it, grade the answer.
 
     Exactly two backend calls on both the happy path and the fallback path.
-    Backend errors propagate with a ``stage`` attribute ("estimation" or
-    "answer") naming where they occurred.
     """
+    estimation = backend.complete(build_estimation_prompt(question, templates=templates), params)
     try:
-        estimate, estimation_outcome = _estimate_with_outcome(backend, question, params, templates)
-    except EstimationParseError as parse_error:
-        estimation_usage = parse_error.outcome.usage
-        fallback_prompt = build_prompt(question, PromptKind.VANILLA_COT, templates=templates)
-        try:
-            answer = backend.complete(fallback_prompt, params)
-        except HarnessError as exc:
-            exc.stage = "answer"
-            raise
-        return EpResult(
-            verdict=grade(answer.text, question),
-            estimation_usage=estimation_usage,
-            answer_usage=answer.usage,
-            estimate=None,
-            budget_used=None,
-            used_fallback=True,
-            answer_text=answer.text,
+        estimate = parse_estimate(estimation.text)
+    except EstimationParseError:
+        estimate = budget = None
+        answer_prompt = build_prompt(question, PromptKind.VANILLA_COT, templates=templates)
+    else:
+        budget = scale_budget(estimate, alpha)
+        answer_prompt = build_prompt(
+            question, PromptKind.BUDGETED_COT, budget=budget, templates=templates
         )
-    except HarnessError as exc:
-        exc.stage = "estimation"
-        raise
-
-    budget = scale_budget(estimate, alpha)
-    answer_prompt = build_prompt(question, PromptKind.BUDGETED_COT, budget=budget, templates=templates)
-    try:
-        answer = backend.complete(answer_prompt, params)
-    except HarnessError as exc:
-        exc.stage = "answer"
-        raise
+    answer = backend.complete(answer_prompt, params)
     return EpResult(
         verdict=grade(answer.text, question),
-        estimation_usage=estimation_outcome.usage,
+        estimation_usage=estimation.usage,
         answer_usage=answer.usage,
         estimate=estimate,
         budget_used=budget,
-        used_fallback=False,
-        answer_text=answer.text,
+        used_fallback=estimate is None,
     )

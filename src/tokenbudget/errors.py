@@ -32,8 +32,6 @@ class ProtocolError(HarnessError):
 class EstimationParseError(HarnessError):
     """A budget-estimation response contained no parseable integer."""
 
-    def __init__(self, message, raw_response="", outcome=None):
+    def __init__(self, message, raw_response=""):
         super().__init__(message)
         self.raw_response = raw_response
-        # Outcome retained so callers can still account the call's token usage.
-        self.outcome = outcome

@@ -36,11 +36,10 @@ GSM8K_ANSWER_MARKER = "#### "
 
 @dataclass
 class Dataset:
-    """Named, ordered cohort of questions; sampling recorded when subsampled."""
+    """Named, ordered cohort of questions."""
 
     name: str
     questions: list[Question]
-    sampling: tuple[int, int] | None = None  # (seed, n)
 
     def __len__(self) -> int:
         return len(self.questions)
@@ -143,11 +142,7 @@ def sample_dataset(dataset: Dataset, n: int, seed: int) -> Dataset:
     rng = random.Random(seed)
     keyed = sorted(range(len(dataset.questions)), key=lambda i: (rng.random(), i))
     chosen = sorted(keyed[:n])
-    return Dataset(
-        name=dataset.name,
-        questions=[dataset.questions[i] for i in chosen],
-        sampling=(seed, n),
-    )
+    return Dataset(name=dataset.name, questions=[dataset.questions[i] for i in chosen])
 
 
 # ---------------------------------------------------------------------------
@@ -205,25 +200,6 @@ class SampleRecord:
     used_fallback: bool = False
     usage_breakdown: dict | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "question_id": self.question_id,
-            "method": self.method,
-            "correct": self.correct,
-            "extracted": self.extracted,
-            "output_tokens": self.output_tokens,
-            "total_input_tokens": self.total_input_tokens,
-            "total_output_tokens": self.total_output_tokens,
-            "expense": self.expense,
-            "failed": self.failed,
-            "error": self.error,
-            "estimated_budget": self.estimated_budget,
-            "alpha": self.alpha,
-            "budget_used": self.budget_used,
-            "used_fallback": self.used_fallback,
-            "usage_breakdown": self.usage_breakdown,
-        }
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -260,6 +236,25 @@ def aggregate_records(records: list[SampleRecord]) -> EvalReport:
         sample_count=len(graded),
         failed_count=failed,
     )
+
+
+_PROMPT_KINDS = {
+    "direct": PromptKind.DIRECT_ANSWER,
+    "vanilla": PromptKind.VANILLA_COT,
+    "fixed": PromptKind.BUDGETED_COT,
+}
+
+
+def _pool_map(worker, items, concurrency: int):
+    """Run worker over items with a bounded pool, results in input order.
+
+    The harness's only scheduler; every per-question fan-out goes through it.
+    """
+    if concurrency == 1:
+        return [worker(item) for item in items]
+    with ThreadPoolExecutor(max_workers=concurrency) as pool:
+        futures = [pool.submit(worker, item) for item in items]
+        return [future.result() for future in futures]
 
 
 def _run_sample(
@@ -299,16 +294,9 @@ def _run_sample(
             },
         )
 
-    if method.kind == "direct":
-        prompt = build_prompt(question, PromptKind.DIRECT_ANSWER, templates=templates)
-    elif method.kind == "vanilla":
-        prompt = build_prompt(question, PromptKind.VANILLA_COT, templates=templates)
-    elif method.kind == "fixed":
-        prompt = build_prompt(
-            question, PromptKind.BUDGETED_COT, budget=method.budget, templates=templates
-        )
-    else:
-        raise ValueError(f"unknown method kind {method.kind!r}")
+    prompt = build_prompt(
+        question, _PROMPT_KINDS[method.kind], budget=method.budget, templates=templates
+    )
     outcome = backend.complete(prompt, params)
     verdict = grade(outcome.text, question)
     return SampleRecord(
@@ -333,14 +321,12 @@ def run_method(
     templates: PromptTemplates | None = None,
     concurrency: int = 4,
     include_estimation_tokens: bool = False,
-    record_sink=None,
 ) -> MethodRun:
     """Execute one method over the cohort with bounded parallelism.
 
     Per-sample backend failures mark the sample failed and excluded, never
-    crash the cohort. Records are emitted to ``record_sink`` (a writable
-    text stream) incrementally, in dataset order regardless of completion
-    order, so outputs stay byte-stable.
+    crash the cohort. Records come back in dataset order regardless of
+    completion order, so outputs stay byte-stable.
     """
     if not dataset.questions:
         raise ValueError("cannot run a method over an empty cohort")
@@ -367,21 +353,7 @@ def run_method(
                 error=str(exc),
             )
 
-    records: list[SampleRecord] = []
-    if concurrency == 1:
-        for question in dataset.questions:
-            records.append(task(question))
-            if record_sink is not None:
-                record_sink.write(json.dumps(records[-1].to_dict(), sort_keys=True) + "\n")
-    else:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            futures = [pool.submit(task, q) for q in dataset.questions]
-            for future in futures:
-                record = future.result()
-                records.append(record)
-                if record_sink is not None:
-                    record_sink.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-
+    records = _pool_map(task, dataset.questions, concurrency)
     return MethodRun(
         method=method,
         dataset_name=dataset.name,

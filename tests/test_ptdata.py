@@ -121,15 +121,20 @@ def test_export_counts_and_round_trip(tmp_path, rebound_question, rebound_backen
         target="The answer is 4.",
         meta={"question_id": "q2", "optimal_budget": 8, "output_tokens": 5},
     )
+    records = [example, other, Skip("q3", "vanilla_incorrect")]
+
+    def export(path):
+        return export_corpus(
+            records,
+            SFT_FORMAT,
+            path,
+            dataset_name="fixture",
+            model_id="scripted-v1",
+            questions=[rebound_question],
+        )
+
     path = str(tmp_path / "corpus_sft.jsonl")
-    manifest = export_corpus(
-        [example, other, Skip("q3", "vanilla_incorrect")],
-        SFT_FORMAT,
-        path,
-        dataset_name="fixture",
-        model_id="scripted-v1",
-        questions=[rebound_question],
-    )
+    manifest = export(path)
     assert manifest.attempted == 3
     assert manifest.succeeded == 2
     assert manifest.skipped == {"vanilla_incorrect": 1}
@@ -141,7 +146,12 @@ def test_export_counts_and_round_trip(tmp_path, rebound_question, rebound_backen
         on_disk = json.load(handle)
     assert on_disk["counts"]["succeeded"] == 2
     assert on_disk["dataset"] == "fixture"
-    assert on_disk["created_at"]
+
+    # No timestamp: exporting the same records again gives the same manifest bytes.
+    again = str(tmp_path / "again" / "corpus_sft.jsonl")
+    export(again)
+    with open(manifest_path(path), "rb") as first, open(manifest_path(again), "rb") as second:
+        assert first.read() == second.read()
 
 
 def test_export_dpo_round_trip(tmp_path, rebound_question, rebound_backend):

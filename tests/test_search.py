@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from tokenbudget.backend import ScriptedBackend, ScriptedEntry, classify_prompt_budget
-from tokenbudget.errors import TransportError
+from tokenbudget.backend import ScriptedEntry
 from tokenbudget.search import (
     ElasticityTrace,
     IdealRange,
@@ -142,26 +141,6 @@ def test_zero_token_vanilla_means_no_feasible_budget():
     backend = scripted_backend({question: behavior})
     result = search_optimal_budget(backend, question)
     assert result.status is SearchStatus.NO_FEASIBLE_BUDGET
-
-
-def test_backend_error_carries_partial_trace(rebound_question):
-    class Flaky(ScriptedBackend):
-        def _request(self, prompt, params, fingerprint):
-            if classify_prompt_budget(prompt) == 64:
-                raise TransportError("boom")
-            return super()._request(prompt, params, fingerprint)
-
-    behavior = behavior_from_curve(
-        vanilla_tokens=256,
-        curve={256: (130, True), 128: (120, True)},
-    )
-    backend = Flaky(
-        questions=[rebound_question], behaviors={rebound_question.id: behavior}
-    )
-    with pytest.raises(TransportError) as excinfo:
-        search_optimal_budget(backend, rebound_question)
-    partial = excinfo.value.partial_trace
-    assert [(p.budget, p.observed_cost) for p in partial.points] == [(256, 130), (128, 120)]
 
 
 def test_halving_candidates():
