@@ -9,13 +9,16 @@ synchronization points.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import random
 import re
+import string
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import requests
@@ -43,8 +46,10 @@ class SamplingParams:
     def __post_init__(self):
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
-        if self.max_candidates < 1:
-            raise ValueError("max_candidates must be >= 1")
+        # Only the first choice is graded, while provider usage counts every
+        # choice; more candidates would inflate the token counts.
+        if self.max_candidates != 1:
+            raise ValueError("max_candidates must be 1")
 
 
 DEFAULT_SAMPLING = SamplingParams()
@@ -52,10 +57,26 @@ DEFAULT_SAMPLING = SamplingParams()
 _BUDGET_SUFFIX_RE = re.compile(r"use less than (\d+) tokens")
 
 
-def classify_prompt_budget(prompt: Prompt) -> int | None:
-    """Extract the token budget from a rendered prompt; None means no budget."""
-    match = _BUDGET_SUFFIX_RE.search(prompt.user)
-    return int(match.group(1)) if match else None
+@functools.lru_cache(maxsize=16)
+def _budget_pattern(budgeted_suffix: str) -> re.Pattern:
+    """Regex matching the rendered suffix, capturing the ``{budget}`` value."""
+    parts = []
+    for literal, field_name, _, _ in string.Formatter().parse(budgeted_suffix):
+        parts.append(re.escape(literal))
+        if field_name is not None:
+            parts.append(r"(\d+)")
+    return re.compile("".join(parts))
+
+
+def classify_prompt_budget(prompt: Prompt, templates: PromptTemplates | None = None) -> int | None:
+    """Extract the token budget from a rendered prompt; None means no budget.
+
+    With templates, the budget is read through their budgeted suffix;
+    without, through the default wording "use less than N tokens".
+    """
+    pattern = _BUDGET_SUFFIX_RE if templates is None else _budget_pattern(templates.budgeted_suffix)
+    match = pattern.search(prompt.user)
+    return int(match.group(1)) if match and pattern.groups else None
 
 
 def request_fingerprint(prompt: Prompt, params: SamplingParams) -> str:
@@ -74,22 +95,58 @@ def request_fingerprint(prompt: Prompt, params: SamplingParams) -> str:
 class ResponseCache:
     """Append-only JSONL cache of completed requests, keyed by fingerprint.
 
-    Concurrent readers are lock-free after load; appends are serialized.
+    Concurrent readers are lock-free after load; appends are serialized and
+    go through one handle, opened at the first append and flushed per line.
+    A torn last line (a crash mid-append) is dropped and cut from the file on
+    load; a corrupt line anywhere else is a DatasetError naming the line.
     """
 
     def __init__(self, path: str):
         self.path = path
         self._lock = threading.Lock()
         self._entries: dict[str, CompletionOutcome] = {}
+        self._handle = None
+        self._close_handle = None
+        # The file ends in a complete record without its newline.
+        self._needs_newline = False
         if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    record = json.loads(line)
-                    outcome = CompletionOutcome.from_dict(record["outcome"])
-                    self._entries[record["fingerprint"]] = outcome
+            self._load()
+
+    def _load(self) -> None:
+        kept = 0
+        line = b"\n"
+        with open(self.path, "rb") as handle:
+            for number, line in enumerate(handle, start=1):
+                if line.strip():
+                    try:
+                        record = json.loads(line.decode("utf-8"))
+                        fingerprint = record["fingerprint"]
+                        outcome = CompletionOutcome.from_dict(record["outcome"])
+                    except (ValueError, KeyError, TypeError) as exc:
+                        if line.endswith(b"\n"):
+                            raise DatasetError(
+                                f"{self.path}: corrupt cache record at line {number}: {exc}"
+                            ) from exc
+                        # Only the last line can lack its newline: an append
+                        # cut short. Drop it so the next append starts clean.
+                        break
+                    self._entries[fingerprint] = outcome
+                kept += len(line)
+        if kept < os.path.getsize(self.path):
+            os.truncate(self.path, kept)
+        else:
+            self._needs_newline = not line.endswith(b"\n")
+
+    def _open_for_append(self):
+        directory = os.path.dirname(self.path)
+        if directory:
+            os.makedirs(directory, exist_ok=True)
+        handle = open(self.path, "a", encoding="utf-8")
+        self._close_handle = weakref.finalize(self, handle.close)
+        if self._needs_newline:
+            handle.write("\n")
+            self._needs_newline = False
+        return handle
 
     def get(self, fingerprint: str) -> CompletionOutcome | None:
         return self._entries.get(fingerprint)
@@ -100,11 +157,17 @@ class ResponseCache:
                 return
             self._entries[fingerprint] = outcome
             record = {"fingerprint": fingerprint, "outcome": outcome.to_dict()}
-            directory = os.path.dirname(self.path)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+            if self._handle is None:
+                self._handle = self._open_for_append()
+            self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+            self._handle.flush()
+
+    def close(self) -> None:
+        """Close the append handle; the next put opens it again."""
+        with self._lock:
+            if self._handle is not None:
+                self._close_handle()
+                self._handle = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -186,9 +249,12 @@ class ScriptedBackend(CompletionBackend):
         self._behaviors = behaviors
         self._default_entry = default_entry
         self._templates = templates or DEFAULT_TEMPLATES
-        # Longest question text first so one text being a prefix of another
-        # cannot misroute a prompt.
-        self._match_order = sorted(questions, key=lambda q: len(q.text), reverse=True)
+        # Every rendered prompt joins the question text and the template lines
+        # with "\n", so the question is a run of whole lines of the prompt.
+        # The first question with a given text wins, as in the fixture order.
+        self._by_text: dict[str, Question] = {}
+        for question in questions:
+            self._by_text.setdefault(question.text, question)
         self._lock = threading.Lock()
         self._upstream_calls = 0
         self._served_fingerprints: list[str] = []
@@ -205,8 +271,20 @@ class ScriptedBackend(CompletionBackend):
             return list(self._served_fingerprints)
 
     def _match_question(self, prompt: Prompt) -> Question:
-        for question in self._match_order:
-            if question.text in prompt.user:
+        """The question whose text is the longest run of whole prompt lines.
+
+        Trying the longest run first means one question text being a prefix
+        or a line of another cannot misroute a prompt.
+        """
+        lines = prompt.user.split("\n")
+        runs = [
+            "\n".join(lines[start:stop])
+            for start in range(len(lines))
+            for stop in range(start + 1, len(lines) + 1)
+        ]
+        for run in sorted(runs, key=len, reverse=True):
+            question = self._by_text.get(run)
+            if question is not None:
                 return question
         raise ConfigError("no scripted question matches the incoming prompt")
 
@@ -220,7 +298,7 @@ class ScriptedBackend(CompletionBackend):
         if prompt.user.startswith(self._templates.estimation_task):
             entry = behavior.estimate or fallback
         else:
-            budget = classify_prompt_budget(prompt)
+            budget = classify_prompt_budget(prompt, self._templates)
             if budget is None:
                 entry = behavior.vanilla
             else:

@@ -124,11 +124,14 @@ def load_config(path: str) -> HarnessConfig:
         raise ConfigError(f"{path}: concurrency must be >= 1")
 
     sampling_cfg = raw.get("sampling", {})
-    sampling = SamplingParams(
-        temperature=float(sampling_cfg.get("temperature", 0.1)),
-        seed=int(sampling_cfg.get("seed", 1024)),
-        max_candidates=int(sampling_cfg.get("max_candidates", 1)),
-    )
+    try:
+        sampling = SamplingParams(
+            temperature=float(sampling_cfg.get("temperature", 0.1)),
+            seed=int(sampling_cfg.get("seed", 1024)),
+            max_candidates=int(sampling_cfg.get("max_candidates", 1)),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{path}: sampling: {exc}") from exc
     retry_cfg = raw.get("retry", {})
     retry = RetryPolicy(
         max_attempts=int(retry_cfg.get("max_attempts", 5)),

@@ -20,10 +20,12 @@ from tokenbudget.backend import (
     parse_scripted_file,
     request_fingerprint,
 )
-from tokenbudget.core import AnswerKind, CountingSource
+from tokenbudget.cli import load_config
+from tokenbudget.core import AnswerKind, CompletionOutcome, CountingSource, TokenUsage
 from tokenbudget.errors import ConfigError, DatasetError, ProtocolError, RateLimitError, TransportError
 from tokenbudget.grading import grade
-from tokenbudget.prompting import PromptKind, build_estimation_prompt, build_prompt
+from tokenbudget.prompting import PromptKind, PromptTemplates, build_estimation_prompt, build_prompt
+from tokenbudget.search import search_optimal_budget
 
 from conftest import behavior_from_curve, make_question, scripted_backend
 
@@ -122,6 +124,86 @@ def test_longest_question_text_wins_prompt_matching():
     assert outcome.usage.output_tokens == 99
 
 
+def test_shared_question_text_serves_the_first_question():
+    first = make_question(qid="first", text="What is 2 + 2?", gold="4")
+    second = make_question(qid="second", text="What is 2 + 2?", gold="4")
+    backend = scripted_backend(
+        {
+            first: behavior_from_curve(vanilla_tokens=11, curve={}),
+            second: behavior_from_curve(vanilla_tokens=99, curve={}),
+        }
+    )
+    assert backend.complete(build_prompt(second, PromptKind.VANILLA_COT)).usage.output_tokens == 11
+
+
+OVERRIDDEN_TEMPLATES = PromptTemplates(
+    vanilla_suffix="Reason it out:",
+    budgeted_suffix="Think briefly, at most {budget} tokens:",
+    estimation_task="How many tokens does this need?",
+    format_instruction="Answer with one letter.",
+)
+
+# (question, vanilla tokens): each question's entries are offset by its own
+# base, so the served token count names the question that was matched.
+_MATCHING_QUESTIONS = [
+    (make_question(qid="num", text="What is 3 + 4?", gold="7"), 100),
+    (make_question(qid="mc", text="Pick the even one. (A) 3 (B) 4", gold="B",
+                   kind=AnswerKind.MULTIPLE_CHOICE), 200),
+    (make_question(qid="multi", text="Line one of the question.\nWhat is 3 + 4?\nLine three.",
+                   gold="7"), 300),
+    (make_question(qid="line", text="Line one of the question.", gold="1"), 400),
+    (make_question(qid="prefix", text="What is 3", gold="3"), 500),
+]
+
+
+@pytest.mark.parametrize("templates", [None, OVERRIDDEN_TEMPLATES], ids=["default", "overridden"])
+@pytest.mark.parametrize("question,base", _MATCHING_QUESTIONS, ids=[q.id for q, _ in _MATCHING_QUESTIONS])
+def test_prompt_matching_resolves_every_prompt_kind(question, base, templates):
+    backend = scripted_backend(
+        {
+            q: behavior_from_curve(vanilla_tokens=b, curve={8: (b + 8, True)}, estimate=str(b + 1))
+            for q, b in _MATCHING_QUESTIONS
+        },
+        templates=templates,
+    )
+    served = {
+        kind: backend.complete(build_prompt(question, kind, budget=8, templates=templates))
+        for kind in PromptKind
+        if kind is not PromptKind.FORMAT_INSTRUCTION
+    }
+    assert served[PromptKind.DIRECT_ANSWER].usage.output_tokens == base
+    assert served[PromptKind.VANILLA_COT].usage.output_tokens == base
+    assert served[PromptKind.BUDGETED_COT].usage.output_tokens == base + 8
+    assert served[PromptKind.BUDGET_ESTIMATION].text == str(base + 1)
+    # The bare format scaffold carries no question at all.
+    with pytest.raises(ConfigError):
+        backend.complete(build_prompt(question, PromptKind.FORMAT_INSTRUCTION, templates=templates))
+
+
+def test_budget_parsing_follows_template_override():
+    question = make_question(qid="brief", text="What is 3 + 4?", gold="7")
+    backend = scripted_backend(
+        {question: behavior_from_curve(vanilla_tokens=100, curve={8: (7, True)})},
+        templates=OVERRIDDEN_TEMPLATES,
+    )
+    prompt = build_prompt(question, PromptKind.BUDGETED_COT, budget=8, templates=OVERRIDDEN_TEMPLATES)
+    assert classify_prompt_budget(prompt, OVERRIDDEN_TEMPLATES) == 8
+    assert classify_prompt_budget(prompt) is None
+    assert backend.complete(prompt).usage.output_tokens == 7
+
+
+def test_more_than_one_candidate_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="max_candidates"):
+        SamplingParams(max_candidates=2)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "backend": {"kind": "scripted"},
+        "sampling": {"max_candidates": 2},
+    }))
+    with pytest.raises(ConfigError, match="max_candidates"):
+        load_config(str(config))
+
+
 def test_sampling_and_retry_defaults_pinned():
     params = SamplingParams()
     assert params.temperature == 0.1
@@ -209,6 +291,85 @@ def test_concurrent_cached_completions_are_consistent(tmp_path, fig_like_questio
     fingerprints = [r["fingerprint"] for r in records]
     assert len(fingerprints) == 64
     assert len(set(fingerprints)) == 64
+
+
+def _outcome(index: int) -> CompletionOutcome:
+    usage = TokenUsage(index, index + 1, CountingSource.PROVIDER_REPORTED)
+    return CompletionOutcome(text=f"answer {index}", usage=usage, model_id="m",
+                             request_fingerprint=f"fp{index}")
+
+
+def test_cache_puts_are_visible_to_a_fresh_cache(tmp_path):
+    path = str(tmp_path / "cache.jsonl")
+    cache = ResponseCache(path)
+    for index in range(20):
+        cache.put(f"fp{index}", _outcome(index))
+    fresh = ResponseCache(path)
+    assert len(fresh) == 20
+    assert all(fresh.get(f"fp{index}") == _outcome(index) for index in range(20))
+    cache.close()
+
+
+def test_cache_without_puts_creates_no_file(tmp_path):
+    path = tmp_path / "out" / "cache.jsonl"
+    cache = ResponseCache(str(path))
+    assert cache.get("fp0") is None
+    cache.close()
+    assert not (tmp_path / "out").exists()
+
+
+def test_cache_cut_anywhere_in_last_line_resumes_like_uninterrupted(tmp_path, rebound_question):
+    def backend_on(path):
+        behavior = behavior_from_curve(
+            vanilla_tokens=256,
+            curve={256: (130, True), 128: (120, True), 64: (70, True), 32: (90, True)},
+            default=(300, False),
+        )
+        return scripted_backend({rebound_question: behavior}, cache=ResponseCache(path))
+
+    full_path = tmp_path / "full.jsonl"
+    reference = search_optimal_budget(backend_on(str(full_path)), rebound_question)
+    data = full_path.read_bytes()
+    last_line = data.rindex(b"\n", 0, len(data) - 1) + 1
+
+    path = tmp_path / "cut.jsonl"
+    for cut in range(last_line, len(data)):
+        path.write_bytes(data[:cut])
+        backend = backend_on(str(path))
+        assert search_optimal_budget(backend, rebound_question) == reference
+        if cut == len(data) - 1:
+            # A complete record without its newline is kept as it is.
+            assert backend.upstream_calls == 0
+            assert path.read_bytes() == data[:-1]
+        else:
+            assert backend.upstream_calls == 1
+            assert path.read_bytes() == data
+
+
+def test_cache_completes_an_unterminated_last_record_before_appending(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(str(path))
+    cache.put("fp0", _outcome(0))
+    cache.close()
+    path.write_bytes(path.read_bytes().rstrip(b"\n"))
+    resumed = ResponseCache(str(path))
+    resumed.put("fp1", _outcome(1))
+    resumed.close()
+    assert len(path.read_bytes().splitlines()) == 2
+    assert len(ResponseCache(str(path))) == 2
+
+
+def test_cache_corrupt_middle_line_names_the_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(str(path))
+    for index in range(3):
+        cache.put(f"fp{index}", _outcome(index))
+    cache.close()
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1][:20] + b"\n"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(DatasetError, match=r"cache\.jsonl: corrupt cache record at line 2"):
+        ResponseCache(str(path))
 
 
 def test_fingerprint_depends_on_prompt_and_params(fig_like_question):

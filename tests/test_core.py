@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import string
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -106,6 +108,17 @@ def test_count_concatenation_never_shrinks(s):
 @given(st.text(max_size=200), st.text(max_size=200))
 def test_count_monotone_in_appended_text(prefix, suffix):
     assert count_tokens_approx(prefix + suffix) >= count_tokens_approx(prefix)
+
+
+def _count_tokens_reference(text: str) -> int:
+    """The original per-character count, kept as the reference."""
+    punctuation = frozenset(string.punctuation)
+    return len(text.split()) + sum(1 for ch in text if ch in punctuation)
+
+
+@given(st.text(max_size=300) | st.text(alphabet=string.punctuation + string.whitespace + "aé€", max_size=300))
+def test_count_matches_per_character_reference(text):
+    assert count_tokens_approx(text) == _count_tokens_reference(text)
 
 
 # ---------------------------------------------------------------------------
