@@ -54,27 +54,25 @@ class SamplingParams:
 
 DEFAULT_SAMPLING = SamplingParams()
 
-_BUDGET_SUFFIX_RE = re.compile(r"use less than (\d+) tokens")
-
 
 @functools.lru_cache(maxsize=16)
 def _budget_pattern(budgeted_suffix: str) -> re.Pattern:
-    """Regex matching the rendered suffix, capturing the ``{budget}`` value."""
+    """Regex matching the rendered suffix as whole lines, capturing ``{budget}``."""
     parts = []
     for literal, field_name, _, _ in string.Formatter().parse(budgeted_suffix):
         parts.append(re.escape(literal))
         if field_name is not None:
             parts.append(r"(\d+)")
-    return re.compile("".join(parts))
+    return re.compile("^" + "".join(parts) + "$", re.M)
 
 
 def classify_prompt_budget(prompt: Prompt, templates: PromptTemplates | None = None) -> int | None:
     """Extract the token budget from a rendered prompt; None means no budget.
 
-    With templates, the budget is read through their budgeted suffix;
-    without, through the default wording "use less than N tokens".
+    The budget is read from the lines that render the budgeted suffix of
+    ``templates`` (the defaults when none are given).
     """
-    pattern = _BUDGET_SUFFIX_RE if templates is None else _budget_pattern(templates.budgeted_suffix)
+    pattern = _budget_pattern((templates or DEFAULT_TEMPLATES).budgeted_suffix)
     match = pattern.search(prompt.user)
     return int(match.group(1)) if match and pattern.groups else None
 
@@ -106,7 +104,6 @@ class ResponseCache:
         self._lock = threading.Lock()
         self._entries: dict[str, CompletionOutcome] = {}
         self._handle = None
-        self._close_handle = None
         # The file ends in a complete record without its newline.
         self._needs_newline = False
         if os.path.exists(path):
@@ -142,7 +139,7 @@ class ResponseCache:
         if directory:
             os.makedirs(directory, exist_ok=True)
         handle = open(self.path, "a", encoding="utf-8")
-        self._close_handle = weakref.finalize(self, handle.close)
+        weakref.finalize(self, handle.close)
         if self._needs_newline:
             handle.write("\n")
             self._needs_newline = False
@@ -161,13 +158,6 @@ class ResponseCache:
                 self._handle = self._open_for_append()
             self._handle.write(json.dumps(record, sort_keys=True) + "\n")
             self._handle.flush()
-
-    def close(self) -> None:
-        """Close the append handle; the next put opens it again."""
-        with self._lock:
-            if self._handle is not None:
-                self._close_handle()
-                self._handle = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -250,8 +240,9 @@ class ScriptedBackend(CompletionBackend):
         self._default_entry = default_entry
         self._templates = templates or DEFAULT_TEMPLATES
         # Every rendered prompt joins the question text and the template lines
-        # with "\n", so the question is a run of whole lines of the prompt.
-        # The first question with a given text wins, as in the fixture order.
+        # with "\n", so the question is a run of whole leading lines of the
+        # prompt (after the estimation task line). The first question with a
+        # given text wins, as in the fixture order.
         self._by_text: dict[str, Question] = {}
         for question in questions:
             self._by_text.setdefault(question.text, question)
@@ -271,19 +262,20 @@ class ScriptedBackend(CompletionBackend):
             return list(self._served_fingerprints)
 
     def _match_question(self, prompt: Prompt) -> Question:
-        """The question whose text is the longest run of whole prompt lines.
+        """The question whose text is the longest run of whole leading lines.
 
-        Trying the longest run first means one question text being a prefix
-        or a line of another cannot misroute a prompt.
+        Every rendered prompt starts with the question text, or with it right
+        after the estimation task line(s). Trying the longest run first means
+        one question text being a prefix or a line of another cannot misroute
+        a prompt.
         """
         lines = prompt.user.split("\n")
-        runs = [
-            "\n".join(lines[start:stop])
-            for start in range(len(lines))
-            for stop in range(start + 1, len(lines) + 1)
-        ]
-        for run in sorted(runs, key=len, reverse=True):
-            question = self._by_text.get(run)
+        start = 0
+        task = self._templates.estimation_task
+        if prompt.user.startswith(task + "\n"):
+            start = task.count("\n") + 1
+        for stop in range(len(lines), start, -1):
+            question = self._by_text.get("\n".join(lines[start:stop]))
             if question is not None:
                 return question
         raise ConfigError("no scripted question matches the incoming prompt")

@@ -192,6 +192,23 @@ def test_budget_parsing_follows_template_override():
     assert backend.complete(prompt).usage.output_tokens == 7
 
 
+def test_suffix_wording_inside_a_question_is_not_a_budget():
+    templates = PromptTemplates(budgeted_suffix="{budget} tokens:")
+    question = make_question(qid="wordy", text="Spend 8 tokens: what is 3 + 4?", gold="7")
+    backend = scripted_backend(
+        {question: behavior_from_curve(vanilla_tokens=100, curve={8: (7, True)}, default=(5, True))},
+        templates=templates,
+    )
+    vanilla = build_prompt(question, PromptKind.VANILLA_COT, templates=templates)
+    assert classify_prompt_budget(vanilla, templates) is None
+    assert backend.complete(vanilla).usage.output_tokens == 100
+    budgeted = build_prompt(question, PromptKind.BUDGETED_COT, budget=8, templates=templates)
+    assert backend.complete(budgeted).usage.output_tokens == 7
+
+    default_wording = make_question(qid="dw", text="Can you use less than 50 tokens here?", gold="1")
+    assert classify_prompt_budget(build_prompt(default_wording, PromptKind.VANILLA_COT)) is None
+
+
 def test_more_than_one_candidate_is_rejected(tmp_path):
     with pytest.raises(ValueError, match="max_candidates"):
         SamplingParams(max_candidates=2)
@@ -307,14 +324,12 @@ def test_cache_puts_are_visible_to_a_fresh_cache(tmp_path):
     fresh = ResponseCache(path)
     assert len(fresh) == 20
     assert all(fresh.get(f"fp{index}") == _outcome(index) for index in range(20))
-    cache.close()
 
 
 def test_cache_without_puts_creates_no_file(tmp_path):
     path = tmp_path / "out" / "cache.jsonl"
     cache = ResponseCache(str(path))
     assert cache.get("fp0") is None
-    cache.close()
     assert not (tmp_path / "out").exists()
 
 
@@ -350,11 +365,9 @@ def test_cache_completes_an_unterminated_last_record_before_appending(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = ResponseCache(str(path))
     cache.put("fp0", _outcome(0))
-    cache.close()
     path.write_bytes(path.read_bytes().rstrip(b"\n"))
     resumed = ResponseCache(str(path))
     resumed.put("fp1", _outcome(1))
-    resumed.close()
     assert len(path.read_bytes().splitlines()) == 2
     assert len(ResponseCache(str(path))) == 2
 
@@ -364,7 +377,6 @@ def test_cache_corrupt_middle_line_names_the_line(tmp_path):
     cache = ResponseCache(str(path))
     for index in range(3):
         cache.put(f"fp{index}", _outcome(index))
-    cache.close()
     lines = path.read_bytes().splitlines(keepends=True)
     lines[1] = lines[1][:20] + b"\n"
     path.write_bytes(b"".join(lines))
