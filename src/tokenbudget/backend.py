@@ -331,14 +331,6 @@ class ScriptedScenario:
     behaviors: dict[str, ScriptedBehavior]
     default_entry: ScriptedEntry | None = None
 
-    def build_backend(self, **kwargs) -> ScriptedBackend:
-        return ScriptedBackend(
-            questions=self.questions,
-            behaviors=self.behaviors,
-            default_entry=self.default_entry,
-            **kwargs,
-        )
-
 
 def _parse_entry(data: dict, where: str) -> ScriptedEntry:
     try:

@@ -1,11 +1,12 @@
 """Command-line entry point wiring config, backends, and pipelines.
 
-Verbs: eval | search | elasticity | ptdata | audit. The cohort verbs fan
-their per-question tasks out through the only scheduler, evaluate._pool_map
-(a bounded worker pool, results in input order); everything under it runs
-sequentially per question. All outputs land under --out-dir next to a run
-manifest, and re-running with an intact cache issues no upstream calls and
-reproduces byte-identical files.
+Verbs: eval | search | elasticity | ptdata | audit. Each verb opens one
+VerbContext (config, seed, out-dir; for the cohort verbs also the dataset,
+backend and pool size), which writes the run manifest at the end. Per-question
+tasks fan out through the only scheduler, evaluate._pool_map, which also holds
+the one failure policy: a provider error that outlasted the retries fails that
+question (exit 2), any other error is fatal (exit 1). Re-running with an
+intact cache issues no upstream calls and reproduces byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,21 +17,20 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .backend import (
-    CompletionBackend,
     LiveBackend,
     ResponseCache,
     RetryPolicy,
     SamplingParams,
+    ScriptedBackend,
     TokenBucket,
     parse_scripted_file,
 )
-from .core import PricingTable, Question
+from .core import PricingTable
 from .errors import ConfigError, HarnessError
 from .evaluate import (
-    Dataset,
     JSON_FORMAT,
     TABLE_TEXT,
     CSV_FORMAT,
@@ -98,7 +98,6 @@ class HarnessConfig:
     out_dir: str
     seed: int
     config_hash: str
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 def load_config(path: str) -> HarnessConfig:
@@ -161,7 +160,6 @@ def load_config(path: str) -> HarnessConfig:
         out_dir=raw.get("out_dir", "runs"),
         seed=int(raw.get("seed", 1024)),
         config_hash=hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16],
-        raw=raw,
     )
 
 
@@ -173,7 +171,10 @@ def build_backend(config: HarnessConfig, out_dir: str, dataset_path: str | None 
         if not script_path:
             raise ConfigError("scripted backend needs backend.script_path or --dataset")
         scenario = parse_scripted_file(script_path)
-        return scenario.build_backend(
+        return ScriptedBackend(
+            questions=scenario.questions,
+            behaviors=scenario.behaviors,
+            default_entry=scenario.default_entry,
             model_id=config.model_id,
             cache=cache,
             templates=config.templates,
@@ -199,24 +200,62 @@ def build_backend(config: HarnessConfig, out_dir: str, dataset_path: str | None 
     )
 
 
-def _resolve_seed(args, config: HarnessConfig) -> int:
-    return args.seed if args.seed is not None else config.seed
+class VerbContext:
+    """One verb's set-up, per-question fan-out, manifest and exit code.
 
+    Opens, in order: config and seed, the cohort (dataset, seeded subsample),
+    the out-dir, then the backend and the pool size; `cohort=False` opens only
+    the config, seed and out-dir.
+    """
 
-def _open_verb(args) -> tuple[HarnessConfig, Dataset, CompletionBackend, int]:
-    """Shared preamble of the cohort verbs: config, cohort, out-dir, backend, concurrency."""
-    config = load_config(args.config)
-    if not args.dataset:
-        raise ConfigError("this command requires --dataset")
-    dataset = load_dataset(args.dataset, args.dataset_format)
-    if args.sample_n is not None:
-        dataset = sample_dataset(dataset, args.sample_n, _resolve_seed(args, config))
-    os.makedirs(args.out_dir, exist_ok=True)
-    backend = build_backend(config, args.out_dir, args.dataset)
-    concurrency = args.concurrency if args.concurrency is not None else config.concurrency
-    if concurrency < 1:
-        raise ConfigError("concurrency must be >= 1")
-    return config, dataset, backend, concurrency
+    def __init__(self, args, verb: str, cohort: bool = True):
+        self.args, self.verb = args, verb
+        self.config = load_config(args.config)
+        self.seed = args.seed if args.seed is not None else self.config.seed
+        self.failed = False
+        self.dataset = None
+        if cohort:
+            if not args.dataset:
+                raise ConfigError("this command requires --dataset")
+            self.dataset = load_dataset(args.dataset, args.dataset_format)
+            if args.sample_n is not None:
+                self.dataset = sample_dataset(self.dataset, args.sample_n, self.seed)
+        os.makedirs(args.out_dir, exist_ok=True)
+        if cohort:
+            self.backend = build_backend(self.config, args.out_dir, args.dataset)
+            self.concurrency = (
+                args.concurrency if args.concurrency is not None else self.config.concurrency
+            )
+            if self.concurrency < 1:
+                raise ConfigError("concurrency must be >= 1")
+
+    def path(self, name: str) -> str:
+        return os.path.join(self.args.out_dir, name)
+
+    def map(self, worker, items) -> list:
+        """Worker results in input order; a per-question failure is its exception."""
+        results = _pool_map(worker, items, self.concurrency)
+        self.failed = self.failed or any(isinstance(r, Exception) for r in results)
+        return results
+
+    def finish(self, **details) -> int:
+        # Deliberately no wall-clock timestamp: reruns must be byte-identical.
+        manifest = {
+            "verb": self.verb,
+            "config_hash": self.config.config_hash,
+            "model_id": self.config.model_id,
+            "backend_kind": self.config.backend_kind,
+            "seed": self.seed,
+        }
+        if self.dataset is not None:
+            manifest.update(
+                dataset=self.dataset.name,
+                dataset_path=self.args.dataset,
+                sample_n=self.args.sample_n,
+            )
+        manifest.update(details)
+        _write_json(self.path("run_manifest.json"), manifest)
+        return EXIT_PARTIAL if self.failed else EXIT_OK
 
 
 def _write_json(path: str, document: dict) -> None:
@@ -225,17 +264,9 @@ def _write_json(path: str, document: dict) -> None:
         handle.write("\n")
 
 
-def _write_manifest(out_dir: str, verb: str, config: HarnessConfig, details: dict) -> None:
-    # Deliberately no wall-clock timestamp: reruns must be byte-identical.
-    manifest = {
-        "verb": verb,
-        "config_hash": config.config_hash,
-        "model_id": config.model_id,
-        "backend_kind": config.backend_kind,
-        "seed": details.get("seed", config.seed),
-    }
-    manifest.update(details)
-    _write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
+def _read_jsonl(path: str) -> list[dict]:
+    with open(path, "r", encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle if line.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -244,142 +275,72 @@ def _write_manifest(out_dir: str, verb: str, config: HarnessConfig, details: dic
 
 
 def cmd_eval(args) -> int:
-    config, dataset, backend, concurrency = _open_verb(args)
-    out_dir = args.out_dir
+    ctx = VerbContext(args, "eval")
+    config = ctx.config
 
     methods = [parse_method(token, alpha=args.alpha) for token in args.methods.split(",")]
     runs = []
     for method in methods:
         run = run_method(
-            backend,
-            dataset,
+            ctx.backend,
+            ctx.dataset,
             method,
             config.pricing,
             params=config.sampling,
             templates=config.templates,
-            concurrency=concurrency,
+            concurrency=ctx.concurrency,
             include_estimation_tokens=args.include_estimation_tokens,
         )
-        records_path = os.path.join(out_dir, f"records_{method.slug}.jsonl")
-        with open(records_path, "w", encoding="utf-8") as sink:
+        with open(ctx.path(f"records_{method.slug}.jsonl"), "w", encoding="utf-8") as sink:
             for record in run.records:
                 sink.write(json.dumps(vars(record), sort_keys=True) + "\n")
+        ctx.failed = ctx.failed or run.report.failed_count > 0
         runs.append(run)
-    any_failed = any(run.report.failed_count > 0 for run in runs)
 
-    report_text = render_report(runs, TABLE_TEXT, config_hash=config.config_hash)
-    print(report_text, end="")
+    print(render_report(runs, TABLE_TEXT, config_hash=config.config_hash), end="")
     extension = {TABLE_TEXT: "txt", CSV_FORMAT: "csv", JSON_FORMAT: "json"}[args.format]
-    report_path = os.path.join(out_dir, f"report.{extension}")
-    with open(report_path, "w", encoding="utf-8") as handle:
+    report_name = f"report.{extension}"
+    with open(ctx.path(report_name), "w", encoding="utf-8") as handle:
         handle.write(render_report(runs, args.format, config_hash=config.config_hash))
 
-    _write_manifest(
-        out_dir,
-        "eval",
-        config,
-        {
-            "dataset": dataset.name,
-            "dataset_path": args.dataset,
-            "methods": [m.label for m in methods],
-            "alpha": args.alpha,
-            "sample_n": args.sample_n,
-            "seed": _resolve_seed(args, config),
-            "report": os.path.basename(report_path),
-        },
-    )
-    return EXIT_PARTIAL if any_failed else EXIT_OK
+    return ctx.finish(methods=[m.label for m in methods], alpha=args.alpha, report=report_name)
 
 
 def cmd_search(args) -> int:
-    config, dataset, backend, concurrency = _open_verb(args)
-    out_dir = args.out_dir
+    ctx = VerbContext(args, "search")
+    config, questions = ctx.config, ctx.dataset.questions
+    results = ctx.map(
+        lambda question: search_optimal_budget(
+            ctx.backend,
+            question,
+            params=config.sampling,
+            baseline=args.baseline,
+            templates=config.templates,
+        ),
+        questions,
+    )
 
-    def worker(question: Question):
-        try:
-            return search_optimal_budget(
-                backend,
-                question,
-                params=config.sampling,
-                baseline=args.baseline,
-                templates=config.templates,
-            )
-        except HarnessError as exc:
-            return exc
-
-    results = _pool_map(worker, dataset.questions, concurrency)
-
-    any_failed = False
-    results_path = os.path.join(out_dir, "search_results.jsonl")
-    csv_path = os.path.join(out_dir, "elasticity.csv")
-    with open(results_path, "w", encoding="utf-8") as handle, \
-            open(csv_path, "w", encoding="utf-8", newline="") as csv_handle:
+    with open(ctx.path("search_results.jsonl"), "w", encoding="utf-8") as handle, \
+            open(ctx.path("elasticity.csv"), "w", encoding="utf-8", newline="") as csv_handle:
         writer = csv.writer(csv_handle, lineterminator="\n")
         writer.writerow(["question_id", "iteration", "budget", "output_tokens", "correct"])
-        for question, result in zip(dataset.questions, results):
-            if isinstance(result, HarnessError):
-                any_failed = True
-                handle.write(
-                    json.dumps(
-                        {"question_id": question.id, "status": "error", "error": str(result)},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-                continue
-            handle.write(json.dumps(search_record(question, result), sort_keys=True) + "\n")
-            for row in elasticity_rows(question.id, result):
-                writer.writerow(row)
+        for question, result in zip(questions, results):
+            if isinstance(result, Exception):
+                record = {"question_id": question.id, "status": "error", "error": str(result)}
+            else:
+                record = search_record(question, result)
+                writer.writerows(elasticity_rows(question.id, result))
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
 
-    _write_manifest(
-        out_dir,
-        "search",
-        config,
-        {
-            "dataset": dataset.name,
-            "dataset_path": args.dataset,
-            "baseline": args.baseline,
-            "sample_n": args.sample_n,
-            "seed": _resolve_seed(args, config),
-            "results": os.path.basename(results_path),
-        },
-    )
-    return EXIT_PARTIAL if any_failed else EXIT_OK
-
-
-def _load_search_records(path: str) -> list[dict]:
-    records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
-def _load_estimates(path: str) -> dict[str, int]:
-    estimates: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            value = record.get("estimated_budget")
-            if value is not None:
-                estimates[record["question_id"]] = int(value)
-    return estimates
+    return ctx.finish(baseline=args.baseline, results="search_results.jsonl")
 
 
 def cmd_elasticity(args) -> int:
-    config = load_config(args.config)
-    out_dir = args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    records = _load_search_records(args.search_output)
+    ctx = VerbContext(args, "elasticity", cohort=False)
+    records = _read_jsonl(args.search_output)
 
     k = args.k if args.k == "auto" else int(args.k)
     ranges = {}
-    range_rows = []
     skipped = []
     for record in records:
         question_id = record["question_id"]
@@ -393,20 +354,14 @@ def cmd_elasticity(args) -> int:
             skipped.append({"question_id": question_id, "reason": str(exc)})
             continue
         ranges[question_id] = window
-        range_rows.append(
-            {
-                "question_id": question_id,
-                "k": window.window_size,
-                "window_budgets": list(window.budgets),
-                "low": window.low,
-                "high": window.high,
-                "total_cost": window.total_cost,
-            }
-        )
 
     quality_block = None
     if args.estimates:
-        estimates = _load_estimates(args.estimates)
+        estimates = {
+            record["question_id"]: int(record["estimated_budget"])
+            for record in _read_jsonl(args.estimates)
+            if record.get("estimated_budget") is not None
+        }
         paired = [
             (estimates[qid], window) for qid, window in ranges.items() if qid in estimates
         ]
@@ -422,15 +377,24 @@ def cmd_elasticity(args) -> int:
 
     document = {
         "k": args.k,
-        "ranges": range_rows,
+        "ranges": [
+            {
+                "question_id": question_id,
+                "k": window.window_size,
+                "window_budgets": list(window.budgets),
+                "low": window.low,
+                "high": window.high,
+                "total_cost": window.total_cost,
+            }
+            for question_id, window in ranges.items()
+        ],
         "skipped": skipped,
         "estimator_quality": quality_block,
         "live_reference": ESTIMATOR_LIVE_REFERENCE,
     }
-    report_path = os.path.join(out_dir, "elasticity_report.json")
-    _write_json(report_path, document)
+    _write_json(ctx.path("elasticity_report.json"), document)
 
-    print(f"ideal budget ranges: {len(range_rows)} (skipped {len(skipped)})")
+    print(f"ideal budget ranges: {len(ranges)} (skipped {len(skipped)})")
     if quality_block:
         distance = quality_block["out_of_range_distance"]
         distance_text = f"{distance:.2f}" if distance is not None else "n/a"
@@ -438,39 +402,31 @@ def cmd_elasticity(args) -> int:
             f"estimator quality: in-range {quality_block['in_range_accuracy_pct']:.2f}%, "
             f"out-of-range distance {distance_text}"
         )
-    _write_manifest(
-        out_dir,
-        "elasticity",
-        config,
-        {"search_output": args.search_output, "k": args.k, "estimates": args.estimates},
-    )
-    return EXIT_OK
+    return ctx.finish(search_output=args.search_output, k=args.k, estimates=args.estimates)
 
 
 def cmd_ptdata(args) -> int:
-    config, dataset, backend, concurrency = _open_verb(args)
-    out_dir = args.out_dir
-
-    def worker(question: Question):
-        builder = generate_target if args.format == SFT_FORMAT else build_preference_pair
-        try:
-            return builder(
-                backend,
-                question,
-                params=config.sampling,
-                baseline=args.baseline,
-                input_style=args.pt_input,
-                templates=config.templates,
-            )
-        except HarnessError as exc:
-            return Skip(question_id=question.id, reason=f"backend_error: {exc}")
-
-    outcomes = _pool_map(worker, dataset.questions, concurrency)
-    any_failed = any(
-        isinstance(o, Skip) and o.reason.startswith("backend_error") for o in outcomes
+    ctx = VerbContext(args, "ptdata")
+    config, dataset = ctx.config, ctx.dataset
+    builder = generate_target if args.format == SFT_FORMAT else build_preference_pair
+    outcomes = ctx.map(
+        lambda question: builder(
+            ctx.backend,
+            question,
+            params=config.sampling,
+            baseline=args.baseline,
+            input_style=args.pt_input,
+            templates=config.templates,
+        ),
+        dataset.questions,
     )
+    outcomes = [
+        Skip(question_id=question.id, reason=f"backend_error: {outcome}")
+        if isinstance(outcome, Exception) else outcome
+        for question, outcome in zip(dataset.questions, outcomes)
+    ]
 
-    corpus_path = os.path.join(out_dir, f"corpus_{args.format}.jsonl")
+    corpus_path = ctx.path(f"corpus_{args.format}.jsonl")
     manifest = export_corpus(
         outcomes,
         args.format,
@@ -484,62 +440,46 @@ def cmd_ptdata(args) -> int:
         f"{args.format} corpus: {manifest.succeeded}/{manifest.attempted} records "
         f"-> {corpus_path}"
     )
-    _write_manifest(
-        out_dir,
-        "ptdata",
-        config,
-        {
-            "dataset": dataset.name,
-            "dataset_path": args.dataset,
-            "format": args.format,
-            "baseline": args.baseline,
-            "pt_input": args.pt_input,
-            "sample_n": args.sample_n,
-            "seed": _resolve_seed(args, config),
-            "corpus": os.path.basename(corpus_path),
-        },
+    return ctx.finish(
+        format=args.format,
+        baseline=args.baseline,
+        pt_input=args.pt_input,
+        corpus=os.path.basename(corpus_path),
     )
-    return EXIT_PARTIAL if any_failed else EXIT_OK
 
 
 def cmd_audit(args) -> int:
-    config, dataset, backend, concurrency = _open_verb(args)
-    out_dir = args.out_dir
+    ctx = VerbContext(args, "audit")
+    config = ctx.config
     multipliers = [float(token) for token in args.multipliers.split(",")]
 
-    questions = {q.id: q for q in dataset.questions}
-    records = _load_search_records(args.search_output)
-
+    questions = {q.id: q for q in ctx.dataset.questions}
     skipped = []
     auditable = []
-    for record in records:
+    for record in _read_jsonl(args.search_output):
         question = questions.get(record["question_id"])
-        if record.get("status") != "found" or question is None:
-            skipped.append(
-                {"question_id": record["question_id"], "reason": record.get("status", "unknown")}
-            )
+        reason = record.get("status", "unknown")
+        if reason == "found" and question is None:
+            reason = "not_in_cohort"
+        if reason != "found":
+            skipped.append({"question_id": record["question_id"], "reason": reason})
             continue
         auditable.append((question, record["optimal_budget"]))
 
-    def worker(item):
-        question, optimal = item
-        try:
-            return monotonicity_audit(
-                backend,
-                question,
-                optimal,
-                multipliers=multipliers,
-                params=config.sampling,
-                templates=config.templates,
-            )
-        except HarnessError as exc:
-            return Skip(question_id=question.id, reason=f"backend_error: {exc}")
-
-    outcomes = _pool_map(worker, auditable, concurrency)
+    outcomes = ctx.map(
+        lambda item: monotonicity_audit(
+            ctx.backend,
+            *item,
+            multipliers=multipliers,
+            params=config.sampling,
+            templates=config.templates,
+        ),
+        auditable,
+    )
     audits = []
-    for outcome in outcomes:
-        if isinstance(outcome, Skip):
-            skipped.append({"question_id": outcome.question_id, "reason": outcome.reason})
+    for (question, _), outcome in zip(auditable, outcomes):
+        if isinstance(outcome, Exception):
+            skipped.append({"question_id": question.id, "reason": f"backend_error: {outcome}"})
         else:
             audits.append(outcome)
 
@@ -577,24 +517,12 @@ def cmd_audit(args) -> int:
         ],
         "live_reference": AUDIT_LIVE_REFERENCE,
     }
-    report_path = os.path.join(out_dir, "audit_report.json")
-    _write_json(report_path, document)
+    _write_json(ctx.path("audit_report.json"), document)
     if fraction is not None:
         print(f"monotonic samples: {round(fraction * 100.0, 2):.2f}% of {len(audits)}")
     else:
         print("monotonic samples: none audited")
-    _write_manifest(
-        out_dir,
-        "audit",
-        config,
-        {
-            "dataset": dataset.name,
-            "search_output": args.search_output,
-            "multipliers": multipliers,
-            "seed": _resolve_seed(args, config),
-        },
-    )
-    return EXIT_PARTIAL if any(s["reason"].startswith("backend_error") for s in skipped) else EXIT_OK
+    return ctx.finish(search_output=args.search_output, multipliers=multipliers)
 
 
 # ---------------------------------------------------------------------------

@@ -186,12 +186,12 @@ class SampleRecord:
 
     question_id: str
     method: str
-    correct: bool | None
-    extracted: str | None
-    output_tokens: int | None
-    total_input_tokens: int | None
-    total_output_tokens: int | None
-    expense: float | None
+    correct: bool | None = None
+    extracted: str | None = None
+    output_tokens: int | None = None
+    total_input_tokens: int | None = None
+    total_output_tokens: int | None = None
+    expense: float | None = None
     failed: bool = False
     error: str | None = None
     estimated_budget: int | None = None
@@ -248,12 +248,22 @@ _PROMPT_KINDS = {
 def _pool_map(worker, items, concurrency: int):
     """Run worker over items with a bounded pool, results in input order.
 
-    The harness's only scheduler; every per-question fan-out goes through it.
+    The harness's only scheduler, and its one per-question failure policy: a
+    provider error that outlasted the retries (TransportError, RateLimitError
+    among them, or ProtocolError) is returned in its item's place; any other
+    error is fatal and propagates.
     """
+
+    def guarded(item):
+        try:
+            return worker(item)
+        except (TransportError, ProtocolError) as exc:
+            return exc
+
     if concurrency == 1:
-        return [worker(item) for item in items]
+        return [guarded(item) for item in items]
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        futures = [pool.submit(worker, item) for item in items]
+        futures = [pool.submit(guarded, item) for item in items]
         return [future.result() for future in futures]
 
 
@@ -324,36 +334,28 @@ def run_method(
 ) -> MethodRun:
     """Execute one method over the cohort with bounded parallelism.
 
-    Per-sample backend failures mark the sample failed and excluded, never
-    crash the cohort. Records come back in dataset order regardless of
-    completion order, so outputs stay byte-stable.
+    A provider error that _pool_map returns in a question's place becomes a
+    failed record, excluded from the aggregate; any other error is fatal.
+    Records come back in dataset order regardless of completion order, so
+    outputs stay byte-stable.
     """
     if not dataset.questions:
         raise ValueError("cannot run a method over an empty cohort")
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
 
-    def task(question: Question) -> SampleRecord:
-        try:
-            return _run_sample(
-                backend, question, method, pricing, params, templates,
-                include_estimation_tokens,
-            )
-        except (TransportError, ProtocolError) as exc:
-            return SampleRecord(
-                question_id=question.id,
-                method=method.label,
-                correct=None,
-                extracted=None,
-                output_tokens=None,
-                total_input_tokens=None,
-                total_output_tokens=None,
-                expense=None,
-                failed=True,
-                error=str(exc),
-            )
-
-    records = _pool_map(task, dataset.questions, concurrency)
+    results = _pool_map(
+        lambda question: _run_sample(
+            backend, question, method, pricing, params, templates, include_estimation_tokens
+        ),
+        dataset.questions,
+        concurrency,
+    )
+    records = [
+        SampleRecord(question_id=question.id, method=method.label, failed=True, error=str(result))
+        if isinstance(result, Exception) else result
+        for question, result in zip(dataset.questions, results)
+    ]
     return MethodRun(
         method=method,
         dataset_name=dataset.name,

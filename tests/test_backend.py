@@ -15,6 +15,7 @@ from tokenbudget.backend import (
     ResponseCache,
     RetryPolicy,
     SamplingParams,
+    ScriptedBackend,
     ScriptedEntry,
     classify_prompt_budget,
     parse_scripted_file,
@@ -431,7 +432,7 @@ def test_parse_scripted_file_round_trip(tmp_path):
     assert scenario.behaviors["q1"].cost_curve[50] == ScriptedEntry(86, True, None)
     assert scenario.default_entry == ScriptedEntry(40, False, None)
 
-    backend = scenario.build_backend()
+    backend = ScriptedBackend(scenario.questions, scenario.behaviors, scenario.default_entry)
     prompt = build_prompt(scenario.questions[0], PromptKind.BUDGETED_COT, budget=50)
     assert backend.complete(prompt).usage.output_tokens == 86
 

@@ -13,7 +13,7 @@ import tokenbudget.cli as cli
 from tokenbudget.cli import main
 from tokenbudget.errors import TransportError
 
-from conftest import write_demo_files
+from conftest import DEMO_SCENARIO, write_demo_files
 
 
 @pytest.fixture
@@ -25,6 +25,11 @@ def demo(tmp_path):
 def _read_jsonl(path):
     with open(path) as handle:
         return [json.loads(line) for line in handle if line.strip()]
+
+
+def _read_json(path):
+    with open(path) as handle:
+        return json.load(handle)
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +52,7 @@ def test_eval_writes_records_and_report(demo, capsys):
         records = _read_jsonl(os.path.join(out, f"records_{slug}.jsonl"))
         assert [r["question_id"] for r in records] == ["rebound", "mono", "wrong"]
     assert os.path.exists(os.path.join(out, "report.txt"))
-    manifest = json.load(open(os.path.join(out, "run_manifest.json")))
+    manifest = _read_json(os.path.join(out, "run_manifest.json"))
     assert manifest["verb"] == "eval"
     assert manifest["seed"] == 1024
     assert "config_hash" in manifest
@@ -61,7 +66,7 @@ def test_eval_json_report_and_alpha(demo):
          "--methods", "vanilla,ep", "--alpha", "2", "--format", "json"]
     )
     assert code == 0
-    document = json.load(open(os.path.join(out, "report.json")))
+    document = _read_json(os.path.join(out, "report.json"))
     methods = {row["method"] for row in document["rows"]}
     assert methods == {"vanilla", "ep(alpha=2)"}
     # alpha=2 doubles the rebound question's estimate: 50 -> budget 100,
@@ -218,7 +223,7 @@ def test_elasticity_report_with_estimates(demo):
          "--estimates", os.path.join(eval_out, "records_ep.jsonl")]
     )
     assert code == 0
-    report = json.load(open(os.path.join(out, "elasticity_report.json")))
+    report = _read_json(os.path.join(out, "elasticity_report.json"))
     ranges = {r["question_id"]: r for r in report["ranges"]}
     # Auto k over the correct points (4 for rebound, 3 for mono) is 1; the
     # cheapest point sits at budget 64 for both.
@@ -240,7 +245,7 @@ def test_elasticity_explicit_k(demo):
         ["elasticity", "--config", config, "--out-dir", out, "--k", "2",
          "--search-output", os.path.join(search_out, "search_results.jsonl")]
     ) == 0
-    report = json.load(open(os.path.join(out, "elasticity_report.json")))
+    report = _read_json(os.path.join(out, "elasticity_report.json"))
     ranges = {r["question_id"]: r for r in report["ranges"]}
     assert ranges["rebound"]["window_budgets"] == [64, 32]  # 70 + 90 is minimal
     assert ranges["rebound"]["total_cost"] == 160
@@ -267,7 +272,7 @@ def test_ptdata_sft_corpus(demo):
     assert code == 0
     corpus = _read_jsonl(os.path.join(out, "corpus_sft.jsonl"))
     assert {r["meta"]["question_id"] for r in corpus} == {"rebound", "mono"}
-    manifest = json.load(open(os.path.join(out, "corpus_sft.manifest.json")))
+    manifest = _read_json(os.path.join(out, "corpus_sft.manifest.json"))
     assert manifest["counts"] == {
         "attempted": 3,
         "succeeded": 2,
@@ -294,6 +299,26 @@ def test_ptdata_budgeted_input_flag(demo):
     assert all("use less than" in r["input"] for r in corpus)
 
 
+def test_ptdata_backend_failure_is_a_skip_and_exits_2(demo, monkeypatch):
+    config, dataset, tmp = demo
+    real = cli.generate_target
+
+    def flaky(backend, question, **kwargs):
+        if question.id == "mono":
+            raise TransportError("interrupted")
+        return real(backend, question, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_target", flaky)
+    out = str(tmp / "out")
+    assert main(["ptdata", "--config", config, "--dataset", dataset, "--out-dir", out,
+                 "--format", "sft"]) == 2
+    manifest = _read_json(os.path.join(out, "corpus_sft.manifest.json"))
+    assert manifest["counts"]["skipped"] == {
+        "backend_error: interrupted": 1,
+        "vanilla_incorrect": 1,
+    }
+
+
 # ---------------------------------------------------------------------------
 # audit
 # ---------------------------------------------------------------------------
@@ -309,7 +334,7 @@ def test_audit_report(demo):
          "--search-output", os.path.join(search_out, "search_results.jsonl")]
     )
     assert code == 0
-    report = json.load(open(os.path.join(out, "audit_report.json")))
+    report = _read_json(os.path.join(out, "audit_report.json"))
     per_question = {q["question_id"]: q for q in report["per_question"]}
     # mono has the clean F,F,T,T,T threshold; rebound stays correct at 32.
     assert per_question["mono"]["is_monotonic"] is True
@@ -333,9 +358,82 @@ def test_audit_custom_multipliers(demo):
          "--search-output", os.path.join(search_out, "search_results.jsonl"),
          "--multipliers", "0.5,1,2"]
     ) == 0
-    report = json.load(open(os.path.join(out, "audit_report.json")))
+    report = _read_json(os.path.join(out, "audit_report.json"))
     assert report["multipliers"] == [0.5, 1.0, 2.0]
     assert len(report["per_multiplier"]) == 3
+
+
+def test_audit_backend_failure_is_a_skip_and_exits_2(demo, monkeypatch):
+    config, dataset, tmp = demo
+    search_out = str(tmp / "search")
+    main(["search", "--config", config, "--dataset", dataset, "--out-dir", search_out])
+    real = cli.monotonicity_audit
+
+    def flaky(backend, question, optimal, **kwargs):
+        if question.id == "mono":
+            raise TransportError("interrupted")
+        return real(backend, question, optimal, **kwargs)
+
+    monkeypatch.setattr(cli, "monotonicity_audit", flaky)
+    out = str(tmp / "audit")
+    assert main(
+        ["audit", "--config", config, "--dataset", dataset, "--out-dir", out,
+         "--search-output", os.path.join(search_out, "search_results.jsonl")]
+    ) == 2
+    report = _read_json(os.path.join(out, "audit_report.json"))
+    assert report["audited"] == 1
+    assert {"question_id": "mono", "reason": "backend_error: interrupted"} in report["skipped"]
+
+
+def test_audit_skips_found_questions_outside_its_cohort(demo):
+    config, dataset, tmp = demo
+    search_out = str(tmp / "search")
+    main(["search", "--config", config, "--dataset", dataset, "--out-dir", search_out])
+    out = str(tmp / "audit")
+    # --sample-n 1 --seed 3 draws the cohort {rebound}; mono was found by the
+    # search but is not in it.
+    assert main(
+        ["audit", "--config", config, "--dataset", dataset, "--out-dir", out,
+         "--search-output", os.path.join(search_out, "search_results.jsonl"),
+         "--sample-n", "1", "--seed", "3"]
+    ) == 0
+    report = _read_json(os.path.join(out, "audit_report.json"))
+    assert [q["question_id"] for q in report["per_question"]] == ["rebound"]
+    assert report["skipped"] == [
+        {"question_id": "mono", "reason": "not_in_cohort"},
+        {"question_id": "wrong", "reason": "vanilla_incorrect"},
+    ]
+    manifest = _read_json(os.path.join(out, "run_manifest.json"))
+    assert manifest["verb"] == "audit"
+    assert manifest["dataset_path"] == dataset
+    assert manifest["sample_n"] == 1
+    assert manifest["seed"] == 3
+
+
+# ---------------------------------------------------------------------------
+# Failure policy
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("verb", ["search", "eval", "ptdata", "audit"])
+def test_per_question_config_error_is_fatal_in_every_cohort_verb(demo, verb, capsys):
+    """A question the script cannot serve is a config error, not a sample failure."""
+    config, dataset, tmp = demo
+    search_out = str(tmp / "search")
+    assert main(["search", "--config", config, "--dataset", dataset, "--out-dir", search_out]) == 0
+
+    unscripted = json.loads(json.dumps(DEMO_SCENARIO))
+    del unscripted["default_behavior"]
+    del unscripted["questions"][1]["behavior"]  # mono
+    unscripted_path = tmp / "unscripted.json"
+    unscripted_path.write_text(json.dumps(unscripted))
+    argv = [verb, "--config", config, "--dataset", str(unscripted_path),
+            "--out-dir", str(tmp / "out")]
+    if verb == "audit":
+        argv += ["--search-output", os.path.join(search_out, "search_results.jsonl")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "scripted behavior" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,13 @@ import pytest
 
 from tokenbudget.backend import ScriptedBackend
 from tokenbudget.core import AnswerKind, ModelPricing, PricingTable
-from tokenbudget.errors import ConfigError, DatasetError, TransportError
+from tokenbudget.errors import ConfigError, DatasetError, ProtocolError, RateLimitError, TransportError
 from tokenbudget.evaluate import (
     CSV_FORMAT,
     Dataset,
     JSON_FORMAT,
     MethodSpec,
+    _pool_map,
     aggregate_records,
     load_dataset,
     parse_method,
@@ -204,6 +205,30 @@ def test_backend_failures_excluded_from_denominator():
     assert run.report.accuracy == pytest.approx(1 / 2)
     failed = [r for r in run.records if r.failed]
     assert failed[0].question_id == "b" and "down" in failed[0].error
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_pool_map_returns_provider_errors_in_their_items_place(concurrency):
+    errors = {2: TransportError("down"), 3: RateLimitError("429"), 5: ProtocolError("garbled")}
+
+    def worker(item):
+        if item in errors:
+            raise errors[item]
+        return item * 10
+
+    results = _pool_map(worker, range(7), concurrency)
+    assert results == [0, 10, errors[2], errors[3], 40, errors[5], 60]
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_pool_map_raises_any_other_error(concurrency):
+    def worker(item):
+        if item == 3:
+            raise ConfigError("no pricing")
+        return item
+
+    with pytest.raises(ConfigError, match="no pricing"):
+        _pool_map(worker, range(7), concurrency)
 
 
 def test_missing_pricing_is_fatal_not_a_sample_failure():
