@@ -32,7 +32,7 @@ from .core import (
     count_tokens_approx,
 )
 from .errors import ConfigError, DatasetError, ProtocolError, RateLimitError, TransportError
-from .prompting import Prompt, PromptTemplates, DEFAULT_TEMPLATES
+from .prompting import DEFAULT_TEMPLATES, Prompt, PromptKind, PromptTemplates, build_prompt
 
 
 @dataclass(frozen=True)
@@ -164,24 +164,42 @@ class ResponseCache:
 
 
 class CompletionBackend:
-    """Base class wiring the cache in front of the actual request path."""
+    """The cache in front of the request path, under one run's settings.
 
-    def __init__(self, model_id: str, cache: ResponseCache | None = None):
+    A run renders every prompt with one set of templates and sends it with
+    one set of sampling parameters, so both are fixed on the backend: ``ask``
+    renders a question under ``templates`` and ``complete`` sends a prompt
+    with ``params`` (part of the cache key).
+    """
+
+    def __init__(
+        self,
+        model_id: str,
+        cache: ResponseCache | None = None,
+        params: SamplingParams = DEFAULT_SAMPLING,
+        templates: PromptTemplates | None = None,
+    ):
         self.model_id = model_id
         self._cache = cache
+        self.params = params
+        self.templates = templates or DEFAULT_TEMPLATES
 
-    def complete(self, prompt: Prompt, params: SamplingParams = DEFAULT_SAMPLING) -> CompletionOutcome:
-        fingerprint = request_fingerprint(prompt, params)
+    def ask(self, question: Question, kind: PromptKind, budget: int | None = None) -> CompletionOutcome:
+        """Render one prompt about ``question`` and complete it."""
+        return self.complete(build_prompt(question, kind, budget=budget, templates=self.templates))
+
+    def complete(self, prompt: Prompt) -> CompletionOutcome:
+        fingerprint = request_fingerprint(prompt, self.params)
         if self._cache is not None:
             hit = self._cache.get(fingerprint)
             if hit is not None:
                 return hit
-        outcome = self._request(prompt, params, fingerprint)
+        outcome = self._request(prompt, fingerprint)
         if self._cache is not None:
             self._cache.put(fingerprint, outcome)
         return outcome
 
-    def _request(self, prompt: Prompt, params: SamplingParams, fingerprint: str) -> CompletionOutcome:
+    def _request(self, prompt: Prompt, fingerprint: str) -> CompletionOutcome:
         raise NotImplementedError
 
 
@@ -233,12 +251,12 @@ class ScriptedBackend(CompletionBackend):
         default_entry: ScriptedEntry | None = None,
         model_id: str = "scripted-v1",
         cache: ResponseCache | None = None,
+        params: SamplingParams = DEFAULT_SAMPLING,
         templates: PromptTemplates | None = None,
     ):
-        super().__init__(model_id=model_id, cache=cache)
+        super().__init__(model_id=model_id, cache=cache, params=params, templates=templates)
         self._behaviors = behaviors
         self._default_entry = default_entry
-        self._templates = templates or DEFAULT_TEMPLATES
         # Every rendered prompt joins the question text and the template lines
         # with "\n", so the question is a run of whole leading lines of the
         # prompt (after the estimation task line). The first question with a
@@ -248,18 +266,12 @@ class ScriptedBackend(CompletionBackend):
             self._by_text.setdefault(question.text, question)
         self._lock = threading.Lock()
         self._upstream_calls = 0
-        self._served_fingerprints: list[str] = []
 
     @property
     def upstream_calls(self) -> int:
         """Number of requests that reached the script (cache misses)."""
         with self._lock:
             return self._upstream_calls
-
-    @property
-    def served_fingerprints(self) -> list[str]:
-        with self._lock:
-            return list(self._served_fingerprints)
 
     def _match_question(self, prompt: Prompt) -> Question:
         """The question whose text is the longest run of whole leading lines.
@@ -271,7 +283,7 @@ class ScriptedBackend(CompletionBackend):
         """
         lines = prompt.user.split("\n")
         start = 0
-        task = self._templates.estimation_task
+        task = self.templates.estimation_task
         if prompt.user.startswith(task + "\n"):
             start = task.count("\n") + 1
         for stop in range(len(lines), start, -1):
@@ -287,10 +299,10 @@ class ScriptedBackend(CompletionBackend):
                 raise ConfigError(f"no scripted behavior for question {question.id!r}")
             return self._default_entry
         fallback = behavior.default or self._default_entry
-        if prompt.user.startswith(self._templates.estimation_task):
+        if prompt.user.startswith(self.templates.estimation_task):
             entry = behavior.estimate or fallback
         else:
-            budget = classify_prompt_budget(prompt, self._templates)
+            budget = classify_prompt_budget(prompt, self.templates)
             if budget is None:
                 entry = behavior.vanilla
             else:
@@ -302,10 +314,9 @@ class ScriptedBackend(CompletionBackend):
             )
         return entry
 
-    def _request(self, prompt: Prompt, params: SamplingParams, fingerprint: str) -> CompletionOutcome:
+    def _request(self, prompt: Prompt, fingerprint: str) -> CompletionOutcome:
         with self._lock:
             self._upstream_calls += 1
-            self._served_fingerprints.append(fingerprint)
         question = self._match_question(prompt)
         entry = self._select_entry(prompt, question)
         text = entry.text if entry.text is not None else _synthesize_text(question, entry.correct)
@@ -457,8 +468,10 @@ class LiveBackend(CompletionBackend):
         timeout: float = 120.0,
         cache: ResponseCache | None = None,
         session: requests.Session | None = None,
+        params: SamplingParams = DEFAULT_SAMPLING,
+        templates: PromptTemplates | None = None,
     ):
-        super().__init__(model_id=model_id, cache=cache)
+        super().__init__(model_id=model_id, cache=cache, params=params, templates=templates)
         self._endpoint = endpoint
         self._api_key = api_key
         self._retry = retry or RetryPolicy()
@@ -472,16 +485,16 @@ class LiveBackend(CompletionBackend):
         delay *= 1.0 + policy.jitter * random.random()
         time.sleep(delay)
 
-    def _request(self, prompt: Prompt, params: SamplingParams, fingerprint: str) -> CompletionOutcome:
+    def _request(self, prompt: Prompt, fingerprint: str) -> CompletionOutcome:
         body = {
             "model": self.model_id,
             "messages": [
                 {"role": "system", "content": prompt.system},
                 {"role": "user", "content": prompt.user},
             ],
-            "temperature": params.temperature,
-            "seed": params.seed,
-            "n": params.max_candidates,
+            "temperature": self.params.temperature,
+            "seed": self.params.seed,
+            "n": self.params.max_candidates,
         }
         headers = {
             "Authorization": f"Bearer {self._api_key}",

@@ -95,7 +95,6 @@ class HarnessConfig:
     rate_limit: dict | None
     concurrency: int
     cache_path: str | None
-    out_dir: str
     seed: int
     config_hash: str
 
@@ -157,7 +156,6 @@ def load_config(path: str) -> HarnessConfig:
         rate_limit=raw.get("rate_limit"),
         concurrency=concurrency,
         cache_path=raw.get("cache_path"),
-        out_dir=raw.get("out_dir", "runs"),
         seed=int(raw.get("seed", 1024)),
         config_hash=hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16],
     )
@@ -177,6 +175,7 @@ def build_backend(config: HarnessConfig, out_dir: str, dataset_path: str | None 
             default_entry=scenario.default_entry,
             model_id=config.model_id,
             cache=cache,
+            params=config.sampling,
             templates=config.templates,
         )
     api_key = os.environ.get(config.credential_env)
@@ -197,6 +196,8 @@ def build_backend(config: HarnessConfig, out_dir: str, dataset_path: str | None 
         retry=config.retry,
         limiter=limiter,
         cache=cache,
+        params=config.sampling,
+        templates=config.templates,
     )
 
 
@@ -286,8 +287,6 @@ def cmd_eval(args) -> int:
             ctx.dataset,
             method,
             config.pricing,
-            params=config.sampling,
-            templates=config.templates,
             concurrency=ctx.concurrency,
             include_estimation_tokens=args.include_estimation_tokens,
         )
@@ -308,15 +307,9 @@ def cmd_eval(args) -> int:
 
 def cmd_search(args) -> int:
     ctx = VerbContext(args, "search")
-    config, questions = ctx.config, ctx.dataset.questions
+    questions = ctx.dataset.questions
     results = ctx.map(
-        lambda question: search_optimal_budget(
-            ctx.backend,
-            question,
-            params=config.sampling,
-            baseline=args.baseline,
-            templates=config.templates,
-        ),
+        lambda question: search_optimal_budget(ctx.backend, question, baseline=args.baseline),
         questions,
     )
 
@@ -411,12 +404,7 @@ def cmd_ptdata(args) -> int:
     builder = generate_target if args.format == SFT_FORMAT else build_preference_pair
     outcomes = ctx.map(
         lambda question: builder(
-            ctx.backend,
-            question,
-            params=config.sampling,
-            baseline=args.baseline,
-            input_style=args.pt_input,
-            templates=config.templates,
+            ctx.backend, question, baseline=args.baseline, input_style=args.pt_input
         ),
         dataset.questions,
     )
@@ -450,7 +438,6 @@ def cmd_ptdata(args) -> int:
 
 def cmd_audit(args) -> int:
     ctx = VerbContext(args, "audit")
-    config = ctx.config
     multipliers = [float(token) for token in args.multipliers.split(",")]
 
     questions = {q.id: q for q in ctx.dataset.questions}
@@ -467,13 +454,7 @@ def cmd_audit(args) -> int:
         auditable.append((question, record["optimal_budget"]))
 
     outcomes = ctx.map(
-        lambda item: monotonicity_audit(
-            ctx.backend,
-            *item,
-            multipliers=multipliers,
-            params=config.sampling,
-            templates=config.templates,
-        ),
+        lambda item: monotonicity_audit(ctx.backend, *item, multipliers=multipliers),
         auditable,
     )
     audits = []

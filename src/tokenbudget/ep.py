@@ -11,11 +11,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .backend import DEFAULT_SAMPLING, CompletionBackend, SamplingParams
+from .backend import CompletionBackend
 from .core import Question, TokenUsage, clamp_budget
 from .errors import EstimationParseError
 from .grading import Verdict, grade
-from .prompting import PromptKind, PromptTemplates, build_estimation_prompt, build_prompt
+from .prompting import PromptKind
 
 _FIRST_INTEGER_RE = re.compile(r"\d+")
 
@@ -70,25 +70,20 @@ def run_ep(
     backend: CompletionBackend,
     question: Question,
     alpha: float = 1.0,
-    params: SamplingParams = DEFAULT_SAMPLING,
-    templates: PromptTemplates | None = None,
 ) -> EpResult:
     """Estimate a budget, answer under it, grade the answer.
 
     Exactly two backend calls on both the happy path and the fallback path.
     """
-    estimation = backend.complete(build_estimation_prompt(question, templates=templates), params)
+    estimation = backend.ask(question, PromptKind.BUDGET_ESTIMATION)
     try:
         estimate = parse_estimate(estimation.text)
     except EstimationParseError:
         estimate = budget = None
-        answer_prompt = build_prompt(question, PromptKind.VANILLA_COT, templates=templates)
+        answer = backend.ask(question, PromptKind.VANILLA_COT)
     else:
         budget = scale_budget(estimate, alpha)
-        answer_prompt = build_prompt(
-            question, PromptKind.BUDGETED_COT, budget=budget, templates=templates
-        )
-    answer = backend.complete(answer_prompt, params)
+        answer = backend.ask(question, PromptKind.BUDGETED_COT, budget=budget)
     return EpResult(
         verdict=grade(answer.text, question),
         estimation_usage=estimation.usage,

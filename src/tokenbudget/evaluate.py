@@ -14,7 +14,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .backend import DEFAULT_SAMPLING, CompletionBackend, SamplingParams, parse_scripted_file
+from .backend import CompletionBackend, parse_scripted_file
 from .core import (
     AnswerKind,
     PricingTable,
@@ -25,7 +25,7 @@ from .core import (
 from .ep import run_ep
 from .errors import DatasetError, ProtocolError, TransportError
 from .grading import grade
-from .prompting import PromptKind, PromptTemplates, build_prompt
+from .prompting import PromptKind
 
 GSM8K_JSONL = "gsm8k_jsonl"
 MATHBENCH_JSON = "mathbench_json"
@@ -251,7 +251,8 @@ def _pool_map(worker, items, concurrency: int):
     The harness's only scheduler, and its one per-question failure policy: a
     provider error that outlasted the retries (TransportError, RateLimitError
     among them, or ProtocolError) is returned in its item's place; any other
-    error is fatal and propagates.
+    error is fatal and propagates, and the items still queued behind it are
+    cancelled instead of run.
     """
 
     def guarded(item):
@@ -264,7 +265,11 @@ def _pool_map(worker, items, concurrency: int):
         return [guarded(item) for item in items]
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
         futures = [pool.submit(guarded, item) for item in items]
-        return [future.result() for future in futures]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _run_sample(
@@ -272,15 +277,13 @@ def _run_sample(
     question: Question,
     method: MethodSpec,
     pricing: PricingTable,
-    params: SamplingParams,
-    templates: PromptTemplates | None,
     include_estimation_tokens: bool,
 ) -> SampleRecord:
     def expense_of(usage: TokenUsage) -> float:
         return compute_expense(usage, pricing.for_model(backend.model_id))
 
     if method.kind == "ep":
-        result = run_ep(backend, question, alpha=method.alpha, params=params, templates=templates)
+        result = run_ep(backend, question, alpha=method.alpha)
         reported = result.answer_usage.output_tokens
         if include_estimation_tokens:
             reported += result.estimation_usage.output_tokens
@@ -304,10 +307,7 @@ def _run_sample(
             },
         )
 
-    prompt = build_prompt(
-        question, _PROMPT_KINDS[method.kind], budget=method.budget, templates=templates
-    )
-    outcome = backend.complete(prompt, params)
+    outcome = backend.ask(question, _PROMPT_KINDS[method.kind], budget=method.budget)
     verdict = grade(outcome.text, question)
     return SampleRecord(
         question_id=question.id,
@@ -327,8 +327,6 @@ def run_method(
     dataset: Dataset,
     method: MethodSpec,
     pricing: PricingTable,
-    params: SamplingParams = DEFAULT_SAMPLING,
-    templates: PromptTemplates | None = None,
     concurrency: int = 4,
     include_estimation_tokens: bool = False,
 ) -> MethodRun:
@@ -345,9 +343,7 @@ def run_method(
         raise ValueError("concurrency must be >= 1")
 
     results = _pool_map(
-        lambda question: _run_sample(
-            backend, question, method, pricing, params, templates, include_estimation_tokens
-        ),
+        lambda question: _run_sample(backend, question, method, pricing, include_estimation_tokens),
         dataset.questions,
         concurrency,
     )

@@ -13,10 +13,10 @@ import json
 import os
 from dataclasses import dataclass
 
-from .backend import DEFAULT_SAMPLING, CompletionBackend, SamplingParams
+from .backend import CompletionBackend
 from .core import Question
 from .grading import grade
-from .prompting import PromptKind, PromptTemplates, build_prompt
+from .prompting import PromptKind, build_prompt
 from .search import SearchStatus, search_optimal_budget
 
 SFT_FORMAT = "sft"
@@ -100,36 +100,31 @@ class CorpusManifest:
         }
 
 
-def _training_input(question: Question, budget: int, input_style: str,
-                    templates: PromptTemplates | None) -> str:
+def _training_input(backend: CompletionBackend, question: Question, budget: int,
+                    input_style: str) -> str:
     """Budget-free vanilla instruction by default; budgeted via input_style."""
-    if input_style == "budgeted":
-        prompt = build_prompt(question, PromptKind.BUDGETED_COT, budget=budget, templates=templates)
-    elif input_style == "vanilla":
-        prompt = build_prompt(question, PromptKind.VANILLA_COT, templates=templates)
-    else:
+    kinds = {"vanilla": PromptKind.VANILLA_COT, "budgeted": PromptKind.BUDGETED_COT}
+    if input_style not in kinds:
         raise ValueError(f"input_style must be 'vanilla' or 'budgeted', got {input_style!r}")
-    return prompt.user
+    return build_prompt(
+        question, kinds[input_style], budget=budget, templates=backend.templates
+    ).user
 
 
 def generate_target(
     backend: CompletionBackend,
     question: Question,
-    params: SamplingParams = DEFAULT_SAMPLING,
     baseline: str = "probe",
     input_style: str = "vanilla",
-    templates: PromptTemplates | None = None,
 ) -> SftExample | Skip:
     """Search the optimal budget and keep its response as the training target."""
-    result = search_optimal_budget(
-        backend, question, params=params, baseline=baseline, templates=templates
-    )
+    result = search_optimal_budget(backend, question, baseline=baseline)
     if result.status is SearchStatus.VANILLA_INCORRECT:
         return Skip(question_id=question.id, reason="vanilla_incorrect")
     if result.status is SearchStatus.NO_FEASIBLE_BUDGET:
         return Skip(question_id=question.id, reason="no_feasible_budget")
     return SftExample(
-        input=_training_input(question, result.optimal_budget, input_style, templates),
+        input=_training_input(backend, question, result.optimal_budget, input_style),
         target=result.target_output,
         meta={
             "question_id": question.id,
@@ -142,22 +137,16 @@ def generate_target(
 def build_preference_pair(
     backend: CompletionBackend,
     question: Question,
-    params: SamplingParams = DEFAULT_SAMPLING,
     baseline: str = "probe",
     input_style: str = "vanilla",
-    templates: PromptTemplates | None = None,
 ) -> PreferencePair | Skip:
     """Pair the budgeted target with the (cached) vanilla output as negative."""
-    target = generate_target(
-        backend, question, params=params, baseline=baseline,
-        input_style=input_style, templates=templates,
-    )
+    target = generate_target(backend, question, baseline=baseline, input_style=input_style)
     if isinstance(target, Skip):
         return target
     # The search already issued this exact vanilla request, so a caching
     # backend serves the negative for free.
-    vanilla_prompt = build_prompt(question, PromptKind.VANILLA_COT, templates=templates)
-    negative = backend.complete(vanilla_prompt, params)
+    negative = backend.ask(question, PromptKind.VANILLA_COT)
     positive_tokens = target.meta["output_tokens"]
     negative_tokens = negative.usage.output_tokens
     if positive_tokens >= negative_tokens:

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
-from .backend import DEFAULT_SAMPLING, CompletionBackend, SamplingParams
+from .backend import CompletionBackend
 from .core import CompletionOutcome, Question, clamp_budget
 from .grading import grade
-from .prompting import PromptKind, PromptTemplates, build_prompt
+from .prompting import PromptKind
 
 
 class SearchStatus(Enum):
@@ -87,9 +87,7 @@ def halving_candidates(upper_bound: int) -> list[int]:
 def search_optimal_budget(
     backend: CompletionBackend,
     question: Question,
-    params: SamplingParams = DEFAULT_SAMPLING,
     baseline: str = "probe",
-    templates: PromptTemplates | None = None,
 ) -> SearchResult:
     """Find the smallest correctness-preserving budget with the lowest cost.
 
@@ -104,8 +102,7 @@ def search_optimal_budget(
     if baseline not in ("probe", "vanilla"):
         raise ValueError(f"baseline must be 'probe' or 'vanilla', got {baseline!r}")
 
-    vanilla_prompt = build_prompt(question, PromptKind.VANILLA_COT, templates=templates)
-    vanilla = backend.complete(vanilla_prompt, params)
+    vanilla = backend.ask(question, PromptKind.VANILLA_COT)
     upper_bound = vanilla.usage.output_tokens
     vanilla_verdict = grade(vanilla.text, question)
 
@@ -130,8 +127,7 @@ def search_optimal_budget(
     points: list[TracePoint] = []
 
     def probe(budget: int) -> TracePoint:
-        prompt = build_prompt(question, PromptKind.BUDGETED_COT, budget=budget, templates=templates)
-        outcome = backend.complete(prompt, params)
+        outcome = backend.ask(question, PromptKind.BUDGETED_COT, budget=budget)
         verdict = grade(outcome.text, question)
         point = TracePoint(
             budget=budget,
@@ -297,8 +293,6 @@ def monotonicity_audit(
     question: Question,
     optimal_budget: int,
     multipliers: Sequence[float] = DEFAULT_MULTIPLIERS,
-    params: SamplingParams = DEFAULT_SAMPLING,
-    templates: PromptTemplates | None = None,
 ) -> MonotonicityAudit:
     """Probe scaled budgets around the optimum and test the monotone pattern.
 
@@ -311,8 +305,7 @@ def monotonicity_audit(
         if multiplier <= 0:
             raise ValueError("multipliers must be positive")
         budget = clamp_budget(multiplier * optimal_budget)
-        prompt = build_prompt(question, PromptKind.BUDGETED_COT, budget=budget, templates=templates)
-        outcome = backend.complete(prompt, params)
+        outcome = backend.ask(question, PromptKind.BUDGETED_COT, budget=budget)
         verdict = grade(outcome.text, question)
         checks.append(
             AuditCheck(

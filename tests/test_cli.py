@@ -139,18 +139,39 @@ def test_live_config_requires_resolvable_credential(demo, monkeypatch, tmp_path)
 
 
 def test_config_template_overrides_flow_into_prompts(demo, tmp_path):
-    _, dataset, tmp = demo
+    config, dataset, tmp = demo
     import copy
 
     from conftest import DEMO_CONFIG
 
     overridden = copy.deepcopy(DEMO_CONFIG)
-    overridden["templates"] = {"system": "Solve math problems."}
+    overridden["templates"] = {
+        "system": "Solve math problems.",
+        "budgeted_suffix": "Think briefly, at most {budget} tokens:",
+    }
     config_path = tmp_path / "override.json"
     config_path.write_text(json.dumps(overridden))
     out = str(tmp / "out")
     assert main(["search", "--config", str(config_path), "--dataset", dataset,
                  "--out-dir", out]) == 0
+    default_out = str(tmp / "default")
+    assert main(["search", "--config", config, "--dataset", dataset,
+                 "--out-dir", default_out]) == 0
+
+    # Only the requests differ: every probe is served the same scripted entry.
+    def without_fingerprints(out_dir):
+        records = _read_jsonl(os.path.join(out_dir, "search_results.jsonl"))
+        fingerprints = set()
+        for record in records:
+            for row in record["trace"]:
+                fingerprints.add(row.pop("response_fingerprint"))
+        return records, fingerprints
+
+    records, fingerprints = without_fingerprints(out)
+    default_records, default_fingerprints = without_fingerprints(default_out)
+    assert records == default_records
+    assert any(record["trace"] for record in records)
+    assert fingerprints.isdisjoint(default_fingerprints)
 
     bad = copy.deepcopy(DEMO_CONFIG)
     bad["templates"] = {"mystery": "x"}

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from tokenbudget.backend import DEFAULT_SAMPLING, ScriptedEntry
+from tokenbudget.backend import ScriptedEntry
 from tokenbudget.ep import (
     EstimatedBudget,
     parse_estimate,
@@ -13,7 +13,7 @@ from tokenbudget.ep import (
     scale_budget,
 )
 from tokenbudget.errors import EstimationParseError
-from tokenbudget.prompting import build_estimation_prompt
+from tokenbudget.prompting import PromptTemplates, build_estimation_prompt
 
 from conftest import behavior_from_curve, scripted_backend
 
@@ -124,6 +124,19 @@ def test_run_ep_alpha_scales_the_answer_budget(fig_like_question):
     assert result.answer_usage.output_tokens == 120
 
 
+def test_run_ep_renders_with_the_backend_templates(fig_like_question):
+    behavior = behavior_from_curve(vanilla_tokens=258, curve={50: (86, True)}, estimate="50")
+    templates = PromptTemplates(
+        estimation_task="Task: guess the tokens this needs.",
+        budgeted_suffix="Think briefly, at most {budget} tokens:",
+    )
+    backend = scripted_backend({fig_like_question: behavior}, templates=templates)
+    result = run_ep(backend, fig_like_question)
+    assert result.estimate.value == 50
+    assert result.answer_usage.output_tokens == 86
+    assert backend.upstream_calls == 2
+
+
 def test_run_ep_fallback_on_unparsable_estimate(fig_like_question):
     behavior = behavior_from_curve(
         vanilla_tokens=258,
@@ -141,7 +154,7 @@ def test_run_ep_fallback_on_unparsable_estimate(fig_like_question):
     assert result.answer_usage.output_tokens == 258
     assert backend.upstream_calls == 2
     # The unparsable estimation call's usage is still accounted for.
-    estimation = backend.complete(build_estimation_prompt(fig_like_question), DEFAULT_SAMPLING)
+    estimation = backend.complete(build_estimation_prompt(fig_like_question))
     assert result.estimation_usage == estimation.usage
     assert result.estimation_usage.output_tokens == 4
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -187,10 +188,10 @@ def test_records_stream_in_dataset_order_regardless_of_concurrency():
 
 def test_backend_failures_excluded_from_denominator():
     class Flaky(ScriptedBackend):
-        def _request(self, prompt, params, fingerprint):
+        def _request(self, prompt, fingerprint):
             if "Second" in prompt.user:
                 raise TransportError("down")
-            return super()._request(prompt, params, fingerprint)
+            return super()._request(prompt, fingerprint)
 
     dataset, _ = three_sample_cohort()
     behaviors = {
@@ -229,6 +230,22 @@ def test_pool_map_raises_any_other_error(concurrency):
 
     with pytest.raises(ConfigError, match="no pricing"):
         _pool_map(worker, range(7), concurrency)
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_pool_map_fatal_error_cancels_queued_items(concurrency):
+    started = []
+
+    def worker(item):
+        started.append(item)
+        if item == 0:
+            raise ConfigError("no pricing")
+        time.sleep(0.05)
+        return item
+
+    with pytest.raises(ConfigError, match="no pricing"):
+        _pool_map(worker, range(200), concurrency)
+    assert len(started) <= 2 * concurrency
 
 
 def test_missing_pricing_is_fatal_not_a_sample_failure():
@@ -271,9 +288,9 @@ def test_direct_method_sends_bare_prompt(fig_like_question):
     seen = []
 
     class Recording(ScriptedBackend):
-        def _request(self, prompt, params, fingerprint):
+        def _request(self, prompt, fingerprint):
             seen.append(prompt.user)
-            return super()._request(prompt, params, fingerprint)
+            return super()._request(prompt, fingerprint)
 
     behavior = behavior_from_curve(vanilla_tokens=15, curve={})
     backend = Recording(

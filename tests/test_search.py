@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from tokenbudget.backend import ScriptedEntry
+from tokenbudget.prompting import PromptTemplates
 from tokenbudget.search import (
     ElasticityTrace,
     IdealRange,
@@ -46,6 +47,32 @@ def test_rebound_curve_finds_64(rebound_question, rebound_backend):
     assert result.optimal_budget == 64
     observed = [(p.budget, p.observed_cost, p.correct) for p in result.trace.points]
     assert observed == [(256, 130, True), (128, 120, True), (64, 70, True), (32, 90, True)]
+
+
+def test_overridden_budgeted_suffix_finds_the_same_optimum(rebound_question):
+    # The search renders with the templates the mock parses with: both come
+    # from the backend, so an override cannot split them.
+    behavior = behavior_from_curve(
+        vanilla_tokens=256,
+        curve={256: (130, True), 128: (120, True), 64: (70, True), 32: (90, True)},
+        default=(300, False),
+    )
+    templates = PromptTemplates(budgeted_suffix="Think briefly, at most {budget} tokens:")
+    default = search_optimal_budget(scripted_backend({rebound_question: behavior}), rebound_question)
+    overridden = search_optimal_budget(
+        scripted_backend({rebound_question: behavior}, templates=templates), rebound_question
+    )
+
+    def observed(result):
+        return [(p.budget, p.observed_cost, p.correct) for p in result.trace.points]
+
+    assert overridden.optimal_budget == default.optimal_budget == 64
+    assert observed(overridden) == observed(default)
+    fingerprints = [
+        {p.response.request_fingerprint for p in result.trace.points}
+        for result in (default, overridden)
+    ]
+    assert fingerprints[0].isdisjoint(fingerprints[1])
 
 
 def test_vanilla_incorrect_aborts(rebound_question):
