@@ -28,7 +28,7 @@ from .core import (
     compute_expense,
     count_tokens_approx,
 )
-from .ep import EpResult, EstimatedBudget, run_ep, scale_budget
+from .ep import EpResult, run_ep, scale_budget
 from .errors import (
     ConfigError,
     DatasetError,

@@ -479,12 +479,6 @@ class LiveBackend(CompletionBackend):
         self._timeout = timeout
         self._session = session or requests.Session()
 
-    def _sleep_before_retry(self, attempt: int) -> None:
-        policy = self._retry
-        delay = policy.initial_backoff * (policy.multiplier ** attempt)
-        delay *= 1.0 + policy.jitter * random.random()
-        time.sleep(delay)
-
     def _request(self, prompt: Prompt, fingerprint: str) -> CompletionOutcome:
         body = {
             "model": self.model_id,
@@ -500,8 +494,12 @@ class LiveBackend(CompletionBackend):
             "Authorization": f"Bearer {self._api_key}",
             "Content-Type": "application/json",
         }
+        policy = self._retry
         last_error: Exception = TransportError("no attempt was made")
-        for attempt in range(self._retry.max_attempts):
+        for attempt in range(policy.max_attempts):
+            if attempt:
+                delay = policy.initial_backoff * policy.multiplier ** (attempt - 1)
+                time.sleep(delay * (1.0 + policy.jitter * random.random()))
             if self._limiter is not None:
                 self._limiter.acquire()
             try:
@@ -510,24 +508,17 @@ class LiveBackend(CompletionBackend):
                 )
             except requests.RequestException as exc:
                 last_error = TransportError(f"request failed: {exc}")
-                if attempt + 1 < self._retry.max_attempts:
-                    self._sleep_before_retry(attempt)
                 continue
             if response.status_code == 429:
                 last_error = RateLimitError("rate limited (HTTP 429) after retries")
-                if attempt + 1 < self._retry.max_attempts:
-                    self._sleep_before_retry(attempt)
-                continue
-            if response.status_code >= 500:
+            elif response.status_code >= 500:
                 last_error = TransportError(f"server error HTTP {response.status_code}")
-                if attempt + 1 < self._retry.max_attempts:
-                    self._sleep_before_retry(attempt)
-                continue
-            if response.status_code != 200:
+            elif response.status_code != 200:
                 raise ProtocolError(
                     f"unexpected HTTP {response.status_code}", raw_body=response.text
                 )
-            return self._parse_response(response, prompt, fingerprint)
+            else:
+                return self._parse_response(response, prompt, fingerprint)
         raise last_error
 
     def _parse_response(

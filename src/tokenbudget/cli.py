@@ -360,13 +360,10 @@ def cmd_elasticity(args) -> int:
         ]
         if paired:
             quality = estimator_quality(paired)
-            quality_block = {
-                "in_range_accuracy": quality.in_range_accuracy,
-                "in_range_accuracy_pct": round(quality.in_range_accuracy * 100.0, 2),
-                "out_of_range_distance": quality.out_of_range_distance,
-                "sample_count": quality.sample_count,
-                "out_of_range_count": quality.out_of_range_count,
-            }
+            quality_block = dict(
+                vars(quality),
+                in_range_accuracy_pct=round(quality.in_range_accuracy * 100.0, 2),
+            )
 
     document = {
         "k": args.k,
@@ -424,10 +421,9 @@ def cmd_ptdata(args) -> int:
         config_hash=config.config_hash,
         questions=dataset.questions,
     )
-    print(
-        f"{args.format} corpus: {manifest.succeeded}/{manifest.attempted} records "
-        f"-> {corpus_path}"
-    )
+    counts = manifest.counts
+    print(f"{args.format} corpus: {counts['succeeded']}/{counts['attempted']} records "
+          f"-> {corpus_path}")
     return ctx.finish(
         format=args.format,
         baseline=args.baseline,
@@ -488,12 +484,7 @@ def cmd_audit(args) -> int:
         "monotonic_fraction_pct": round(fraction * 100.0, 2) if fraction is not None else None,
         "per_multiplier": per_multiplier,
         "per_question": [
-            {
-                "question_id": audit.question_id,
-                "optimal_budget": audit.optimal_budget,
-                "is_monotonic": audit.is_monotonic,
-                "checks": [vars(check) for check in audit.checks],
-            }
+            dict(vars(audit), checks=[vars(check) for check in audit.checks])
             for audit in audits
         ],
         "live_reference": AUDIT_LIVE_REFERENCE,

@@ -163,12 +163,6 @@ class PricingTable:
         except KeyError:
             raise ConfigError(f"no pricing entry for model {model_id!r}") from None
 
-    def __contains__(self, model_id: str) -> bool:
-        return model_id in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 def compute_expense(usage: TokenUsage, pricing: ModelPricing) -> float:
     """Expense of one sample in units of 1e-5 USD.

@@ -20,34 +20,21 @@ from .prompting import PromptKind
 _FIRST_INTEGER_RE = re.compile(r"\d+")
 
 
-@dataclass(frozen=True)
-class EstimatedBudget:
-    """Parsed budget estimate plus the raw response kept for audit."""
-
-    value: int
-    raw_response: str
-    parse_rule: str
-
-
-def parse_estimate(raw_response: str) -> EstimatedBudget:
+def parse_estimate(raw_response: str) -> int:
     """First integer in the response, clamped to >= 1."""
     match = _FIRST_INTEGER_RE.search(raw_response)
     if match is None:
         raise EstimationParseError(
             "estimation response contains no integer", raw_response=raw_response
         )
-    return EstimatedBudget(
-        value=clamp_budget(int(match.group())),
-        raw_response=raw_response,
-        parse_rule="first_integer",
-    )
+    return clamp_budget(int(match.group()))
 
 
-def scale_budget(estimate: EstimatedBudget, alpha: float) -> int:
+def scale_budget(estimate: int, alpha: float) -> int:
     """Scale an estimate by alpha, rounding and clamping to >= 1."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
-    return max(1, round(alpha * estimate.value))
+    return max(1, round(alpha * estimate))
 
 
 @dataclass(frozen=True)
@@ -57,7 +44,7 @@ class EpResult:
     verdict: Verdict
     estimation_usage: TokenUsage
     answer_usage: TokenUsage
-    estimate: EstimatedBudget | None
+    estimate: int | None
     budget_used: int | None
     used_fallback: bool
 

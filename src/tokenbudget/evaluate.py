@@ -297,7 +297,7 @@ def _run_sample(
             total_input_tokens=total.input_tokens,
             total_output_tokens=total.output_tokens,
             expense=expense_of(total),
-            estimated_budget=result.estimate.value if result.estimate else None,
+            estimated_budget=result.estimate,
             alpha=method.alpha,
             budget_used=result.budget_used,
             used_fallback=result.used_fallback,

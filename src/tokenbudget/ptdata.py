@@ -31,39 +31,16 @@ class SftExample:
     target: str
     meta: dict
 
-    def to_dict(self) -> dict:
-        return {"input": self.input, "target": self.target, "meta": self.meta}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SftExample":
-        return cls(input=data["input"], target=data["target"], meta=data["meta"])
-
 
 @dataclass(frozen=True)
 class PreferencePair:
-    """One preference record: short budgeted output over long vanilla output."""
+    """One preference record: the short budgeted output is chosen over the
+    long vanilla output, which is rejected."""
 
     input: str
-    positive: str
-    negative: str
+    chosen: str
+    rejected: str
     meta: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "input": self.input,
-            "chosen": self.positive,
-            "rejected": self.negative,
-            "meta": self.meta,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PreferencePair":
-        return cls(
-            input=data["input"],
-            positive=data["chosen"],
-            negative=data["rejected"],
-            meta=data["meta"],
-        )
 
 
 @dataclass(frozen=True)
@@ -76,28 +53,17 @@ class Skip:
 
 @dataclass(frozen=True)
 class CorpusManifest:
-    """Provenance for one exported corpus."""
+    """Provenance for one exported corpus.
+
+    ``counts`` holds ``attempted`` and ``succeeded`` record counts and the
+    ``skipped`` count per reason.
+    """
 
     dataset: str
     model_id: str
     format: str
-    attempted: int
-    succeeded: int
-    skipped: dict
+    counts: dict
     config_hash: str
-
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "model_id": self.model_id,
-            "format": self.format,
-            "counts": {
-                "attempted": self.attempted,
-                "succeeded": self.succeeded,
-                "skipped": self.skipped,
-            },
-            "config_hash": self.config_hash,
-        }
 
 
 def _training_input(backend: CompletionBackend, question: Question, budget: int,
@@ -125,7 +91,7 @@ def generate_target(
         return Skip(question_id=question.id, reason="no_feasible_budget")
     return SftExample(
         input=_training_input(backend, question, result.optimal_budget, input_style),
-        target=result.target_output,
+        target=result.target_outcome.text,
         meta={
             "question_id": question.id,
             "optimal_budget": result.optimal_budget,
@@ -140,21 +106,21 @@ def build_preference_pair(
     baseline: str = "probe",
     input_style: str = "vanilla",
 ) -> PreferencePair | Skip:
-    """Pair the budgeted target with the (cached) vanilla output as negative."""
+    """Pair the budgeted target with the (cached) vanilla output as rejected."""
     target = generate_target(backend, question, baseline=baseline, input_style=input_style)
     if isinstance(target, Skip):
         return target
     # The search already issued this exact vanilla request, so a caching
-    # backend serves the negative for free.
-    negative = backend.ask(question, PromptKind.VANILLA_COT)
+    # backend serves the rejected output for free.
+    rejected = backend.ask(question, PromptKind.VANILLA_COT)
     positive_tokens = target.meta["output_tokens"]
-    negative_tokens = negative.usage.output_tokens
+    negative_tokens = rejected.usage.output_tokens
     if positive_tokens >= negative_tokens:
         return Skip(question_id=question.id, reason="length_inversion")
     return PreferencePair(
         input=target.input,
-        positive=target.target,
-        negative=negative.text,
+        chosen=target.target,
+        rejected=rejected.text,
         meta={
             "question_id": question.id,
             "optimal_budget": target.meta["optimal_budget"],
@@ -178,7 +144,7 @@ def _validate_record(record, corpus_format: str, index: int, questions: dict[str
             raise ValueError(f"record {index} is missing token counts in its meta")
         if positive_tokens >= negative_tokens:
             raise ValueError(f"record {index} violates positive-shorter-than-negative")
-        texts = (record.input, record.positive, record.negative)
+        texts = (record.input, record.chosen, record.rejected)
     else:
         raise ValueError(f"unknown corpus format {corpus_format!r}")
     if any(not t for t in texts):
@@ -186,7 +152,7 @@ def _validate_record(record, corpus_format: str, index: int, questions: dict[str
 
     question = questions.get(record.meta.get("question_id"))
     if question is not None:
-        graded_text = record.target if corpus_format == SFT_FORMAT else record.positive
+        graded_text = record.target if corpus_format == SFT_FORMAT else record.chosen
         if not grade(graded_text, question).correct:
             raise ValueError(f"record {index} target no longer grades correct")
 
@@ -224,19 +190,21 @@ def export_corpus(
         os.makedirs(directory, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         for record in exported:
-            handle.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+            handle.write(json.dumps(vars(record), sort_keys=True) + "\n")
 
     manifest = CorpusManifest(
         dataset=dataset_name,
         model_id=model_id,
         format=corpus_format,
-        attempted=len(records),
-        succeeded=len(exported),
-        skipped=dict(sorted(skipped.items())),
+        counts={
+            "attempted": len(records),
+            "succeeded": len(exported),
+            "skipped": dict(sorted(skipped.items())),
+        },
         config_hash=config_hash,
     )
     with open(manifest_path(path), "w", encoding="utf-8") as handle:
-        json.dump(manifest.to_dict(), handle, sort_keys=True, indent=2)
+        json.dump(vars(manifest), handle, sort_keys=True, indent=2)
         handle.write("\n")
     return manifest
 
@@ -249,15 +217,10 @@ def manifest_path(corpus_path: str) -> str:
 def load_corpus(path: str, corpus_format: str) -> list:
     """Round-trip loader for exported corpora."""
     if corpus_format == SFT_FORMAT:
-        parse = SftExample.from_dict
+        record_type = SftExample
     elif corpus_format == DPO_FORMAT:
-        parse = PreferencePair.from_dict
+        record_type = PreferencePair
     else:
         raise ValueError(f"unknown corpus format {corpus_format!r}")
-    records = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(parse(json.loads(line)))
-    return records
+        return [record_type(**json.loads(line)) for line in handle if line.strip()]

@@ -32,17 +32,18 @@ class SearchStatus(Enum):
 
 @dataclass(frozen=True)
 class TracePoint:
-    """One budgeted probe: requested budget, observed cost, verdict."""
+    """One budgeted probe: requested budget, observed output tokens, verdict,
+    and the fingerprint of the response; a row of a search record's trace."""
 
     budget: int
-    observed_cost: int
+    output_tokens: int
     correct: bool
-    response: CompletionOutcome | None = None
+    response_fingerprint: str | None = None
 
 
 @dataclass
 class ElasticityTrace:
-    """Ordered (budget, observed cost, correctness) points from one search."""
+    """Ordered (budget, output tokens, correctness) points from one search."""
 
     points: list[TracePoint] = field(default_factory=list)
 
@@ -64,14 +65,9 @@ class SearchResult:
 
     status: SearchStatus
     optimal_budget: int | None
-    target_output: str | None
     trace: ElasticityTrace
     upper_bound: int
     target_outcome: CompletionOutcome | None = None
-
-    @property
-    def found(self) -> bool:
-        return self.status is SearchStatus.FOUND
 
 
 def halving_candidates(upper_bound: int) -> list[int]:
@@ -110,7 +106,6 @@ def search_optimal_budget(
         return SearchResult(
             status=SearchStatus.VANILLA_INCORRECT,
             optimal_budget=None,
-            target_output=None,
             trace=ElasticityTrace(),
             upper_bound=upper_bound,
         )
@@ -118,7 +113,6 @@ def search_optimal_budget(
         return SearchResult(
             status=SearchStatus.NO_FEASIBLE_BUDGET,
             optimal_budget=None,
-            target_output=None,
             trace=ElasticityTrace(),
             upper_bound=upper_bound,
         )
@@ -126,38 +120,37 @@ def search_optimal_budget(
     candidates = halving_candidates(upper_bound)
     points: list[TracePoint] = []
 
-    def probe(budget: int) -> TracePoint:
+    def probe(budget: int) -> tuple[TracePoint, CompletionOutcome]:
         outcome = backend.ask(question, PromptKind.BUDGETED_COT, budget=budget)
         verdict = grade(outcome.text, question)
         point = TracePoint(
             budget=budget,
-            observed_cost=outcome.usage.output_tokens,
+            output_tokens=outcome.usage.output_tokens,
             correct=verdict.correct,
-            response=outcome,
+            response_fingerprint=outcome.request_fingerprint,
         )
         points.append(point)
-        return point
+        return point, outcome
 
     best_budget = upper_bound
     best_outcome = vanilla
     if candidates:
         if baseline == "probe":
-            previous_cost = probe(upper_bound).observed_cost
+            previous_cost = probe(upper_bound)[0].output_tokens
         else:
             previous_cost = upper_bound
         for budget in candidates:
-            point = probe(budget)
-            feasible = point.correct and point.observed_cost < previous_cost
+            point, outcome = probe(budget)
+            feasible = point.correct and point.output_tokens < previous_cost
             if not feasible:
                 break
             best_budget = budget
-            best_outcome = point.response
-            previous_cost = point.observed_cost
+            best_outcome = outcome
+            previous_cost = point.output_tokens
 
     return SearchResult(
         status=SearchStatus.FOUND,
         optimal_budget=best_budget,
-        target_output=best_outcome.text,
         trace=ElasticityTrace(points),
         upper_bound=upper_bound,
         target_outcome=best_outcome,
@@ -212,7 +205,7 @@ def ideal_budget_range(trace: ElasticityTrace, k: int | str = "auto") -> IdealRa
     if window < 1 or window > n:
         raise ValueError(f"window size {window} out of range for a {n}-point trace")
 
-    costs = [p.observed_cost for p in points]
+    costs = [p.output_tokens for p in points]
     current = sum(costs[:window])
     best_sum = current
     best_start = 0
@@ -346,36 +339,19 @@ def search_record(question: Question, result: SearchResult) -> dict:
         "status": result.status.value,
         "optimal_budget": result.optimal_budget,
         "upper_bound": result.upper_bound,
-        "target_output": result.target_output,
-        "trace": [
-            {
-                "budget": p.budget,
-                "output_tokens": p.observed_cost,
-                "correct": p.correct,
-                "response_fingerprint": p.response.request_fingerprint if p.response else None,
-            }
-            for p in result.trace.points
-        ],
+        "target_output": result.target_outcome.text if result.target_outcome else None,
+        "trace": [vars(p) for p in result.trace.points],
     }
 
 
 def trace_from_record(record: dict) -> ElasticityTrace:
-    """Rebuild a trace from a serialized search record (responses dropped)."""
-    return ElasticityTrace(
-        [
-            TracePoint(
-                budget=row["budget"],
-                observed_cost=row["output_tokens"],
-                correct=row["correct"],
-            )
-            for row in record.get("trace", [])
-        ]
-    )
+    """Rebuild a trace from a serialized search record."""
+    return ElasticityTrace([TracePoint(**row) for row in record.get("trace", [])])
 
 
 def elasticity_rows(question_id: str, result: SearchResult) -> list[tuple]:
     """CSV rows (question_id, iteration, budget, output_tokens, correct)."""
     return [
-        (question_id, iteration, p.budget, p.observed_cost, p.correct)
+        (question_id, iteration, p.budget, p.output_tokens, p.correct)
         for iteration, p in enumerate(result.trace.points, start=1)
     ]

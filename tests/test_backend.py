@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import threading
+import types
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 
 from tokenbudget.backend import (
     DEFAULT_SAMPLING,
@@ -612,3 +614,59 @@ def test_live_backend_uses_cache(http_server, tmp_path, fig_like_question):
     second = backend.complete(prompt)
     assert first == second
     assert len(server.requests) == 1
+
+
+class _ReplaySession:
+    """Stands in for requests.Session: each post raises or returns the next reply."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.posts = 0
+
+    def post(self, *args, **kwargs):
+        self.posts += 1
+        reply = self.replies.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        return types.SimpleNamespace(status_code=reply, text="{}")
+
+
+def _replayed(replies, retry, monkeypatch):
+    """A live backend on replayed replies; returns it, its session and the sleeps."""
+    sleeps = []
+    monkeypatch.setattr("tokenbudget.backend.time.sleep", sleeps.append)
+    session = _ReplaySession(replies)
+    backend = LiveBackend(endpoint="http://127.0.0.1:1/v1/chat/completions",
+                          model_id="gpt-4o-mini", api_key="sk-test", retry=retry,
+                          session=session)
+    return backend, session, sleeps
+
+
+def test_live_backend_backoff_grows_geometrically_with_no_sleep_after_the_last_attempt(
+        monkeypatch, fig_like_question):
+    retry = RetryPolicy(max_attempts=4, initial_backoff=0.5, multiplier=3.0, jitter=0.0)
+    backend, session, sleeps = _replayed([503] * 4, retry, monkeypatch)
+    with pytest.raises(TransportError, match="503"):
+        backend.ask(fig_like_question, PromptKind.VANILLA_COT)
+    assert session.posts == 4
+    assert sleeps == [0.5, 1.5, 4.5]
+
+
+def test_live_backend_retries_connection_errors_then_transport_error(
+        monkeypatch, fig_like_question):
+    retry = RetryPolicy(max_attempts=3, initial_backoff=1.0, multiplier=2.0, jitter=0.0)
+    refused = requests.ConnectionError("connection refused")
+    backend, session, sleeps = _replayed([refused] * 3, retry, monkeypatch)
+    with pytest.raises(TransportError, match="connection refused"):
+        backend.ask(fig_like_question, PromptKind.VANILLA_COT)
+    assert session.posts == 3
+    assert sleeps == [1.0, 2.0]
+
+
+def test_live_backend_client_error_is_not_retried(monkeypatch, fig_like_question):
+    retry = RetryPolicy(max_attempts=5, initial_backoff=1.0, jitter=0.0)
+    backend, session, sleeps = _replayed([404], retry, monkeypatch)
+    with pytest.raises(ProtocolError, match="HTTP 404"):
+        backend.ask(fig_like_question, PromptKind.VANILLA_COT)
+    assert session.posts == 1
+    assert sleeps == []

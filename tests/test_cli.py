@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
+import io
 import json
 import os
 import shutil
@@ -494,6 +497,60 @@ def test_demo_outputs_do_not_depend_on_concurrency(demo, capsys):
     sequential = run_demo(1)
     assert "corpus_sft.manifest.json" in sequential[0]
     assert run_demo(4) == sequential
+
+
+# ---------------------------------------------------------------------------
+# Byte identity
+# ---------------------------------------------------------------------------
+
+DEMO_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "demo")
+DEMO_HASHES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "demo_outputs.sha256")
+
+
+def readme_demo_hashes() -> str:
+    """Run the README demo sequence in the working directory; sha256sum lines.
+
+    Relative paths and concurrency 1 keep every output byte, cache.jsonl and
+    the recorded paths included, independent of where and how fast it runs.
+    To re-record, from an empty directory with src/ and tests/ on PYTHONPATH:
+    python -c "import test_cli; print(test_cli.readme_demo_hashes(), end='')"
+    > <repo>/tests/demo_outputs.sha256
+    """
+    shutil.copytree(DEMO_DIR, "demo")
+    cohort = ["--config", "demo/config.json", "--dataset", "demo/dataset.json",
+              "--out-dir", "runs", "--concurrency", "1"]
+    argvs = [
+        ["search", *cohort],
+        ["eval", *cohort, "--methods", "direct,vanilla,ep,fixed:64"],
+        ["elasticity", "--config", "demo/config.json", "--out-dir", "runs",
+         "--search-output", "runs/search_results.jsonl",
+         "--estimates", "runs/records_ep.jsonl"],
+        ["ptdata", *cohort, "--format", "dpo"],
+        ["ptdata", *cohort, "--format", "sft"],
+        ["audit", *cohort, "--search-output", "runs/search_results.jsonl"],
+    ]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert [main(argv) for argv in argvs] == [0] * len(argvs)
+    outputs = {"<stdout>": stdout.getvalue().encode()}
+    for name in sorted(os.listdir("runs")):
+        with open(os.path.join("runs", name), "rb") as handle:
+            outputs[f"runs/{name}"] = handle.read()
+    return "".join(
+        f"{hashlib.sha256(data).hexdigest()}  {name}\n" for name, data in outputs.items()
+    )
+
+
+def test_readme_demo_outputs_match_recorded_hashes(tmp_path, monkeypatch):
+    """Every demo output, stdout included, is byte-identical to the recorded run.
+
+    A change that alters an output on purpose updates demo_outputs.sha256
+    and says why.
+    """
+    monkeypatch.chdir(tmp_path)
+    with open(DEMO_HASHES) as handle:
+        recorded = handle.read()
+    assert readme_demo_hashes() == recorded
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tokenbudget.backend import ScriptedEntry
-from tokenbudget.ep import (
-    EstimatedBudget,
-    parse_estimate,
-    run_ep,
-    scale_budget,
-)
+from tokenbudget.ep import parse_estimate, run_ep, scale_budget
 from tokenbudget.errors import EstimationParseError
 from tokenbudget.prompting import PromptTemplates, build_estimation_prompt
 
@@ -24,13 +19,12 @@ from conftest import behavior_from_curve, scripted_backend
 
 
 def test_parse_bare_integer():
-    assert parse_estimate("50").value == 50
+    assert parse_estimate("50") == 50
 
 
 def test_parse_first_integer_in_prose():
     estimate = parse_estimate("approximately 120 tokens should suffice")
-    assert estimate.value == 120
-    assert estimate.parse_rule == "first_integer"
+    assert estimate == 120
     # Reference oracle: the first digit run found by a character scan.
     text = "approximately 120 tokens should suffice"
     digits = ""
@@ -39,7 +33,7 @@ def test_parse_first_integer_in_prose():
             digits += ch
         elif digits:
             break
-    assert estimate.value == int(digits)
+    assert estimate == int(digits)
 
 
 def test_parse_no_digits_is_an_error():
@@ -49,12 +43,11 @@ def test_parse_no_digits_is_an_error():
 
 
 def test_parse_zero_clamps_to_one():
-    assert parse_estimate("0 tokens at most").value == 1
+    assert parse_estimate("0 tokens at most") == 1
 
 
 def test_estimate_budget_via_backend(fig_like_question, fig_like_backend):
-    estimate = run_ep(fig_like_backend, fig_like_question).estimate
-    assert estimate == EstimatedBudget(value=50, raw_response="50", parse_rule="first_integer")
+    assert run_ep(fig_like_backend, fig_like_question).estimate == 50
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +74,8 @@ def test_scale_rejects_nonpositive_alpha():
 
 @given(st.integers(1, 10**6), st.floats(0.01, 100.0), st.floats(0.01, 100.0))
 def test_scale_monotone_in_alpha(value, alpha_a, alpha_b):
-    estimate = EstimatedBudget(value=value, raw_response=str(value), parse_rule="first_integer")
     low, high = sorted((alpha_a, alpha_b))
-    assert scale_budget(estimate, low) <= scale_budget(estimate, high)
+    assert scale_budget(value, low) <= scale_budget(value, high)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +86,7 @@ def test_scale_monotone_in_alpha(value, alpha_a, alpha_b):
 def test_run_ep_happy_path(fig_like_question, fig_like_backend):
     result = run_ep(fig_like_backend, fig_like_question)
     assert result.verdict.correct
-    assert result.estimate.value == 50
+    assert result.estimate == 50
     assert result.budget_used == 50
     assert result.answer_usage.output_tokens == 86
     assert not result.used_fallback
@@ -132,7 +124,7 @@ def test_run_ep_renders_with_the_backend_templates(fig_like_question):
     )
     backend = scripted_backend({fig_like_question: behavior}, templates=templates)
     result = run_ep(backend, fig_like_question)
-    assert result.estimate.value == 50
+    assert result.estimate == 50
     assert result.answer_usage.output_tokens == 86
     assert backend.upstream_calls == 2
 

@@ -240,7 +240,9 @@ def test_pool_map_fatal_error_cancels_queued_items(concurrency):
         started.append(item)
         if item == 0:
             raise ConfigError("no pricing")
-        time.sleep(0.05)
+        # Long enough that the main thread sees the error and cancels the
+        # queue before any worker finishes its item, even if it is descheduled.
+        time.sleep(0.5)
         return item
 
     with pytest.raises(ConfigError, match="no pricing"):

@@ -135,9 +135,9 @@ def test_export_counts_and_round_trip(tmp_path, rebound_question, rebound_backen
 
     path = str(tmp_path / "corpus_sft.jsonl")
     manifest = export(path)
-    assert manifest.attempted == 3
-    assert manifest.succeeded == 2
-    assert manifest.skipped == {"vanilla_incorrect": 1}
+    assert manifest.counts["attempted"] == 3
+    assert manifest.counts["succeeded"] == 2
+    assert manifest.counts["skipped"] == {"vanilla_incorrect": 1}
 
     loaded = load_corpus(path, SFT_FORMAT)
     assert loaded == [example, other]
@@ -162,6 +162,41 @@ def test_export_dpo_round_trip(tmp_path, rebound_question, rebound_backend):
     with open(path) as handle:
         record = json.loads(handle.readline())
     assert set(record) == {"input", "chosen", "rejected", "meta"}
+
+
+def test_load_corpus_reads_literal_corpus_lines(tmp_path):
+    """Lines in the on-disk format (keys chosen and rejected) load unchanged."""
+    sft = tmp_path / "corpus_sft.jsonl"
+    sft.write_text(
+        '{"input": "Q?", "meta": {"optimal_budget": 64, "output_tokens": 70, '
+        '"question_id": "q1"}, "target": "The answer is 18."}\n'
+    )
+    dpo = tmp_path / "corpus_dpo.jsonl"
+    dpo.write_text(
+        '{"chosen": "The answer is 18.", "input": "Q?", "meta": {"negative_tokens": 256, '
+        '"optimal_budget": 64, "positive_tokens": 70, "question_id": "q1"}, '
+        '"rejected": "Step one, step two. The answer is 18."}\n\n'
+    )
+    assert load_corpus(str(sft), SFT_FORMAT) == [
+        SftExample(
+            input="Q?",
+            target="The answer is 18.",
+            meta={"optimal_budget": 64, "output_tokens": 70, "question_id": "q1"},
+        )
+    ]
+    assert load_corpus(str(dpo), DPO_FORMAT) == [
+        PreferencePair(
+            input="Q?",
+            chosen="The answer is 18.",
+            rejected="Step one, step two. The answer is 18.",
+            meta={
+                "negative_tokens": 256,
+                "optimal_budget": 64,
+                "positive_tokens": 70,
+                "question_id": "q1",
+            },
+        )
+    ]
 
 
 def test_export_rejects_empty_input():
@@ -195,8 +230,8 @@ def test_export_regrades_targets_against_questions(tmp_path, rebound_question):
 def test_export_enforces_pair_length_invariant(tmp_path, rebound_question):
     inverted = PreferencePair(
         input="q",
-        positive="The answer is 3.",
-        negative="The answer is 3 as well.",
+        chosen="The answer is 3.",
+        rejected="The answer is 3 as well.",
         meta={
             "question_id": "rebound",
             "optimal_budget": 64,

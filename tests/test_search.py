@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from tokenbudget.backend import ScriptedEntry
@@ -45,7 +47,7 @@ def test_rebound_curve_finds_64(rebound_question, rebound_backend):
     result = search_optimal_budget(rebound_backend, rebound_question)
     assert result.status is SearchStatus.FOUND
     assert result.optimal_budget == 64
-    observed = [(p.budget, p.observed_cost, p.correct) for p in result.trace.points]
+    observed = [(p.budget, p.output_tokens, p.correct) for p in result.trace.points]
     assert observed == [(256, 130, True), (128, 120, True), (64, 70, True), (32, 90, True)]
 
 
@@ -64,12 +66,12 @@ def test_overridden_budgeted_suffix_finds_the_same_optimum(rebound_question):
     )
 
     def observed(result):
-        return [(p.budget, p.observed_cost, p.correct) for p in result.trace.points]
+        return [(p.budget, p.output_tokens, p.correct) for p in result.trace.points]
 
     assert overridden.optimal_budget == default.optimal_budget == 64
     assert observed(overridden) == observed(default)
     fingerprints = [
-        {p.response.request_fingerprint for p in result.trace.points}
+        {p.response_fingerprint for p in result.trace.points}
         for result in (default, overridden)
     ]
     assert fingerprints[0].isdisjoint(fingerprints[1])
@@ -86,7 +88,7 @@ def test_vanilla_incorrect_aborts(rebound_question):
     result = search_optimal_budget(backend, rebound_question)
     assert result.status is SearchStatus.VANILLA_INCORRECT
     assert result.optimal_budget is None
-    assert result.target_output is None
+    assert result.target_outcome is None
     assert len(result.trace) == 0
     assert result.upper_bound == 256
 
@@ -103,7 +105,7 @@ def test_cost_tie_fails_strict_decrease():
     result = search_optimal_budget(backend, question)
     assert result.optimal_budget == 2
     assert result.trace.points[-1].budget == 1
-    assert result.trace.points[-1].observed_cost == 1
+    assert result.trace.points[-1].output_tokens == 1
 
 
 def test_unreasonable_budget_rejected_reasonable_kept():
@@ -117,7 +119,7 @@ def test_unreasonable_budget_rejected_reasonable_kept():
     result = search_optimal_budget(backend, question)
     assert result.optimal_budget == 50
     rejected = result.trace.points[-1]
-    assert rejected.budget == 25 and rejected.observed_cost == 157
+    assert rejected.budget == 25 and rejected.output_tokens == 157
 
 
 def test_first_candidate_infeasible_falls_back_to_upper_bound():
@@ -134,14 +136,14 @@ def test_first_candidate_infeasible_falls_back_to_upper_bound():
     result = search_optimal_budget(backend, question)
     assert result.status is SearchStatus.FOUND
     assert result.optimal_budget == 100
-    assert result.target_output == "Step one, step two. The answer is 3."
+    assert result.target_outcome.text == "Step one, step two. The answer is 3."
     assert result.target_outcome.usage.output_tokens == 100
 
 
 def test_vanilla_baseline_skips_probe(rebound_question, rebound_backend):
     result = search_optimal_budget(rebound_backend, rebound_question, baseline="vanilla")
     assert result.optimal_budget == 64
-    observed = [(p.budget, p.observed_cost) for p in result.trace.points]
+    observed = [(p.budget, p.output_tokens) for p in result.trace.points]
     assert observed == [(128, 120), (64, 70), (32, 90)]
 
 
@@ -357,11 +359,9 @@ def test_search_record_round_trip(rebound_question, rebound_backend):
     record = search_record(rebound_question, result)
     assert record["question_id"] == "rebound"
     assert record["optimal_budget"] == 64
-    rebuilt = trace_from_record(record)
-    assert [(p.budget, p.observed_cost, p.correct) for p in rebuilt.points] == [
-        (p.budget, p.observed_cost, p.correct) for p in result.trace.points
-    ]
     assert record["trace"][0]["response_fingerprint"]
+    rebuilt = trace_from_record(json.loads(json.dumps(record)))
+    assert rebuilt.points == result.trace.points
 
 
 def test_elasticity_rows_are_iteration_ordered(rebound_question, rebound_backend):
