@@ -14,6 +14,7 @@ from .backend import (
     ScriptedBackend,
     ScriptedBehavior,
     ScriptedEntry,
+    ScriptedScenario,
     classify_prompt_budget,
     parse_scripted_file,
 )

@@ -3,8 +3,7 @@
 Both share a fingerprint-keyed, append-only JSONL response cache, which is
 what makes batch runs resumable: replaying a request with an intact cache
 never reaches upstream. Backend instances are safe for concurrent
-``complete`` calls; the rate limiter and cache writes are the only shared
-synchronization points.
+``complete`` calls; cache writes are the only shared synchronization point.
 """
 
 from __future__ import annotations
@@ -227,6 +226,16 @@ class ScriptedBehavior:
     default: ScriptedEntry | None = None
 
 
+@dataclass
+class ScriptedScenario:
+    """Parsed scripted fixture: the questions plus their behaviors."""
+
+    name: str
+    questions: list[Question]
+    behaviors: dict[str, ScriptedBehavior]
+    default_entry: ScriptedEntry | None = None
+
+
 def _synthesize_text(question: Question, correct: bool) -> str:
     if not correct:
         return "I cannot determine the answer."
@@ -246,23 +255,21 @@ class ScriptedBackend(CompletionBackend):
 
     def __init__(
         self,
-        questions: list[Question],
-        behaviors: dict[str, ScriptedBehavior],
-        default_entry: ScriptedEntry | None = None,
+        scenario: ScriptedScenario,
         model_id: str = "scripted-v1",
         cache: ResponseCache | None = None,
         params: SamplingParams = DEFAULT_SAMPLING,
         templates: PromptTemplates | None = None,
     ):
         super().__init__(model_id=model_id, cache=cache, params=params, templates=templates)
-        self._behaviors = behaviors
-        self._default_entry = default_entry
+        self._behaviors = scenario.behaviors
+        self._default_entry = scenario.default_entry
         # Every rendered prompt joins the question text and the template lines
         # with "\n", so the question is a run of whole leading lines of the
         # prompt (after the estimation task line). The first question with a
         # given text wins, as in the fixture order.
         self._by_text: dict[str, Question] = {}
-        for question in questions:
+        for question in scenario.questions:
             self._by_text.setdefault(question.text, question)
         self._lock = threading.Lock()
         self._upstream_calls = 0
@@ -331,16 +338,6 @@ class ScriptedBackend(CompletionBackend):
             model_id=self.model_id,
             request_fingerprint=fingerprint,
         )
-
-
-@dataclass
-class ScriptedScenario:
-    """Parsed scripted fixture: the questions plus their behaviors."""
-
-    name: str
-    questions: list[Question]
-    behaviors: dict[str, ScriptedBehavior]
-    default_entry: ScriptedEntry | None = None
 
 
 def _parse_entry(data: dict, where: str) -> ScriptedEntry:
@@ -424,29 +421,8 @@ class RetryPolicy:
     jitter: float = 0.1
 
 
-class TokenBucket:
-    """Blocking token-bucket rate limiter shared across worker threads."""
-
-    def __init__(self, rate: float, burst: int):
-        if rate <= 0 or burst < 1:
-            raise ValueError("rate must be positive and burst >= 1")
-        self._rate = rate
-        self._capacity = float(burst)
-        self._tokens = float(burst)
-        self._updated = time.monotonic()
-        self._lock = threading.Lock()
-
-    def acquire(self) -> None:
-        while True:
-            with self._lock:
-                now = time.monotonic()
-                self._tokens = min(self._capacity, self._tokens + (now - self._updated) * self._rate)
-                self._updated = now
-                if self._tokens >= 1.0:
-                    self._tokens -= 1.0
-                    return
-                wait = (1.0 - self._tokens) / self._rate
-            time.sleep(wait)
+# Seconds to wait for one chat-completions reply before the attempt fails.
+REQUEST_TIMEOUT = 120.0
 
 
 class LiveBackend(CompletionBackend):
@@ -464,8 +440,6 @@ class LiveBackend(CompletionBackend):
         model_id: str,
         api_key: str,
         retry: RetryPolicy | None = None,
-        limiter: TokenBucket | None = None,
-        timeout: float = 120.0,
         cache: ResponseCache | None = None,
         session: requests.Session | None = None,
         params: SamplingParams = DEFAULT_SAMPLING,
@@ -475,8 +449,6 @@ class LiveBackend(CompletionBackend):
         self._endpoint = endpoint
         self._api_key = api_key
         self._retry = retry or RetryPolicy()
-        self._limiter = limiter
-        self._timeout = timeout
         self._session = session or requests.Session()
 
     def _request(self, prompt: Prompt, fingerprint: str) -> CompletionOutcome:
@@ -500,11 +472,9 @@ class LiveBackend(CompletionBackend):
             if attempt:
                 delay = policy.initial_backoff * policy.multiplier ** (attempt - 1)
                 time.sleep(delay * (1.0 + policy.jitter * random.random()))
-            if self._limiter is not None:
-                self._limiter.acquire()
             try:
                 response = self._session.post(
-                    self._endpoint, json=body, headers=headers, timeout=self._timeout
+                    self._endpoint, json=body, headers=headers, timeout=REQUEST_TIMEOUT
                 )
             except requests.RequestException as exc:
                 last_error = TransportError(f"request failed: {exc}")

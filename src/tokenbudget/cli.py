@@ -25,11 +25,10 @@ from .backend import (
     RetryPolicy,
     SamplingParams,
     ScriptedBackend,
-    TokenBucket,
     parse_scripted_file,
 )
-from .core import PricingTable
-from .errors import ConfigError, HarnessError
+from .core import PricingTable, _text, _typed
+from .errors import ConfigError, DatasetError, HarnessError
 from .evaluate import (
     JSON_FORMAT,
     TABLE_TEXT,
@@ -37,6 +36,7 @@ from .evaluate import (
     _pool_map,
     load_dataset,
     parse_method,
+    read_jsonl,
     render_report,
     run_method,
     sample_dataset,
@@ -87,12 +87,10 @@ class HarnessConfig:
     model_id: str
     endpoint: str | None
     credential_env: str | None
-    script_path: str | None
     pricing: PricingTable
     sampling: SamplingParams
     templates: PromptTemplates
     retry: RetryPolicy
-    rate_limit: dict | None
     concurrency: int
     cache_path: str | None
     seed: int
@@ -100,47 +98,37 @@ class HarnessConfig:
 
 
 def load_config(path: str) -> HarnessConfig:
+    """Check one config file: an unknown key is a ConfigError, a key left out takes its default."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             raw = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}") from exc
 
-    backend = raw.get("backend")
-    if not isinstance(backend, dict) or "kind" not in backend:
-        raise ConfigError(f"{path}: config needs a backend section with a kind")
-    kind = backend["kind"]
+    try:
+        top = _typed(raw, "", backend=dict, pricing=list, sampling=dict, templates=dict,
+                     retry=dict, concurrency=int, cache_path=_text, seed=int)
+        backend = _typed(top.get("backend", {}), "backend", kind=_text, model_id=_text,
+                         endpoint=_text, credential_env=_text)
+        sampling = SamplingParams(**_typed(
+            top.get("sampling", {}), "sampling", temperature=float, seed=int, max_candidates=int
+        ))
+        retry = RetryPolicy(**_typed(
+            top.get("retry", {}), "retry",
+            max_attempts=int, initial_backoff=float, multiplier=float, jitter=float,
+        ))
+        templates = PromptTemplates.from_config(top.get("templates"))
+        pricing = PricingTable.from_config(top.get("pricing", []))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+    kind = backend.get("kind")
     if kind not in ("live", "scripted"):
-        raise ConfigError(f"{path}: backend kind must be 'live' or 'scripted', got {kind!r}")
+        raise ConfigError(f"{path}: backend.kind must be 'live' or 'scripted', got {kind!r}")
     if kind == "live":
         for key in ("endpoint", "credential_env", "model_id"):
             if not backend.get(key):
                 raise ConfigError(f"{path}: live backend requires backend.{key}")
-
-    concurrency = int(raw.get("concurrency", 4))
-    if concurrency < 1:
-        raise ConfigError(f"{path}: concurrency must be >= 1")
-
-    sampling_cfg = raw.get("sampling", {})
-    try:
-        sampling = SamplingParams(
-            temperature=float(sampling_cfg.get("temperature", 0.1)),
-            seed=int(sampling_cfg.get("seed", 1024)),
-            max_candidates=int(sampling_cfg.get("max_candidates", 1)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: sampling: {exc}") from exc
-    retry_cfg = raw.get("retry", {})
-    retry = RetryPolicy(
-        max_attempts=int(retry_cfg.get("max_attempts", 5)),
-        initial_backoff=float(retry_cfg.get("initial_backoff", 1.0)),
-        multiplier=float(retry_cfg.get("multiplier", 2.0)),
-        jitter=float(retry_cfg.get("jitter", 0.1)),
-    )
-    try:
-        templates = PromptTemplates.from_config(raw.get("templates"))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
     canonical = json.dumps(raw, sort_keys=True, ensure_ascii=True)
     return HarnessConfig(
@@ -148,57 +136,28 @@ def load_config(path: str) -> HarnessConfig:
         model_id=backend.get("model_id", "scripted-v1"),
         endpoint=backend.get("endpoint"),
         credential_env=backend.get("credential_env"),
-        script_path=backend.get("script_path"),
-        pricing=PricingTable.from_config(raw.get("pricing", [])),
+        pricing=pricing,
         sampling=sampling,
         templates=templates,
         retry=retry,
-        rate_limit=raw.get("rate_limit"),
-        concurrency=concurrency,
-        cache_path=raw.get("cache_path"),
-        seed=int(raw.get("seed", 1024)),
+        concurrency=top.get("concurrency", 4),
+        cache_path=top.get("cache_path"),
+        seed=top.get("seed", 1024),
         config_hash=hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16],
     )
 
 
-def build_backend(config: HarnessConfig, out_dir: str, dataset_path: str | None = None):
+def build_backend(config: HarnessConfig, out_dir: str, dataset_path: str):
+    """The configured backend; the scripted mock plays the ``dataset_path`` fixture."""
     cache_path = config.cache_path or os.path.join(out_dir, "cache.jsonl")
-    cache = ResponseCache(cache_path)
+    settings = dict(model_id=config.model_id, cache=ResponseCache(cache_path),
+                    params=config.sampling, templates=config.templates)
     if config.backend_kind == "scripted":
-        script_path = config.script_path or dataset_path
-        if not script_path:
-            raise ConfigError("scripted backend needs backend.script_path or --dataset")
-        scenario = parse_scripted_file(script_path)
-        return ScriptedBackend(
-            questions=scenario.questions,
-            behaviors=scenario.behaviors,
-            default_entry=scenario.default_entry,
-            model_id=config.model_id,
-            cache=cache,
-            params=config.sampling,
-            templates=config.templates,
-        )
+        return ScriptedBackend(parse_scripted_file(dataset_path), **settings)
     api_key = os.environ.get(config.credential_env)
     if not api_key:
-        raise ConfigError(
-            f"credential environment variable {config.credential_env!r} is not set"
-        )
-    limiter = None
-    if config.rate_limit:
-        limiter = TokenBucket(
-            rate=float(config.rate_limit.get("rate", 8.0)),
-            burst=int(config.rate_limit.get("burst", 8)),
-        )
-    return LiveBackend(
-        endpoint=config.endpoint,
-        model_id=config.model_id,
-        api_key=api_key,
-        retry=config.retry,
-        limiter=limiter,
-        cache=cache,
-        params=config.sampling,
-        templates=config.templates,
-    )
+        raise ConfigError(f"credential environment variable {config.credential_env!r} is not set")
+    return LiveBackend(endpoint=config.endpoint, api_key=api_key, retry=config.retry, **settings)
 
 
 class VerbContext:
@@ -265,11 +224,6 @@ def _write_json(path: str, document: dict) -> None:
         handle.write("\n")
 
 
-def _read_jsonl(path: str) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return [json.loads(line) for line in handle if line.strip()]
-
-
 # ---------------------------------------------------------------------------
 # Verbs
 # ---------------------------------------------------------------------------
@@ -330,7 +284,7 @@ def cmd_search(args) -> int:
 
 def cmd_elasticity(args) -> int:
     ctx = VerbContext(args, "elasticity", cohort=False)
-    records = _read_jsonl(args.search_output)
+    records = read_jsonl(args.search_output)
 
     k = args.k if args.k == "auto" else int(args.k)
     ranges = {}
@@ -352,7 +306,7 @@ def cmd_elasticity(args) -> int:
     if args.estimates:
         estimates = {
             record["question_id"]: int(record["estimated_budget"])
-            for record in _read_jsonl(args.estimates)
+            for record in read_jsonl(args.estimates)
             if record.get("estimated_budget") is not None
         }
         paired = [
@@ -439,7 +393,7 @@ def cmd_audit(args) -> int:
     questions = {q.id: q for q in ctx.dataset.questions}
     skipped = []
     auditable = []
-    for record in _read_jsonl(args.search_output):
+    for record in read_jsonl(args.search_output):
         question = questions.get(record["question_id"])
         reason = record.get("status", "unknown")
         if reason == "found" and question is None:
@@ -447,6 +401,8 @@ def cmd_audit(args) -> int:
         if reason != "found":
             skipped.append({"question_id": record["question_id"], "reason": reason})
             continue
+        if not isinstance(record.get("optimal_budget"), int):
+            raise DatasetError(f"{args.search_output}: record {question.id!r} has no optimal_budget")
         auditable.append((question, record["optimal_budget"]))
 
     outcomes = ctx.map(

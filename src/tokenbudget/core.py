@@ -123,6 +123,28 @@ class CompletionOutcome:
         )
 
 
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _typed(section, where: str, **types) -> dict:
+    """The keys a config section sets, converted by ``types``; any other key is a ValueError."""
+    if not isinstance(section, dict):
+        raise ValueError(f"{where or 'config'} must be a JSON object")
+    typed = {}
+    for key, value in section.items():
+        name = f"{where}.{key}" if where else key
+        if key not in types:
+            raise ValueError(f"unknown config key {name!r}")
+        try:
+            typed[key] = types[key](value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name}: {exc}") from exc
+    return typed
+
+
 @dataclass(frozen=True)
 class ModelPricing:
     """USD per one million input/output tokens for one model."""
@@ -148,14 +170,15 @@ class PricingTable:
 
     @classmethod
     def from_config(cls, rows: Iterable[dict]) -> "PricingTable":
-        return cls(
-            ModelPricing(
-                model_id=row["model_id"],
-                input_price=float(row["input_price"]),
-                output_price=float(row["output_price"]),
-            )
-            for row in rows
-        )
+        entries = []
+        for index, row in enumerate(rows):
+            where = f"pricing[{index}]"
+            fields = _typed(row, where, model_id=_text, input_price=float, output_price=float)
+            try:
+                entries.append(ModelPricing(**fields))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{where}: {exc}") from exc
+        return cls(entries)
 
     def for_model(self, model_id: str) -> ModelPricing:
         try:

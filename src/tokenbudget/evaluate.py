@@ -45,59 +45,67 @@ class Dataset:
         return len(self.questions)
 
 
-def _load_gsm8k(path: str) -> list[Question]:
-    questions = []
+def _jsonl_objects(path: str):
+    """(line number, object) per non-blank line; any other line is a DatasetError."""
     with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
+        for number, line in enumerate(handle, start=1):
+            if not line.strip():
                 continue
             try:
                 item = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}: malformed JSON at line {lineno}: {exc.msg}") from exc
-            answer_text = item.get("answer", "")
-            marker = answer_text.rfind(GSM8K_ANSWER_MARKER)
-            if marker < 0:
-                raise DatasetError(f"{path}: line {lineno} has no '#### ' answer marker")
-            gold = answer_text[marker + len(GSM8K_ANSWER_MARKER):].strip()
-            if not gold:
-                raise DatasetError(f"{path}: line {lineno} has an empty gold answer")
-            try:
-                questions.append(
-                    Question(
-                        id=str(item.get("id", f"gsm8k-{lineno}")),
-                        text=item["question"],
-                        gold_answer=gold,
-                        answer_kind=AnswerKind.NUMERIC,
-                        source="gsm8k",
-                    )
+                raise DatasetError(f"{path}: line {number}: malformed JSON: {exc.msg}") from exc
+            if not isinstance(item, dict):
+                raise DatasetError(f"{path}: line {number}: not a JSON object")
+            yield number, item
+
+
+def read_jsonl(path: str, record_type=dict) -> list:
+    """``record_type(**object)`` per JSONL line; a missing or unknown key is a DatasetError."""
+    records = []
+    for number, item in _jsonl_objects(path):
+        try:
+            records.append(record_type(**item))
+        except TypeError as exc:
+            raise DatasetError(f"{path}: line {number}: {exc}") from exc
+    return records
+
+
+def _load_gsm8k(path: str) -> list[Question]:
+    questions = []
+    for lineno, item in _jsonl_objects(path):
+        answer_text = item.get("answer", "")
+        marker = answer_text.rfind(GSM8K_ANSWER_MARKER)
+        if marker < 0:
+            raise DatasetError(f"{path}: line {lineno} has no '#### ' answer marker")
+        gold = answer_text[marker + len(GSM8K_ANSWER_MARKER):].strip()
+        if not gold:
+            raise DatasetError(f"{path}: line {lineno} has an empty gold answer")
+        try:
+            questions.append(
+                Question(
+                    id=str(item.get("id", f"gsm8k-{lineno}")),
+                    text=item["question"],
+                    gold_answer=gold,
+                    answer_kind=AnswerKind.NUMERIC,
+                    source="gsm8k",
                 )
-            except (KeyError, ValueError) as exc:
-                raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
+            )
+        except (KeyError, ValueError) as exc:
+            raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
     return questions
 
 
 def _load_mathbench(path: str) -> list[Question]:
     with open(path, "r", encoding="utf-8") as handle:
         content = handle.read()
-    stripped = content.lstrip()
-    items: list[tuple[int, dict]] = []
-    if stripped.startswith("["):
+    if content.lstrip().startswith("["):
         try:
-            for index, item in enumerate(json.loads(content), start=1):
-                items.append((index, item))
+            items = list(enumerate(json.loads(content), start=1))
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{path}: malformed JSON at line {exc.lineno}") from exc
     else:
-        for lineno, line in enumerate(content.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                items.append((lineno, json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}: malformed JSON at line {lineno}: {exc.msg}") from exc
+        items = list(_jsonl_objects(path))
 
     questions = []
     for lineno, item in items:

@@ -8,6 +8,7 @@ strings with a ``{budget}`` placeholder.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -49,6 +50,13 @@ class PromptTemplates:
     estimation_task: str = ESTIMATION_TASK
     estimation_contract: str = ESTIMATION_CONTRACT
     format_instruction: str = FORMAT_INSTRUCTION
+
+    def __post_init__(self):
+        # Budget probes differ only in the number rendered into this one field.
+        parsed = string.Formatter().parse(self.budgeted_suffix)
+        if [field[1:] for field in parsed if field[1] is not None] != [("budget", "", None)]:
+            raise ValueError("budgeted_suffix needs exactly one replacement field, {budget}, "
+                             f"got {self.budgeted_suffix!r}")
 
     @classmethod
     def from_config(cls, overrides: dict | None) -> "PromptTemplates":

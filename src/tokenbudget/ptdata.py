@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .backend import CompletionBackend
 from .core import Question
+from .evaluate import read_jsonl
 from .grading import grade
 from .prompting import PromptKind, build_prompt
 from .search import SearchStatus, search_optimal_budget
@@ -222,5 +223,4 @@ def load_corpus(path: str, corpus_format: str) -> list:
         record_type = PreferencePair
     else:
         raise ValueError(f"unknown corpus format {corpus_format!r}")
-    with open(path, "r", encoding="utf-8") as handle:
-        return [record_type(**json.loads(line)) for line in handle if line.strip()]
+    return read_jsonl(path, record_type)

@@ -1,12 +1,15 @@
-"""Shared fixtures: question factories and scripted backend builders."""
+"""Shared fixtures: question factories, scripted backend builders and a local
+OpenAI-compatible HTTP server."""
 
 from __future__ import annotations
 
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from tokenbudget.backend import ScriptedBackend, ScriptedBehavior, ScriptedEntry
+from tokenbudget.backend import ScriptedBackend, ScriptedBehavior, ScriptedEntry, ScriptedScenario
 from tokenbudget.core import AnswerKind, Question
 
 
@@ -48,12 +51,13 @@ def scripted_backend(
     default_entry: ScriptedEntry | None = None,
     **kwargs,
 ) -> ScriptedBackend:
-    return ScriptedBackend(
+    scenario = ScriptedScenario(
+        name="fixture",
         questions=list(question_behaviors),
         behaviors={q.id: b for q, b in question_behaviors.items()},
         default_entry=default_entry,
-        **kwargs,
     )
+    return ScriptedBackend(scenario, **kwargs)
 
 
 @pytest.fixture
@@ -159,3 +163,74 @@ def write_demo_files(directory) -> tuple[str, str]:
     config_path = directory / "config.json"
     config_path.write_text(json.dumps(DEMO_CONFIG, indent=2))
     return str(config_path), str(dataset_path)
+
+
+# ---------------------------------------------------------------------------
+# A local OpenAI-compatible endpoint
+# ---------------------------------------------------------------------------
+
+
+class ScriptedHTTPServer:
+    """Serves a fixed sequence of (status, body) responses and records requests."""
+
+    def __init__(self, responses):
+        self.responses = list(responses)
+        self.requests = []
+        outer = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                length = int(self.headers.get("Content-Length", 0))
+                outer.requests.append(
+                    {
+                        "body": json.loads(self.rfile.read(length)),
+                        "authorization": self.headers.get("Authorization"),
+                        "path": self.path,
+                    }
+                )
+                status, body = outer.responses.pop(0) if outer.responses else (200, "{}")
+                payload = body if isinstance(body, str) else json.dumps(body)
+                data = payload.encode("utf-8")
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+            def log_message(self, *args):
+                pass
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        self.thread.start()
+
+    @property
+    def endpoint(self) -> str:
+        host, port = self.server.server_address
+        return f"http://{host}:{port}/v1/chat/completions"
+
+    def shutdown(self):
+        self.server.shutdown()
+        self.server.server_close()
+
+
+@pytest.fixture
+def http_server():
+    servers = []
+
+    def start(responses):
+        server = ScriptedHTTPServer(responses)
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.shutdown()
+
+
+def completion_payload(content="The answer is 18.", usage=True):
+    """A chat-completions reply body with one choice and, optionally, its usage."""
+    payload = {"choices": [{"message": {"role": "assistant", "content": content}}]}
+    if usage:
+        payload["usage"] = {"prompt_tokens": 21, "completion_tokens": 86, "total_tokens": 107}
+    return payload

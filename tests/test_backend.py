@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import json
-import threading
 import types
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 import requests
@@ -30,7 +28,7 @@ from tokenbudget.grading import grade
 from tokenbudget.prompting import PromptKind, PromptTemplates, build_estimation_prompt, build_prompt
 from tokenbudget.search import search_optimal_budget
 
-from conftest import behavior_from_curve, make_question, scripted_backend
+from conftest import behavior_from_curve, completion_payload, make_question, scripted_backend
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +432,7 @@ def test_parse_scripted_file_round_trip(tmp_path):
     assert scenario.behaviors["q1"].cost_curve[50] == ScriptedEntry(86, True, None)
     assert scenario.default_entry == ScriptedEntry(40, False, None)
 
-    backend = ScriptedBackend(scenario.questions, scenario.behaviors, scenario.default_entry)
+    backend = ScriptedBackend(scenario)
     prompt = build_prompt(scenario.questions[0], PromptKind.BUDGETED_COT, budget=50)
     assert backend.complete(prompt).usage.output_tokens == 86
 
@@ -470,72 +468,7 @@ def test_parse_scripted_file_rejects_duplicates_and_bad_entries(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-class _ScriptedHTTPServer:
-    """Serves a fixed sequence of (status, body) responses and records requests."""
-
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.requests = []
-        outer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-                length = int(self.headers.get("Content-Length", 0))
-                outer.requests.append(
-                    {
-                        "body": json.loads(self.rfile.read(length)),
-                        "authorization": self.headers.get("Authorization"),
-                        "path": self.path,
-                    }
-                )
-                status, body = outer.responses.pop(0) if outer.responses else (200, "{}")
-                payload = body if isinstance(body, str) else json.dumps(body)
-                data = payload.encode("utf-8")
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
-
-            def log_message(self, *args):
-                pass
-
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
-        self.thread.start()
-
-    @property
-    def endpoint(self) -> str:
-        host, port = self.server.server_address
-        return f"http://{host}:{port}/v1/chat/completions"
-
-    def shutdown(self):
-        self.server.shutdown()
-        self.server.server_close()
-
-
-@pytest.fixture
-def http_server():
-    servers = []
-
-    def start(responses):
-        server = _ScriptedHTTPServer(responses)
-        servers.append(server)
-        return server
-
-    yield start
-    for server in servers:
-        server.shutdown()
-
-
 FAST_RETRY = RetryPolicy(max_attempts=3, initial_backoff=0.01, jitter=0.0)
-
-
-def _ok_payload(content="The answer is 18.", usage=True):
-    payload = {"choices": [{"message": {"role": "assistant", "content": content}}]}
-    if usage:
-        payload["usage"] = {"prompt_tokens": 21, "completion_tokens": 86, "total_tokens": 107}
-    return payload
 
 
 def _live(server, **kwargs):
@@ -549,7 +482,7 @@ def _live(server, **kwargs):
 
 
 def test_live_backend_parses_usage_and_sends_protocol_fields(http_server, fig_like_question):
-    server = http_server([(200, _ok_payload())])
+    server = http_server([(200, completion_payload())])
     backend = _live(server)
     prompt = build_prompt(fig_like_question, PromptKind.BUDGETED_COT, budget=50)
     outcome = backend.complete(prompt)
@@ -568,14 +501,14 @@ def test_live_backend_parses_usage_and_sends_protocol_fields(http_server, fig_li
 
 
 def test_live_backend_missing_usage_falls_back_to_approximation(http_server, fig_like_question):
-    server = http_server([(200, _ok_payload(usage=False))])
+    server = http_server([(200, completion_payload(usage=False))])
     outcome = _live(server).complete(build_prompt(fig_like_question, PromptKind.VANILLA_COT))
     assert outcome.usage.counting_source is CountingSource.LOCAL_APPROXIMATION
     assert outcome.usage.output_tokens > 0
 
 
 def test_live_backend_retries_through_429(http_server, fig_like_question):
-    server = http_server([(429, {}), (429, {}), (200, _ok_payload())])
+    server = http_server([(429, {}), (429, {}), (200, completion_payload())])
     outcome = _live(server).complete(build_prompt(fig_like_question, PromptKind.VANILLA_COT))
     assert outcome.text == "The answer is 18."
     assert len(server.requests) == 3
@@ -606,7 +539,7 @@ def test_live_backend_malformed_payload_is_protocol_error(http_server, fig_like_
 
 
 def test_live_backend_uses_cache(http_server, tmp_path, fig_like_question):
-    server = http_server([(200, _ok_payload())])
+    server = http_server([(200, completion_payload())])
     cache = ResponseCache(str(tmp_path / "cache.jsonl"))
     backend = _live(server, cache=cache)
     prompt = build_prompt(fig_like_question, PromptKind.VANILLA_COT)

@@ -16,7 +16,7 @@ import tokenbudget.cli as cli
 from tokenbudget.cli import main
 from tokenbudget.errors import TransportError
 
-from conftest import DEMO_SCENARIO, write_demo_files
+from conftest import DEMO_CONFIG, DEMO_SCENARIO, completion_payload, write_demo_files
 
 
 @pytest.fixture
@@ -139,6 +139,107 @@ def test_live_config_requires_resolvable_credential(demo, monkeypatch, tmp_path)
     code = main(["eval", "--config", str(live_config), "--dataset", dataset,
                  "--out-dir", str(tmp / "out"), "--methods", "vanilla"])
     assert code == 1
+
+
+def test_live_config_sends_its_settings_and_retries_each_question(
+        demo, http_server, monkeypatch, tmp_path):
+    """config -> build_backend -> LiveBackend -> HTTP, against a local endpoint."""
+    _, dataset, tmp = demo
+    answer = (200, completion_payload())
+    # At concurrency 1 the vanilla calls go rebound, mono, wrong; mono is
+    # answered 503 on both of its attempts.
+    server = http_server([answer, (503, {}), (503, {}), answer])
+    live_config = tmp_path / "live.json"
+    live_config.write_text(json.dumps({
+        "backend": {
+            "kind": "live",
+            "endpoint": server.endpoint,
+            "model_id": "gpt-4o-mini",
+            "credential_env": "TOKENBUDGET_TEST_KEY",
+        },
+        "pricing": [{"model_id": "gpt-4o-mini", "input_price": 0.15, "output_price": 0.60}],
+        "sampling": {"temperature": 0.3, "seed": 7},
+        "retry": {"max_attempts": 2, "initial_backoff": 0.01},
+        "concurrency": 1,
+    }))
+    monkeypatch.setenv("TOKENBUDGET_TEST_KEY", "sk-from-env")
+    out = str(tmp / "out")
+    assert main(["eval", "--config", str(live_config), "--dataset", dataset,
+                 "--out-dir", out, "--methods", "vanilla"]) == 2
+
+    assert len(server.requests) == 4
+    for sent in server.requests:
+        assert sent["authorization"] == "Bearer sk-from-env"
+        assert sent["body"]["model"] == "gpt-4o-mini"
+        assert (sent["body"]["temperature"], sent["body"]["seed"]) == (0.3, 7)
+    mono_text = DEMO_SCENARIO["questions"][1]["text"]
+    assert [sent["body"]["messages"][1]["content"].startswith(mono_text)
+            for sent in server.requests] == [False, True, True, False]
+    records = _read_jsonl(os.path.join(out, "records_vanilla.jsonl"))
+    assert [(r["question_id"], r["failed"]) for r in records] == [
+        ("rebound", False), ("mono", True), ("wrong", False),
+    ]
+
+
+def _config(**changes) -> str:
+    return json.dumps(dict(DEMO_CONFIG, **changes))
+
+
+DEMO_DATASET = json.dumps(DEMO_SCENARIO)
+
+
+@pytest.mark.parametrize("config, dataset, flags, problem", [
+    pytest.param('{"backend": ', DEMO_DATASET, [], "invalid JSON", id="config-not-json"),
+    pytest.param(_config(backend={"kind": "remote"}), DEMO_DATASET, [], "'remote'",
+                 id="unknown-backend-kind"),
+    pytest.param(_config(backend={"kind": "live", "model_id": "m", "credential_env": "KEY"}),
+                 DEMO_DATASET, [], "backend.endpoint", id="live-without-endpoint"),
+    pytest.param(_config(concurrency=0), DEMO_DATASET, [], "concurrency must be >= 1",
+                 id="config-concurrency-0"),
+    pytest.param(_config(), DEMO_DATASET, ["--concurrency", "0"], "concurrency must be >= 1",
+                 id="flag-concurrency-0"),
+    pytest.param(_config(), None, [], "requires --dataset", id="cohort-verb-without-dataset"),
+    pytest.param(_config(sampling={"temperature": -1}), DEMO_DATASET, [],
+                 "temperature must be >= 0", id="negative-temperature"),
+    pytest.param(_config(), '{"questions": [', [], "invalid JSON", id="fixture-not-json"),
+    pytest.param(_config(), json.dumps({"questions": [{"id": "q", "gold_answer": "1"}]}), [],
+                 "'text'", id="fixture-question-without-text"),
+    pytest.param(_config(), json.dumps({"questions": [{
+        "id": "q", "text": "Q?", "gold_answer": "1", "behavior": {"vanilla": {"correct": True}},
+    }]}), [], "'output_tokens'", id="fixture-entry-without-output-tokens"),
+    pytest.param(_config(concurency=2), DEMO_DATASET, [], "unknown config key 'concurency'",
+                 id="unknown-top-level-key"),
+    pytest.param(_config(rate_limit={"rate": 8.0, "burst": 8}), DEMO_DATASET, [],
+                 "unknown config key 'rate_limit'", id="removed-rate-limit"),
+    pytest.param(_config(backend={"kind": "scripted", "script_path": "fixture.json"}),
+                 DEMO_DATASET, [], "unknown config key 'backend.script_path'",
+                 id="removed-script-path"),
+    pytest.param(_config(sampling={"temprature": 0.2}), DEMO_DATASET, [],
+                 "unknown config key 'sampling.temprature'", id="unknown-sampling-key"),
+    pytest.param(_config(retry={"max_attemps": 2}), DEMO_DATASET, [],
+                 "unknown config key 'retry.max_attemps'", id="unknown-retry-key"),
+    pytest.param(_config(pricing=[{"model_id": "m", "input_price": 1, "output_price": 2,
+                                   "currency": "usd"}]), DEMO_DATASET, [],
+                 "unknown config key 'pricing[0].currency'", id="unknown-pricing-key"),
+    pytest.param(_config(pricing=[{"model_id": "m", "input_price": 1}]), DEMO_DATASET, [],
+                 "'output_price'", id="pricing-row-without-output-price"),
+    pytest.param(_config(templates={"budgeted_suffix": "Use at most {tokens} tokens:"}),
+                 DEMO_DATASET, [], "budgeted_suffix", id="suffix-with-another-field"),
+    pytest.param(_config(templates={"budgeted_suffix": "Be brief:"}), DEMO_DATASET, [],
+                 "budgeted_suffix", id="suffix-without-budget"),
+])
+def test_bad_input_is_fatal_and_names_the_problem(tmp_path, capsys, config, dataset, flags,
+                                                  problem):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(config)
+    argv = ["search", "--config", str(config_path), "--out-dir", str(tmp_path / "out"), *flags]
+    if dataset is not None:
+        dataset_path = tmp_path / "dataset.json"
+        dataset_path.write_text(dataset)
+        argv += ["--dataset", str(dataset_path)]
+    assert main(argv) == 1
+    error = capsys.readouterr().err
+    assert error.startswith("error: ") and problem in error, error
 
 
 def test_config_template_overrides_flow_into_prompts(demo, tmp_path):
@@ -281,6 +382,31 @@ def test_elasticity_missing_input_is_fatal(demo):
         ["elasticity", "--config", config, "--out-dir", str(tmp / "o"),
          "--search-output", str(tmp / "missing.jsonl")]
     ) == 1
+
+
+def test_malformed_search_results_name_the_file_and_the_line(demo, capsys):
+    config, dataset, tmp = demo
+    search_out = str(tmp / "search")
+    assert main(["search", "--config", config, "--dataset", dataset, "--out-dir", search_out]) == 0
+    with open(os.path.join(search_out, "search_results.jsonl")) as handle:
+        lines = handle.readlines()
+
+    torn = tmp / "torn.jsonl"  # an append cut short inside its last line
+    torn.write_text("".join(lines[:-1]) + lines[-1][:25])
+    capsys.readouterr()
+    assert main(["elasticity", "--config", config, "--out-dir", str(tmp / "e"),
+                 "--search-output", str(torn)]) == 1
+    assert f"error: {torn}: line 3: " in capsys.readouterr().err
+
+    records = [json.loads(line) for line in lines]
+    assert records[0]["status"] == "found"
+    del records[0]["optimal_budget"]
+    incomplete = tmp / "incomplete.jsonl"
+    incomplete.write_text("".join(json.dumps(record) + "\n" for record in records))
+    assert main(["audit", "--config", config, "--dataset", dataset, "--out-dir", str(tmp / "a"),
+                 "--search-output", str(incomplete)]) == 1
+    error = capsys.readouterr().err
+    assert str(incomplete) in error and "optimal_budget" in error
 
 
 # ---------------------------------------------------------------------------

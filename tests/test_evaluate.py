@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from tokenbudget.backend import ScriptedBackend
+from tokenbudget.backend import ScriptedBackend, ScriptedScenario
 from tokenbudget.core import AnswerKind, ModelPricing, PricingTable
 from tokenbudget.errors import ConfigError, DatasetError, ProtocolError, RateLimitError, TransportError
 from tokenbudget.evaluate import (
@@ -198,7 +198,7 @@ def test_backend_failures_excluded_from_denominator():
         q.id: behavior_from_curve(vanilla_tokens=10 * (i + 1), curve={}, vanilla_correct=i != 2)
         for i, q in enumerate(dataset.questions)
     }
-    backend = Flaky(questions=dataset.questions, behaviors=behaviors)
+    backend = Flaky(ScriptedScenario("fixture", dataset.questions, behaviors))
     run = run_method(backend, dataset, MethodSpec("vanilla"), PRICING, concurrency=1)
     assert run.report.failed_count == 1
     assert run.report.sample_count == 2
@@ -296,7 +296,7 @@ def test_direct_method_sends_bare_prompt(fig_like_question):
 
     behavior = behavior_from_curve(vanilla_tokens=15, curve={})
     backend = Recording(
-        questions=[fig_like_question], behaviors={fig_like_question.id: behavior}
+        ScriptedScenario("fig", [fig_like_question], {fig_like_question.id: behavior})
     )
     run_method(backend, Dataset("fig", [fig_like_question]), MethodSpec("direct"), PRICING)
     assert seen == [fig_like_question.text]

@@ -144,6 +144,18 @@ def test_template_override_with_budget_placeholder():
     assert prompt.user.endswith("Answer within 9 tokens.")
 
 
+@pytest.mark.parametrize("suffix", [
+    "Be brief:",
+    "Use at most {tokens} tokens:",
+    "Use {budget} tokens, not {budget}:",
+    "Use at most {budget:>5} tokens:",
+    "Use at most {0} tokens:",
+])
+def test_budgeted_suffix_needs_exactly_one_budget_field(suffix):
+    with pytest.raises(ValueError, match="budgeted_suffix"):
+        PromptTemplates(budgeted_suffix=suffix)
+
+
 def test_unknown_template_override_rejected():
     with pytest.raises(ValueError, match="unknown template"):
         PromptTemplates.from_config({"nonsense": "x"})

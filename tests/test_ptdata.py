@@ -7,6 +7,7 @@ import json
 import pytest
 
 from tokenbudget.backend import ResponseCache
+from tokenbudget.errors import DatasetError
 from tokenbudget.ptdata import (
     DPO_FORMAT,
     SFT_FORMAT,
@@ -162,6 +163,21 @@ def test_export_dpo_round_trip(tmp_path, rebound_question, rebound_backend):
     with open(path) as handle:
         record = json.loads(handle.readline())
     assert set(record) == {"input", "chosen", "rejected", "meta"}
+
+
+@pytest.mark.parametrize("line, problem", [
+    ('{"input": "Q?", "target": "A.", "meta": {}, "extra": 1}', "'extra'"),
+    ('{"input": "Q?", "meta": {}}', "'target'"),
+    ('["Q?", "A."]', "not a JSON object"),
+    ('{"input": "Q?", "tar', "malformed JSON"),
+])
+def test_load_corpus_names_the_file_and_line_of_a_bad_record(tmp_path, line, problem):
+    path = tmp_path / "corpus_sft.jsonl"
+    good = '{"input": "Q?", "target": "A.", "meta": {}}'
+    path.write_text(f"{good}\n\n{line}\n")
+    with pytest.raises(DatasetError, match=r"corpus_sft\.jsonl: line 3: ") as excinfo:
+        load_corpus(str(path), SFT_FORMAT)
+    assert problem in str(excinfo.value)
 
 
 def test_load_corpus_reads_literal_corpus_lines(tmp_path):
