@@ -33,7 +33,6 @@ from .ep import EpResult, run_ep, scale_budget
 from .errors import (
     ConfigError,
     DatasetError,
-    EstimationParseError,
     HarnessError,
     ProtocolError,
     RateLimitError,

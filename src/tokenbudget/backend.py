@@ -193,12 +193,16 @@ class CompletionBackend:
             hit = self._cache.get(fingerprint)
             if hit is not None:
                 return hit
-        outcome = self._request(prompt, fingerprint)
+        text, usage = self._request(prompt)
+        outcome = CompletionOutcome(
+            text=text, usage=usage, model_id=self.model_id, request_fingerprint=fingerprint
+        )
         if self._cache is not None:
             self._cache.put(fingerprint, outcome)
         return outcome
 
-    def _request(self, prompt: Prompt, fingerprint: str) -> CompletionOutcome:
+    def _request(self, prompt: Prompt) -> tuple[str, TokenUsage]:
+        """Send one prompt upstream: the response text and its token usage."""
         raise NotImplementedError
 
 
@@ -280,63 +284,57 @@ class ScriptedBackend(CompletionBackend):
         with self._lock:
             return self._upstream_calls
 
-    def _match_question(self, prompt: Prompt) -> Question:
-        """The question whose text is the longest run of whole leading lines.
+    def _select_entry(self, prompt: Prompt) -> tuple[Question, ScriptedEntry]:
+        """The prompt's question and scripted entry, from one read of the prompt.
 
-        Every rendered prompt starts with the question text, or with it right
-        after the estimation task line(s). Trying the longest run first means
-        one question text being a prefix or a line of another cannot misroute
-        a prompt.
+        An estimation prompt starts with the estimation task line(s). The
+        question text is the longest run of whole leading lines after them
+        that names a question, so one question text being a prefix or a line
+        of another cannot misroute a prompt. The budget is read only from the
+        template lines after the question, never from the question itself.
         """
         lines = prompt.user.split("\n")
-        start = 0
         task = self.templates.estimation_task
-        if prompt.user.startswith(task + "\n"):
-            start = task.count("\n") + 1
+        estimation = prompt.user.startswith(task + "\n")
+        start = task.count("\n") + 1 if estimation else 0
         for stop in range(len(lines), start, -1):
             question = self._by_text.get("\n".join(lines[start:stop]))
             if question is not None:
-                return question
-        raise ConfigError("no scripted question matches the incoming prompt")
+                break
+        else:
+            raise ConfigError("no scripted question matches the incoming prompt")
 
-    def _select_entry(self, prompt: Prompt, question: Question) -> ScriptedEntry:
         behavior = self._behaviors.get(question.id)
         if behavior is None:
             if self._default_entry is None:
                 raise ConfigError(f"no scripted behavior for question {question.id!r}")
-            return self._default_entry
+            return question, self._default_entry
         fallback = behavior.default or self._default_entry
-        if prompt.user.startswith(self.templates.estimation_task):
+        if estimation:
             entry = behavior.estimate or fallback
         else:
-            budget = classify_prompt_budget(prompt, self.templates)
+            pattern = _budget_pattern(self.templates.budgeted_suffix)
+            budget = pattern.search("\n".join(lines[stop:]))
             if budget is None:
                 entry = behavior.vanilla
             else:
-                entry = behavior.cost_curve.get(budget, fallback)
+                entry = behavior.cost_curve.get(int(budget.group(1)), fallback)
         if entry is None:
             raise ConfigError(
                 f"scripted behavior for question {question.id!r} has no entry "
                 f"for this prompt and no fallback"
             )
-        return entry
+        return question, entry
 
-    def _request(self, prompt: Prompt, fingerprint: str) -> CompletionOutcome:
+    def _request(self, prompt: Prompt) -> tuple[str, TokenUsage]:
         with self._lock:
             self._upstream_calls += 1
-        question = self._match_question(prompt)
-        entry = self._select_entry(prompt, question)
+        question, entry = self._select_entry(prompt)
         text = entry.text if entry.text is not None else _synthesize_text(question, entry.correct)
-        usage = TokenUsage(
+        return text, TokenUsage(
             input_tokens=count_tokens_approx(prompt.system) + count_tokens_approx(prompt.user),
             output_tokens=entry.output_tokens,
             counting_source=CountingSource.PROVIDER_REPORTED,
-        )
-        return CompletionOutcome(
-            text=text,
-            usage=usage,
-            model_id=self.model_id,
-            request_fingerprint=fingerprint,
         )
 
 
@@ -420,6 +418,13 @@ class RetryPolicy:
     multiplier: float = 2.0
     jitter: float = 0.1
 
+    def __post_init__(self):
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        for name in ("initial_backoff", "multiplier", "jitter"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+
 
 # Seconds to wait for one chat-completions reply before the attempt fails.
 REQUEST_TIMEOUT = 120.0
@@ -451,7 +456,7 @@ class LiveBackend(CompletionBackend):
         self._retry = retry or RetryPolicy()
         self._session = session or requests.Session()
 
-    def _request(self, prompt: Prompt, fingerprint: str) -> CompletionOutcome:
+    def _request(self, prompt: Prompt) -> tuple[str, TokenUsage]:
         body = {
             "model": self.model_id,
             "messages": [
@@ -488,12 +493,12 @@ class LiveBackend(CompletionBackend):
                     f"unexpected HTTP {response.status_code}", raw_body=response.text
                 )
             else:
-                return self._parse_response(response, prompt, fingerprint)
+                return self._parse_response(response, prompt)
         raise last_error
 
     def _parse_response(
-        self, response: requests.Response, prompt: Prompt, fingerprint: str
-    ) -> CompletionOutcome:
+        self, response: requests.Response, prompt: Prompt
+    ) -> tuple[str, TokenUsage]:
         try:
             payload = response.json()
         except ValueError as exc:
@@ -511,20 +516,13 @@ class LiveBackend(CompletionBackend):
         prompt_tokens = usage_block.get("prompt_tokens")
         completion_tokens = usage_block.get("completion_tokens")
         if prompt_tokens is not None and completion_tokens is not None:
-            usage = TokenUsage(
+            return text, TokenUsage(
                 input_tokens=int(prompt_tokens),
                 output_tokens=int(completion_tokens),
                 counting_source=CountingSource.PROVIDER_REPORTED,
             )
-        else:
-            usage = TokenUsage(
-                input_tokens=count_tokens_approx(prompt.system) + count_tokens_approx(prompt.user),
-                output_tokens=count_tokens_approx(text),
-                counting_source=CountingSource.LOCAL_APPROXIMATION,
-            )
-        return CompletionOutcome(
-            text=text,
-            usage=usage,
-            model_id=self.model_id,
-            request_fingerprint=fingerprint,
+        return text, TokenUsage(
+            input_tokens=count_tokens_approx(prompt.system) + count_tokens_approx(prompt.user),
+            output_tokens=count_tokens_approx(text),
+            counting_source=CountingSource.LOCAL_APPROXIMATION,
         )

@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .backend import (
     LiveBackend,
@@ -28,11 +28,12 @@ from .backend import (
     parse_scripted_file,
 )
 from .core import PricingTable, _text, _typed
-from .errors import ConfigError, DatasetError, HarnessError
+from .errors import ConfigError, HarnessError
 from .evaluate import (
     JSON_FORMAT,
     TABLE_TEXT,
     CSV_FORMAT,
+    SampleRecord,
     _pool_map,
     load_dataset,
     parse_method,
@@ -51,6 +52,7 @@ from .ptdata import (
     generate_target,
 )
 from .search import (
+    SearchRecord,
     elasticity_rows,
     estimator_quality,
     ideal_budget_range,
@@ -58,7 +60,6 @@ from .search import (
     monotonic_fraction,
     search_optimal_budget,
     search_record,
-    trace_from_record,
 )
 
 EXIT_OK = 0
@@ -117,7 +118,10 @@ def load_config(path: str) -> HarnessConfig:
             top.get("retry", {}), "retry",
             max_attempts=int, initial_backoff=float, multiplier=float, jitter=float,
         ))
-        templates = PromptTemplates.from_config(top.get("templates"))
+        templates = PromptTemplates(**_typed(
+            top.get("templates", {}), "templates",
+            **{template.name: _text for template in fields(PromptTemplates)},
+        ))
         pricing = PricingTable.from_config(top.get("pricing", []))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -283,31 +287,32 @@ def cmd_search(args) -> int:
 
 
 def cmd_elasticity(args) -> int:
+    k = args.k
+    if k != "auto":
+        if not k.isdecimal() or int(k) < 1:
+            raise ConfigError(f"--k must be 'auto' or an integer >= 1, got {k!r}")
+        k = int(k)
     ctx = VerbContext(args, "elasticity", cohort=False)
-    records = read_jsonl(args.search_output)
 
-    k = args.k if args.k == "auto" else int(args.k)
     ranges = {}
     skipped = []
-    for record in records:
-        question_id = record["question_id"]
-        if record.get("status") != "found":
-            skipped.append({"question_id": question_id, "reason": record.get("status", "error")})
+    for record in read_jsonl(args.search_output, SearchRecord):
+        if record.status != "found":
+            skipped.append({"question_id": record.question_id, "reason": record.status})
             continue
-        trace = trace_from_record(record)
         try:
-            window = ideal_budget_range(trace, k)
+            window = ideal_budget_range(record.trace, k)
         except ValueError as exc:
-            skipped.append({"question_id": question_id, "reason": str(exc)})
+            skipped.append({"question_id": record.question_id, "reason": str(exc)})
             continue
-        ranges[question_id] = window
+        ranges[record.question_id] = window
 
     quality_block = None
     if args.estimates:
         estimates = {
-            record["question_id"]: int(record["estimated_budget"])
-            for record in read_jsonl(args.estimates)
-            if record.get("estimated_budget") is not None
+            record.question_id: int(record.estimated_budget)
+            for record in read_jsonl(args.estimates, SampleRecord)
+            if record.estimated_budget is not None
         }
         paired = [
             (estimates[qid], window) for qid, window in ranges.items() if qid in estimates
@@ -393,17 +398,15 @@ def cmd_audit(args) -> int:
     questions = {q.id: q for q in ctx.dataset.questions}
     skipped = []
     auditable = []
-    for record in read_jsonl(args.search_output):
-        question = questions.get(record["question_id"])
-        reason = record.get("status", "unknown")
+    for record in read_jsonl(args.search_output, SearchRecord):
+        question = questions.get(record.question_id)
+        reason = record.status
         if reason == "found" and question is None:
             reason = "not_in_cohort"
         if reason != "found":
-            skipped.append({"question_id": record["question_id"], "reason": reason})
+            skipped.append({"question_id": record.question_id, "reason": reason})
             continue
-        if not isinstance(record.get("optimal_budget"), int):
-            raise DatasetError(f"{args.search_output}: record {question.id!r} has no optimal_budget")
-        auditable.append((question, record["optimal_budget"]))
+        auditable.append((question, record.optimal_budget))
 
     outcomes = ctx.map(
         lambda item: monotonicity_audit(ctx.backend, *item, multipliers=multipliers),

@@ -13,21 +13,16 @@ from dataclasses import dataclass
 
 from .backend import CompletionBackend
 from .core import Question, TokenUsage, clamp_budget
-from .errors import EstimationParseError
 from .grading import Verdict, grade
 from .prompting import PromptKind
 
 _FIRST_INTEGER_RE = re.compile(r"\d+")
 
 
-def parse_estimate(raw_response: str) -> int:
-    """First integer in the response, clamped to >= 1."""
+def parse_estimate(raw_response: str) -> int | None:
+    """First integer in the response, clamped to >= 1; None when it holds no integer."""
     match = _FIRST_INTEGER_RE.search(raw_response)
-    if match is None:
-        raise EstimationParseError(
-            "estimation response contains no integer", raw_response=raw_response
-        )
-    return clamp_budget(int(match.group()))
+    return None if match is None else clamp_budget(int(match.group()))
 
 
 def scale_budget(estimate: int, alpha: float) -> int:
@@ -63,14 +58,10 @@ def run_ep(
     Exactly two backend calls on both the happy path and the fallback path.
     """
     estimation = backend.ask(question, PromptKind.BUDGET_ESTIMATION)
-    try:
-        estimate = parse_estimate(estimation.text)
-    except EstimationParseError:
-        estimate = budget = None
-        answer = backend.ask(question, PromptKind.VANILLA_COT)
-    else:
-        budget = scale_budget(estimate, alpha)
-        answer = backend.ask(question, PromptKind.BUDGETED_COT, budget=budget)
+    estimate = parse_estimate(estimation.text)
+    budget = None if estimate is None else scale_budget(estimate, alpha)
+    kind = PromptKind.VANILLA_COT if budget is None else PromptKind.BUDGETED_COT
+    answer = backend.ask(question, kind, budget=budget)
     return EpResult(
         verdict=grade(answer.text, question),
         estimation_usage=estimation.usage,

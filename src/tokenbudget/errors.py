@@ -28,10 +28,3 @@ class ProtocolError(HarnessError):
         super().__init__(message)
         self.raw_body = raw_body
 
-
-class EstimationParseError(HarnessError):
-    """A budget-estimation response contained no parseable integer."""
-
-    def __init__(self, message, raw_response=""):
-        super().__init__(message)
-        self.raw_response = raw_response

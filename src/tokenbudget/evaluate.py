@@ -61,12 +61,13 @@ def _jsonl_objects(path: str):
 
 
 def read_jsonl(path: str, record_type=dict) -> list:
-    """``record_type(**object)`` per JSONL line; a missing or unknown key is a DatasetError."""
+    """``record_type(**object)`` per JSONL line; a missing or unknown key, or
+    a value the type rejects, is a DatasetError naming the line."""
     records = []
     for number, item in _jsonl_objects(path):
         try:
             records.append(record_type(**item))
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise DatasetError(f"{path}: line {number}: {exc}") from exc
     return records
 

@@ -9,7 +9,7 @@ strings with a ``{budget}`` placeholder.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .core import AnswerKind, Question, validate_budget
@@ -57,15 +57,6 @@ class PromptTemplates:
         if [field[1:] for field in parsed if field[1] is not None] != [("budget", "", None)]:
             raise ValueError("budgeted_suffix needs exactly one replacement field, {budget}, "
                              f"got {self.budgeted_suffix!r}")
-
-    @classmethod
-    def from_config(cls, overrides: dict | None) -> "PromptTemplates":
-        if not overrides:
-            return cls()
-        unknown = set(overrides) - {f.name for f in cls.__dataclass_fields__.values()}
-        if unknown:
-            raise ValueError(f"unknown template overrides: {sorted(unknown)}")
-        return replace(cls(), **overrides)
 
 
 DEFAULT_TEMPLATES = PromptTemplates()

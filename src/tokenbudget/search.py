@@ -344,9 +344,24 @@ def search_record(question: Question, result: SearchResult) -> dict:
     }
 
 
-def trace_from_record(record: dict) -> ElasticityTrace:
-    """Rebuild a trace from a serialized search record."""
-    return ElasticityTrace([TracePoint(**row) for row in record.get("trace", [])])
+@dataclass
+class SearchRecord:
+    """One line of search_results.jsonl read back, checked: a search result
+    (its trace rows rebuilt as an ElasticityTrace) or the error that ended
+    the question's search."""
+
+    question_id: str
+    status: str
+    optimal_budget: int | None = None
+    upper_bound: int | None = None
+    target_output: str | None = None
+    trace: ElasticityTrace = field(default_factory=list)
+    error: str | None = None
+
+    def __post_init__(self):
+        self.trace = ElasticityTrace([TracePoint(**row) for row in self.trace])
+        if self.status == SearchStatus.FOUND.value and not isinstance(self.optimal_budget, int):
+            raise ValueError(f"found record {self.question_id!r} has no optimal_budget")
 
 
 def elasticity_rows(question_id: str, result: SearchResult) -> list[tuple]:

@@ -25,7 +25,13 @@ from tokenbudget.cli import load_config
 from tokenbudget.core import AnswerKind, CompletionOutcome, CountingSource, TokenUsage
 from tokenbudget.errors import ConfigError, DatasetError, ProtocolError, RateLimitError, TransportError
 from tokenbudget.grading import grade
-from tokenbudget.prompting import PromptKind, PromptTemplates, build_estimation_prompt, build_prompt
+from tokenbudget.prompting import (
+    ESTIMATION_TASK,
+    PromptKind,
+    PromptTemplates,
+    build_estimation_prompt,
+    build_prompt,
+)
 from tokenbudget.search import search_optimal_budget
 
 from conftest import behavior_from_curve, completion_payload, make_question, scripted_backend
@@ -154,6 +160,12 @@ _MATCHING_QUESTIONS = [
                    gold="7"), 300),
     (make_question(qid="line", text="Line one of the question.", gold="1"), 400),
     (make_question(qid="prefix", text="What is 3", gold="3"), 500),
+    # Task sentence at the start of a vanilla prompt, but not as its own line.
+    (make_question(qid="task", text=ESTIMATION_TASK + " What is 3 + 4?", gold="7"), 600),
+    # Lines shaped like the default and the overridden budgeted suffix.
+    (make_question(qid="suffix", gold="7", text="Ignore the next two lines.\n"
+                   "Let's think step by step and use less than 8 tokens:\n"
+                   "Think briefly, at most 8 tokens:\nWhat is 3 + 4?"), 700),
 ]
 
 

@@ -227,6 +227,14 @@ DEMO_DATASET = json.dumps(DEMO_SCENARIO)
                  DEMO_DATASET, [], "budgeted_suffix", id="suffix-with-another-field"),
     pytest.param(_config(templates={"budgeted_suffix": "Be brief:"}), DEMO_DATASET, [],
                  "budgeted_suffix", id="suffix-without-budget"),
+    pytest.param(_config(templates={"nonsense": "x"}), DEMO_DATASET, [],
+                 "unknown config key 'templates.nonsense'", id="unknown-template-key"),
+    pytest.param(_config(templates={"system": 5}), DEMO_DATASET, [], "templates.system",
+                 id="template-not-a-string"),
+    pytest.param(_config(retry={"max_attempts": 0}), DEMO_DATASET, [],
+                 "max_attempts must be >= 1", id="retry-without-attempts"),
+    pytest.param(_config(retry={"jitter": -0.5}), DEMO_DATASET, [], "jitter must be >= 0",
+                 id="negative-retry-jitter"),
 ])
 def test_bad_input_is_fatal_and_names_the_problem(tmp_path, capsys, config, dataset, flags,
                                                   problem):
@@ -407,6 +415,46 @@ def test_malformed_search_results_name_the_file_and_the_line(demo, capsys):
                  "--search-output", str(incomplete)]) == 1
     error = capsys.readouterr().err
     assert str(incomplete) in error and "optimal_budget" in error
+
+
+@pytest.mark.parametrize("verb, flag, line, problem", [
+    pytest.param("elasticity", "--search-output", {"status": "found", "optimal_budget": 4},
+                 "'question_id'", id="elasticity-result-without-question-id"),
+    pytest.param("audit", "--search-output", {"status": "vanilla_incorrect"},
+                 "'question_id'", id="audit-result-without-question-id"),
+    pytest.param("elasticity", "--search-output",
+                 {"question_id": "rebound", "status": "found", "optimal_budget": 4,
+                  "trace": [{"budget": 4, "correct": True}]},
+                 "'output_tokens'", id="trace-row-without-output-tokens"),
+    pytest.param("elasticity", "--estimates", {"method": "ep", "estimated_budget": 50},
+                 "'question_id'", id="ep-record-without-question-id"),
+])
+def test_read_back_records_are_checked(demo, capsys, verb, flag, line, problem):
+    config, dataset, tmp = demo
+    good = {"question_id": "mono", "status": "vanilla_incorrect"}
+    search_output = tmp / "search_results.jsonl"
+    search_output.write_text(json.dumps(good) + "\n")
+    if flag == "--estimates":
+        good = {"question_id": "mono", "method": "ep"}
+    bad = tmp / "bad.jsonl"
+    bad.write_text(f"{json.dumps(good)}\n{json.dumps(line)}\n")
+    argv = [verb, "--config", config, "--dataset", dataset, "--out-dir", str(tmp / "out")]
+    if flag == "--estimates":
+        argv += ["--search-output", str(search_output)]
+    capsys.readouterr()
+    assert main([*argv, flag, str(bad)]) == 1
+    error = capsys.readouterr().err
+    assert error.startswith(f"error: {bad}: line 2: ") and problem in error, error
+
+
+@pytest.mark.parametrize("k", ["0", "-1", "two"])
+def test_elasticity_rejects_a_bad_k_before_reading(demo, capsys, k):
+    config, _, tmp = demo
+    out = tmp / "out"
+    assert main(["elasticity", "--config", config, "--out-dir", str(out), "--k", k,
+                 "--search-output", str(tmp / "missing.jsonl")]) == 1
+    assert "--k" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

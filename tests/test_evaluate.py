@@ -188,10 +188,10 @@ def test_records_stream_in_dataset_order_regardless_of_concurrency():
 
 def test_backend_failures_excluded_from_denominator():
     class Flaky(ScriptedBackend):
-        def _request(self, prompt, fingerprint):
+        def _request(self, prompt):
             if "Second" in prompt.user:
                 raise TransportError("down")
-            return super()._request(prompt, fingerprint)
+            return super()._request(prompt)
 
     dataset, _ = three_sample_cohort()
     behaviors = {
@@ -290,9 +290,9 @@ def test_direct_method_sends_bare_prompt(fig_like_question):
     seen = []
 
     class Recording(ScriptedBackend):
-        def _request(self, prompt, fingerprint):
+        def _request(self, prompt):
             seen.append(prompt.user)
-            return super()._request(prompt, fingerprint)
+            return super()._request(prompt)
 
     behavior = behavior_from_curve(vanilla_tokens=15, curve={})
     backend = Recording(

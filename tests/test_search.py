@@ -11,6 +11,7 @@ from tokenbudget.prompting import PromptTemplates
 from tokenbudget.search import (
     ElasticityTrace,
     IdealRange,
+    SearchRecord,
     SearchStatus,
     TracePoint,
     elasticity_rows,
@@ -21,7 +22,6 @@ from tokenbudget.search import (
     monotonicity_audit,
     search_optimal_budget,
     search_record,
-    trace_from_record,
 )
 
 from conftest import behavior_from_curve, make_question, scripted_backend
@@ -360,7 +360,7 @@ def test_search_record_round_trip(rebound_question, rebound_backend):
     assert record["question_id"] == "rebound"
     assert record["optimal_budget"] == 64
     assert record["trace"][0]["response_fingerprint"]
-    rebuilt = trace_from_record(json.loads(json.dumps(record)))
+    rebuilt = SearchRecord(**json.loads(json.dumps(record))).trace
     assert rebuilt.points == result.trace.points
 
 
