@@ -15,7 +15,6 @@ from .backend import (
     ScriptedBehavior,
     ScriptedEntry,
     ScriptedScenario,
-    classify_prompt_budget,
     parse_scripted_file,
 )
 from .core import (

@@ -10,17 +10,21 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import http.client
 import json
+import math
 import os
 import random
 import re
+import select
+import ssl
 import string
 import threading
 import time
+import urllib.parse
+import urllib.request
 import weakref
 from dataclasses import dataclass, field
-
-import requests
 
 from .core import (
     AnswerKind,
@@ -43,8 +47,8 @@ class SamplingParams:
     max_candidates: int = 1
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be >= 0 and finite, got {self.temperature!r}")
         # Only the first choice is graded, while provider usage counts every
         # choice; more candidates would inflate the token counts.
         if self.max_candidates != 1:
@@ -63,17 +67,6 @@ def _budget_pattern(budgeted_suffix: str) -> re.Pattern:
         if field_name is not None:
             parts.append(r"(\d+)")
     return re.compile("^" + "".join(parts) + "$", re.M)
-
-
-def classify_prompt_budget(prompt: Prompt, templates: PromptTemplates | None = None) -> int | None:
-    """Extract the token budget from a rendered prompt; None means no budget.
-
-    The budget is read from the lines that render the budgeted suffix of
-    ``templates`` (the defaults when none are given).
-    """
-    pattern = _budget_pattern((templates or DEFAULT_TEMPLATES).budgeted_suffix)
-    match = pattern.search(prompt.user)
-    return int(match.group(1)) if match and pattern.groups else None
 
 
 def request_fingerprint(prompt: Prompt, params: SamplingParams) -> str:
@@ -287,22 +280,27 @@ class ScriptedBackend(CompletionBackend):
     def _select_entry(self, prompt: Prompt) -> tuple[Question, ScriptedEntry]:
         """The prompt's question and scripted entry, from one read of the prompt.
 
-        An estimation prompt starts with the estimation task line(s). The
-        question text is the longest run of whole leading lines after them
-        that names a question, so one question text being a prefix or a line
+        An estimation prompt is exactly three parts: the estimation task
+        line(s), a question's text, then the contract line(s). Any other
+        prompt starts with its question, the longest run of whole leading
+        lines that names one, so one question text being a prefix or a line
         of another cannot misroute a prompt. The budget is read only from the
         template lines after the question, never from the question itself.
         """
-        lines = prompt.user.split("\n")
-        task = self.templates.estimation_task
-        estimation = prompt.user.startswith(task + "\n")
-        start = task.count("\n") + 1 if estimation else 0
-        for stop in range(len(lines), start, -1):
-            question = self._by_text.get("\n".join(lines[start:stop]))
-            if question is not None:
-                break
-        else:
-            raise ConfigError("no scripted question matches the incoming prompt")
+        text = prompt.user
+        task, contract = self.templates.estimation_task, self.templates.estimation_contract
+        question = None
+        if text.startswith(task + "\n") and text.endswith("\n" + contract):
+            question = self._by_text.get(text[len(task) + 1:-len(contract) - 1])
+        estimation = question is not None
+        if not estimation:
+            lines = text.split("\n")
+            for stop in range(len(lines), 0, -1):
+                question = self._by_text.get("\n".join(lines[:stop]))
+                if question is not None:
+                    break
+            else:
+                raise ConfigError("no scripted question matches the incoming prompt")
 
         behavior = self._behaviors.get(question.id)
         if behavior is None:
@@ -422,8 +420,8 @@ class RetryPolicy:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         for name in ("initial_backoff", "multiplier", "jitter"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)!r}")
 
 
 # Seconds to wait for one chat-completions reply before the attempt fails.
@@ -437,6 +435,10 @@ class LiveBackend(CompletionBackend):
     (counting_source = provider_reported); the local approximation is only a
     fallback and is tagged as such. Credentials are taken from the
     environment, never from config file contents.
+
+    Requests share a pool of HTTP/1.1 keep-alive connections, never more than
+    are in use at once. ``HTTP(S)_PROXY`` and ``NO_PROXY`` are read from the
+    environment once; TLS is verified against the system CA store.
     """
 
     def __init__(
@@ -446,18 +448,69 @@ class LiveBackend(CompletionBackend):
         api_key: str,
         retry: RetryPolicy | None = None,
         cache: ResponseCache | None = None,
-        session: requests.Session | None = None,
         params: SamplingParams = DEFAULT_SAMPLING,
         templates: PromptTemplates | None = None,
     ):
         super().__init__(model_id=model_id, cache=cache, params=params, templates=templates)
-        self._endpoint = endpoint
-        self._api_key = api_key
         self._retry = retry or RetryPolicy()
-        self._session = session or requests.Session()
+        self._headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
+        url = urllib.parse.urlsplit(endpoint)
+        https = url.scheme == "https"
+        host, port = url.hostname, url.port or (443 if https else 80)
+        self._target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
+        self._tunnel = None
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(url.netloc):
+            proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            if https:
+                self._tunnel = (host, port)
+            else:
+                # A plain HTTP proxy takes the absolute URL as the request target.
+                self._target = endpoint
+            host, port = proxy_url.hostname, proxy_url.port or 80
+        tls = {"context": ssl.create_default_context()} if https else {}
+        self._connect = functools.partial(
+            http.client.HTTPSConnection if https else http.client.HTTPConnection,
+            host, port, timeout=REQUEST_TIMEOUT, **tls,
+        )
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
+        weakref.finalize(self, lambda idle: [c.close() for c in idle], self._idle)
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """An idle pooled connection the server has not closed, or a new one."""
+        with self._idle_lock:
+            while self._idle:
+                connection = self._idle.pop()
+                # An idle keep-alive socket polls readable only once the server
+                # has closed it (or sent bytes no request asked for).
+                if not select.select([connection.sock], [], [], 0)[0]:
+                    return connection
+                connection.close()
+        connection = self._connect()
+        if self._tunnel:
+            connection.set_tunnel(*self._tunnel)
+        return connection
+
+    def _post(self, body: bytes) -> tuple[int, bytes]:
+        """One POST of ``body`` to the endpoint: the reply's status and body."""
+        connection = self._connection()
+        try:
+            connection.request("POST", self._target, body, self._headers)
+            response = connection.getresponse()
+            data = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        if response.will_close:
+            connection.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(connection)
+        return response.status, data
 
     def _request(self, prompt: Prompt) -> tuple[str, TokenUsage]:
-        body = {
+        body = json.dumps({
             "model": self.model_id,
             "messages": [
                 {"role": "system", "content": prompt.system},
@@ -466,11 +519,7 @@ class LiveBackend(CompletionBackend):
             "temperature": self.params.temperature,
             "seed": self.params.seed,
             "n": self.params.max_candidates,
-        }
-        headers = {
-            "Authorization": f"Bearer {self._api_key}",
-            "Content-Type": "application/json",
-        }
+        }, allow_nan=False).encode("utf-8")
         policy = self._retry
         last_error: Exception = TransportError("no attempt was made")
         for attempt in range(policy.max_attempts):
@@ -478,36 +527,29 @@ class LiveBackend(CompletionBackend):
                 delay = policy.initial_backoff * policy.multiplier ** (attempt - 1)
                 time.sleep(delay * (1.0 + policy.jitter * random.random()))
             try:
-                response = self._session.post(
-                    self._endpoint, json=body, headers=headers, timeout=REQUEST_TIMEOUT
-                )
-            except requests.RequestException as exc:
+                status, data = self._post(body)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = TransportError(f"request failed: {exc}")
                 continue
-            if response.status_code == 429:
+            if status == 429:
                 last_error = RateLimitError("rate limited (HTTP 429) after retries")
-            elif response.status_code >= 500:
-                last_error = TransportError(f"server error HTTP {response.status_code}")
-            elif response.status_code != 200:
+            elif status >= 500:
+                last_error = TransportError(f"server error HTTP {status}")
+            elif status != 200:
                 raise ProtocolError(
-                    f"unexpected HTTP {response.status_code}", raw_body=response.text
+                    f"unexpected HTTP {status}", raw_body=data.decode("utf-8", "replace")
                 )
             else:
-                return self._parse_response(response, prompt)
+                return self._parse_response(data, prompt)
         raise last_error
 
-    def _parse_response(
-        self, response: requests.Response, prompt: Prompt
-    ) -> tuple[str, TokenUsage]:
+    def _parse_response(self, data: bytes, prompt: Prompt) -> tuple[str, TokenUsage]:
         try:
-            payload = response.json()
-        except ValueError as exc:
-            raise ProtocolError("provider returned non-JSON body", raw_body=response.text) from exc
-        try:
+            payload = json.loads(data)
             text = payload["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(
-                f"malformed completion payload: {exc}", raw_body=response.text
+                f"malformed completion payload: {exc}", raw_body=data.decode("utf-8", "replace")
             ) from exc
         if text is None:
             text = ""

@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+import urllib.parse
 from dataclasses import dataclass, fields
 
 from .backend import (
@@ -133,6 +134,12 @@ def load_config(path: str) -> HarnessConfig:
         for key in ("endpoint", "credential_env", "model_id"):
             if not backend.get(key):
                 raise ConfigError(f"{path}: live backend requires backend.{key}")
+        try:
+            url = urllib.parse.urlsplit(backend["endpoint"])
+            if url.scheme not in ("http", "https") or not url.hostname or url.port == 0:
+                raise ValueError("not an http or https URL with a host")
+        except ValueError as exc:
+            raise ConfigError(f"{path}: backend.endpoint {backend['endpoint']!r}: {exc}") from exc
 
     canonical = json.dumps(raw, sort_keys=True, ensure_ascii=True)
     return HarnessConfig(

@@ -170,8 +170,31 @@ def write_demo_files(directory) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 
 
+class _CountingServer(ThreadingHTTPServer):
+    """Counts accepted connections and releases ``closed`` as each one ends."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.accepts = 0
+        self.closed = threading.Semaphore(0)
+
+    def get_request(self):
+        request = super().get_request()
+        self.accepts += 1
+        return request
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.release()
+
+
 class ScriptedHTTPServer:
-    """Serves a fixed sequence of (status, body) responses and records requests."""
+    """An HTTP/1.1 keep-alive server replaying fixed responses; records requests.
+
+    A response is (status, body) or (status, body, after): after ``"close"``
+    the reply says ``Connection: close`` and the server closes the connection,
+    after ``"drop"`` it closes the connection without saying so.
+    """
 
     def __init__(self, responses):
         self.responses = list(responses)
@@ -179,6 +202,8 @@ class ScriptedHTTPServer:
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 outer.requests.append(
@@ -188,20 +213,26 @@ class ScriptedHTTPServer:
                         "path": self.path,
                     }
                 )
-                status, body = outer.responses.pop(0) if outer.responses else (200, "{}")
+                status, body, *after = outer.responses.pop(0) if outer.responses else (200, "{}")
                 payload = body if isinstance(body, str) else json.dumps(body)
                 data = payload.encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
+                if after == ["close"]:
+                    self.send_header("Connection", "close")
                 self.end_headers()
                 self.wfile.write(data)
+                if after == ["drop"]:
+                    self.close_connection = True
 
             def log_message(self, *args):
                 pass
 
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        self.server = _CountingServer(("127.0.0.1", 0), Handler)
+        # A short poll interval lets shutdown() return in milliseconds, not 0.5 s.
+        self.thread = threading.Thread(target=self.server.serve_forever,
+                                       kwargs={"poll_interval": 0.01}, daemon=True)
         self.thread.start()
 
     @property

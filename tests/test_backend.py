@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
-import types
+import os
+import subprocess
+import sys
+import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-import requests
 
+import tokenbudget
 from tokenbudget.backend import (
     DEFAULT_SAMPLING,
     LiveBackend,
@@ -17,7 +20,6 @@ from tokenbudget.backend import (
     SamplingParams,
     ScriptedBackend,
     ScriptedEntry,
-    classify_prompt_budget,
     parse_scripted_file,
     request_fingerprint,
 )
@@ -162,6 +164,11 @@ _MATCHING_QUESTIONS = [
     (make_question(qid="prefix", text="What is 3", gold="3"), 500),
     # Task sentence at the start of a vanilla prompt, but not as its own line.
     (make_question(qid="task", text=ESTIMATION_TASK + " What is 3 + 4?", gold="7"), 600),
+    # Task line(s) as the question's own first line(s), followed by the text of
+    # "num": its vanilla prompt starts like the estimation prompt of "num".
+    (make_question(qid="task-line", text=ESTIMATION_TASK + "\nWhat is 3 + 4?", gold="7"), 800),
+    (make_question(qid="override-task-line", gold="7",
+                   text=OVERRIDDEN_TEMPLATES.estimation_task + "\nWhat is 3 + 4?"), 900),
     # Lines shaped like the default and the overridden budgeted suffix.
     (make_question(qid="suffix", gold="7", text="Ignore the next two lines.\n"
                    "Let's think step by step and use less than 8 tokens:\n"
@@ -200,9 +207,12 @@ def test_budget_parsing_follows_template_override():
         templates=OVERRIDDEN_TEMPLATES,
     )
     prompt = build_prompt(question, PromptKind.BUDGETED_COT, budget=8, templates=OVERRIDDEN_TEMPLATES)
-    assert classify_prompt_budget(prompt, OVERRIDDEN_TEMPLATES) == 8
-    assert classify_prompt_budget(prompt) is None
     assert backend.complete(prompt).usage.output_tokens == 7
+    # Under the default templates the overridden suffix is no budget.
+    default = scripted_backend(
+        {question: behavior_from_curve(vanilla_tokens=100, curve={8: (7, True)})}
+    )
+    assert default.complete(prompt).usage.output_tokens == 100
 
 
 def test_suffix_wording_inside_a_question_is_not_a_budget():
@@ -213,13 +223,17 @@ def test_suffix_wording_inside_a_question_is_not_a_budget():
         templates=templates,
     )
     vanilla = build_prompt(question, PromptKind.VANILLA_COT, templates=templates)
-    assert classify_prompt_budget(vanilla, templates) is None
     assert backend.complete(vanilla).usage.output_tokens == 100
     budgeted = build_prompt(question, PromptKind.BUDGETED_COT, budget=8, templates=templates)
     assert backend.complete(budgeted).usage.output_tokens == 7
 
     default_wording = make_question(qid="dw", text="Can you use less than 50 tokens here?", gold="1")
-    assert classify_prompt_budget(build_prompt(default_wording, PromptKind.VANILLA_COT)) is None
+    backend = scripted_backend(
+        {default_wording: behavior_from_curve(vanilla_tokens=100, curve={50: (7, True)},
+                                              default=(5, True))}
+    )
+    vanilla = build_prompt(default_wording, PromptKind.VANILLA_COT)
+    assert backend.complete(vanilla).usage.output_tokens == 100
 
 
 def test_more_than_one_candidate_is_rejected(tmp_path):
@@ -249,13 +263,15 @@ def test_sampling_and_retry_defaults_pinned():
 # ---------------------------------------------------------------------------
 
 
-def test_classify_examples(fig_like_question):
+def test_classify_examples(fig_like_question, fig_like_backend):
+    # The served entry names the budget the mock read: 50 -> 86, none -> 258
+    # (vanilla), 10 -> 157; any other budget would get the default's 200.
     budgeted = build_prompt(fig_like_question, PromptKind.BUDGETED_COT, budget=50)
     vanilla = build_prompt(fig_like_question, PromptKind.VANILLA_COT)
     tiny = build_prompt(fig_like_question, PromptKind.BUDGETED_COT, budget=10)
-    assert classify_prompt_budget(budgeted) == 50
-    assert classify_prompt_budget(vanilla) is None
-    assert classify_prompt_budget(tiny) == 10
+    assert fig_like_backend.complete(budgeted).usage.output_tokens == 86
+    assert fig_like_backend.complete(vanilla).usage.output_tokens == 258
+    assert fig_like_backend.complete(tiny).usage.output_tokens == 157
 
 
 # ---------------------------------------------------------------------------
@@ -561,57 +577,168 @@ def test_live_backend_uses_cache(http_server, tmp_path, fig_like_question):
     assert len(server.requests) == 1
 
 
-class _ReplaySession:
-    """Stands in for requests.Session: each post raises or returns the next reply."""
+class _ReplayPost:
+    """Stands in for LiveBackend._post: each call raises or returns the next reply."""
 
     def __init__(self, replies):
         self.replies = list(replies)
         self.posts = 0
 
-    def post(self, *args, **kwargs):
+    def __call__(self, body):
         self.posts += 1
         reply = self.replies.pop(0)
         if isinstance(reply, Exception):
             raise reply
-        return types.SimpleNamespace(status_code=reply, text="{}")
+        return reply, b"{}"
 
 
 def _replayed(replies, retry, monkeypatch):
-    """A live backend on replayed replies; returns it, its session and the sleeps."""
+    """A live backend on replayed replies; returns it, its replayed post and the sleeps."""
     sleeps = []
     monkeypatch.setattr("tokenbudget.backend.time.sleep", sleeps.append)
-    session = _ReplaySession(replies)
+    post = _ReplayPost(replies)
     backend = LiveBackend(endpoint="http://127.0.0.1:1/v1/chat/completions",
-                          model_id="gpt-4o-mini", api_key="sk-test", retry=retry,
-                          session=session)
-    return backend, session, sleeps
+                          model_id="gpt-4o-mini", api_key="sk-test", retry=retry)
+    monkeypatch.setattr(backend, "_post", post)
+    return backend, post, sleeps
 
 
 def test_live_backend_backoff_grows_geometrically_with_no_sleep_after_the_last_attempt(
         monkeypatch, fig_like_question):
     retry = RetryPolicy(max_attempts=4, initial_backoff=0.5, multiplier=3.0, jitter=0.0)
-    backend, session, sleeps = _replayed([503] * 4, retry, monkeypatch)
+    backend, post, sleeps = _replayed([503] * 4, retry, monkeypatch)
     with pytest.raises(TransportError, match="503"):
         backend.ask(fig_like_question, PromptKind.VANILLA_COT)
-    assert session.posts == 4
+    assert post.posts == 4
     assert sleeps == [0.5, 1.5, 4.5]
 
 
 def test_live_backend_retries_connection_errors_then_transport_error(
         monkeypatch, fig_like_question):
     retry = RetryPolicy(max_attempts=3, initial_backoff=1.0, multiplier=2.0, jitter=0.0)
-    refused = requests.ConnectionError("connection refused")
-    backend, session, sleeps = _replayed([refused] * 3, retry, monkeypatch)
+    refused = ConnectionRefusedError("connection refused")
+    backend, post, sleeps = _replayed([refused] * 3, retry, monkeypatch)
     with pytest.raises(TransportError, match="connection refused"):
         backend.ask(fig_like_question, PromptKind.VANILLA_COT)
-    assert session.posts == 3
+    assert post.posts == 3
     assert sleeps == [1.0, 2.0]
 
 
 def test_live_backend_client_error_is_not_retried(monkeypatch, fig_like_question):
     retry = RetryPolicy(max_attempts=5, initial_backoff=1.0, jitter=0.0)
-    backend, session, sleeps = _replayed([404], retry, monkeypatch)
+    backend, post, sleeps = _replayed([404], retry, monkeypatch)
     with pytest.raises(ProtocolError, match="HTTP 404"):
         backend.ask(fig_like_question, PromptKind.VANILLA_COT)
-    assert session.posts == 1
+    assert post.posts == 1
     assert sleeps == []
+
+
+# ---------------------------------------------------------------------------
+# Keep-alive pool, proxies and packaging
+# ---------------------------------------------------------------------------
+
+
+def _budgeted(question, budget):
+    return build_prompt(question, PromptKind.BUDGETED_COT, budget=budget)
+
+
+def test_live_backend_reuses_one_connection_for_sequential_requests(http_server, fig_like_question):
+    server = http_server([(200, completion_payload())] * 3)
+    backend = _live(server)
+    for budget in (10, 20, 30):
+        assert backend.complete(_budgeted(fig_like_question, budget)).text == "The answer is 18."
+    assert len(server.requests) == 3
+    assert server.server.accepts == 1
+
+
+def test_live_backend_replaces_a_dropped_idle_connection_without_a_retry(
+        http_server, monkeypatch, fig_like_question):
+    sleeps = []
+    monkeypatch.setattr("tokenbudget.backend.time.sleep", sleeps.append)
+    server = http_server([(200, completion_payload(), "drop"), (200, completion_payload())])
+    backend = _live(server)
+    backend.complete(_budgeted(fig_like_question, 10))
+    assert server.server.closed.acquire(timeout=5)
+    assert backend.complete(_budgeted(fig_like_question, 20)).text == "The answer is 18."
+    assert len(server.requests) == 2
+    assert server.server.accepts == 2
+    assert sleeps == []
+
+
+def test_live_backend_does_not_reuse_a_connection_the_server_closes(
+        http_server, monkeypatch, fig_like_question):
+    sleeps = []
+    monkeypatch.setattr("tokenbudget.backend.time.sleep", sleeps.append)
+    server = http_server([(200, completion_payload(), "close"), (200, completion_payload())])
+    backend = _live(server)
+    backend.complete(_budgeted(fig_like_question, 10))
+    assert backend._idle == []
+    assert backend.complete(_budgeted(fig_like_question, 20)).text == "The answer is 18."
+    assert server.server.accepts == 2
+    assert sleeps == []
+
+
+def test_live_backend_pool_holds_every_connection_under_contention(http_server, fig_like_question):
+    prompts = [_budgeted(fig_like_question, budget) for budget in range(1, 65)]
+    server = http_server([(200, completion_payload())] * len(prompts))
+    backend = _live(server)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            outcomes = list(pool.map(backend.complete, prompts, timeout=30))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [o.text for o in outcomes] == ["The answer is 18."] * len(prompts)
+    # Every connection opened went back to the pool exactly once, and no
+    # request waited on or shared another's connection.
+    assert 1 <= server.server.accepts <= 16
+    assert len(backend._idle) == server.server.accepts
+    assert len({id(connection) for connection in backend._idle}) == server.server.accepts
+
+
+def _proxy_env(monkeypatch, **values):
+    for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    for name, value in values.items():
+        monkeypatch.setenv(name, value)
+
+
+@pytest.mark.parametrize("no_proxy", ["", "127.0.0.1"], ids=["proxied", "bypassed"])
+def test_live_backend_honours_http_proxy_and_no_proxy(
+        http_server, monkeypatch, fig_like_question, no_proxy):
+    proxy = http_server([(200, completion_payload())])
+    upstream = http_server([(200, completion_payload())])
+    host, port = proxy.server.server_address
+    _proxy_env(monkeypatch, HTTP_PROXY=f"http://{host}:{port}", NO_PROXY=no_proxy)
+    outcome = _live(upstream).ask(fig_like_question, PromptKind.VANILLA_COT)
+    assert outcome.text == "The answer is 18."
+    if no_proxy:
+        assert proxy.requests == []
+        assert upstream.requests[0]["path"] == urllib.parse.urlsplit(upstream.endpoint).path
+    else:
+        assert upstream.requests == []
+        assert proxy.requests[0]["path"] == upstream.endpoint
+
+
+def test_live_backend_tunnels_https_through_the_proxy(http_server, monkeypatch, fig_like_question):
+    # The proxy answers CONNECT with 501, so the tunnel fails at every attempt.
+    proxy = http_server([])
+    upstream = http_server([])
+    host, port = proxy.server.server_address
+    _proxy_env(monkeypatch, HTTPS_PROXY=f"http://{host}:{port}")
+    backend = LiveBackend(endpoint=upstream.endpoint.replace("http://", "https://"),
+                          model_id="gpt-4o-mini", api_key="sk-test", retry=FAST_RETRY)
+    with pytest.raises(TransportError, match="Tunnel connection failed"):
+        backend.ask(fig_like_question, PromptKind.VANILLA_COT)
+    assert proxy.server.accepts == FAST_RETRY.max_attempts
+    assert upstream.server.accepts == 0
+
+
+def test_import_leaves_requests_out():
+    code = "import sys, tokenbudget; print('requests' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(tokenbudget.__file__))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
+    assert result.stdout.strip() == "False"

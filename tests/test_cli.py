@@ -201,6 +201,15 @@ DEMO_DATASET = json.dumps(DEMO_SCENARIO)
     pytest.param(_config(), None, [], "requires --dataset", id="cohort-verb-without-dataset"),
     pytest.param(_config(sampling={"temperature": -1}), DEMO_DATASET, [],
                  "temperature must be >= 0", id="negative-temperature"),
+    pytest.param(_config(sampling={"temperature": float("nan")}), DEMO_DATASET, [],
+                 "temperature must be >= 0 and finite, got nan", id="nan-temperature"),
+    pytest.param(_config(sampling={"temperature": float("inf")}), DEMO_DATASET, [],
+                 "temperature must be >= 0 and finite, got inf", id="infinite-temperature"),
+    pytest.param(_config(retry={"initial_backoff": float("nan")}), DEMO_DATASET, [],
+                 "initial_backoff must be >= 0 and finite", id="nan-retry-backoff"),
+    pytest.param(_config(backend={"kind": "live", "endpoint": "localhost:9/v1/chat/completions",
+                                  "model_id": "m", "credential_env": "KEY"}),
+                 DEMO_DATASET, [], "backend.endpoint", id="endpoint-without-scheme"),
     pytest.param(_config(), '{"questions": [', [], "invalid JSON", id="fixture-not-json"),
     pytest.param(_config(), json.dumps({"questions": [{"id": "q", "gold_answer": "1"}]}), [],
                  "'text'", id="fixture-question-without-text"),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from tokenbudget.backend import classify_prompt_budget
+from tokenbudget.backend import ScriptedEntry
 from tokenbudget.core import AnswerKind
 from tokenbudget.prompting import (
     ESTIMATION_TASK,
@@ -15,7 +15,7 @@ from tokenbudget.prompting import (
     build_prompt,
 )
 
-from conftest import make_question
+from conftest import behavior_from_curve, make_question, scripted_backend
 
 NUMERIC_Q = make_question(qid="n1", text="How many bolts in total?", gold="3")
 CHOICE_Q = make_question(
@@ -98,13 +98,22 @@ def test_rendering_is_injective_across_kinds_and_budgets():
 
 @given(st.integers(min_value=1, max_value=10**9))
 def test_budget_round_trips_through_classification(budget):
+    # The scripted mock is the one budget reader: it serves the entry scripted
+    # for the budget it reads back, and the default for any other.
+    backend = scripted_backend(
+        {NUMERIC_Q: behavior_from_curve(vanilla_tokens=1, curve={budget: (budget + 1, True)})},
+        default_entry=ScriptedEntry(output_tokens=0),
+    )
     prompt = build_prompt(NUMERIC_Q, PromptKind.BUDGETED_COT, budget=budget)
-    assert classify_prompt_budget(prompt) == budget
+    assert backend.complete(prompt).usage.output_tokens == budget + 1
 
 
 def test_unbudgeted_prompts_classify_as_no_budget():
-    assert classify_prompt_budget(build_prompt(NUMERIC_Q, PromptKind.VANILLA_COT)) is None
-    assert classify_prompt_budget(build_prompt(NUMERIC_Q, PromptKind.DIRECT_ANSWER)) is None
+    backend = scripted_backend(
+        {NUMERIC_Q: behavior_from_curve(vanilla_tokens=7, curve={}, default=(0, True))}
+    )
+    for kind in (PromptKind.VANILLA_COT, PromptKind.DIRECT_ANSWER):
+        assert backend.complete(build_prompt(NUMERIC_Q, kind)).usage.output_tokens == 7
 
 
 def test_no_prompt_embeds_the_gold_answer():
