@@ -3,7 +3,8 @@
 Both share a fingerprint-keyed, append-only JSONL response cache, which is
 what makes batch runs resumable: replaying a request with an intact cache
 never reaches upstream. Backend instances are safe for concurrent
-``complete`` calls; cache writes are the only shared synchronization point.
+``complete`` calls, and no lock is held across a cache append: each new
+response is one ``os.write`` of a whole line to an ``O_APPEND`` descriptor.
 """
 
 from __future__ import annotations
@@ -85,17 +86,21 @@ def request_fingerprint(prompt: Prompt, params: SamplingParams) -> str:
 class ResponseCache:
     """Append-only JSONL cache of completed requests, keyed by fingerprint.
 
-    Concurrent readers are lock-free after load; appends are serialized and
-    go through one handle, opened at the first append and flushed per line.
-    A torn last line (a crash mid-append) is dropped and cut from the file on
-    load; a corrupt line anywhere else is a DatasetError naming the line.
+    Readers and writers take no lock: ``put`` claims a fingerprint with one
+    ``dict.setdefault``, so only the first put of a fingerprint appends, and
+    writes its line with one ``os.write`` to an ``O_APPEND`` descriptor, so
+    concurrent lines never interleave and each is in the kernel before
+    ``put`` returns. The lock guards only opening that descriptor at the
+    first put. A torn last line (a crash mid-append) is dropped and cut from
+    the file on load; a corrupt line anywhere else is a DatasetError naming
+    the line.
     """
 
     def __init__(self, path: str):
         self.path = path
         self._lock = threading.Lock()
         self._entries: dict[str, CompletionOutcome] = {}
-        self._handle = None
+        self._fd: int | None = None
         # The file ends in a complete record without its newline.
         self._needs_newline = False
         if os.path.exists(path):
@@ -126,30 +131,36 @@ class ResponseCache:
         else:
             self._needs_newline = not line.endswith(b"\n")
 
-    def _open_for_append(self):
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        handle = open(self.path, "a", encoding="utf-8")
-        weakref.finalize(self, handle.close)
-        if self._needs_newline:
-            handle.write("\n")
-            self._needs_newline = False
-        return handle
+    def _open_for_append(self) -> int:
+        """The append descriptor, opened (once) at the first put."""
+        with self._lock:
+            if self._fd is None:
+                directory = os.path.dirname(self.path)
+                if directory:
+                    os.makedirs(directory, exist_ok=True)
+                fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+                weakref.finalize(self, os.close, fd)
+                if self._needs_newline:
+                    os.write(fd, b"\n")
+                    self._needs_newline = False
+                self._fd = fd
+            return self._fd
 
     def get(self, fingerprint: str) -> CompletionOutcome | None:
         return self._entries.get(fingerprint)
 
     def put(self, fingerprint: str, outcome: CompletionOutcome) -> None:
-        with self._lock:
-            if fingerprint in self._entries:
-                return
-            self._entries[fingerprint] = outcome
-            record = {"fingerprint": fingerprint, "outcome": outcome.to_dict()}
-            if self._handle is None:
-                self._handle = self._open_for_append()
-            self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-            self._handle.flush()
+        # setdefault is one step under the GIL, so of concurrent puts of one
+        # fingerprint (each with its own outcome, as ``complete`` builds
+        # them) exactly one stores its outcome and appends.
+        entries = self._entries
+        if fingerprint in entries or entries.setdefault(fingerprint, outcome) is not outcome:
+            return
+        record = {"fingerprint": fingerprint, "outcome": outcome.to_dict()}
+        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+        fd = self._fd if self._fd is not None else self._open_for_append()
+        if os.write(fd, line) != len(line):
+            raise OSError(f"{self.path}: short write of a cache record")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -484,7 +495,9 @@ class LiveBackend(CompletionBackend):
                 connection = self._idle.pop()
                 # An idle keep-alive socket polls readable only once the server
                 # has closed it (or sent bytes no request asked for).
-                if not select.select([connection.sock], [], [], 0)[0]:
+                poller = select.poll()
+                poller.register(connection.sock, select.POLLIN | select.POLLHUP | select.POLLERR)
+                if not poller.poll(0):
                     return connection
                 connection.close()
         connection = self._connect()

@@ -6,6 +6,7 @@ across threads without synchronization.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
 from enum import Enum
@@ -154,8 +155,9 @@ class ModelPricing:
     output_price: float
 
     def __post_init__(self):
-        if self.input_price < 0 or self.output_price < 0:
-            raise ValueError("prices must be non-negative")
+        for name in ("input_price", "output_price"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)!r}")
 
 
 class PricingTable:

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 
 from .backend import CompletionBackend, parse_scripted_file
@@ -255,13 +255,16 @@ _PROMPT_KINDS = {
 
 
 def _pool_map(worker, items, concurrency: int):
-    """Run worker over items with a bounded pool, results in input order.
+    """Run worker over a sequence of items on a bounded pool, results in input order.
 
     The harness's only scheduler, and its one per-question failure policy: a
     provider error that outlasted the retries (TransportError, RateLimitError
     among them, or ProtocolError) is returned in its item's place; any other
-    error is fatal and propagates, and the items still queued behind it are
-    cancelled instead of run.
+    error is fatal and propagates. At concurrency 1 the items run inline.
+    Otherwise ``min(concurrency, len(items))`` threads take the next index
+    from one shared iterator, so an item costs no future or queue hand-off.
+    A fatal error, or an interrupt while the caller waits, stops every thread
+    from starting another item; it is raised once all of them have returned.
     """
 
     def guarded(item):
@@ -272,13 +275,39 @@ def _pool_map(worker, items, concurrency: int):
 
     if concurrency == 1:
         return [guarded(item) for item in items]
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        futures = [pool.submit(guarded, item) for item in items]
+    results = [None] * len(items)
+    indices = iter(range(len(items)))
+    fatal: list[BaseException] = []
+    finished = threading.Semaphore(0)
+
+    def drain():
         try:
-            return [future.result() for future in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+            for index in indices:
+                if fatal:
+                    return
+                results[index] = guarded(items[index])
+        except BaseException as exc:
+            fatal.append(exc)
+        finally:
+            finished.release()
+
+    threads = [threading.Thread(target=drain) for _ in range(min(concurrency, len(items)))]
+    for thread in threads:
+        thread.start()
+    try:
+        # Waiting on the semaphore, not in Thread.join: an interrupted join
+        # marks its thread as stopped while it still runs.
+        for _ in threads:
+            finished.acquire()
+    except BaseException as exc:
+        fatal.append(exc)
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    if fatal:
+        raise fatal[0]
+    return results
 
 
 def _run_sample(

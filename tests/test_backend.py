@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
+import threading
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 
@@ -413,6 +415,57 @@ def test_cache_corrupt_middle_line_names_the_line(tmp_path):
         ResponseCache(str(path))
 
 
+def _in_threads(count, target):
+    """Run target(0..count-1) on as many threads at once, with rapid switching."""
+    barrier = threading.Barrier(count)
+
+    def run(index):
+        barrier.wait(timeout=10)
+        target(index)
+
+    threads = [threading.Thread(target=run, args=(index,)) for index in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def test_cache_appends_from_many_threads_are_whole_lines(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(str(path))
+
+    def put_own(thread):
+        for index in range(thread * 500, (thread + 1) * 500):
+            cache.put(f"fp{index}", _outcome(index))
+
+    _in_threads(8, put_own)
+    lines = path.read_bytes().split(b"\n")
+    assert lines.pop() == b""
+    assert len(lines) == 4000
+    assert sorted(json.loads(line)["fingerprint"] for line in lines) == sorted(
+        f"fp{index}" for index in range(4000))
+    fresh = ResponseCache(str(path))
+    assert all(fresh.get(f"fp{index}") == _outcome(index) for index in range(4000))
+
+
+def test_cache_puts_of_one_fingerprint_from_many_threads_append_once(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(str(path))
+    # Every thread puts the same 1,000 fingerprints, each with its own outcome.
+    _in_threads(8, lambda thread: [cache.put(f"fp{index}", _outcome(1000 * thread + index))
+                                  for index in range(1000)])
+    records = [json.loads(line) for line in path.read_bytes().splitlines()]
+    assert sorted(r["fingerprint"] for r in records) == sorted(f"fp{i}" for i in range(1000))
+    # The outcome served is the one written.
+    assert all(cache.get(r["fingerprint"]).to_dict() == r["outcome"] for r in records)
+
+
 def test_fingerprint_depends_on_prompt_and_params(fig_like_question):
     prompt = build_prompt(fig_like_question, PromptKind.VANILLA_COT)
     base = request_fingerprint(prompt, DEFAULT_SAMPLING)
@@ -695,6 +748,26 @@ def test_live_backend_pool_holds_every_connection_under_contention(http_server, 
     assert 1 <= server.server.accepts <= 16
     assert len(backend._idle) == server.server.accepts
     assert len({id(connection) for connection in backend._idle}) == server.server.accepts
+
+
+def test_live_backend_reuses_a_connection_numbered_past_1024(http_server, fig_like_question):
+    soft, _ = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if soft < 1100:
+        pytest.skip(f"RLIMIT_NOFILE is {soft}, too low to open descriptor 1024")
+    server = http_server([(200, completion_payload())] * 2)
+    backend = _live(server)
+    # Fill every descriptor below 1024, so the connection's socket gets one above.
+    held = [os.open(os.devnull, os.O_RDONLY)]
+    try:
+        while held[-1] < 1023:
+            held.append(os.dup(held[0]))
+        for budget in (10, 20):
+            assert backend.complete(_budgeted(fig_like_question, budget)).text == "The answer is 18."
+        assert backend._idle[0].sock.fileno() >= 1024
+    finally:
+        for fd in held:
+            os.close(fd)
+    assert server.server.accepts == 1
 
 
 def _proxy_env(monkeypatch, **values):

@@ -232,6 +232,13 @@ DEMO_DATASET = json.dumps(DEMO_SCENARIO)
                  "unknown config key 'pricing[0].currency'", id="unknown-pricing-key"),
     pytest.param(_config(pricing=[{"model_id": "m", "input_price": 1}]), DEMO_DATASET, [],
                  "'output_price'", id="pricing-row-without-output-price"),
+    pytest.param(_config(pricing=[{"model_id": "scripted-v1", "input_price": float("nan"),
+                                   "output_price": 0.6}]), DEMO_DATASET, [],
+                 "pricing[0]: input_price must be >= 0 and finite, got nan", id="nan-price"),
+    pytest.param(_config(pricing=[{"model_id": "scripted-v1", "input_price": 0.15,
+                                   "output_price": float("inf")}]), DEMO_DATASET, [],
+                 "pricing[0]: output_price must be >= 0 and finite, got inf",
+                 id="infinite-price"),
     pytest.param(_config(templates={"budgeted_suffix": "Use at most {tokens} tokens:"}),
                  DEMO_DATASET, [], "budgeted_suffix", id="suffix-with-another-field"),
     pytest.param(_config(templates={"budgeted_suffix": "Be brief:"}), DEMO_DATASET, [],

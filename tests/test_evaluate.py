@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import signal
+import sys
+import threading
 import time
 
 import pytest
@@ -234,6 +237,7 @@ def test_pool_map_raises_any_other_error(concurrency):
 
 @pytest.mark.parametrize("concurrency", [1, 4])
 def test_pool_map_fatal_error_cancels_queued_items(concurrency):
+    before = threading.active_count()
     started = []
 
     def worker(item):
@@ -248,6 +252,61 @@ def test_pool_map_fatal_error_cancels_queued_items(concurrency):
     with pytest.raises(ConfigError, match="no pricing"):
         _pool_map(worker, range(200), concurrency)
     assert len(started) <= 2 * concurrency
+    # No worker is left running.
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("concurrency, items", [(1, 40), (4, 200), (8, 3)])
+def test_pool_map_runs_each_item_once_and_never_more_than_concurrency_at_a_time(concurrency, items):
+    lock = threading.Lock()
+    calls = []
+    active = peak = 0
+
+    def worker(item):
+        nonlocal active, peak
+        with lock:
+            calls.append(item)
+            active += 1
+            peak = max(peak, active)
+        time.sleep(0.001)
+        with lock:
+            active -= 1
+        return item * 10
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        results = _pool_map(worker, range(items), concurrency)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [item * 10 for item in range(items)]
+    assert sorted(calls) == list(range(items))
+    assert 1 <= peak <= min(concurrency, items)
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_pool_map_of_no_items_is_empty(concurrency):
+    assert _pool_map(lambda item: item, [], concurrency) == []
+
+
+def test_pool_map_interrupted_wait_stops_every_worker():
+    before = threading.active_count()
+    main = threading.main_thread().ident
+    started = []
+
+    def worker(item):
+        started.append(item)
+        if item == 0:
+            # Long enough that the caller is waiting on the workers.
+            time.sleep(0.2)
+            signal.pthread_kill(main, signal.SIGINT)
+        time.sleep(0.01)
+        return item
+
+    with pytest.raises(KeyboardInterrupt):
+        _pool_map(worker, range(1000), 2)
+    assert threading.active_count() == before
+    assert len(started) < 100
 
 
 def test_missing_pricing_is_fatal_not_a_sample_failure():
