@@ -2,9 +2,14 @@
 
 Both share a fingerprint-keyed, append-only JSONL response cache, which is
 what makes batch runs resumable: replaying a request with an intact cache
-never reaches upstream. Backend instances are safe for concurrent
-``complete`` calls, and no lock is held across a cache append: each new
-response is one ``os.write`` of a whole line to an ``O_APPEND`` descriptor.
+never reaches upstream. The fingerprint hashes the prompt and the sampling
+parameters; each cache line also carries a tag of the backend that answered
+(cache format version, kind, model id and live endpoint), and a backend is
+served only the lines with its own tag. Loading a cache indexes its lines
+without decoding them; an entry is decoded at its first ``get``. Backend
+instances are safe for concurrent ``complete`` calls, and no lock is held
+across a cache append: each new response is one ``os.write`` of a whole
+line to an ``O_APPEND`` descriptor.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import urllib.parse
 import urllib.request
 import weakref
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .core import (
     AnswerKind,
@@ -55,6 +61,15 @@ class SamplingParams:
         if self.max_candidates != 1:
             raise ValueError("max_candidates must be 1")
 
+    @functools.cached_property
+    def _fingerprint_prefixes(self) -> dict:
+        """System text -> hash of the canonical fingerprint JSON before the user text.
+
+        Held per instance, never shared by equal params: ``0.0`` and ``-0.0``,
+        or ``1`` and ``1.0``, compare equal but render differently.
+        """
+        return {}
+
 
 DEFAULT_SAMPLING = SamplingParams()
 
@@ -71,20 +86,74 @@ def _budget_pattern(budgeted_suffix: str) -> re.Pattern:
 
 
 def request_fingerprint(prompt: Prompt, params: SamplingParams) -> str:
-    """Stable hash of (prompt, sampling parameters) used as the cache key."""
-    payload = {
-        "system": prompt.system,
-        "user": prompt.user,
-        "temperature": params.temperature,
-        "seed": params.seed,
-        "max_candidates": params.max_candidates,
-    }
-    canonical = json.dumps(payload, sort_keys=True, ensure_ascii=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    """Stable hash of (prompt, sampling parameters) used as the cache key.
+
+    The sha256 of the sorted-key, ASCII JSON of the five values. That text
+    ends in ``"user": <user text>}``, so everything before the user text is
+    hashed once per (params, system) and each request feeds a copy only its
+    own user text.
+    """
+    prefixes = params._fingerprint_prefixes
+    prefix = prefixes.get(prompt.system)
+    if prefix is None:
+        head = json.dumps({
+            "system": prompt.system,
+            "temperature": params.temperature,
+            "seed": params.seed,
+            "max_candidates": params.max_candidates,
+        }, sort_keys=True, ensure_ascii=True)
+        prefix = hashlib.sha256((head[:-1] + ', "user": ').encode("ascii"))
+        if len(prefixes) >= 64:
+            prefixes.clear()
+        prefixes[prompt.system] = prefix
+    digest = prefix.copy()
+    digest.update((encode_basestring_ascii(prompt.user) + "}").encode("ascii"))
+    return digest.hexdigest()
+
+
+# Folded into every cache line's backend tag: a line of another format, or of
+# another backend, never matches the tag a cache is opened with.
+CACHE_FORMAT = "tokenbudget-cache/2"
+
+
+def backend_tag(kind: str, model_id: str, endpoint: str | None = None) -> str:
+    """The 16-hex-digit tag of one backend's cache lines: a hash of the cache
+    format, the backend kind, its model id and, for a live backend, its endpoint."""
+    identity = json.dumps([CACHE_FORMAT, kind, model_id, endpoint])
+    return hashlib.sha256(identity.encode("ascii")).hexdigest()[:16]
+
+
+# The tag of ScriptedBackend's default identity.
+SCRIPTED_TAG = backend_tag("scripted", "scripted-v1")
+
+# Every cache line is ``json.dumps({"backend", "fingerprint", "outcome"},
+# sort_keys=True)``: the tag sits at a fixed offset and the fingerprint
+# follows it, so a line is indexed by slicing, without decoding it.
+_TAG_AT = b'{"backend": "'
+_TAG_END = len(_TAG_AT) + 16
+_FINGERPRINT_AT = b'", "fingerprint": "'
+_OUTCOME_AT = b'", "outcome": '
+
+
+def _decode_line(line: bytes) -> tuple[str, str, CompletionOutcome]:
+    """(tag, fingerprint, outcome) of one cache line; a bad line raises
+    ValueError, KeyError or TypeError."""
+    record = json.loads(line)
+    return record["backend"], record["fingerprint"], CompletionOutcome.from_dict(record["outcome"])
 
 
 class ResponseCache:
-    """Append-only JSONL cache of completed requests, keyed by fingerprint.
+    """Append-only JSONL cache of one backend's completed requests, keyed by fingerprint.
+
+    Each line carries the backend tag (``backend_tag``) of the backend that
+    made the request, and a cache opened with a tag serves and indexes only
+    the lines with that tag, so a change of model or endpoint never serves
+    another backend's answers. A line that is not a record of format
+    ``CACHE_FORMAT``, such as one written by an older version, is a
+    DatasetError: the file is not misread.
+
+    Loading indexes each line by slicing its tag and fingerprint; the first
+    ``get`` of an entry decodes the line and keeps the outcome in its place.
 
     Readers and writers take no lock: ``put`` claims a fingerprint with one
     ``dict.setdefault``, so only the first put of a fingerprint appends, and
@@ -93,43 +162,60 @@ class ResponseCache:
     ``put`` returns. The lock guards only opening that descriptor at the
     first put. A torn last line (a crash mid-append) is dropped and cut from
     the file on load; a corrupt line anywhere else is a DatasetError naming
-    the line.
+    the line, at load if its tag or fingerprint is unreadable, else at the
+    first ``get`` of its fingerprint.
     """
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, tag: str = SCRIPTED_TAG):
         self.path = path
+        self.tag = tag
         self._lock = threading.Lock()
-        self._entries: dict[str, CompletionOutcome] = {}
+        # Fingerprint -> outcome, or the raw line it has not been decoded from yet.
+        self._entries: dict[str, CompletionOutcome | bytes] = {}
         self._fd: int | None = None
         # The file ends in a complete record without its newline.
         self._needs_newline = False
         if os.path.exists(path):
             self._load()
 
+    def _corrupt(self, number: int, reason) -> DatasetError:
+        return DatasetError(f"{self.path}: corrupt cache record at line {number}: {reason}")
+
     def _load(self) -> None:
-        kept = 0
+        mine = _TAG_AT + self.tag.encode("ascii") + _FINGERPRINT_AT
+        start = len(mine)
+        entries = self._entries
         line = b"\n"
         with open(self.path, "rb") as handle:
             for number, line in enumerate(handle, start=1):
-                if line.strip():
-                    try:
-                        record = json.loads(line.decode("utf-8"))
-                        fingerprint = record["fingerprint"]
-                        outcome = CompletionOutcome.from_dict(record["outcome"])
-                    except (ValueError, KeyError, TypeError) as exc:
-                        if line.endswith(b"\n"):
-                            raise DatasetError(
-                                f"{self.path}: corrupt cache record at line {number}: {exc}"
-                            ) from exc
-                        # Only the last line can lack its newline: an append
-                        # cut short. Drop it so the next append starts clean.
-                        break
-                    self._entries[fingerprint] = outcome
-                kept += len(line)
-        if kept < os.path.getsize(self.path):
-            os.truncate(self.path, kept)
-        else:
-            self._needs_newline = not line.endswith(b"\n")
+                if not line.endswith(b"\n"):
+                    break
+                if line.startswith(mine):
+                    end = line.find(_OUTCOME_AT, start)
+                    fingerprint = line[start:end].decode("ascii", "replace")
+                    if end < 0 or "\\" in fingerprint or not fingerprint.isascii():
+                        # A fingerprint JSON escapes: decode the whole line.
+                        try:
+                            fingerprint = _decode_line(line)[1]
+                        except (ValueError, KeyError, TypeError) as exc:
+                            raise self._corrupt(number, exc) from exc
+                    entries[fingerprint] = line
+                elif line.strip() and not (
+                    line.startswith(_TAG_AT) and line.startswith(_FINGERPRINT_AT, _TAG_END)
+                ):
+                    raise self._corrupt(number, f"not a {CACHE_FORMAT} record")
+        if not line.endswith(b"\n"):
+            # Only the last line can lack its newline: an append cut short,
+            # dropped so the next append starts clean, unless it is a whole
+            # record.
+            try:
+                tag, fingerprint, outcome = _decode_line(line)
+            except (ValueError, KeyError, TypeError):
+                os.truncate(self.path, os.path.getsize(self.path) - len(line))
+                return
+            if tag == self.tag:
+                entries[fingerprint] = outcome
+            self._needs_newline = True
 
     def _open_for_append(self) -> int:
         """The append descriptor, opened (once) at the first put."""
@@ -147,7 +233,19 @@ class ResponseCache:
             return self._fd
 
     def get(self, fingerprint: str) -> CompletionOutcome | None:
-        return self._entries.get(fingerprint)
+        entry = self._entries.get(fingerprint)
+        if entry.__class__ is bytes:
+            # Concurrent first gets may each decode the line; they store equal outcomes.
+            entry = self._entries[fingerprint] = self._decode(entry)
+        return entry
+
+    def _decode(self, line: bytes) -> CompletionOutcome:
+        try:
+            return _decode_line(line)[2]
+        except (ValueError, KeyError, TypeError) as exc:
+            with open(self.path, "rb") as handle:
+                number = next((n for n, held in enumerate(handle, start=1) if held == line), "?")
+            raise self._corrupt(number, exc) from exc
 
     def put(self, fingerprint: str, outcome: CompletionOutcome) -> None:
         # setdefault is one step under the GIL, so of concurrent puts of one
@@ -156,7 +254,7 @@ class ResponseCache:
         entries = self._entries
         if fingerprint in entries or entries.setdefault(fingerprint, outcome) is not outcome:
             return
-        record = {"fingerprint": fingerprint, "outcome": outcome.to_dict()}
+        record = {"backend": self.tag, "fingerprint": fingerprint, "outcome": outcome.to_dict()}
         line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
         fd = self._fd if self._fd is not None else self._open_for_append()
         if os.write(fd, line) != len(line):
@@ -172,8 +270,11 @@ class CompletionBackend:
     A run renders every prompt with one set of templates and sends it with
     one set of sampling parameters, so both are fixed on the backend: ``ask``
     renders a question under ``templates`` and ``complete`` sends a prompt
-    with ``params`` (part of the cache key).
+    with ``params`` (part of the cache key). The cache must be opened with
+    this backend's ``cache_tag``.
     """
+
+    kind = ""
 
     def __init__(
         self,
@@ -181,8 +282,13 @@ class CompletionBackend:
         cache: ResponseCache | None = None,
         params: SamplingParams = DEFAULT_SAMPLING,
         templates: PromptTemplates | None = None,
+        endpoint: str | None = None,
     ):
         self.model_id = model_id
+        self.cache_tag = backend_tag(self.kind, model_id, endpoint)
+        if cache is not None and cache.tag != self.cache_tag:
+            raise ValueError(f"{cache.path} is opened for another backend than "
+                             f"{self.kind} {model_id!r}")
         self._cache = cache
         self.params = params
         self.templates = templates or DEFAULT_TEMPLATES
@@ -260,6 +366,8 @@ class ScriptedBackend(CompletionBackend):
     and reports exactly the scripted output-token count. Outcomes depend only
     on the prompt, never on call order or concurrency.
     """
+
+    kind = "scripted"
 
     def __init__(
         self,
@@ -452,6 +560,8 @@ class LiveBackend(CompletionBackend):
     environment once; TLS is verified against the system CA store.
     """
 
+    kind = "live"
+
     def __init__(
         self,
         endpoint: str,
@@ -462,7 +572,8 @@ class LiveBackend(CompletionBackend):
         params: SamplingParams = DEFAULT_SAMPLING,
         templates: PromptTemplates | None = None,
     ):
-        super().__init__(model_id=model_id, cache=cache, params=params, templates=templates)
+        super().__init__(model_id=model_id, cache=cache, params=params, templates=templates,
+                         endpoint=endpoint)
         self._retry = retry or RetryPolicy()
         self._headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
         url = urllib.parse.urlsplit(endpoint)

@@ -26,6 +26,8 @@ from .backend import (
     RetryPolicy,
     SamplingParams,
     ScriptedBackend,
+    ScriptedScenario,
+    backend_tag,
     parse_scripted_file,
 )
 from .core import PricingTable, _text, _typed
@@ -34,6 +36,8 @@ from .evaluate import (
     JSON_FORMAT,
     TABLE_TEXT,
     CSV_FORMAT,
+    SCRIPTED_JSON,
+    Dataset,
     SampleRecord,
     _pool_map,
     load_dataset,
@@ -158,13 +162,17 @@ def load_config(path: str) -> HarnessConfig:
     )
 
 
-def build_backend(config: HarnessConfig, out_dir: str, dataset_path: str):
-    """The configured backend; the scripted mock plays the ``dataset_path`` fixture."""
+def build_backend(config: HarnessConfig, out_dir: str, dataset_path: str,
+                  scenario: ScriptedScenario | None = None):
+    """The configured backend; the scripted mock plays ``scenario``, or else the
+    fixture at ``dataset_path``, parsed here."""
     cache_path = config.cache_path or os.path.join(out_dir, "cache.jsonl")
-    settings = dict(model_id=config.model_id, cache=ResponseCache(cache_path),
+    live = config.backend_kind == "live"
+    tag = backend_tag(config.backend_kind, config.model_id, config.endpoint if live else None)
+    settings = dict(model_id=config.model_id, cache=ResponseCache(cache_path, tag),
                     params=config.sampling, templates=config.templates)
-    if config.backend_kind == "scripted":
-        return ScriptedBackend(parse_scripted_file(dataset_path), **settings)
+    if not live:
+        return ScriptedBackend(scenario or parse_scripted_file(dataset_path), **settings)
     api_key = os.environ.get(config.credential_env)
     if not api_key:
         raise ConfigError(f"credential environment variable {config.credential_env!r} is not set")
@@ -176,7 +184,8 @@ class VerbContext:
 
     Opens, in order: config and seed, the cohort (dataset, seeded subsample),
     the out-dir, then the backend and the pool size; `cohort=False` opens only
-    the config, seed and out-dir.
+    the config, seed and out-dir. A scripted fixture is parsed once, for both
+    the cohort and the mock.
     """
 
     def __init__(self, args, verb: str, cohort: bool = True):
@@ -188,12 +197,17 @@ class VerbContext:
         if cohort:
             if not args.dataset:
                 raise ConfigError("this command requires --dataset")
-            self.dataset = load_dataset(args.dataset, args.dataset_format)
+            if args.dataset_format == SCRIPTED_JSON:
+                scenario = parse_scripted_file(args.dataset)
+                self.dataset = Dataset(name=scenario.name, questions=scenario.questions)
+            else:
+                scenario = None
+                self.dataset = load_dataset(args.dataset, args.dataset_format)
             if args.sample_n is not None:
                 self.dataset = sample_dataset(self.dataset, args.sample_n, self.seed)
         os.makedirs(args.out_dir, exist_ok=True)
         if cohort:
-            self.backend = build_backend(self.config, args.out_dir, args.dataset)
+            self.backend = build_backend(self.config, args.out_dir, args.dataset, scenario)
             self.concurrency = (
                 args.concurrency if args.concurrency is not None else self.config.concurrency
             )

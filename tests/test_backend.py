@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import resource
@@ -12,6 +13,7 @@ import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, strategies as st
 
 import tokenbudget
 from tokenbudget.backend import (
@@ -22,15 +24,18 @@ from tokenbudget.backend import (
     SamplingParams,
     ScriptedBackend,
     ScriptedEntry,
+    backend_tag,
     parse_scripted_file,
     request_fingerprint,
 )
-from tokenbudget.cli import load_config
+from tokenbudget.cli import build_backend, load_config
 from tokenbudget.core import AnswerKind, CompletionOutcome, CountingSource, TokenUsage
 from tokenbudget.errors import ConfigError, DatasetError, ProtocolError, RateLimitError, TransportError
 from tokenbudget.grading import grade
 from tokenbudget.prompting import (
+    DEFAULT_SYSTEM,
     ESTIMATION_TASK,
+    Prompt,
     PromptKind,
     PromptTemplates,
     build_estimation_prompt,
@@ -364,7 +369,7 @@ def test_cache_without_puts_creates_no_file(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_cache_cut_anywhere_in_last_line_resumes_like_uninterrupted(tmp_path, rebound_question):
+def test_cache_cut_at_any_byte_resumes_like_uninterrupted(tmp_path, rebound_question):
     def backend_on(path):
         behavior = behavior_from_curve(
             vanilla_tokens=256,
@@ -376,20 +381,18 @@ def test_cache_cut_anywhere_in_last_line_resumes_like_uninterrupted(tmp_path, re
     full_path = tmp_path / "full.jsonl"
     reference = search_optimal_budget(backend_on(str(full_path)), rebound_question)
     data = full_path.read_bytes()
-    last_line = data.rindex(b"\n", 0, len(data) - 1) + 1
+    line_ends = [index + 1 for index, byte in enumerate(data) if byte == ord("\n")]
 
     path = tmp_path / "cut.jsonl"
-    for cut in range(last_line, len(data)):
+    for cut in range(len(data) + 1):
         path.write_bytes(data[:cut])
         backend = backend_on(str(path))
         assert search_optimal_budget(backend, rebound_question) == reference
-        if cut == len(data) - 1:
-            # A complete record without its newline is kept as it is.
-            assert backend.upstream_calls == 0
-            assert path.read_bytes() == data[:-1]
-        else:
-            assert backend.upstream_calls == 1
-            assert path.read_bytes() == data
+        # Whole lines before the cut are served; so is a record cut only
+        # before its newline. Every other request is issued again.
+        served = sum(1 for end in line_ends if end <= cut + 1)
+        assert backend.upstream_calls == len(line_ends) - served
+        assert path.read_bytes() == (data[:-1] if cut == len(data) - 1 else data)
 
 
 def test_cache_completes_an_unterminated_last_record_before_appending(tmp_path):
@@ -413,6 +416,85 @@ def test_cache_corrupt_middle_line_names_the_line(tmp_path):
     path.write_bytes(b"".join(lines))
     with pytest.raises(DatasetError, match=r"cache\.jsonl: corrupt cache record at line 2"):
         ResponseCache(str(path))
+
+
+def test_cache_corrupt_body_behind_an_intact_prefix_is_never_served(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(str(path))
+    for index in range(3):
+        cache.put(f"fp{index}", _outcome(index))
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert b'"text": "answer 1"' in lines[1]
+    lines[1] = lines[1].replace(b'"text": "answer 1"', b'"text": answer 1"')
+    path.write_bytes(b"".join(lines))
+
+    resumed = ResponseCache(str(path))
+    assert len(resumed) == 3
+    for _ in range(2):
+        with pytest.raises(DatasetError, match=r"cache\.jsonl: corrupt cache record at line 2"):
+            resumed.get("fp1")
+    assert [resumed.get("fp0"), resumed.get("fp2")] == [_outcome(0), _outcome(2)]
+
+
+def test_cache_indexes_any_fingerprint_string(tmp_path):
+    path = str(tmp_path / "cache.jsonl")
+    keys = ['fp"quoted"', "back\\slash", 'x", "outcome": {', "caf\u00e9 \u2603", "\ud800", ""]
+    cache = ResponseCache(path)
+    for index, key in enumerate(keys):
+        cache.put(key, _outcome(index))
+    fresh = ResponseCache(path)
+    assert len(fresh) == len(keys)
+    assert [fresh.get(key) for key in keys] == [_outcome(index) for index in range(len(keys))]
+
+
+def test_cache_serves_only_the_lines_of_its_own_backend(tmp_path, fig_like_question):
+    path = str(tmp_path / "cache.jsonl")
+    other = backend_tag("scripted", "other-model")
+    assert len(other) == 16 and other != backend_tag("scripted", "scripted-v1")
+    ResponseCache(path).put("fp0", _outcome(0))
+    theirs = ResponseCache(path, other)
+    assert len(theirs) == 0 and theirs.get("fp0") is None
+    theirs.put("fp0", _outcome(1))
+    assert ResponseCache(path).get("fp0") == _outcome(0)
+    assert ResponseCache(path, other).get("fp0") == _outcome(1)
+    # A backend takes only a cache opened with its own tag.
+    behaviors = {fig_like_question: behavior_from_curve(vanilla_tokens=258, curve={})}
+    with pytest.raises(ValueError, match="another backend"):
+        scripted_backend(behaviors, model_id="other-model", cache=ResponseCache(path))
+    assert scripted_backend(behaviors, model_id="other-model", cache=theirs).cache_tag == other
+
+
+def test_cache_of_an_older_format_is_rejected_naming_the_format(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    record = {"fingerprint": "fp0", "outcome": _outcome(0).to_dict()}
+    path.write_text(json.dumps(record, sort_keys=True) + "\n")
+    with pytest.raises(DatasetError, match=r"line 1: not a tokenbudget-cache/2 record"):
+        ResponseCache(str(path))
+
+
+def test_cache_does_not_serve_another_endpoint(http_server, tmp_path, monkeypatch,
+                                               fig_like_question):
+    """config -> build_backend, on one out-dir, against two local endpoints."""
+    first = http_server([(200, completion_payload("The answer is 18."))])
+    second = http_server([(200, completion_payload("The answer is 17."))])
+    monkeypatch.setenv("TOKENBUDGET_TEST_KEY", "sk-test")
+
+    def backend_for(server):
+        config = tmp_path / "live.json"
+        config.write_text(json.dumps({"backend": {
+            "kind": "live", "endpoint": server.endpoint, "model_id": "gpt-4o-mini",
+            "credential_env": "TOKENBUDGET_TEST_KEY",
+        }}))
+        return build_backend(load_config(str(config)), str(tmp_path / "out"), "unused")
+
+    prompt = build_prompt(fig_like_question, PromptKind.VANILLA_COT)
+    assert backend_for(first).complete(prompt).text == "The answer is 18."
+    assert backend_for(second).complete(prompt).text == "The answer is 17."
+    # Each endpoint's answer is served back to it from the one cache file.
+    assert backend_for(first).complete(prompt).text == "The answer is 18."
+    assert backend_for(second).complete(prompt).text == "The answer is 17."
+    assert (len(first.requests), len(second.requests)) == (1, 1)
+    assert len((tmp_path / "out" / "cache.jsonl").read_bytes().splitlines()) == 2
 
 
 def _in_threads(count, target):
@@ -454,6 +536,27 @@ def test_cache_appends_from_many_threads_are_whole_lines(tmp_path):
     assert all(fresh.get(f"fp{index}") == _outcome(index) for index in range(4000))
 
 
+def test_first_gets_and_fingerprints_from_many_threads_agree(tmp_path):
+    path = str(tmp_path / "cache.jsonl")
+    writer = ResponseCache(path)
+    for index in range(1000):
+        writer.put(f"fp{index}", _outcome(index))
+    cache, params = ResponseCache(path), SamplingParams(temperature=0.5)
+    prompts = [Prompt(system=DEFAULT_SYSTEM, user=f"Q{index}?") for index in range(1000)]
+    wrong = []
+
+    def read_all(thread):
+        for index in range(1000):
+            if cache.get(f"fp{index}") != _outcome(index):
+                wrong.append(("get", index))
+            prompt = prompts[index]
+            if request_fingerprint(prompt, params) != _reference_fingerprint(prompt, params):
+                wrong.append(("fingerprint", index))
+
+    _in_threads(8, read_all)
+    assert wrong == []
+
+
 def test_cache_puts_of_one_fingerprint_from_many_threads_append_once(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = ResponseCache(str(path))
@@ -473,6 +576,55 @@ def test_fingerprint_depends_on_prompt_and_params(fig_like_question):
     assert base != request_fingerprint(prompt, SamplingParams(seed=7))
     other = build_prompt(fig_like_question, PromptKind.BUDGETED_COT, budget=3)
     assert base != request_fingerprint(other, DEFAULT_SAMPLING)
+
+
+def _reference_fingerprint(prompt, params) -> str:
+    """The cache key's definition: sha256 of the sorted-key, ASCII JSON."""
+    payload = {
+        "system": prompt.system,
+        "user": prompt.user,
+        "temperature": params.temperature,
+        "seed": params.seed,
+        "max_candidates": params.max_candidates,
+    }
+    canonical = json.dumps(payload, sort_keys=True, ensure_ascii=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+# Quotes, backslashes, control and non-ASCII characters and lone surrogates.
+_ANY_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\n\r\t\x00\x1f\x7f\u2028\u00e9\U0001f600\ud800\udfff'),
+    st.characters(blacklist_categories=()),
+))
+_TEMPERATURES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1, 1.0, 0.1, 2, 2.0]),
+    st.integers(min_value=0, max_value=10**20),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+)
+_SEEDS = st.one_of(st.integers(), st.booleans())
+
+
+@given(system=_ANY_TEXT, users=st.lists(_ANY_TEXT, min_size=1, max_size=3),
+       temperature=_TEMPERATURES, seed=_SEEDS)
+def test_fingerprint_is_the_hash_of_the_canonical_json(system, users, temperature, seed):
+    params = SamplingParams(temperature=temperature, seed=seed)
+    # Later prompts of one (params, system) reuse the hashed prefix.
+    for user in users:
+        prompt = Prompt(system=system, user=user)
+        assert request_fingerprint(prompt, params) == _reference_fingerprint(prompt, params)
+
+
+@pytest.mark.parametrize("first, second", [
+    (SamplingParams(temperature=0.0), SamplingParams(temperature=-0.0)),
+    (SamplingParams(temperature=1), SamplingParams(temperature=1.0)),
+    (SamplingParams(seed=1), SamplingParams(seed=True)),
+])
+def test_fingerprint_keeps_equal_params_that_render_differently_apart(first, second):
+    assert first == second
+    prompt = Prompt(system=DEFAULT_SYSTEM, user="Q?")
+    keys = [request_fingerprint(prompt, params) for params in (first, second, first, second)]
+    assert keys == [_reference_fingerprint(prompt, p) for p in (first, second, first, second)]
+    assert keys[0] != keys[1]
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +773,8 @@ def test_live_backend_malformed_payload_is_protocol_error(http_server, fig_like_
 
 def test_live_backend_uses_cache(http_server, tmp_path, fig_like_question):
     server = http_server([(200, completion_payload())])
-    cache = ResponseCache(str(tmp_path / "cache.jsonl"))
+    cache = ResponseCache(str(tmp_path / "cache.jsonl"),
+                          backend_tag("live", "gpt-4o-mini", server.endpoint))
     backend = _live(server, cache=cache)
     prompt = build_prompt(fig_like_question, PromptKind.VANILLA_COT)
     first = backend.complete(prompt)

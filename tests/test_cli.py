@@ -12,9 +12,12 @@ import shutil
 
 import pytest
 
+import tokenbudget.backend as backend
 import tokenbudget.cli as cli
+import tokenbudget.evaluate as evaluate
 from tokenbudget.cli import main
 from tokenbudget.errors import TransportError
+from tokenbudget.prompting import PromptKind
 
 from conftest import DEMO_CONFIG, DEMO_SCENARIO, completion_payload, write_demo_files
 
@@ -622,6 +625,75 @@ def test_audit_skips_found_questions_outside_its_cohort(demo):
     assert manifest["dataset_path"] == dataset
     assert manifest["sample_n"] == 1
     assert manifest["seed"] == 3
+
+
+# ---------------------------------------------------------------------------
+# Set-up and cache identity
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("verb", ["search", "eval", "ptdata", "audit"])
+def test_each_cohort_verb_parses_the_fixture_once(demo, verb, monkeypatch):
+    config, dataset, tmp = demo
+    search_out = str(tmp / "search")
+    assert main(["search", "--config", config, "--dataset", dataset, "--out-dir", search_out]) == 0
+
+    parses = []
+    real = backend.parse_scripted_file
+
+    def counting(path):
+        parses.append(path)
+        return real(path)
+
+    for module in (backend, cli, evaluate):
+        monkeypatch.setattr(module, "parse_scripted_file", counting)
+    argv = [verb, "--config", config, "--dataset", dataset, "--out-dir", str(tmp / "out")]
+    if verb == "audit":
+        argv += ["--search-output", os.path.join(search_out, "search_results.jsonl")]
+    assert main(argv) == 0
+    assert parses == [dataset]
+
+
+def test_build_backend_parses_the_fixture_when_given_only_its_path(demo):
+    config, dataset, tmp = demo
+    scripted = cli.build_backend(cli.load_config(config), str(tmp / "out"), dataset)
+    question = evaluate.load_dataset(dataset, "scripted_json").questions[0]
+    assert scripted.ask(question, PromptKind.VANILLA_COT).usage.output_tokens == 256
+    assert scripted.upstream_calls == 1
+    assert len((tmp / "out" / "cache.jsonl").read_bytes().splitlines()) == 1
+
+
+def test_a_changed_model_id_sends_every_request_upstream(demo, monkeypatch):
+    config, dataset, tmp = demo
+    out = str(tmp / "out")
+    requests = []
+    real = backend.ScriptedBackend._request
+
+    def counting(self, prompt):
+        requests.append(self.model_id)
+        return real(self, prompt)
+
+    monkeypatch.setattr(backend.ScriptedBackend, "_request", counting)
+    other = tmp / "other.json"
+    other.write_text(_config(backend={"kind": "scripted", "model_id": "other-model"}))
+
+    def search(config_path):
+        assert main(["search", "--config", config_path, "--dataset", dataset,
+                     "--out-dir", out]) == 0
+        return _read_jsonl(os.path.join(out, "search_results.jsonl"))
+
+    records = search(config)
+    issued = len(requests)
+    assert issued > 0
+    assert search(config) == records and len(requests) == issued
+    # The model is not part of the request fingerprint, so the records are
+    # the same; every request went upstream to the other model all the same.
+    assert search(str(other)) == records
+    assert requests == ["scripted-v1"] * issued + ["other-model"] * issued
+    assert search(str(other)) == records and len(requests) == 2 * issued
+    lines = _read_jsonl(os.path.join(out, "cache.jsonl"))
+    assert [line["outcome"]["model_id"] for line in lines] == requests
+    assert len({line["backend"] for line in lines}) == 2
 
 
 # ---------------------------------------------------------------------------
