@@ -10,6 +10,12 @@ without decoding them; an entry is decoded at its first ``get``. Backend
 instances are safe for concurrent ``complete`` calls, and no lock is held
 across a cache append: each new response is one ``os.write`` of a whole
 line to an ``O_APPEND`` descriptor.
+
+The live backend keeps a pool of HTTP/1.1 keep-alive connections.
+``http.client`` only opens them (TCP, proxy tunnel, verified TLS); each
+request is one ``sendall`` of a head built once per backend plus the body,
+and ``read_reply`` reads the answer (RFC 9112 framing) straight from the
+socket.
 """
 
 from __future__ import annotations
@@ -546,18 +552,202 @@ class RetryPolicy:
 # Seconds to wait for one chat-completions reply before the attempt fails.
 REQUEST_TIMEOUT = 120.0
 
+# The reply reader's limits: http.client's _MAXHEADERS and _MAXLINE.
+_MAX_HEADERS = 100
+_MAX_HEAD = 65536
+# Bytes asked of one recv; a chat-completions reply usually fits in one.
+_RECV_SIZE = 16384
+_BLANK_LINE = re.compile(rb"\n\r?\n")
+_STATUS_LINE = re.compile(rb"HTTP/1\.(\d) ([1-9]\d\d)(?: [^\r\n]*)?\r?$", re.M)
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]+")
+# A field that frames a reply or ends its connection, with any obsolete
+# line folding that continues its value.
+_FRAMING_FIELD = re.compile(
+    rb"\n(connection|content-length|transfer-encoding)[ \t]*:(.*(?:\n[ \t].*)*)", re.I)
+# Characters that may not reach a request line or header: CR, LF, the other
+# C0 controls and DEL; the target may not hold a space either.
+_HEADER_UNSAFE = re.compile(r"[\x00-\x1f\x7f]")
+_TARGET_UNSAFE = re.compile(r"[\x00-\x20\x7f]")
+
+
+class _SocketReader:
+    """Buffered reads from a socket for one reply; ``closed`` once the peer
+    has ended the stream."""
+
+    __slots__ = ("sock", "data", "pos", "closed")
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.data = b""
+        self.pos = 0
+        self.closed = False
+
+    def recv(self) -> bool:
+        """Append the socket's next bytes to the unread ones; False at EOF."""
+        chunk = self.sock.recv(_RECV_SIZE)
+        if not chunk:
+            self.closed = True
+            return False
+        self.data = self.data[self.pos:] + chunk
+        self.pos = 0
+        return True
+
+    def head(self) -> tuple[int, int]:
+        """Read past the blank line that ends the next reply head: the head
+        (start line and fields) is ``data[start:end]``."""
+        scanned = self.pos
+        while (blank := _BLANK_LINE.search(self.data, scanned)) is None:
+            unread = len(self.data) - self.pos
+            if unread > _MAX_HEAD:
+                raise http.client.LineTooLong("reply head")
+            scanned = max(0, unread - 2)
+            if not self.recv():
+                if self.data:
+                    raise http.client.IncompleteRead(self.data[self.pos:])
+                raise http.client.RemoteDisconnected("remote end closed the connection unanswered")
+        start, end = self.pos, blank.start()
+        if end - start > _MAX_HEAD:
+            raise http.client.LineTooLong("reply head")
+        self.pos = blank.end()
+        return start, end
+
+    def line(self) -> bytes:
+        """The next line, without its line end."""
+        while (end := self.data.find(b"\n", self.pos)) < 0:
+            if len(self.data) - self.pos > _MAX_HEAD:
+                raise http.client.LineTooLong("chunked body line")
+            if not self.recv():
+                raise http.client.IncompleteRead(self.data[self.pos:])
+        line = self.data[self.pos:end]
+        self.pos = end + 1
+        return line[:-1] if line.endswith(b"\r") else line
+
+    def take(self, size: int) -> bytes:
+        """The next ``size`` bytes."""
+        end = self.pos + size
+        if end > len(self.data):
+            parts = [self.data[self.pos:]]
+            missing = end - len(self.data)
+            while missing > 0:
+                chunk = self.sock.recv(_RECV_SIZE)
+                if not chunk:
+                    self.closed = True
+                    raise http.client.IncompleteRead(b"".join(parts), missing)
+                parts.append(chunk)
+                missing -= len(chunk)
+            self.data, self.pos, end = b"".join(parts), 0, size
+        taken = self.data[self.pos:end]
+        self.pos = end
+        return taken
+
+    def rest(self) -> bytes:
+        """Every byte up to the end of the stream."""
+        parts = [self.data[self.pos:]]
+        while chunk := self.sock.recv(_RECV_SIZE):
+            parts.append(chunk)
+        self.closed = True
+        self.data, self.pos = b"", 0
+        return b"".join(parts)
+
+    def chunked(self) -> bytes:
+        """A chunked body (RFC 9112 section 7.1): extensions and trailer
+        fields are read and dropped."""
+        parts = []
+        while True:
+            line = self.line()
+            size = line.split(b";", 1)[0].strip()
+            if not _CHUNK_SIZE.fullmatch(size):
+                raise http.client.HTTPException(f"invalid chunk size line {line[:80]!r}")
+            size = int(size, 16)
+            if not size:
+                break
+            parts.append(self.take(size))
+            if self.line():
+                raise http.client.HTTPException("chunk data not followed by its line end")
+        for _ in range(_MAX_HEADERS + 1):
+            if not self.line():
+                return b"".join(parts)
+        raise http.client.HTTPException(f"got more than {_MAX_HEADERS} trailer fields")
+
+
+def _tokens(value: bytes) -> list[bytes]:
+    """The lower-cased items of a comma-separated field value."""
+    return value.lower().replace(b",", b" ").split()
+
+
+def read_reply(sock) -> tuple[int, bytes, bool]:
+    """Read one HTTP/1.1 reply from ``sock``: (status, body, keep_alive).
+
+    Follows RFC 9112 sections 4-6: 1xx replies are skipped; the body is
+    framed by ``Transfer-Encoding: chunked``, else by a valid
+    ``Content-Length``, else it runs to the end of the stream. Lines may end
+    in CRLF or a bare LF, and a head holds at most 100 fields in at most
+    64 KiB. ``keep_alive`` is true only
+    for an HTTP/1.1 reply without ``Connection: close`` that is followed by
+    no unread byte. A framing fault raises an ``http.client.HTTPException``
+    (``BadStatusLine``, ``LineTooLong``, ``IncompleteRead``,
+    ``RemoteDisconnected``) and a socket fault an ``OSError``.
+    """
+    reader = _SocketReader(sock)
+    status = 100
+    while status < 200:
+        start, end = reader.head()
+        data = reader.data
+        status_line = _STATUS_LINE.match(data, start, end)
+        if status_line is None:
+            raise http.client.BadStatusLine(
+                data[start:end].split(b"\n", 1)[0].rstrip(b"\r").decode("latin-1"))
+        if data.count(b"\n", start, end) > _MAX_HEADERS:
+            raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+        status = int(status_line[2])
+    # Each framing field's value, its lines joined by commas.
+    fields: dict[bytes, bytes] = {}
+    for name, value in _FRAMING_FIELD.findall(data, start, end):
+        name = name.lower()
+        fields[name] = fields[name] + b"," + value if name in fields else value
+    connection = fields.get(b"connection")
+    keep_alive = status_line[1] == b"1" and (
+        connection is None or b"close" not in _tokens(connection))
+    if status in (204, 304):
+        body = b""
+    elif b"transfer-encoding" in fields:
+        chunked = _tokens(fields[b"transfer-encoding"])[-1:] == [b"chunked"]
+        body = reader.chunked() if chunked else reader.rest()
+    elif b"content-length" in fields:
+        length = fields[b"content-length"].strip()
+        if not length.isdigit():
+            # A list of one length repeated is that length (RFC 9112 section 6.3).
+            lengths = set(_tokens(length))
+            length = lengths.pop() if len(lengths) == 1 else b""
+            if not length.isdigit():
+                raise http.client.HTTPException(
+                    f"invalid Content-Length {fields[b'content-length'][:80]!r}")
+        body = reader.take(int(length))
+    else:
+        body = reader.rest()
+    keep_alive = keep_alive and not reader.closed and reader.pos == len(reader.data)
+    return status, body, keep_alive
+
 
 class LiveBackend(CompletionBackend):
     """OpenAI-compatible chat-completions client with retries and caching.
 
     Usage always comes from the provider's usage block when present
     (counting_source = provider_reported); the local approximation is only a
-    fallback and is tagged as such. Credentials are taken from the
-    environment, never from config file contents.
+    fallback and is tagged as such. A payload whose answer text, usage block
+    or token counts have the wrong type is a ProtocolError naming the field.
+    Credentials are taken from the environment, never from config file
+    contents.
 
     Requests share a pool of HTTP/1.1 keep-alive connections, never more than
-    are in use at once. ``HTTP(S)_PROXY`` and ``NO_PROXY`` are read from the
-    environment once; TLS is verified against the system CA store.
+    are in use at once. ``http.client`` only opens a connection (TCP_NODELAY,
+    the proxy ``CONNECT`` tunnel, TLS verified against the system CA store
+    with the hostname checked); each request is then one ``sendall`` of a
+    head built once, here, plus its body, and ``read_reply`` reads the
+    answer. A connection goes back to the pool only when the reply allows
+    it. ``HTTP(S)_PROXY`` and ``NO_PROXY`` are read from the environment
+    once; an endpoint or API key holding a control character is refused
+    here, so no request can carry an injected header.
     """
 
     kind = "live"
@@ -574,12 +764,17 @@ class LiveBackend(CompletionBackend):
     ):
         super().__init__(model_id=model_id, cache=cache, params=params, templates=templates,
                          endpoint=endpoint)
+        if _TARGET_UNSAFE.search(endpoint):
+            raise ValueError("endpoint holds a space or a control character")
+        if _HEADER_UNSAFE.search(api_key):
+            raise ValueError("API key holds a control character")
         self._retry = retry or RetryPolicy()
-        self._headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
         url = urllib.parse.urlsplit(endpoint)
         https = url.scheme == "https"
         host, port = url.hostname, url.port or (443 if https else 80)
-        self._target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
+        netloc = url.netloc.rpartition("@")[2]
+        path = url.path or "/"
+        target = urllib.parse.urlunsplit(("", "", path, url.query, ""))
         self._tunnel = None
         proxy = urllib.request.getproxies().get(url.scheme)
         if proxy and not urllib.request.proxy_bypass(url.netloc):
@@ -588,8 +783,17 @@ class LiveBackend(CompletionBackend):
                 self._tunnel = (host, port)
             else:
                 # A plain HTTP proxy takes the absolute URL as the request target.
-                self._target = endpoint
+                target = urllib.parse.urlunsplit((url.scheme, netloc, path, url.query, ""))
             host, port = proxy_url.hostname, proxy_url.port or 80
+        # Every request is this head, its body's length, a blank line and the body.
+        self._head = (
+            f"POST {target} HTTP/1.1\r\n".encode("ascii")
+            + b"Host: " + netloc.encode("idna") + b"\r\n"
+            + b"Accept-Encoding: identity\r\n"
+            + f"Authorization: Bearer {api_key}\r\n".encode("latin-1")
+            + b"Content-Type: application/json\r\n"
+            + b"Content-Length: "
+        )
         tls = {"context": ssl.create_default_context()} if https else {}
         self._connect = functools.partial(
             http.client.HTTPSConnection if https else http.client.HTTPConnection,
@@ -614,24 +818,28 @@ class LiveBackend(CompletionBackend):
         connection = self._connect()
         if self._tunnel:
             connection.set_tunnel(*self._tunnel)
+        try:
+            connection.connect()
+        except BaseException:
+            connection.close()
+            raise
         return connection
 
     def _post(self, body: bytes) -> tuple[int, bytes]:
         """One POST of ``body`` to the endpoint: the reply's status and body."""
         connection = self._connection()
         try:
-            connection.request("POST", self._target, body, self._headers)
-            response = connection.getresponse()
-            data = response.read()
+            connection.sock.sendall(b"".join((self._head, b"%d\r\n\r\n" % len(body), body)))
+            status, data, keep_alive = read_reply(connection.sock)
         except BaseException:
             connection.close()
             raise
-        if response.will_close:
-            connection.close()
-        else:
+        if keep_alive:
             with self._idle_lock:
                 self._idle.append(connection)
-        return response.status, data
+        else:
+            connection.close()
+        return status, data
 
     def _request(self, prompt: Prompt) -> tuple[str, TokenUsage]:
         body = json.dumps({
@@ -668,23 +876,38 @@ class LiveBackend(CompletionBackend):
         raise last_error
 
     def _parse_response(self, data: bytes, prompt: Prompt) -> tuple[str, TokenUsage]:
+        def malformed(reason) -> ProtocolError:
+            return ProtocolError(f"malformed completion payload: {reason}",
+                                 raw_body=data.decode("utf-8", "replace"))
+
         try:
             payload = json.loads(data)
             text = payload["choices"][0]["message"]["content"]
+            usage_block = payload.get("usage")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise ProtocolError(
-                f"malformed completion payload: {exc}", raw_body=data.decode("utf-8", "replace")
-            ) from exc
+            raise malformed(exc) from exc
         if text is None:
             text = ""
+        elif not isinstance(text, str):
+            raise malformed(f"choices[0].message.content must be a string or null, "
+                            f"got {type(text).__name__}")
+        if usage_block is None:
+            usage_block = {}
+        elif not isinstance(usage_block, dict):
+            raise malformed(f"usage must be an object, got {type(usage_block).__name__}")
 
-        usage_block = payload.get("usage") or {}
-        prompt_tokens = usage_block.get("prompt_tokens")
-        completion_tokens = usage_block.get("completion_tokens")
+        def count(name: str) -> int | None:
+            value = usage_block.get(name)
+            # A bool is an int to isinstance, and a float count is not a count.
+            if value is not None and (type(value) is not int or value < 0):
+                raise malformed(f"usage.{name} must be a non-negative integer, got {value!r}")
+            return value
+
+        prompt_tokens, completion_tokens = count("prompt_tokens"), count("completion_tokens")
         if prompt_tokens is not None and completion_tokens is not None:
             return text, TokenUsage(
-                input_tokens=int(prompt_tokens),
-                output_tokens=int(completion_tokens),
+                input_tokens=prompt_tokens,
+                output_tokens=completion_tokens,
                 counting_source=CountingSource.PROVIDER_REPORTED,
             )
         return text, TokenUsage(

@@ -15,6 +15,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import urllib.parse
@@ -254,11 +255,21 @@ def _write_json(path: str, document: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _positive_finite(flag: str, value: float) -> float:
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{flag} must be finite and > 0, got {value!r}")
+    return value
+
+
 def cmd_eval(args) -> int:
+    alpha = _positive_finite("--alpha", args.alpha)
+    try:
+        methods = [parse_method(token, alpha=alpha) for token in args.methods.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--methods: {exc}") from exc
     ctx = VerbContext(args, "eval")
     config = ctx.config
 
-    methods = [parse_method(token, alpha=args.alpha) for token in args.methods.split(",")]
     runs = []
     for method in methods:
         run = run_method(
@@ -413,8 +424,13 @@ def cmd_ptdata(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    try:
+        multipliers = [float(token) for token in args.multipliers.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--multipliers: {exc}") from exc
+    for multiplier in multipliers:
+        _positive_finite("--multipliers", multiplier)
     ctx = VerbContext(args, "audit")
-    multipliers = [float(token) for token in args.multipliers.split(",")]
 
     questions = {q.id: q for q in ctx.dataset.questions}
     skipped = []

@@ -185,7 +185,10 @@ def parse_method(token: str, alpha: float = 1.0) -> MethodSpec:
     if token in ("direct", "vanilla", "ep"):
         return MethodSpec(kind=token, alpha=alpha if token == "ep" else 1.0)
     if token.startswith("fixed:"):
-        return MethodSpec(kind="fixed", budget=int(token.split(":", 1)[1]))
+        budget = token.split(":", 1)[1]
+        if not budget.isdecimal() or int(budget) < 1:
+            raise ValueError(f"{token!r}: the budget of fixed:N must be an integer >= 1")
+        return MethodSpec(kind="fixed", budget=int(budget))
     raise ValueError(f"unknown method {token!r} (expected direct|vanilla|ep|fixed:N)")
 
 

@@ -1,9 +1,12 @@
-"""Shared fixtures: question factories, scripted backend builders and a local
-OpenAI-compatible HTTP server."""
+"""Shared fixtures: question factories, scripted backend builders, a local
+OpenAI-compatible HTTP server (plain or TLS) and a raw-reply server."""
 
 from __future__ import annotations
 
+import datetime
+import ipaddress
 import json
+import socketserver
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -188,7 +191,32 @@ class _CountingServer(ThreadingHTTPServer):
         self.closed.release()
 
 
-class ScriptedHTTPServer:
+class _LocalServer:
+    """A threaded server for ``handler`` on a free localhost port, over TLS
+    when given a server-side ``tls`` context."""
+
+    def __init__(self, handler, tls=None):
+        self.server = _CountingServer(("127.0.0.1", 0), handler)
+        self.scheme = "http"
+        if tls is not None:
+            self.server.socket = tls.wrap_socket(self.server.socket, server_side=True)
+            self.scheme = "https"
+        # A short poll interval lets shutdown() return in milliseconds, not 0.5 s.
+        self.thread = threading.Thread(target=self.server.serve_forever,
+                                       kwargs={"poll_interval": 0.01}, daemon=True)
+        self.thread.start()
+
+    @property
+    def endpoint(self) -> str:
+        host, port = self.server.server_address
+        return f"{self.scheme}://{host}:{port}/v1/chat/completions"
+
+    def shutdown(self):
+        self.server.shutdown()
+        self.server.server_close()
+
+
+class ScriptedHTTPServer(_LocalServer):
     """An HTTP/1.1 keep-alive server replaying fixed responses; records requests.
 
     A response is (status, body) or (status, body, after): after ``"close"``
@@ -196,7 +224,7 @@ class ScriptedHTTPServer:
     after ``"drop"`` it closes the connection without saying so.
     """
 
-    def __init__(self, responses):
+    def __init__(self, responses, tls=None):
         self.responses = list(responses)
         self.requests = []
         outer = self
@@ -211,6 +239,7 @@ class ScriptedHTTPServer:
                         "body": json.loads(self.rfile.read(length)),
                         "authorization": self.headers.get("Authorization"),
                         "path": self.path,
+                        "host": self.headers.get("Host"),
                     }
                 )
                 status, body, *after = outer.responses.pop(0) if outer.responses else (200, "{}")
@@ -229,34 +258,102 @@ class ScriptedHTTPServer:
             def log_message(self, *args):
                 pass
 
-        self.server = _CountingServer(("127.0.0.1", 0), Handler)
-        # A short poll interval lets shutdown() return in milliseconds, not 0.5 s.
-        self.thread = threading.Thread(target=self.server.serve_forever,
-                                       kwargs={"poll_interval": 0.01}, daemon=True)
-        self.thread.start()
-
-    @property
-    def endpoint(self) -> str:
-        host, port = self.server.server_address
-        return f"http://{host}:{port}/v1/chat/completions"
-
-    def shutdown(self):
-        self.server.shutdown()
-        self.server.server_close()
+        super().__init__(Handler, tls)
 
 
-@pytest.fixture
-def http_server():
+class RawReplyServer(_LocalServer):
+    """Answers each request it reads with the next raw reply, byte for byte.
+
+    A reply is bytes, or (bytes, "close") to close the connection after
+    writing it; ``posts`` counts the requests read.
+    """
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.posts = 0
+        outer = self
+
+        class Handler(socketserver.StreamRequestHandler):
+            def handle(self):
+                try:
+                    while self._read_request():
+                        outer.posts += 1
+                        reply = outer.replies.pop(0)
+                        data, *after = (reply,) if isinstance(reply, bytes) else reply
+                        self.wfile.write(data)
+                        if after == ["close"]:
+                            return
+                except OSError:
+                    # The client closed the connection with a reply unread.
+                    return
+
+            def _read_request(self) -> bool:
+                length = 0
+                while (line := self.rfile.readline()) not in (b"\r\n", b""):
+                    name, _, value = line.partition(b":")
+                    if name.lower() == b"content-length":
+                        length = int(value)
+                self.rfile.read(length)
+                return bool(line)
+
+        super().__init__(Handler)
+
+
+def _server_fixture(factory):
     servers = []
 
-    def start(responses):
-        server = ScriptedHTTPServer(responses)
+    def start(*args, **kwargs):
+        server = factory(*args, **kwargs)
         servers.append(server)
         return server
 
     yield start
     for server in servers:
         server.shutdown()
+
+
+@pytest.fixture
+def http_server():
+    yield from _server_fixture(ScriptedHTTPServer)
+
+
+@pytest.fixture
+def raw_server():
+    yield from _server_fixture(RawReplyServer)
+
+
+@pytest.fixture(scope="session")
+def tls_certificate(tmp_path_factory) -> tuple[str, str]:
+    """A self-signed certificate for 127.0.0.1: (certificate path, key path)."""
+    pytest.importorskip("cryptography")
+    from cryptography import x509
+    from cryptography.hazmat.primitives import hashes, serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+    from cryptography.x509.oid import NameOID
+
+    key = ec.generate_private_key(ec.SECP256R1())
+    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "127.0.0.1")])
+    now = datetime.datetime.now(datetime.timezone.utc)
+    certificate = (
+        x509.CertificateBuilder()
+        .subject_name(name)
+        .issuer_name(name)
+        .public_key(key.public_key())
+        .serial_number(x509.random_serial_number())
+        .not_valid_before(now - datetime.timedelta(days=1))
+        .not_valid_after(now + datetime.timedelta(days=1))
+        .add_extension(x509.SubjectAlternativeName(
+            [x509.IPAddress(ipaddress.ip_address("127.0.0.1"))]), critical=False)
+        .add_extension(x509.BasicConstraints(ca=True, path_length=None), critical=True)
+        .sign(key, hashes.SHA256())
+    )
+    directory = tmp_path_factory.mktemp("tls")
+    cert_path, key_path = directory / "cert.pem", directory / "key.pem"
+    cert_path.write_bytes(certificate.public_bytes(serialization.Encoding.PEM))
+    key_path.write_bytes(key.private_bytes(serialization.Encoding.PEM,
+                                           serialization.PrivateFormat.PKCS8,
+                                           serialization.NoEncryption()))
+    return str(cert_path), str(key_path)
 
 
 def completion_payload(content="The answer is 18.", usage=True):

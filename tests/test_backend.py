@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
 import resource
+import ssl
 import subprocess
 import sys
 import threading
@@ -26,6 +28,7 @@ from tokenbudget.backend import (
     ScriptedEntry,
     backend_tag,
     parse_scripted_file,
+    read_reply,
     request_fingerprint,
 )
 from tokenbudget.cli import build_backend, load_config
@@ -771,6 +774,54 @@ def test_live_backend_malformed_payload_is_protocol_error(http_server, fig_like_
         _live(server).complete(build_prompt(fig_like_question, PromptKind.VANILLA_COT))
 
 
+def _with_usage(**usage):
+    return {"choices": [{"message": {"content": "ok"}}], "usage": usage}
+
+
+@pytest.mark.parametrize("payload, field", [
+    pytest.param({"choices": [{"message": {"content": "ok"}}], "usage": "x"},
+                 "usage must be an object", id="usage-a-string"),
+    pytest.param({"choices": [{"message": {"content": [{"type": "text", "text": "ok"}]}}]},
+                 "content must be a string or null", id="content-a-list"),
+    pytest.param({"choices": [{"message": {"content": 123}}]}, "content must be a string or null",
+                 id="content-a-number"),
+    pytest.param(_with_usage(prompt_tokens=21, completion_tokens="abc"),
+                 "usage.completion_tokens must be a non-negative integer", id="count-a-string"),
+    pytest.param(_with_usage(prompt_tokens=21, completion_tokens=-5),
+                 "usage.completion_tokens must be a non-negative integer", id="count-negative"),
+    pytest.param(_with_usage(prompt_tokens=21, completion_tokens=2.7),
+                 "usage.completion_tokens must be a non-negative integer", id="count-a-float"),
+    pytest.param(_with_usage(prompt_tokens=True, completion_tokens=2),
+                 "usage.prompt_tokens must be a non-negative integer", id="count-a-bool"),
+    pytest.param(_with_usage(prompt_tokens=2.0, completion_tokens=2),
+                 "usage.prompt_tokens must be a non-negative integer",
+                 id="count-an-integral-float"),
+])
+def test_live_backend_payload_of_the_wrong_shape_names_the_field(fig_like_question, payload, field):
+    backend = LiveBackend(endpoint="http://127.0.0.1:1/v1/chat/completions",
+                          model_id="gpt-4o-mini", api_key="sk-test")
+    data = json.dumps(payload).encode("utf-8")
+    with pytest.raises(ProtocolError, match=field) as excinfo:
+        backend._parse_response(data, build_prompt(fig_like_question, PromptKind.VANILLA_COT))
+    assert excinfo.value.raw_body == data.decode("utf-8")
+
+
+@pytest.mark.parametrize("payload, expected", [
+    pytest.param({"choices": [{"message": {"content": None}}], "usage": None}, ("", "local"),
+                 id="null-content-and-usage"),
+    pytest.param(_with_usage(prompt_tokens=0, completion_tokens=0), ("ok", "provider"),
+                 id="zero-counts"),
+    pytest.param(_with_usage(prompt_tokens=None, completion_tokens=3), ("ok", "local"),
+                 id="a-null-count"),
+])
+def test_live_backend_accepts_null_content_usage_and_counts(fig_like_question, payload, expected):
+    backend = LiveBackend(endpoint="http://127.0.0.1:1/v1/chat/completions",
+                          model_id="gpt-4o-mini", api_key="sk-test")
+    text, usage = backend._parse_response(json.dumps(payload).encode("utf-8"),
+                                          build_prompt(fig_like_question, PromptKind.VANILLA_COT))
+    assert (text, usage.counting_source.value.split("_")[0]) == expected
+
+
 def test_live_backend_uses_cache(http_server, tmp_path, fig_like_question):
     server = http_server([(200, completion_payload())])
     cache = ResponseCache(str(tmp_path / "cache.jsonl"),
@@ -960,6 +1011,173 @@ def test_live_backend_tunnels_https_through_the_proxy(http_server, monkeypatch, 
         backend.ask(fig_like_question, PromptKind.VANILLA_COT)
     assert proxy.server.accepts == FAST_RETRY.max_attempts
     assert upstream.server.accepts == 0
+
+
+# ---------------------------------------------------------------------------
+# The reply reader, on raw replies
+# ---------------------------------------------------------------------------
+
+
+ANSWER = json.dumps(completion_payload()).encode("utf-8")
+
+
+def _sized(body=ANSWER, head=b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"):
+    return head + b"Content-Length: %d\r\n\r\n" % len(body) + body
+
+
+def _chunked(body=ANSWER):
+    half = len(body) // 2
+    return (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"%x;name=value\r\n%s\r\n" % (half, body[:half])
+            + b"%X\r\n%s\r\n" % (len(body) - half, body[half:])
+            + b"0\r\nX-Trailer: yes\r\n\r\n")
+
+
+# Each reply is read whole: (raw reply, whether its connection is pooled).
+FRAMED = {
+    "chunked-with-extension-and-trailer": (_chunked(), True),
+    "http-1.0-read-to-close": ((b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n"
+                                + ANSWER, "close"), False),
+    "100-continue-first": (b"HTTP/1.1 100 Continue\r\n\r\n" + _sized(), True),
+    "bytes-after-the-body": (_sized() + b"HTTP/1.1 200 OK\r\n", False),
+    "connection-close": (_sized(head=b"HTTP/1.1 200 OK\r\nConnection: keep-alive, Close\r\n"),
+                         False),
+    "bare-lf-line-ends": (_sized(head=b"HTTP/1.1 200 OK\nX-Note: one\n").replace(
+        b"\r\n\r\n", b"\n\n"), True),
+    "content-length-repeated": (b"HTTP/1.1 200 OK\r\nContent-Length: %d, %d\r\n\r\n%s"
+                                % (len(ANSWER), len(ANSWER), ANSWER), True),
+    "folded-content-length": (_sized(head=b"HTTP/1.1 200 OK\r\n").replace(
+        b"Content-Length: ", b"Content-Length:\r\n  "), True),
+}
+
+# Replies no attempt can read: every attempt fails and is retried.
+BROKEN = {
+    "head-over-64-kib": _sized(head=b"HTTP/1.1 200 OK\r\nX-Padding: " + b"a" * 70 * 1024 + b"\r\n"),
+    "over-100-headers": _sized(head=b"HTTP/1.1 200 OK\r\n" + b"X-Field: 1\r\n" * 101),
+    "bad-status-line": (b"HTTP/1.1 2xx OK\r\nContent-Length: 2\r\n\r\n{}", "close"),
+    "content-length-not-a-number": (b"HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n{}",
+                                    "close"),
+    "content-lengths-that-differ": (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
+                                    b"Content-Length: 3\r\n\r\n{}", "close"),
+    "body-cut-short": (b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{}", "close"),
+    "chunk-size-not-hex": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                           b"zz\r\n{}\r\n0\r\n\r\n", "close"),
+    "closed-before-a-reply": (b"", "close"),
+}
+
+
+@pytest.mark.parametrize("reply, pooled", FRAMED.values(), ids=FRAMED)
+def test_live_backend_reads_each_framing(raw_server, fig_like_question, reply, pooled):
+    server = raw_server([reply, _sized()])
+    backend = _live(server)
+    assert backend.complete(_budgeted(fig_like_question, 10)).text == "The answer is 18."
+    assert len(backend._idle) == pooled
+    assert backend.complete(_budgeted(fig_like_question, 20)).text == "The answer is 18."
+    assert server.server.accepts == (1 if pooled else 2)
+    assert server.posts == 2
+
+
+@pytest.mark.parametrize("reply", BROKEN.values(), ids=BROKEN)
+def test_live_backend_retries_a_reply_it_cannot_read(raw_server, monkeypatch, fig_like_question,
+                                                       reply):
+    monkeypatch.setattr("tokenbudget.backend.time.sleep", lambda seconds: None)
+    server = raw_server([reply] * FAST_RETRY.max_attempts)
+    backend = _live(server)
+    with pytest.raises(TransportError, match="request failed"):
+        backend.complete(_budgeted(fig_like_question, 10))
+    assert server.posts == FAST_RETRY.max_attempts
+    assert backend._idle == []
+
+
+class _TrickleSocket:
+    """A socket whose every recv returns at most ``step`` bytes of ``data``, then EOF."""
+
+    def __init__(self, data, step):
+        self.data, self.step = data, step
+
+    def recv(self, size):
+        chunk, self.data = self.data[:min(size, self.step)], self.data[min(size, self.step):]
+        return chunk
+
+
+def _read_outcome(data, step):
+    try:
+        status, body, _ = read_reply(_TrickleSocket(data, step))
+    except (OSError, http.client.HTTPException) as exc:
+        return type(exc)
+    return status, body
+
+
+@pytest.mark.parametrize("reply", [reply for reply, _ in FRAMED.values()] + list(BROKEN.values()),
+                         ids=[*FRAMED, *BROKEN])
+def test_reply_read_in_single_bytes_equals_the_reply_read_whole(reply):
+    data = reply if isinstance(reply, bytes) else reply[0]
+    assert _read_outcome(data, 1) == _read_outcome(data, len(data) + 1)
+
+
+def test_live_backend_reads_replies_without_http_client_responses(
+        http_server, monkeypatch, fig_like_question):
+    def begin(response):
+        raise AssertionError("http.client parsed a reply")
+
+    monkeypatch.setattr(http.client.HTTPResponse, "begin", begin)
+    server = http_server([(200, completion_payload())] * 2)
+    backend = _live(server)
+    for budget in (10, 20):
+        assert backend.complete(_budgeted(fig_like_question, budget)).text == "The answer is 18."
+    assert server.server.accepts == 1
+
+
+def test_live_backend_sends_the_host_without_userinfo(http_server, fig_like_question):
+    server = http_server([(200, completion_payload())])
+    endpoint = server.endpoint.replace("http://", "http://user:secret@")
+    backend = LiveBackend(endpoint=endpoint, model_id="gpt-4o-mini", api_key="sk-test")
+    assert backend.ask(fig_like_question, PromptKind.VANILLA_COT).text == "The answer is 18."
+    assert server.requests[0]["host"] == urllib.parse.urlsplit(server.endpoint).netloc
+
+
+@pytest.mark.parametrize("endpoint, api_key", [
+    ("http://127.0.0.1:1/v1/chat/completions", "sk-test\r\nX-Injected: 1"),
+    ("http://127.0.0.1:1/v1/chat/completions", "sk-\x00test"),
+    ("http://127.0.0.1:1/v1/chat/completions\r\nX-Injected: 1", "sk-test"),
+    ("http://127.0.0.1:1/v1/chat completions", "sk-test"),
+], ids=["key-crlf", "key-nul", "endpoint-crlf", "endpoint-space"])
+def test_live_backend_refuses_a_control_character_at_construction(endpoint, api_key):
+    with pytest.raises(ValueError, match="control character") as excinfo:
+        LiveBackend(endpoint=endpoint, model_id="gpt-4o-mini", api_key=api_key)
+    assert "sk-" not in str(excinfo.value)
+
+
+def _trusting(monkeypatch, cafile):
+    default_context = ssl.create_default_context
+    monkeypatch.setattr("tokenbudget.backend.ssl.create_default_context",
+                        lambda: default_context(cafile=cafile))
+
+
+def test_live_backend_keeps_one_tls_connection_alive(
+        http_server, monkeypatch, tls_certificate, fig_like_question):
+    certificate, key = tls_certificate
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(certificate, key)
+    server = http_server([(200, completion_payload())] * 3, tls=context)
+    _trusting(monkeypatch, certificate)
+    backend = _live(server)
+    for budget in (10, 20, 30):
+        assert backend.complete(_budgeted(fig_like_question, budget)).text == "The answer is 18."
+    assert len(server.requests) == 3
+    assert server.server.accepts == 1
+
+
+def test_live_backend_refuses_a_tls_certificate_it_does_not_trust(
+        http_server, monkeypatch, tls_certificate, fig_like_question):
+    certificate, key = tls_certificate
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(certificate, key)
+    server = http_server([(200, completion_payload())], tls=context)
+    monkeypatch.setattr("tokenbudget.backend.time.sleep", lambda seconds: None)
+    with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
+        _live(server).complete(_budgeted(fig_like_question, 10))
+    assert server.requests == []
 
 
 def test_import_leaves_requests_out():

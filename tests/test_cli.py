@@ -126,22 +126,54 @@ def test_eval_partial_sample_failures_exit_2(demo, monkeypatch):
     assert code == 2
 
 
-def test_live_config_requires_resolvable_credential(demo, monkeypatch, tmp_path):
-    _, dataset, tmp = demo
-    live_config = tmp_path / "live.json"
-    live_config.write_text(json.dumps({
+def _live_config(directory, endpoint="http://127.0.0.1:1/v1/chat/completions", **settings):
+    """Write a live-backend config whose key is read from TOKENBUDGET_TEST_KEY; its path."""
+    path = directory / "live.json"
+    path.write_text(json.dumps({
         "backend": {
             "kind": "live",
-            "endpoint": "http://127.0.0.1:1/v1/chat/completions",
+            "endpoint": endpoint,
             "model_id": "gpt-4o-mini",
             "credential_env": "TOKENBUDGET_TEST_KEY",
         },
-        "pricing": [],
+        "pricing": [{"model_id": "gpt-4o-mini", "input_price": 0.15, "output_price": 0.60}],
+        **settings,
     }))
+    return str(path)
+
+
+def test_live_config_requires_resolvable_credential(demo, monkeypatch, tmp_path):
+    _, dataset, tmp = demo
     monkeypatch.delenv("TOKENBUDGET_TEST_KEY", raising=False)
-    code = main(["eval", "--config", str(live_config), "--dataset", dataset,
+    code = main(["eval", "--config", _live_config(tmp_path), "--dataset", dataset,
                  "--out-dir", str(tmp / "out"), "--methods", "vanilla"])
     assert code == 1
+
+
+def test_live_api_key_with_a_line_break_is_fatal_and_not_echoed(demo, monkeypatch, tmp_path,
+                                                               capsys):
+    _, dataset, tmp = demo
+    monkeypatch.setenv("TOKENBUDGET_TEST_KEY", "sk-secret\r\nX-Injected: 1")
+    code = main(["eval", "--config", _live_config(tmp_path), "--dataset", dataset,
+                 "--out-dir", str(tmp / "out"), "--methods", "vanilla"])
+    assert code == 1
+    error = capsys.readouterr().err
+    assert "control character" in error and "sk-secret" not in error
+
+
+def test_live_payload_of_the_wrong_shape_fails_its_question(
+        demo, http_server, monkeypatch, tmp_path):
+    _, dataset, tmp = demo
+    wrong = {"choices": [{"message": {"content": "The answer is 18."}}], "usage": "x"}
+    server = http_server([(200, completion_payload()), (200, wrong), (200, completion_payload())])
+    monkeypatch.setenv("TOKENBUDGET_TEST_KEY", "sk-from-env")
+    out = str(tmp / "out")
+    assert main(["eval", "--config", _live_config(tmp_path, server.endpoint, concurrency=1),
+                 "--dataset", dataset, "--out-dir", out, "--methods", "vanilla"]) == 2
+    records = _read_jsonl(os.path.join(out, "records_vanilla.jsonl"))
+    assert [(r["question_id"], r["failed"]) for r in records] == [
+        ("rebound", False), ("mono", True), ("wrong", False),
+    ]
 
 
 def test_live_config_sends_its_settings_and_retries_each_question(
@@ -152,22 +184,15 @@ def test_live_config_sends_its_settings_and_retries_each_question(
     # At concurrency 1 the vanilla calls go rebound, mono, wrong; mono is
     # answered 503 on both of its attempts.
     server = http_server([answer, (503, {}), (503, {}), answer])
-    live_config = tmp_path / "live.json"
-    live_config.write_text(json.dumps({
-        "backend": {
-            "kind": "live",
-            "endpoint": server.endpoint,
-            "model_id": "gpt-4o-mini",
-            "credential_env": "TOKENBUDGET_TEST_KEY",
-        },
-        "pricing": [{"model_id": "gpt-4o-mini", "input_price": 0.15, "output_price": 0.60}],
-        "sampling": {"temperature": 0.3, "seed": 7},
-        "retry": {"max_attempts": 2, "initial_backoff": 0.01},
-        "concurrency": 1,
-    }))
+    live_config = _live_config(
+        tmp_path, server.endpoint,
+        sampling={"temperature": 0.3, "seed": 7},
+        retry={"max_attempts": 2, "initial_backoff": 0.01},
+        concurrency=1,
+    )
     monkeypatch.setenv("TOKENBUDGET_TEST_KEY", "sk-from-env")
     out = str(tmp / "out")
-    assert main(["eval", "--config", str(live_config), "--dataset", dataset,
+    assert main(["eval", "--config", live_config, "--dataset", dataset,
                  "--out-dir", out, "--methods", "vanilla"]) == 2
 
     assert len(server.requests) == 4
@@ -473,6 +498,40 @@ def test_elasticity_rejects_a_bad_k_before_reading(demo, capsys, k):
     assert main(["elasticity", "--config", config, "--out-dir", str(out), "--k", k,
                  "--search-output", str(tmp / "missing.jsonl")]) == 1
     assert "--k" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb, flag, value", [
+    ("eval", "--alpha", "0"),
+    ("eval", "--alpha", "-1"),
+    ("eval", "--alpha", "nan"),
+    ("eval", "--alpha", "inf"),
+    ("eval", "--methods", "direct,fixed:0"),
+    ("eval", "--methods", "direct,fixed:abc"),
+    ("eval", "--methods", "fixed:2.5"),
+    ("audit", "--multipliers", "0.5,inf"),
+    ("audit", "--multipliers", "nan"),
+    ("audit", "--multipliers", "1,0"),
+    ("audit", "--multipliers", "1,two"),
+])
+def test_numeric_flags_are_checked_before_any_request(demo, capsys, monkeypatch, verb, flag,
+                                                       value):
+    config, dataset, tmp = demo
+    search_dir = tmp / "search"
+    assert main(["search", "--config", config, "--dataset", dataset,
+                 "--out-dir", str(search_dir)]) == 0
+    requests = []
+    monkeypatch.setattr(backend.ScriptedBackend, "_request",
+                        lambda self, prompt: requests.append(prompt))
+    out = tmp / "out"
+    argv = [verb, "--config", config, "--dataset", dataset, "--out-dir", str(out), flag, value]
+    if verb == "audit":
+        argv += ["--search-output", str(search_dir / "search_results.jsonl")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    error = capsys.readouterr().err
+    assert error.startswith(f"error: {flag}") and value.split(",")[-1] in error, error
+    assert requests == []
     assert not out.exists()
 
 
