@@ -5,8 +5,10 @@ what makes batch runs resumable: replaying a request with an intact cache
 never reaches upstream. The fingerprint hashes the prompt and the sampling
 parameters; each cache line also carries a tag of the backend that answered
 (cache format version, kind, model id and live endpoint), and a backend is
-served only the lines with its own tag. Loading a cache indexes its lines
-without decoding them; an entry is decoded at its first ``get``. Backend
+served only the lines with its own tag. A line is formatted directly from
+its fixed layout, the bytes the sorted-key ``json.dumps`` of the record
+gives; loading a cache indexes its lines without decoding them, and an
+entry is decoded by the C JSON scanner at its first ``get``. Backend
 instances are safe for concurrent ``complete`` calls, and no lock is held
 across a cache append: each new response is one ``os.write`` of a whole
 line to an ``O_APPEND`` descriptor.
@@ -134,18 +136,43 @@ SCRIPTED_TAG = backend_tag("scripted", "scripted-v1")
 
 # Every cache line is ``json.dumps({"backend", "fingerprint", "outcome"},
 # sort_keys=True)``: the tag sits at a fixed offset and the fingerprint
-# follows it, so a line is indexed by slicing, without decoding it.
+# follows it, so a line is indexed by slicing, without decoding it. ``put``
+# writes the same bytes from these pieces directly.
 _TAG_AT = b'{"backend": "'
 _TAG_END = len(_TAG_AT) + 16
 _FINGERPRINT_AT = b'", "fingerprint": "'
 _OUTCOME_AT = b'", "outcome": '
+_OUTCOME_TEXT = _OUTCOME_AT.decode("ascii")
+_SOURCE_JSON = {source: encode_basestring_ascii(source.value) for source in CountingSource}
+_SOURCES = {source.value: source for source in CountingSource}
+_JSON_SPACE = " \t\n\r"
+_scan_json = json.JSONDecoder().scan_once
 
 
 def _decode_line(line: bytes) -> tuple[str, str, CompletionOutcome]:
-    """(tag, fingerprint, outcome) of one cache line; a bad line raises
-    ValueError, KeyError or TypeError."""
-    record = json.loads(line)
-    return record["backend"], record["fingerprint"], CompletionOutcome.from_dict(record["outcome"])
+    """(tag, fingerprint, outcome) of one cache line, as ``json.loads`` reads
+    it; a bad line raises ValueError, KeyError or TypeError."""
+    text = line.decode("utf-8", "surrogatepass").strip(_JSON_SPACE)
+    try:
+        record, end = _scan_json(text, 0)
+    except StopIteration as exc:
+        raise json.JSONDecodeError("Expecting value", text, exc.value) from None
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    outcome = record["outcome"]
+    usage = outcome["usage"]
+    source = usage["counting_source"]
+    return record["backend"], record["fingerprint"], CompletionOutcome(
+        text=outcome["text"],
+        usage=TokenUsage(
+            input_tokens=usage["input_tokens"],
+            output_tokens=usage["output_tokens"],
+            # An unknown source raises CountingSource's own ValueError.
+            counting_source=_SOURCES.get(source) or CountingSource(source),
+        ),
+        model_id=outcome["model_id"],
+        request_fingerprint=outcome["request_fingerprint"],
+    )
 
 
 class ResponseCache:
@@ -158,8 +185,10 @@ class ResponseCache:
     ``CACHE_FORMAT``, such as one written by an older version, is a
     DatasetError: the file is not misread.
 
-    Loading indexes each line by slicing its tag and fingerprint; the first
-    ``get`` of an entry decodes the line and keeps the outcome in its place.
+    ``put`` formats each line directly, byte for byte what the sorted-key
+    ``json.dumps`` of the record gives. Loading indexes each line by slicing
+    its tag and fingerprint; the first ``get`` of an entry decodes the line
+    with the C JSON scanner and keeps the outcome in its place.
 
     Readers and writers take no lock: ``put`` claims a fingerprint with one
     ``dict.setdefault``, so only the first put of a fingerprint appends, and
@@ -175,6 +204,9 @@ class ResponseCache:
     def __init__(self, path: str, tag: str = SCRIPTED_TAG):
         self.path = path
         self.tag = tag
+        # Every line of this cache up to its fingerprint's opening quote.
+        self._head = (_TAG_AT.decode("ascii") + encode_basestring_ascii(tag)[1:-1]
+                      + _FINGERPRINT_AT.decode("ascii"))
         self._lock = threading.Lock()
         # Fingerprint -> outcome, or the raw line it has not been decoded from yet.
         self._entries: dict[str, CompletionOutcome | bytes] = {}
@@ -188,7 +220,7 @@ class ResponseCache:
         return DatasetError(f"{self.path}: corrupt cache record at line {number}: {reason}")
 
     def _load(self) -> None:
-        mine = _TAG_AT + self.tag.encode("ascii") + _FINGERPRINT_AT
+        mine = self._head.encode("ascii")
         start = len(mine)
         entries = self._entries
         line = b"\n"
@@ -260,8 +292,16 @@ class ResponseCache:
         entries = self._entries
         if fingerprint in entries or entries.setdefault(fingerprint, outcome) is not outcome:
             return
-        record = {"backend": self.tag, "fingerprint": fingerprint, "outcome": outcome.to_dict()}
-        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+        usage = outcome.usage
+        line = (
+            f'{self._head}{encode_basestring_ascii(fingerprint)[1:-1]}{_OUTCOME_TEXT}'
+            f'{{"model_id": {encode_basestring_ascii(outcome.model_id)}, '
+            f'"request_fingerprint": {encode_basestring_ascii(outcome.request_fingerprint)}, '
+            f'"text": {encode_basestring_ascii(outcome.text)}, '
+            f'"usage": {{"counting_source": {_SOURCE_JSON[usage.counting_source]}, '
+            f'"input_tokens": {int.__repr__(usage.input_tokens)}, '
+            f'"output_tokens": {int.__repr__(usage.output_tokens)}}}}}}}\n'
+        ).encode("ascii")
         fd = self._fd if self._fd is not None else self._open_for_append()
         if os.write(fd, line) != len(line):
             raise OSError(f"{self.path}: short write of a cache record")
@@ -463,13 +503,23 @@ class ScriptedBackend(CompletionBackend):
 
 def _parse_entry(data: dict, where: str) -> ScriptedEntry:
     try:
-        return ScriptedEntry(
-            output_tokens=int(data["output_tokens"]),
-            correct=bool(data.get("correct", True)),
-            text=data.get("text"),
-        )
+        output_tokens = int(data["output_tokens"])
+        text = data.get("text")
+        if output_tokens < 0:
+            raise ValueError(f"output_tokens must be >= 0, got {output_tokens}")
+        if text is not None and not isinstance(text, str):
+            raise TypeError(f"text must be a string, got {text!r}")
+        return ScriptedEntry(output_tokens=output_tokens, correct=bool(data.get("correct", True)),
+                             text=text)
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(f"bad scripted entry at {where}: {exc}") from exc
+
+
+def _object(value, where: str) -> dict:
+    """``value``, which the fixture requires to be a JSON object at ``where``."""
+    if not isinstance(value, dict):
+        raise DatasetError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def parse_scripted_file(path: str) -> ScriptedScenario:
@@ -479,21 +529,29 @@ def parse_scripted_file(path: str) -> ScriptedScenario:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    _object(data, f"{path}: the scripted fixture")
+    items = data.get("questions", [])
+    if not isinstance(items, list):
+        raise DatasetError(f"{path}: questions must be a JSON list, got {type(items).__name__}")
 
     questions: list[Question] = []
     behaviors: dict[str, ScriptedBehavior] = {}
     seen_ids: set[str] = set()
-    for index, item in enumerate(data.get("questions", [])):
+    for index, item in enumerate(items):
         where = f"{path} questions[{index}]"
+        _object(item, f"question at {where}")
         try:
+            text = item["text"]
+            if not isinstance(text, str):
+                raise TypeError(f"text must be a string, got {text!r}")
             question = Question(
                 id=str(item["id"]),
-                text=item["text"],
+                text=text,
                 gold_answer=str(item.get("gold_answer", "")),
                 answer_kind=AnswerKind(item.get("answer_kind", "numeric")),
                 source=item.get("source", data.get("name", "scripted")),
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"bad question at {where}: {exc}") from exc
         if question.id in seen_ids:
             raise DatasetError(f"duplicate question id {question.id!r} at {where}")
@@ -503,12 +561,16 @@ def parse_scripted_file(path: str) -> ScriptedScenario:
         raw = item.get("behavior")
         if raw is None:
             continue
+        _object(raw, f"behavior at {where}")
         if "vanilla" not in raw:
             raise DatasetError(f"behavior at {where} is missing its vanilla entry")
-        curve = {
-            int(budget): _parse_entry(entry, f"{where}.budgets[{budget}]")
-            for budget, entry in raw.get("budgets", {}).items()
-        }
+        curve = {}
+        for key, entry in _object(raw.get("budgets", {}), f"budgets at {where}").items():
+            try:
+                budget = int(key)
+            except ValueError as exc:
+                raise DatasetError(f"bad budget at {where}.budgets: {exc}") from exc
+            curve[budget] = _parse_entry(entry, f"{where}.budgets[{key}]")
         behaviors[question.id] = ScriptedBehavior(
             vanilla=_parse_entry(raw["vanilla"], f"{where}.vanilla"),
             cost_curve=curve,
@@ -572,29 +634,36 @@ _TARGET_UNSAFE = re.compile(r"[\x00-\x20\x7f]")
 
 class _SocketReader:
     """Buffered reads from a socket for one reply; ``closed`` once the peer
-    has ended the stream."""
+    has ended the stream.
+
+    The buffer grows by appends and drops only the bytes already consumed,
+    so a reply that arrives in many small segments is still copied in
+    linear time.
+    """
 
     __slots__ = ("sock", "data", "pos", "closed")
 
     def __init__(self, sock):
         self.sock = sock
-        self.data = b""
+        self.data = bytearray()
         self.pos = 0
         self.closed = False
 
     def recv(self) -> bool:
-        """Append the socket's next bytes to the unread ones; False at EOF."""
+        """Append the socket's next bytes to the unread ones, which then
+        start at ``data[0]``; False at EOF."""
         chunk = self.sock.recv(_RECV_SIZE)
         if not chunk:
             self.closed = True
             return False
-        self.data = self.data[self.pos:] + chunk
+        del self.data[:self.pos]
         self.pos = 0
+        self.data += chunk
         return True
 
-    def head(self) -> tuple[int, int]:
-        """Read past the blank line that ends the next reply head: the head
-        (start line and fields) is ``data[start:end]``."""
+    def head(self) -> bytes:
+        """The next reply head (start line and fields), read past the blank
+        line that ends it."""
         scanned = self.pos
         while (blank := _BLANK_LINE.search(self.data, scanned)) is None:
             unread = len(self.data) - self.pos
@@ -603,51 +672,43 @@ class _SocketReader:
             scanned = max(0, unread - 2)
             if not self.recv():
                 if self.data:
-                    raise http.client.IncompleteRead(self.data[self.pos:])
+                    raise http.client.IncompleteRead(bytes(self.data[self.pos:]))
                 raise http.client.RemoteDisconnected("remote end closed the connection unanswered")
         start, end = self.pos, blank.start()
         if end - start > _MAX_HEAD:
             raise http.client.LineTooLong("reply head")
         self.pos = blank.end()
-        return start, end
+        return bytes(self.data[start:end])
 
     def line(self) -> bytes:
         """The next line, without its line end."""
-        while (end := self.data.find(b"\n", self.pos)) < 0:
-            if len(self.data) - self.pos > _MAX_HEAD:
+        scanned = self.pos
+        while (end := self.data.find(b"\n", scanned)) < 0:
+            unread = len(self.data) - self.pos
+            if unread > _MAX_HEAD:
                 raise http.client.LineTooLong("chunked body line")
+            scanned = unread
             if not self.recv():
-                raise http.client.IncompleteRead(self.data[self.pos:])
-        line = self.data[self.pos:end]
+                raise http.client.IncompleteRead(bytes(self.data[self.pos:]))
+        line = bytes(self.data[self.pos:end])
         self.pos = end + 1
         return line[:-1] if line.endswith(b"\r") else line
 
     def take(self, size: int) -> bytes:
         """The next ``size`` bytes."""
+        while (unread := len(self.data) - self.pos) < size:
+            if not self.recv():
+                raise http.client.IncompleteRead(bytes(self.data[self.pos:]), size - unread)
         end = self.pos + size
-        if end > len(self.data):
-            parts = [self.data[self.pos:]]
-            missing = end - len(self.data)
-            while missing > 0:
-                chunk = self.sock.recv(_RECV_SIZE)
-                if not chunk:
-                    self.closed = True
-                    raise http.client.IncompleteRead(b"".join(parts), missing)
-                parts.append(chunk)
-                missing -= len(chunk)
-            self.data, self.pos, end = b"".join(parts), 0, size
-        taken = self.data[self.pos:end]
+        taken = bytes(self.data[self.pos:end])
         self.pos = end
         return taken
 
     def rest(self) -> bytes:
         """Every byte up to the end of the stream."""
-        parts = [self.data[self.pos:]]
-        while chunk := self.sock.recv(_RECV_SIZE):
-            parts.append(chunk)
-        self.closed = True
-        self.data, self.pos = b"", 0
-        return b"".join(parts)
+        while self.recv():
+            pass
+        return self.take(len(self.data) - self.pos)
 
     def chunked(self) -> bytes:
         """A chunked body (RFC 9112 section 7.1): extensions and trailer
@@ -691,18 +752,16 @@ def read_reply(sock) -> tuple[int, bytes, bool]:
     reader = _SocketReader(sock)
     status = 100
     while status < 200:
-        start, end = reader.head()
-        data = reader.data
-        status_line = _STATUS_LINE.match(data, start, end)
+        head = reader.head()
+        status_line = _STATUS_LINE.match(head)
         if status_line is None:
-            raise http.client.BadStatusLine(
-                data[start:end].split(b"\n", 1)[0].rstrip(b"\r").decode("latin-1"))
-        if data.count(b"\n", start, end) > _MAX_HEADERS:
+            raise http.client.BadStatusLine(head.split(b"\n", 1)[0].rstrip(b"\r").decode("latin-1"))
+        if head.count(b"\n") > _MAX_HEADERS:
             raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
         status = int(status_line[2])
     # Each framing field's value, its lines joined by commas.
     fields: dict[bytes, bytes] = {}
-    for name, value in _FRAMING_FIELD.findall(data, start, end):
+    for name, value in _FRAMING_FIELD.findall(head):
         name = name.lower()
         fields[name] = fields[name] + b"," + value if name in fields else value
     connection = fields.get(b"connection")

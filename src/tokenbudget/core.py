@@ -202,17 +202,21 @@ def compute_expense(usage: TokenUsage, pricing: ModelPricing) -> float:
     return dollars_per_million / 10.0
 
 
-_DROP_PUNCTUATION = str.maketrans("", "", string.punctuation)
+_PUNCTUATION = string.punctuation.encode("ascii")
 
 
 def count_tokens_approx(text: str) -> int:
     """Local token-count approximation: whitespace words plus punctuation marks.
 
-    Only used when a provider omits its usage block; downstream consumers must
-    tag the result as a local approximation, never as provider-reported.
+    Every punctuation mark is one ASCII byte, and no byte of a multi-byte
+    UTF-8 sequence is ASCII, so the marks are counted as the bytes that
+    ``bytes.translate`` deletes from the text's UTF-8 encoding.
+
+    The scripted mock reports it as its provider's input count; a live
+    backend uses it only when the provider omits its usage block, and tags
+    the result as a local approximation, never as provider-reported.
     """
     if not text:
         return 0
-    words = len(text.split())
-    punctuation = len(text) - len(text.translate(_DROP_PUNCTUATION))
-    return words + punctuation
+    data = text.encode("utf-8", "surrogatepass")
+    return len(text.split()) + len(data) - len(data.translate(None, _PUNCTUATION))

@@ -8,6 +8,7 @@ flagged, so accuracy is preserved at the cost of tokens.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -27,8 +28,8 @@ def parse_estimate(raw_response: str) -> int | None:
 
 def scale_budget(estimate: int, alpha: float) -> int:
     """Scale an estimate by alpha, rounding and clamping to >= 1."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
     return max(1, round(alpha * estimate))
 
 

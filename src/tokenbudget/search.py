@@ -14,6 +14,7 @@ monotonicity audit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -293,10 +294,11 @@ def monotonicity_audit(
     budget is incorrect and every verdict at or above it is correct. Scaled
     budgets are floored and clamped to >= 1.
     """
+    for multiplier in multipliers:
+        if not 0 < multiplier < math.inf:
+            raise ValueError(f"multipliers must be finite and > 0, got {multiplier!r}")
     checks = []
     for multiplier in multipliers:
-        if multiplier <= 0:
-            raise ValueError("multipliers must be positive")
         budget = clamp_budget(multiplier * optimal_budget)
         outcome = backend.ask(question, PromptKind.BUDGETED_COT, budget=budget)
         verdict = grade(outcome.text, question)

@@ -757,6 +757,39 @@ def test_a_changed_model_id_sends_every_request_upstream(demo, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Failure policy
+_GOOD_QUESTION = {"id": "q0", "text": "Q?", "gold_answer": "1",
+                  "behavior": {"vanilla": {"output_tokens": 5}}}
+
+
+@pytest.mark.parametrize("fixture, item, problem", [
+    pytest.param([_GOOD_QUESTION], None, "must be a JSON object, got list", id="top-level-list"),
+    pytest.param({"questions": [_GOOD_QUESTION, ["q1", "Q?"]]}, "questions[1]",
+                 "must be a JSON object, got list", id="question-a-list"),
+    pytest.param({"questions": [dict(_GOOD_QUESTION, text=5)]}, "questions[0]",
+                 "text must be a string, got 5", id="text-a-number"),
+    pytest.param({"questions": [dict(_GOOD_QUESTION, behavior={
+        "vanilla": {"output_tokens": 5}, "budgets": {"ten": {"output_tokens": 3}}})]},
+                 "questions[0]", "invalid literal for int()", id="budget-key-not-a-number"),
+    pytest.param({"questions": [dict(_GOOD_QUESTION, behavior=[{"output_tokens": 5}])]},
+                 "questions[0]", "must be a JSON object, got list", id="behavior-a-list"),
+    pytest.param({"questions": [dict(_GOOD_QUESTION, behavior={
+        "vanilla": {"output_tokens": 5, "text": ["The answer is 1."]}})]},
+                 "questions[0].vanilla", "text must be a string", id="entry-text-a-list"),
+])
+def test_fixture_of_the_wrong_shape_is_one_error_naming_the_file_and_item(
+        tmp_path, capsys, fixture, item, problem):
+    config_path, dataset_path = tmp_path / "config.json", tmp_path / "fixture.json"
+    config_path.write_text(_config())
+    dataset_path.write_text(json.dumps(fixture))
+    assert main(["search", "--config", str(config_path), "--dataset", str(dataset_path),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    error = capsys.readouterr().err
+    assert error.startswith("error: ") and error.count("\n") == 1, error
+    assert str(dataset_path) in error and problem in error, error
+    assert item is None or f"{dataset_path} {item}" in error, error
+    assert "Traceback" not in error
+
+
 # ---------------------------------------------------------------------------
 
 

@@ -116,7 +116,13 @@ def _count_tokens_reference(text: str) -> int:
     return len(text.split()) + sum(1 for ch in text if ch in punctuation)
 
 
-@given(st.text(max_size=300) | st.text(alphabet=string.punctuation + string.whitespace + "aé€", max_size=300))
+# Lone surrogates, non-ASCII punctuation (which is not counted) and non-ASCII
+# whitespace (which splits words).
+_COUNT_ALPHABET = string.punctuation + string.whitespace + "aé€！«»\x85\xa0\u2028\ud800\udfff"
+
+
+@given(st.text(max_size=300) | st.text(alphabet=_COUNT_ALPHABET, max_size=300)
+       | st.text(st.characters(blacklist_categories=()), max_size=300))
 def test_count_matches_per_character_reference(text):
     assert count_tokens_approx(text) == _count_tokens_reference(text)
 

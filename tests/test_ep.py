@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -67,6 +69,12 @@ def test_scale_clamps_to_floor():
 def test_scale_rejects_nonpositive_alpha():
     with pytest.raises(ValueError):
         scale_budget(parse_estimate("50"), 0.0)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_scale_rejects_nan_and_infinite_alpha_naming_it(alpha):
+    with pytest.raises(ValueError, match=r"alpha must be finite and > 0, got"):
+        scale_budget(50, alpha)
 
 
 @given(st.integers(1, 10**6), st.floats(0.01, 100.0), st.floats(0.01, 100.0))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import math
+
 import pytest
 
 from tokenbudget.backend import ScriptedEntry
@@ -338,6 +340,14 @@ def test_multiplier_budgets_floored_and_clamped():
 def test_nonpositive_multiplier_rejected(rebound_question, rebound_backend):
     with pytest.raises(ValueError):
         monotonicity_audit(rebound_backend, rebound_question, 64, multipliers=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("multiplier", [math.nan, math.inf, -math.inf])
+def test_nan_and_infinite_multipliers_rejected_before_any_call(rebound_question, multiplier):
+    backend = scripted_backend({rebound_question: behavior_from_curve(vanilla_tokens=258, curve={})})
+    with pytest.raises(ValueError, match=r"multipliers must be finite and > 0, got"):
+        monotonicity_audit(backend, rebound_question, 64, multipliers=(1.0, multiplier))
+    assert backend.upstream_calls == 0
 
 
 def test_monotonic_fraction():
