@@ -501,45 +501,84 @@ class ScriptedBackend(CompletionBackend):
         )
 
 
-def _parse_entry(data: dict, where: str) -> ScriptedEntry:
+_KINDS = {kind.value: kind for kind in AnswerKind}
+
+
+def _answer_kind(value) -> AnswerKind:
     try:
-        output_tokens = int(data["output_tokens"])
-        text = data.get("text")
-        if output_tokens < 0:
-            raise ValueError(f"output_tokens must be >= 0, got {output_tokens}")
-        if text is not None and not isinstance(text, str):
-            raise TypeError(f"text must be a string, got {text!r}")
-        return ScriptedEntry(output_tokens=output_tokens, correct=bool(data.get("correct", True)),
-                             text=text)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatasetError(f"bad scripted entry at {where}: {exc}") from exc
+        return _KINDS[value]
+    except (KeyError, TypeError):
+        return AnswerKind(value)
 
 
-def _object(value, where: str) -> dict:
-    """``value``, which the fixture requires to be a JSON object at ``where``."""
+def _object(value, where: str) -> None:
+    """Refuse ``value`` unless it is the JSON object the fixture requires at ``where``."""
     if not isinstance(value, dict):
         raise DatasetError(f"{where} must be a JSON object, got {type(value).__name__}")
-    return value
 
 
 def parse_scripted_file(path: str) -> ScriptedScenario:
-    """Load a scripted fixture: per-question entries with budget-keyed cost curves."""
+    """Load a scripted fixture: per-question entries with budget-keyed cost curves.
+
+    A fixture repeats its entries (the bench cohort holds about 2,700
+    distinct ones among 18,000), so each distinct raw
+    ``(output_tokens, correct, text)`` is checked and built once. Equal raw
+    values give equal entries, since ``int`` and ``bool`` agree on ``1``,
+    ``1.0`` and ``true``; an unhashable value is checked every time, and a
+    failure is never cached. Error locations are formatted only to raise.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    _object(data, f"{path}: the scripted fixture")
+    if data.__class__ is not dict:
+        _object(data, f"{path}: the scripted fixture")
     items = data.get("questions", [])
     if not isinstance(items, list):
         raise DatasetError(f"{path}: questions must be a JSON list, got {type(items).__name__}")
 
+    built: dict[tuple, ScriptedEntry] = {}
+
+    def entry(raw, where: str, *parts) -> ScriptedEntry:
+        """The entry ``raw`` describes; a bad one is a DatasetError at
+        ``where``, formatted with the path and ``parts`` only then."""
+        key = None
+        if raw.__class__ is dict:
+            key = (raw.get("output_tokens"), raw.get("correct", True), raw.get("text"))
+            try:
+                parsed = built.get(key)
+            except TypeError:  # an unhashable value: checked every time
+                key = None
+            else:
+                if parsed is not None:
+                    return parsed
+        try:
+            output_tokens = int(raw["output_tokens"])
+            text = raw.get("text")
+            if output_tokens < 0:
+                raise ValueError(f"output_tokens must be >= 0, got {output_tokens}")
+            if text is not None and not isinstance(text, str):
+                raise TypeError(f"text must be a string, got {text!r}")
+            parsed = ScriptedEntry(output_tokens=output_tokens,
+                                   correct=bool(raw.get("correct", True)), text=text)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DatasetError(
+                f"bad scripted entry at {where.format(path, *parts)}: {exc}") from exc
+        if key is not None:
+            built[key] = parsed
+        return parsed
+
+    def at(index: int) -> str:
+        return f"{path} questions[{index}]"
+
+    source = data.get("name", "scripted")
     questions: list[Question] = []
     behaviors: dict[str, ScriptedBehavior] = {}
     seen_ids: set[str] = set()
     for index, item in enumerate(items):
-        where = f"{path} questions[{index}]"
-        _object(item, f"question at {where}")
+        if item.__class__ is not dict:
+            _object(item, f"question at {at(index)}")
         try:
             text = item["text"]
             if not isinstance(text, str):
@@ -548,39 +587,45 @@ def parse_scripted_file(path: str) -> ScriptedScenario:
                 id=str(item["id"]),
                 text=text,
                 gold_answer=str(item.get("gold_answer", "")),
-                answer_kind=AnswerKind(item.get("answer_kind", "numeric")),
-                source=item.get("source", data.get("name", "scripted")),
+                answer_kind=_answer_kind(item.get("answer_kind", "numeric")),
+                source=item.get("source", source),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetError(f"bad question at {where}: {exc}") from exc
+            raise DatasetError(f"bad question at {at(index)}: {exc}") from exc
         if question.id in seen_ids:
-            raise DatasetError(f"duplicate question id {question.id!r} at {where}")
+            raise DatasetError(f"duplicate question id {question.id!r} at {at(index)}")
         seen_ids.add(question.id)
         questions.append(question)
 
         raw = item.get("behavior")
         if raw is None:
             continue
-        _object(raw, f"behavior at {where}")
+        if raw.__class__ is not dict:
+            _object(raw, f"behavior at {at(index)}")
         if "vanilla" not in raw:
-            raise DatasetError(f"behavior at {where} is missing its vanilla entry")
+            raise DatasetError(f"behavior at {at(index)} is missing its vanilla entry")
+        budgets = raw.get("budgets", {})
+        if budgets.__class__ is not dict:
+            _object(budgets, f"budgets at {at(index)}")
         curve = {}
-        for key, entry in _object(raw.get("budgets", {}), f"budgets at {where}").items():
+        for key, value in budgets.items():
             try:
                 budget = int(key)
             except ValueError as exc:
-                raise DatasetError(f"bad budget at {where}.budgets: {exc}") from exc
-            curve[budget] = _parse_entry(entry, f"{where}.budgets[{key}]")
+                raise DatasetError(f"bad budget at {at(index)}.budgets: {exc}") from exc
+            curve[budget] = entry(value, "{} questions[{}].budgets[{}]", index, key)
         behaviors[question.id] = ScriptedBehavior(
-            vanilla=_parse_entry(raw["vanilla"], f"{where}.vanilla"),
+            vanilla=entry(raw["vanilla"], "{} questions[{}].vanilla", index),
             cost_curve=curve,
-            estimate=_parse_entry(raw["estimate"], f"{where}.estimate") if "estimate" in raw else None,
-            default=_parse_entry(raw["default"], f"{where}.default") if "default" in raw else None,
+            estimate=entry(raw["estimate"], "{} questions[{}].estimate", index)
+            if "estimate" in raw else None,
+            default=entry(raw["default"], "{} questions[{}].default", index)
+            if "default" in raw else None,
         )
 
     default_entry = None
     if "default_behavior" in data:
-        default_entry = _parse_entry(data["default_behavior"], f"{path} default_behavior")
+        default_entry = entry(data["default_behavior"], "{} default_behavior")
     return ScriptedScenario(
         name=data.get("name", os.path.basename(path)),
         questions=questions,
@@ -613,6 +658,10 @@ class RetryPolicy:
 
 # Seconds to wait for one chat-completions reply before the attempt fails.
 REQUEST_TIMEOUT = 120.0
+
+# The request body's encoder, built once: ``json.dumps(..., allow_nan=False)``
+# would build a new JSONEncoder for every request.
+_encode_body = json.JSONEncoder(allow_nan=False).encode
 
 # The reply reader's limits: http.client's _MAXHEADERS and _MAXLINE.
 _MAX_HEADERS = 100
@@ -901,7 +950,7 @@ class LiveBackend(CompletionBackend):
         return status, data
 
     def _request(self, prompt: Prompt) -> tuple[str, TokenUsage]:
-        body = json.dumps({
+        body = _encode_body({
             "model": self.model_id,
             "messages": [
                 {"role": "system", "content": prompt.system},
@@ -910,7 +959,7 @@ class LiveBackend(CompletionBackend):
             "temperature": self.params.temperature,
             "seed": self.params.seed,
             "n": self.params.max_candidates,
-        }, allow_nan=False).encode("utf-8")
+        }).encode("utf-8")
         policy = self._retry
         last_error: Exception = TransportError("no attempt was made")
         for attempt in range(policy.max_attempts):

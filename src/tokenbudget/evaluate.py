@@ -33,6 +33,11 @@ SCRIPTED_JSON = "scripted_json"
 
 GSM8K_ANSWER_MARKER = "#### "
 
+# Every JSONL record line (search and eval records, corpus lines) comes from
+# this one encoder: the bytes of ``json.dumps(record, sort_keys=True)``,
+# without building a new JSONEncoder per record as ``json.dumps`` does.
+encode_record = json.JSONEncoder(sort_keys=True).encode
+
 
 @dataclass
 class Dataset:
@@ -72,10 +77,20 @@ def read_jsonl(path: str, record_type=dict) -> list:
     return records
 
 
+def _question_text(item: dict) -> str:
+    text = item["question"]
+    if not isinstance(text, str):
+        raise TypeError(f"question must be a string, got {text!r}")
+    return text
+
+
 def _load_gsm8k(path: str) -> list[Question]:
     questions = []
     for lineno, item in _jsonl_objects(path):
         answer_text = item.get("answer", "")
+        if not isinstance(answer_text, str):
+            raise DatasetError(
+                f"{path}: line {lineno}: answer must be a string, got {answer_text!r}")
         marker = answer_text.rfind(GSM8K_ANSWER_MARKER)
         if marker < 0:
             raise DatasetError(f"{path}: line {lineno} has no '#### ' answer marker")
@@ -86,13 +101,13 @@ def _load_gsm8k(path: str) -> list[Question]:
             questions.append(
                 Question(
                     id=str(item.get("id", f"gsm8k-{lineno}")),
-                    text=item["question"],
+                    text=_question_text(item),
                     gold_answer=gold,
                     answer_kind=AnswerKind.NUMERIC,
                     source="gsm8k",
                 )
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
     return questions
 
@@ -110,17 +125,19 @@ def _load_mathbench(path: str) -> list[Question]:
 
     questions = []
     for lineno, item in items:
+        if not isinstance(item, dict):
+            raise DatasetError(f"{path}: item {lineno}: not a JSON object")
         try:
             questions.append(
                 Question(
                     id=str(item.get("id", f"mathbench-{lineno}")),
-                    text=item["question"],
+                    text=_question_text(item),
                     gold_answer=str(item["answer"]).strip().upper(),
                     answer_kind=AnswerKind.MULTIPLE_CHOICE,
                     source="mathbench",
                 )
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"{path}: item {lineno}: {exc}") from exc
     return questions
 
@@ -146,6 +163,8 @@ def load_dataset(path: str, fmt: str) -> Dataset:
 
 def sample_dataset(dataset: Dataset, n: int, seed: int) -> Dataset:
     """Seeded, order-stable subsample; identical across runs and platforms."""
+    if n < 1:
+        raise ValueError(f"sample size must be >= 1, got {n}")
     if n > len(dataset.questions):
         raise ValueError(f"cannot sample {n} questions from {len(dataset.questions)}")
     rng = random.Random(seed)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .backend import CompletionBackend
 from .core import Question
-from .evaluate import read_jsonl
+from .evaluate import encode_record, read_jsonl
 from .grading import grade
 from .prompting import PromptKind, build_prompt
 from .search import SearchStatus, search_optimal_budget
@@ -191,7 +191,7 @@ def export_corpus(
         os.makedirs(directory, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         for record in exported:
-            handle.write(json.dumps(vars(record), sort_keys=True) + "\n")
+            handle.write(encode_record(vars(record)) + "\n")
 
     manifest = CorpusManifest(
         dataset=dataset_name,
@@ -204,6 +204,7 @@ def export_corpus(
         },
         config_hash=config_hash,
     )
+    # Streamed to the file, as cli._write_json does, not built as one string.
     with open(manifest_path(path), "w", encoding="utf-8") as handle:
         json.dump(vars(manifest), handle, sort_keys=True, indent=2)
         handle.write("\n")

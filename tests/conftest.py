@@ -11,9 +11,20 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import strategies as st
 
 from tokenbudget.backend import ScriptedBackend, ScriptedBehavior, ScriptedEntry, ScriptedScenario
 from tokenbudget.core import AnswerKind, Question
+
+
+# Any JSON document the standard encoder writes, non-ASCII and lone
+# surrogates, NaN and the infinities included.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=12,
+)
 
 
 def make_question(

@@ -18,7 +18,7 @@ import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import tokenbudget
 from tokenbudget.backend import (
@@ -28,15 +28,18 @@ from tokenbudget.backend import (
     RetryPolicy,
     SamplingParams,
     ScriptedBackend,
+    ScriptedBehavior,
     ScriptedEntry,
+    ScriptedScenario,
     backend_tag,
     parse_scripted_file,
     read_reply,
     request_fingerprint,
     _decode_line,
+    _encode_body,
 )
 from tokenbudget.cli import build_backend, load_config
-from tokenbudget.core import AnswerKind, CompletionOutcome, CountingSource, TokenUsage
+from tokenbudget.core import AnswerKind, CompletionOutcome, CountingSource, Question, TokenUsage
 from tokenbudget.errors import ConfigError, DatasetError, ProtocolError, RateLimitError, TransportError
 from tokenbudget.grading import grade
 from tokenbudget.prompting import (
@@ -50,7 +53,13 @@ from tokenbudget.prompting import (
 )
 from tokenbudget.search import search_optimal_budget
 
-from conftest import behavior_from_curve, completion_payload, make_question, scripted_backend
+from conftest import (
+    JSON_VALUES,
+    behavior_from_curve,
+    completion_payload,
+    make_question,
+    scripted_backend,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -770,12 +779,263 @@ def test_parse_scripted_file_rejects_duplicates_and_bad_entries(tmp_path):
         )
 
 
+def _reference_parse_entry(data, where):
+    try:
+        output_tokens = int(data["output_tokens"])
+        text = data.get("text")
+        if output_tokens < 0:
+            raise ValueError(f"output_tokens must be >= 0, got {output_tokens}")
+        if text is not None and not isinstance(text, str):
+            raise TypeError(f"text must be a string, got {text!r}")
+        return ScriptedEntry(output_tokens=output_tokens, correct=bool(data.get("correct", True)),
+                             text=text)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DatasetError(f"bad scripted entry at {where}: {exc}") from exc
+
+
+def _reference_object(value, where):
+    if not isinstance(value, dict):
+        raise DatasetError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _reference_parse_scripted_file(path):
+    """The parser as it was before entries were cached: every entry checked
+    and built on its own, every location formatted up front. Only the
+    ``OverflowError`` of an infinite count is caught here as well."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            data = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    _reference_object(data, f"{path}: the scripted fixture")
+    items = data.get("questions", [])
+    if not isinstance(items, list):
+        raise DatasetError(f"{path}: questions must be a JSON list, got {type(items).__name__}")
+    questions, behaviors, seen_ids = [], {}, set()
+    for index, item in enumerate(items):
+        where = f"{path} questions[{index}]"
+        _reference_object(item, f"question at {where}")
+        try:
+            text = item["text"]
+            if not isinstance(text, str):
+                raise TypeError(f"text must be a string, got {text!r}")
+            question = Question(
+                id=str(item["id"]),
+                text=text,
+                gold_answer=str(item.get("gold_answer", "")),
+                answer_kind=AnswerKind(item.get("answer_kind", "numeric")),
+                source=item.get("source", data.get("name", "scripted")),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DatasetError(f"bad question at {where}: {exc}") from exc
+        if question.id in seen_ids:
+            raise DatasetError(f"duplicate question id {question.id!r} at {where}")
+        seen_ids.add(question.id)
+        questions.append(question)
+        raw = item.get("behavior")
+        if raw is None:
+            continue
+        _reference_object(raw, f"behavior at {where}")
+        if "vanilla" not in raw:
+            raise DatasetError(f"behavior at {where} is missing its vanilla entry")
+        curve = {}
+        for key, entry in _reference_object(raw.get("budgets", {}), f"budgets at {where}").items():
+            try:
+                budget = int(key)
+            except ValueError as exc:
+                raise DatasetError(f"bad budget at {where}.budgets: {exc}") from exc
+            curve[budget] = _reference_parse_entry(entry, f"{where}.budgets[{key}]")
+        behaviors[question.id] = ScriptedBehavior(
+            vanilla=_reference_parse_entry(raw["vanilla"], f"{where}.vanilla"),
+            cost_curve=curve,
+            estimate=_reference_parse_entry(raw["estimate"], f"{where}.estimate")
+            if "estimate" in raw else None,
+            default=_reference_parse_entry(raw["default"], f"{where}.default")
+            if "default" in raw else None,
+        )
+    default_entry = None
+    if "default_behavior" in data:
+        default_entry = _reference_parse_entry(data["default_behavior"], f"{path} default_behavior")
+    return ScriptedScenario(name=data.get("name", os.path.basename(path)), questions=questions,
+                            behaviors=behaviors, default_entry=default_entry)
+
+
+# Small pools, so that one fixture repeats an entry under raw values that
+# differ only as 1/1.0/true, "correct": 1/true, or text present/absent.
+_GOOD_TOKENS = st.sampled_from([0, 1, 1.0, True, False, -0.0, -0.5, 2, 2.5, "3", " 4 ",
+                                10**20, 1e20])
+_CORRECT = st.sampled_from([True, False, 1, 0, 1.0, 0.0, "", "no", None, [], [0], {}])
+_ENTRY_TEXTS = st.sampled_from([None, "", "The answer is 1.", "~50"])
+_ENTRIES = st.fixed_dictionaries({"output_tokens": _GOOD_TOKENS}, optional={
+    "correct": _CORRECT, "text": _ENTRY_TEXTS, "note": st.just("ignored")})
+_BUDGET_KEYS = st.sampled_from(["1", "8", "50", "050", " 7", "-3", "+4", "1_0"])
+_BEHAVIORS = st.fixed_dictionaries({"vanilla": _ENTRIES}, optional={
+    "budgets": st.dictionaries(_BUDGET_KEYS, _ENTRIES, max_size=4),
+    "estimate": _ENTRIES,
+    "default": _ENTRIES,
+})
+_QUESTIONS = st.fixed_dictionaries({
+    "text": st.sampled_from(["Q?", "What is 3 + 4?", "Pick:\nA. 1"]),
+    "gold_answer": st.sampled_from(["1", "A", 7]),
+}, optional={
+    "answer_kind": st.sampled_from([kind.value for kind in AnswerKind]),
+    "source": st.sampled_from(["s", 5]),
+    "behavior": _BEHAVIORS,
+})
+_FIXTURES = st.fixed_dictionaries({
+    "questions": st.lists(_QUESTIONS, min_size=1, max_size=6).map(
+        lambda items: [dict(item, id=f"q{index}" if index % 2 else index)
+                       for index, item in enumerate(items)]),
+}, optional={"name": st.just("drawn"), "default_behavior": _ENTRIES})
+
+
+def _with_tokens(values):
+    return st.fixed_dictionaries({"output_tokens": st.sampled_from(values)},
+                                 optional={"correct": _CORRECT, "text": _ENTRY_TEXTS})
+
+
+# Each way an entry can be refused, drawn at any entry of a fixture.
+_BAD_ENTRIES = {
+    "entry-not-an-object": st.sampled_from([[], [{"output_tokens": 1}], 5, "x", None, True]),
+    "entry-without-tokens": st.fixed_dictionaries({}, optional={"correct": _CORRECT,
+                                                                "text": _ENTRY_TEXTS}),
+    "tokens-negative": _with_tokens([-1, -2.5, "-4"]),
+    "tokens-not-a-number": _with_tokens(["abc", "", "1.5", None, [], {}, [1]]),
+    "tokens-nan": _with_tokens([float("nan")]),
+    "tokens-infinite": _with_tokens([float("inf"), float("-inf")]),
+    "text-not-a-string": st.fixed_dictionaries(
+        {"output_tokens": _GOOD_TOKENS, "text": st.sampled_from([5, 1.0, True, ["x"], {}])},
+        optional={"correct": _CORRECT}),
+}
+_CORRUPTIONS = [*_BAD_ENTRIES, "budget-key", "no-vanilla", "behavior", "budgets", "question",
+                "text", "no-id", "duplicate-id", "answer-kind", "no-gold", "fixture",
+                "questions"]
+
+
+def _entry_places(fixture) -> list:
+    """(container, key) of every scripted entry of a fixture."""
+    places = [(fixture, "default_behavior")] if "default_behavior" in fixture else []
+    for item in fixture["questions"]:
+        behavior = item.get("behavior")
+        if behavior:
+            places += [(behavior, key) for key in ("vanilla", "estimate", "default")
+                       if key in behavior]
+            places += [(behavior["budgets"], key) for key in behavior.get("budgets", {})]
+    return places
+
+
+def _corruptible(document) -> bool:
+    """Whether every place ``_corrupt`` reaches is still where it expects."""
+    if not isinstance(document, dict) or not isinstance(document.get("questions"), list):
+        return False
+    for item in document["questions"]:
+        if not isinstance(item, dict):
+            return False
+        behavior = item.get("behavior", {})
+        if not isinstance(behavior, dict) or not isinstance(behavior.get("budgets", {}), dict):
+            return False
+    return True
+
+
+def _corrupt(document, how: str, draw):
+    """``document`` broken in the way ``how`` names, at a drawn place."""
+    item = draw(st.sampled_from(document["questions"]))
+    behavior = item.setdefault("behavior", {"vanilla": {"output_tokens": 1}})
+    places = _entry_places(document)
+    if how in _BAD_ENTRIES and places:
+        container, key = draw(st.sampled_from(places))
+        container[key] = draw(_BAD_ENTRIES[how])
+    elif how == "budget-key":
+        key = draw(st.sampled_from(["ten", "1.5", "", "0x10", "1e3"]))
+        behavior.setdefault("budgets", {})[key] = {"output_tokens": 1}
+    elif how == "no-vanilla":
+        behavior.pop("vanilla", None)
+    elif how == "behavior":
+        item["behavior"] = draw(st.sampled_from([[], 5, "b"]))
+    elif how == "budgets":
+        behavior["budgets"] = draw(st.sampled_from([[], 5, "b", None]))
+    elif how == "question":
+        document["questions"][document["questions"].index(item)] = draw(
+            st.sampled_from([[], "q", 5, None]))
+    elif how == "text":
+        item["text"] = draw(st.sampled_from([5, None, ["Q?"], ""]))
+    elif how == "no-id":
+        item.pop("id", None)
+    elif how == "duplicate-id":
+        document["questions"].append(dict(item))
+    elif how == "answer-kind":
+        item["answer_kind"] = draw(st.sampled_from(["nope", ["x"], 5, None]))
+    elif how == "no-gold":
+        item.pop("gold_answer", None)
+        item["answer_kind"] = "numeric"
+    elif how == "fixture":
+        return [document]
+    elif how == "questions":
+        document["questions"] = draw(st.sampled_from([{}, "q", 5]))
+    return document
+
+
+def _parse_both(document) -> list:
+    """What the parser and the reference parser make of ``document``: the
+    scenario and its repr, or the DatasetError text."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "fixture.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        outcomes = []
+        for parse in (parse_scripted_file, _reference_parse_scripted_file):
+            try:
+                scenario = parse(path)
+            except DatasetError as exc:
+                outcomes.append(str(exc))
+            else:
+                # repr tells apart what == does not: an entry's 1 from 1.0 or True.
+                outcomes.append((scenario, repr(scenario)))
+        return outcomes
+
+
+@given(fixture=_FIXTURES)
+def test_parse_scripted_file_builds_what_the_reference_parser_builds(fixture):
+    built, reference = _parse_both(fixture)
+    assert isinstance(built, tuple), built
+    assert built == reference
+
+
+@pytest.mark.parametrize("how", _CORRUPTIONS)
+@settings(max_examples=15)
+@given(fixture=_FIXTURES, more=st.lists(st.sampled_from(_CORRUPTIONS), max_size=2),
+       data=st.data())
+def test_parse_scripted_file_refuses_what_the_reference_parser_refuses(how, fixture, more, data):
+    # The first corruption in parse order names the error, in both parsers.
+    document = _corrupt(fixture, how, data.draw)
+    for then in more:
+        if not _corruptible(document):
+            break
+        document = _corrupt(document, then, data.draw)
+    refused, reference = _parse_both(document)
+    assert isinstance(refused, str), refused
+    assert refused == reference
+
+
 # ---------------------------------------------------------------------------
 # Live backend against a local OpenAI-compatible server
 # ---------------------------------------------------------------------------
 
 
 FAST_RETRY = RetryPolicy(max_attempts=3, initial_backoff=0.01, jitter=0.0)
+
+
+@given(body=JSON_VALUES)
+def test_request_body_is_the_json_dumps_that_refuses_nan(body):
+    try:
+        expected = json.dumps(body, allow_nan=False)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            _encode_body(body)
+        assert str(raised.value) == str(exc)
+    else:
+        assert _encode_body(body) == expected
 
 
 def _live(server, **kwargs):

@@ -513,6 +513,9 @@ def test_elasticity_rejects_a_bad_k_before_reading(demo, capsys, k):
     ("audit", "--multipliers", "nan"),
     ("audit", "--multipliers", "1,0"),
     ("audit", "--multipliers", "1,two"),
+    ("search", "--sample-n", "0"),
+    ("search", "--sample-n", "-1"),
+    ("eval", "--sample-n", "0"),
 ])
 def test_numeric_flags_are_checked_before_any_request(demo, capsys, monkeypatch, verb, flag,
                                                        value):
@@ -775,6 +778,10 @@ _GOOD_QUESTION = {"id": "q0", "text": "Q?", "gold_answer": "1",
     pytest.param({"questions": [dict(_GOOD_QUESTION, behavior={
         "vanilla": {"output_tokens": 5, "text": ["The answer is 1."]}})]},
                  "questions[0].vanilla", "text must be a string", id="entry-text-a-list"),
+    pytest.param({"questions": [dict(_GOOD_QUESTION, behavior={
+        "vanilla": {"output_tokens": float("inf")}})]},
+                 "questions[0].vanilla", "cannot convert float infinity to integer",
+                 id="entry-tokens-infinite"),
 ])
 def test_fixture_of_the_wrong_shape_is_one_error_naming_the_file_and_item(
         tmp_path, capsys, fixture, item, problem):
@@ -788,6 +795,30 @@ def test_fixture_of_the_wrong_shape_is_one_error_naming_the_file_and_item(
     assert str(dataset_path) in error and problem in error, error
     assert item is None or f"{dataset_path} {item}" in error, error
     assert "Traceback" not in error
+
+
+@pytest.mark.parametrize("fmt, content, item, problem", [
+    pytest.param("mathbench_json", json.dumps([{"question": "Pick: A. 1", "answer": "A"},
+                                               ["q", "A"]]),
+                 "item 2", "not a JSON object", id="mathbench-item-a-list"),
+    pytest.param("mathbench_json", json.dumps([{"question": 5, "answer": "A"}]),
+                 "item 1", "question must be a string, got 5", id="mathbench-question-a-number"),
+    pytest.param("gsm8k_jsonl", json.dumps({"question": 5, "answer": "x #### 3"}) + "\n",
+                 "line 1", "question must be a string, got 5", id="gsm8k-question-a-number"),
+    pytest.param("gsm8k_jsonl", json.dumps({"question": "Q?", "answer": "x #### 3"}) + "\n"
+                 + json.dumps({"question": "Q?", "answer": 5}) + "\n",
+                 "line 2", "answer must be a string, got 5", id="gsm8k-answer-a-number"),
+])
+def test_dataset_item_of_the_wrong_shape_is_one_error_naming_the_file_and_item(
+        tmp_path, capsys, fmt, content, item, problem):
+    config_path, dataset_path = tmp_path / "config.json", tmp_path / "dataset"
+    config_path.write_text(_config())
+    dataset_path.write_text(content)
+    assert main(["eval", "--config", str(config_path), "--dataset", str(dataset_path),
+                 "--dataset-format", fmt, "--out-dir", str(tmp_path / "out")]) == 1
+    error = capsys.readouterr().err
+    assert error == f"error: {dataset_path}: {item}: {problem}\n", error
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tokenbudget.backend import ScriptedBackend, ScriptedScenario
 from tokenbudget.core import AnswerKind, ModelPricing, PricingTable
@@ -20,6 +21,7 @@ from tokenbudget.evaluate import (
     MethodSpec,
     _pool_map,
     aggregate_records,
+    encode_record,
     load_dataset,
     parse_method,
     render_report,
@@ -28,7 +30,7 @@ from tokenbudget.evaluate import (
     token_reduction,
 )
 
-from conftest import behavior_from_curve, make_question, scripted_backend
+from conftest import JSON_VALUES, behavior_from_curve, make_question, scripted_backend
 
 PRICING = PricingTable([ModelPricing("scripted-v1", 0.15, 0.60)])
 
@@ -47,6 +49,11 @@ def three_sample_cohort():
     }
     backend = scripted_backend(behaviors)
     return Dataset(name="fixture", questions=questions), backend
+
+
+@given(record=st.dictionaries(st.text(), JSON_VALUES, max_size=6))
+def test_record_line_is_the_sorted_key_json_dumps(record):
+    assert encode_record(record) == json.dumps(record, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +162,12 @@ def test_sample_full_size_keeps_membership():
 def test_sample_too_large_is_domain_error():
     with pytest.raises(ValueError):
         sample_dataset(_toy_dataset(3), 4, seed=1)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_sample_of_fewer_than_one_is_domain_error(n):
+    with pytest.raises(ValueError, match=f"sample size must be >= 1, got {n}"):
+        sample_dataset(_toy_dataset(3), n, seed=1)
 
 
 # ---------------------------------------------------------------------------
