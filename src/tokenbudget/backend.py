@@ -7,8 +7,9 @@ parameters; each cache line also carries a tag of the backend that answered
 (cache format version, kind, model id and live endpoint), and a backend is
 served only the lines with its own tag. A line is formatted directly from
 its fixed layout, the bytes the sorted-key ``json.dumps`` of the record
-gives; loading a cache indexes its lines without decoding them, and an
-entry is decoded by the C JSON scanner at its first ``get``. Backend
+gives. A loaded cache holds, per entry, only the fingerprint and the line's
+offset and length in the file, not its bytes; each ``get`` reads the line
+back with ``os.pread`` and decodes it with the C JSON scanner. Backend
 instances are safe for concurrent ``complete`` calls, and no lock is held
 across a cache append: each new response is one ``os.write`` of a whole
 line to an ``O_APPEND`` descriptor.
@@ -186,19 +187,25 @@ class ResponseCache:
     DatasetError: the file is not misread.
 
     ``put`` formats each line directly, byte for byte what the sorted-key
-    ``json.dumps`` of the record gives. Loading indexes each line by slicing
-    its tag and fingerprint; the first ``get`` of an entry decodes the line
-    with the C JSON scanner and keeps the outcome in its place.
+    ``json.dumps`` of the record gives. Loading keeps, for each line with
+    the cache's tag, only its fingerprint and its place in the file (offset
+    and length in one int), not its bytes: memory grows with the number of
+    entries, not with the length of their answers. Each ``get`` of a loaded
+    entry reads the line with ``os.pread`` on the cache's own read
+    descriptor and decodes it with the C JSON scanner, keeping nothing; a
+    line that no longer carries the tag and fingerprint it was indexed under
+    (the file changed under the run) is a DatasetError naming the line.
+    Entries put in this run are held as outcomes.
 
-    Readers and writers take no lock: ``put`` claims a fingerprint with one
-    ``dict.setdefault``, so only the first put of a fingerprint appends, and
-    writes its line with one ``os.write`` to an ``O_APPEND`` descriptor, so
-    concurrent lines never interleave and each is in the kernel before
-    ``put`` returns. The lock guards only opening that descriptor at the
-    first put. A torn last line (a crash mid-append) is dropped and cut from
-    the file on load; a corrupt line anywhere else is a DatasetError naming
-    the line, at load if its tag or fingerprint is unreadable, else at the
-    first ``get`` of its fingerprint.
+    Readers and writers take no lock: ``pread`` shares no file position, and
+    ``put`` claims a fingerprint with one ``dict.setdefault``, so only the
+    first put of a fingerprint appends, and writes its line with one
+    ``os.write`` to an ``O_APPEND`` descriptor, so concurrent lines never
+    interleave and each is in the kernel before ``put`` returns. The lock
+    guards only opening that descriptor at the first put. A torn last line
+    (a crash mid-append) is dropped and cut from the file on load; a corrupt
+    line anywhere else is a DatasetError naming the line, at load if its tag
+    or fingerprint is unreadable, else at each ``get`` of its fingerprint.
     """
 
     def __init__(self, path: str, tag: str = SCRIPTED_TAG):
@@ -208,24 +215,33 @@ class ResponseCache:
         self._head = (_TAG_AT.decode("ascii") + encode_basestring_ascii(tag)[1:-1]
                       + _FINGERPRINT_AT.decode("ascii"))
         self._lock = threading.Lock()
-        # Fingerprint -> outcome, or the raw line it has not been decoded from yet.
-        self._entries: dict[str, CompletionOutcome | bytes] = {}
+        # Fingerprint -> outcome, or where its line is: offset << 32 | length.
+        self._entries: dict[str, CompletionOutcome | int] = {}
         self._fd: int | None = None
+        self._reader: int | None = None
         # The file ends in a complete record without its newline.
         self._needs_newline = False
         if os.path.exists(path):
-            self._load()
+            self._reader = os.open(path, os.O_RDONLY)
+            close_reader = weakref.finalize(self, os.close, self._reader)
+            try:
+                self._load()
+            except BaseException:
+                close_reader()
+                raise
 
-    def _corrupt(self, number: int, reason) -> DatasetError:
+    def _corrupt(self, offset: int, reason) -> DatasetError:
+        """The error for the line at byte ``offset``, numbered by the newlines before it."""
+        number = os.pread(self._reader, offset, 0).count(b"\n") + 1
         return DatasetError(f"{self.path}: corrupt cache record at line {number}: {reason}")
 
     def _load(self) -> None:
         mine = self._head.encode("ascii")
         start = len(mine)
         entries = self._entries
-        line = b"\n"
-        with open(self.path, "rb") as handle:
-            for number, line in enumerate(handle, start=1):
+        line, offset = b"\n", 0
+        with open(self._reader, "rb", closefd=False) as handle:
+            for line in handle:
                 if not line.endswith(b"\n"):
                     break
                 if line.startswith(mine):
@@ -236,12 +252,13 @@ class ResponseCache:
                         try:
                             fingerprint = _decode_line(line)[1]
                         except (ValueError, KeyError, TypeError) as exc:
-                            raise self._corrupt(number, exc) from exc
-                    entries[fingerprint] = line
+                            raise self._corrupt(offset, exc) from exc
+                    entries[fingerprint] = offset << 32 | len(line)
                 elif line.strip() and not (
                     line.startswith(_TAG_AT) and line.startswith(_FINGERPRINT_AT, _TAG_END)
                 ):
-                    raise self._corrupt(number, f"not a {CACHE_FORMAT} record")
+                    raise self._corrupt(offset, f"not a {CACHE_FORMAT} record")
+                offset += len(line)
         if not line.endswith(b"\n"):
             # Only the last line can lack its newline: an append cut short,
             # dropped so the next append starts clean, unless it is a whole
@@ -249,7 +266,7 @@ class ResponseCache:
             try:
                 tag, fingerprint, outcome = _decode_line(line)
             except (ValueError, KeyError, TypeError):
-                os.truncate(self.path, os.path.getsize(self.path) - len(line))
+                os.truncate(self.path, offset)
                 return
             if tag == self.tag:
                 entries[fingerprint] = outcome
@@ -272,18 +289,22 @@ class ResponseCache:
 
     def get(self, fingerprint: str) -> CompletionOutcome | None:
         entry = self._entries.get(fingerprint)
-        if entry.__class__ is bytes:
-            # Concurrent first gets may each decode the line; they store equal outcomes.
-            entry = self._entries[fingerprint] = self._decode(entry)
+        if entry.__class__ is int:
+            return self._read(fingerprint, entry)
         return entry
 
-    def _decode(self, line: bytes) -> CompletionOutcome:
+    def _read(self, fingerprint: str, place: int) -> CompletionOutcome:
+        """The outcome of the line at ``place``, which must be the record indexed there."""
+        offset = place >> 32
+        line = os.pread(self._reader, place & 0xFFFFFFFF, offset)
         try:
-            return _decode_line(line)[2]
+            tag, found, outcome = _decode_line(line)
         except (ValueError, KeyError, TypeError) as exc:
-            with open(self.path, "rb") as handle:
-                number = next((n for n, held in enumerate(handle, start=1) if held == line), "?")
-            raise self._corrupt(number, exc) from exc
+            raise self._corrupt(offset, exc) from exc
+        if tag != self.tag or found != fingerprint:
+            raise self._corrupt(offset, f"not the record of {fingerprint!r} indexed there; "
+                                        f"the file changed under this run")
+        return outcome
 
     def put(self, fingerprint: str, outcome: CompletionOutcome) -> None:
         # setdefault is one step under the GIL, so of concurrent puts of one

@@ -133,6 +133,9 @@ def load_config(path: str) -> HarnessConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
+    concurrency = top.get("concurrency", 4)
+    if concurrency < 1:
+        raise ConfigError(f"{path}: concurrency must be >= 1, got {concurrency}")
     kind = backend.get("kind")
     if kind not in ("live", "scripted"):
         raise ConfigError(f"{path}: backend.kind must be 'live' or 'scripted', got {kind!r}")
@@ -157,7 +160,7 @@ def load_config(path: str) -> HarnessConfig:
         sampling=sampling,
         templates=templates,
         retry=retry,
-        concurrency=top.get("concurrency", 4),
+        concurrency=concurrency,
         cache_path=top.get("cache_path"),
         seed=top.get("seed", 1024),
         config_hash=hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16],
@@ -187,7 +190,8 @@ class VerbContext:
     Opens, in order: config and seed, the cohort (dataset, seeded subsample),
     the out-dir, then the backend and the pool size; `cohort=False` opens only
     the config, seed and out-dir. A scripted fixture is parsed once, for both
-    the cohort and the mock.
+    the cohort and the mock. The flags, the config and the dataset are checked
+    before the out-dir is made, so a command they refuse leaves none behind.
     """
 
     def __init__(self, args, verb: str, cohort: bool = True):
@@ -201,12 +205,17 @@ class VerbContext:
                 raise ConfigError("this command requires --dataset")
             if args.sample_n is not None and args.sample_n < 1:
                 raise ConfigError(f"--sample-n must be >= 1, got {args.sample_n}")
+            if args.concurrency is not None and args.concurrency < 1:
+                raise ConfigError(f"--concurrency must be >= 1, got {args.concurrency}")
             if args.dataset_format == SCRIPTED_JSON:
                 scenario = parse_scripted_file(args.dataset)
                 self.dataset = Dataset(name=scenario.name, questions=scenario.questions)
             else:
                 scenario = None
                 self.dataset = load_dataset(args.dataset, args.dataset_format)
+                if self.config.backend_kind == "scripted":
+                    raise ConfigError(f"--dataset-format {args.dataset_format}: the scripted "
+                                      f"backend needs a {SCRIPTED_JSON} fixture")
             if args.sample_n is not None:
                 self.dataset = sample_dataset(self.dataset, args.sample_n, self.seed)
         os.makedirs(args.out_dir, exist_ok=True)
@@ -215,8 +224,6 @@ class VerbContext:
             self.concurrency = (
                 args.concurrency if args.concurrency is not None else self.config.concurrency
             )
-            if self.concurrency < 1:
-                raise ConfigError("concurrency must be >= 1")
 
     def path(self, name: str) -> str:
         return os.path.join(self.args.out_dir, name)

@@ -14,6 +14,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 
@@ -30,6 +31,7 @@ from tokenbudget.backend import (
     ScriptedBackend,
     ScriptedBehavior,
     ScriptedEntry,
+    SCRIPTED_TAG,
     ScriptedScenario,
     backend_tag,
     parse_scripted_file,
@@ -450,6 +452,74 @@ def test_cache_corrupt_body_behind_an_intact_prefix_is_never_served(tmp_path):
         with pytest.raises(DatasetError, match=r"cache\.jsonl: corrupt cache record at line 2"):
             resumed.get("fp1")
     assert [resumed.get("fp0"), resumed.get("fp2")] == [_outcome(0), _outcome(2)]
+
+
+def test_cache_line_rewritten_under_an_open_cache_is_never_served(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    writer = ResponseCache(str(path))
+    for index in range(3):
+        writer.put(f"fp{index}", _outcome(index))
+    lines = path.read_bytes().splitlines(keepends=True)
+    cache = ResponseCache(str(path))
+    # Lines 1 and 2 trade places: each offset now holds a whole record of
+    # another fingerprint.
+    path.write_bytes(lines[1] + lines[0] + lines[2])
+    for fingerprint, number in (("fp0", 1), ("fp1", 2)):
+        with pytest.raises(DatasetError, match=rf"cache\.jsonl: corrupt cache record at line "
+                                               rf"{number}: not the record of '{fingerprint}'"):
+            cache.get(fingerprint)
+    # Another backend's record of the same fingerprint, at the same offset.
+    other = backend_tag("scripted", "other-model")
+    path.write_bytes(b"".join(lines).replace(SCRIPTED_TAG.encode(), other.encode(), 1))
+    with pytest.raises(DatasetError, match=r"cache record at line 1: not the record of 'fp0'"):
+        cache.get("fp0")
+    # A longer line 1 shifts the later offsets into the middle of a line: the
+    # old start of line 3 is now inside line 2.
+    path.write_bytes(lines[0].replace(b"answer 0", b"answer 0 and more") + lines[1] + lines[2])
+    with pytest.raises(DatasetError, match=r"corrupt cache record at line 2"):
+        cache.get("fp2")
+
+
+def test_cache_load_holds_no_answer_text(tmp_path):
+    def held_per_entry(text_length: int) -> float:
+        path = str(tmp_path / f"cache{text_length}.jsonl")
+        writer = ResponseCache(path)
+        for index in range(500):
+            writer.put(f"{index:064x}", CompletionOutcome(
+                text="x" * text_length, usage=TokenUsage(index, 1, CountingSource.PROVIDER_REPORTED),
+                model_id="m", request_fingerprint=f"{index:064x}"))
+        del writer
+        tracemalloc.start()
+        try:
+            cache = ResponseCache(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(cache) == 500 and cache.get(f"{7:064x}").text == "x" * text_length
+        return held / 500
+
+    short, long = held_per_entry(16), held_per_entry(4096)
+    assert long < 512 and long - short < 16, (short, long)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists descriptors via /proc")
+def test_dropped_caches_leave_no_descriptor_open(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    ResponseCache(str(path)).put("fp0", _outcome(0))
+    corrupt = tmp_path / "corrupt.jsonl"
+    corrupt.write_bytes(path.read_bytes()[:20] + b"\n" + path.read_bytes())
+    before = len(os.listdir("/proc/self/fd"))
+    errors = []
+    for index in range(200):
+        cache = ResponseCache(str(path))
+        assert cache.get("fp0") == _outcome(0)
+        cache.put(f"fp{index + 1}", _outcome(index + 1))
+        with pytest.raises(DatasetError, match="line 1") as error:
+            ResponseCache(str(corrupt))
+        errors.append(error.value)
+    del cache
+    # A load that fails closes its descriptor, even while its error is held.
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_cache_indexes_any_fingerprint_string(tmp_path):

@@ -81,6 +81,60 @@ def test_eval_json_report_and_alpha(demo):
     assert records[0]["budget_used"] == 100
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_eval_report_cells_are_the_aggregates_of_the_records(demo, monkeypatch, fmt):
+    config, dataset, tmp = demo
+    lost = DEMO_SCENARIO["questions"][1]["text"]
+    request = backend.ScriptedBackend._request
+
+    def flaky(self, prompt):
+        if lost in prompt.user:
+            raise TransportError("connection reset")
+        return request(self, prompt)
+
+    monkeypatch.setattr(backend.ScriptedBackend, "_request", flaky)
+    out = str(tmp / "out")
+    assert main(["eval", "--config", config, "--dataset", dataset, "--out-dir", out,
+                 "--methods", "direct,vanilla,ep,fixed:64", "--format", fmt]) == 2
+    manifest = _read_json(os.path.join(out, "run_manifest.json"))
+    by_method = {}
+    for name in sorted(os.listdir(out)):
+        if name.startswith("records_"):
+            for record in _read_jsonl(os.path.join(out, name)):
+                by_method.setdefault(record["method"], []).append(record)
+    assert list(by_method) != [] and set(by_method) == set(manifest["methods"])
+
+    def mean(records, key):
+        return sum(r[key] for r in records) / len(records)
+
+    graded = {method: [r for r in records if not r["failed"]]
+              for method, records in by_method.items()}
+    vanilla = mean(graded["vanilla"], "output_tokens")
+    expected = [{
+        "dataset": DEMO_SCENARIO["name"],
+        "method": method,
+        "accuracy_pct": round(100.0 * sum(r["correct"] for r in graded[method])
+                              / len(graded[method]), 2),
+        "output_tokens": round(mean(graded[method], "output_tokens"), 2),
+        "expense_1e5_usd": round(mean(graded[method], "expense"), 2),
+        "samples": len(graded[method]),
+        "failed": len(by_method[method]) - len(graded[method]),
+        "token_reduction_pct": None if method == "vanilla" else round(
+            (1.0 - mean(graded[method], "output_tokens") / vanilla) * 100.0, 2),
+    } for method in manifest["methods"]]
+    assert [row["failed"] for row in expected] == [1, 1, 1, 1]
+
+    if fmt == "json":
+        document = _read_json(os.path.join(out, "report.json"))
+        assert document == {"rows": expected, "model_id": manifest["model_id"],
+                            "config_hash": manifest["config_hash"]}
+    else:
+        with open(os.path.join(out, "report.csv"), newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert rows == [{key: "" if value is None else str(value) for key, value in row.items()}
+                        for row in expected]
+
+
 def test_eval_sample_n_subsets_deterministically(demo):
     config, dataset, tmp = demo
     out_a, out_b = str(tmp / "a"), str(tmp / "b")
@@ -222,10 +276,10 @@ DEMO_DATASET = json.dumps(DEMO_SCENARIO)
                  id="unknown-backend-kind"),
     pytest.param(_config(backend={"kind": "live", "model_id": "m", "credential_env": "KEY"}),
                  DEMO_DATASET, [], "backend.endpoint", id="live-without-endpoint"),
-    pytest.param(_config(concurrency=0), DEMO_DATASET, [], "concurrency must be >= 1",
+    pytest.param(_config(concurrency=0), DEMO_DATASET, [], "concurrency must be >= 1, got 0",
                  id="config-concurrency-0"),
-    pytest.param(_config(), DEMO_DATASET, ["--concurrency", "0"], "concurrency must be >= 1",
-                 id="flag-concurrency-0"),
+    pytest.param(_config(), DEMO_DATASET, ["--concurrency", "0"],
+                 "--concurrency must be >= 1, got 0", id="flag-concurrency-0"),
     pytest.param(_config(), None, [], "requires --dataset", id="cohort-verb-without-dataset"),
     pytest.param(_config(sampling={"temperature": -1}), DEMO_DATASET, [],
                  "temperature must be >= 0", id="negative-temperature"),
@@ -292,6 +346,7 @@ def test_bad_input_is_fatal_and_names_the_problem(tmp_path, capsys, config, data
     assert main(argv) == 1
     error = capsys.readouterr().err
     assert error.startswith("error: ") and problem in error, error
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_template_overrides_flow_into_prompts(demo, tmp_path):
@@ -819,6 +874,28 @@ def test_dataset_item_of_the_wrong_shape_is_one_error_naming_the_file_and_item(
     error = capsys.readouterr().err
     assert error == f"error: {dataset_path}: {item}: {problem}\n", error
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fmt, content", [
+    pytest.param("gsm8k_jsonl", json.dumps({"question": "Q1?", "answer": "x #### 3"}) + "\n"
+                 + json.dumps({"question": "Q2?", "answer": "y #### 4"}) + "\n", id="gsm8k"),
+    pytest.param("mathbench_json", json.dumps([{"question": "Pick: A. 1", "answer": "A"}]),
+                 id="mathbench"),
+])
+def test_scripted_backend_refuses_a_dataset_format_other_than_its_fixture(
+        tmp_path, capsys, monkeypatch, fmt, content):
+    requests = []
+    monkeypatch.setattr(backend.ScriptedBackend, "_request",
+                        lambda self, prompt: requests.append(prompt))
+    config_path, dataset_path = tmp_path / "config.json", tmp_path / "dataset"
+    config_path.write_text(_config())
+    dataset_path.write_text(content)
+    assert main(["eval", "--config", str(config_path), "--dataset", str(dataset_path),
+                 "--dataset-format", fmt, "--out-dir", str(tmp_path / "out")]) == 1
+    error = capsys.readouterr().err
+    assert error == (f"error: --dataset-format {fmt}: the scripted backend needs a "
+                     f"scripted_json fixture\n"), error
+    assert not (tmp_path / "out").exists() and requests == []
 
 
 # ---------------------------------------------------------------------------

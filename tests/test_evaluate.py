@@ -424,6 +424,9 @@ def test_report_token_reduction_column_against_published_averages():
     reduction = token_reduction(461.25, 148.72)
     assert reduction == pytest.approx(67.757, abs=0.01)
     assert abs(reduction - 67.0) <= 1.0
+    for vanilla in (0, 0.0, -1.0):
+        with pytest.raises(ValueError, match="must be positive"):
+            token_reduction(vanilla, 148.72)
 
 
 def test_report_reduction_column_appears_for_non_vanilla_methods():

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given, strategies as st
 
 from tokenbudget.core import AnswerKind
-from tokenbudget.grading import grade, normalize_number
+from tokenbudget.grading import Verdict, grade, normalize_number
 
 from conftest import make_question
 
@@ -105,6 +105,11 @@ def test_normalize_number_edge_cases():
     assert normalize_number("3/2") == 1.5
     assert normalize_number("3/0") is None
     assert normalize_number("") is None
+
+
+def test_zero_denominator_is_an_incorrect_verdict_not_an_error():
+    assert grade("#### 1/0", NUMERIC_18) == grade("#### 1/0", NUMERIC_18) == Verdict(
+        extracted="1/0", correct=False, extraction_rule="hash_marker")
 
 
 # ---------------------------------------------------------------------------

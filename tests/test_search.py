@@ -234,6 +234,15 @@ def test_window_filters_to_correct_points():
     assert window.total_cost == 130
 
 
+def test_window_of_a_single_correct_point():
+    only = trace_of([42], budgets=[8])
+    among_wrong = trace_of([5, 42, 7], budgets=[32, 16, 8], correct=[False, True, False])
+    for trace, budget in ((only, 8), (among_wrong, 16)):
+        for k in ("auto", 1):
+            assert ideal_budget_range(trace, k=k) == IdealRange(
+                budgets=(budget,), window_size=1, total_cost=42)
+
+
 def test_window_domain_errors():
     with pytest.raises(ValueError):
         ideal_budget_range(ElasticityTrace([]), k=1)
