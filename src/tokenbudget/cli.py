@@ -1,12 +1,14 @@
 """Command-line entry point wiring config, backends, and pipelines.
 
 Verbs: eval | search | elasticity | ptdata | audit. Each verb opens one
-VerbContext (config, seed, out-dir; for the cohort verbs also the dataset,
-backend and pool size), which writes the run manifest at the end. Per-question
-tasks fan out through the only scheduler, evaluate._pool_map, which also holds
-the one failure policy: a provider error that outlasted the retries fails that
-question (exit 2), any other error is fatal (exit 1). Re-running with an
-intact cache issues no upstream calls and reproduces byte-identical files.
+VerbContext (config and seed; for the cohort verbs also the dataset, backend
+and pool size) with no side effect, and the out-dir appears at the first
+write; so a bad flag, config, dataset, credential, pricing or input file exits
+1 before any output or request. Per-question tasks fan out through the only
+scheduler, evaluate._pool_map, which also holds the one failure policy: a
+provider error that outlasted the retries fails that question (exit 2), any
+other error is fatal (exit 1). Re-running with an intact cache issues no
+upstream calls and reproduces byte-identical files.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .backend import (
     backend_tag,
     parse_scripted_file,
 )
-from .core import PricingTable, _text, _typed
-from .errors import ConfigError, HarnessError
+from .core import PricingTable, _typed
+from .errors import ConfigError, DatasetError, HarnessError
 from .evaluate import (
     JSON_FORMAT,
     TABLE_TEXT,
@@ -115,9 +117,9 @@ def load_config(path: str) -> HarnessConfig:
 
     try:
         top = _typed(raw, "", backend=dict, pricing=list, sampling=dict, templates=dict,
-                     retry=dict, concurrency=int, cache_path=_text, seed=int)
-        backend = _typed(top.get("backend", {}), "backend", kind=_text, model_id=_text,
-                         endpoint=_text, credential_env=_text)
+                     retry=dict, concurrency=int, cache_path=str, seed=int)
+        backend = _typed(top.get("backend", {}), "backend", kind=str, model_id=str,
+                         endpoint=str, credential_env=str)
         sampling = SamplingParams(**_typed(
             top.get("sampling", {}), "sampling", temperature=float, seed=int, max_candidates=int
         ))
@@ -127,10 +129,10 @@ def load_config(path: str) -> HarnessConfig:
         ))
         templates = PromptTemplates(**_typed(
             top.get("templates", {}), "templates",
-            **{template.name: _text for template in fields(PromptTemplates)},
+            **{template.name: str for template in fields(PromptTemplates)},
         ))
         pricing = PricingTable.from_config(top.get("pricing", []))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     concurrency = top.get("concurrency", 4)
@@ -180,18 +182,19 @@ def build_backend(config: HarnessConfig, out_dir: str, dataset_path: str,
         return ScriptedBackend(scenario or parse_scripted_file(dataset_path), **settings)
     api_key = os.environ.get(config.credential_env)
     if not api_key:
-        raise ConfigError(f"credential environment variable {config.credential_env!r} is not set")
+        raise ConfigError(f"backend.credential_env: {config.credential_env!r} is not set")
     return LiveBackend(endpoint=config.endpoint, api_key=api_key, retry=config.retry, **settings)
 
 
 class VerbContext:
     """One verb's set-up, per-question fan-out, manifest and exit code.
 
-    Opens, in order: config and seed, the cohort (dataset, seeded subsample),
-    the out-dir, then the backend and the pool size; `cohort=False` opens only
-    the config, seed and out-dir. A scripted fixture is parsed once, for both
-    the cohort and the mock. The flags, the config and the dataset are checked
-    before the out-dir is made, so a command they refuse leaves none behind.
+    Reads the config and seed, and for a cohort verb the dataset, its seeded
+    subsample, the backend and the pool size; a scripted fixture is parsed
+    once, for both the cohort and the mock. None of it has a side effect: the
+    cache only reads, a live backend connects at its first request, and the
+    out-dir is made by the first output `path`. So a refusal before a verb's
+    first request leaves nothing behind.
     """
 
     def __init__(self, args, verb: str, cohort: bool = True):
@@ -200,32 +203,34 @@ class VerbContext:
         self.seed = args.seed if args.seed is not None else self.config.seed
         self.failed = False
         self.dataset = None
-        if cohort:
-            if not args.dataset:
-                raise ConfigError("this command requires --dataset")
-            if args.sample_n is not None and args.sample_n < 1:
-                raise ConfigError(f"--sample-n must be >= 1, got {args.sample_n}")
-            if args.concurrency is not None and args.concurrency < 1:
-                raise ConfigError(f"--concurrency must be >= 1, got {args.concurrency}")
-            if args.dataset_format == SCRIPTED_JSON:
-                scenario = parse_scripted_file(args.dataset)
-                self.dataset = Dataset(name=scenario.name, questions=scenario.questions)
-            else:
-                scenario = None
-                self.dataset = load_dataset(args.dataset, args.dataset_format)
-                if self.config.backend_kind == "scripted":
-                    raise ConfigError(f"--dataset-format {args.dataset_format}: the scripted "
-                                      f"backend needs a {SCRIPTED_JSON} fixture")
-            if args.sample_n is not None:
-                self.dataset = sample_dataset(self.dataset, args.sample_n, self.seed)
-        os.makedirs(args.out_dir, exist_ok=True)
-        if cohort:
-            self.backend = build_backend(self.config, args.out_dir, args.dataset, scenario)
-            self.concurrency = (
-                args.concurrency if args.concurrency is not None else self.config.concurrency
-            )
+        if not cohort:
+            return
+        if not args.dataset:
+            raise ConfigError("this command requires --dataset")
+        if args.concurrency is not None and args.concurrency < 1:
+            raise ConfigError(f"--concurrency must be >= 1, got {args.concurrency}")
+        if args.dataset_format == SCRIPTED_JSON:
+            scenario = parse_scripted_file(args.dataset)
+            self.dataset = Dataset(name=scenario.name, questions=scenario.questions)
+        else:
+            scenario = None
+            self.dataset = load_dataset(args.dataset, args.dataset_format)
+            if self.config.backend_kind == "scripted":
+                raise ConfigError(f"--dataset-format {args.dataset_format}: the scripted "
+                                  f"backend needs a {SCRIPTED_JSON} fixture")
+        size = len(self.dataset)
+        if size == 0:
+            raise DatasetError(f"{args.dataset}: the dataset holds no questions")
+        if args.sample_n is not None:
+            if not 1 <= args.sample_n <= size:
+                raise ConfigError(f"--sample-n must be from 1 to {size}, got {args.sample_n}")
+            self.dataset = sample_dataset(self.dataset, args.sample_n, self.seed)
+        self.backend = build_backend(self.config, args.out_dir, args.dataset, scenario)
+        self.concurrency = args.concurrency or self.config.concurrency
 
     def path(self, name: str) -> str:
+        """Where output ``name`` goes; the out-dir is made here, at the first output."""
+        os.makedirs(self.args.out_dir, exist_ok=True)
         return os.path.join(self.args.out_dir, name)
 
     def map(self, worker, items) -> list:
@@ -268,6 +273,13 @@ def _write_json(path: str, document: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _read_input(flag: str, path: str, record_type) -> list:
+    try:
+        return read_jsonl(path, record_type)
+    except (OSError, DatasetError) as exc:
+        raise DatasetError(f"{flag}: {exc}") from exc
+
+
 def _positive_finite(flag: str, value: float) -> float:
     if not 0 < value < math.inf:
         raise ConfigError(f"{flag} must be finite and > 0, got {value!r}")
@@ -282,17 +294,12 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"--methods: {exc}") from exc
     ctx = VerbContext(args, "eval")
     config = ctx.config
+    pricing = config.pricing.for_model(config.model_id)
 
     runs = []
     for method in methods:
-        run = run_method(
-            ctx.backend,
-            ctx.dataset,
-            method,
-            config.pricing,
-            concurrency=ctx.concurrency,
-            include_estimation_tokens=args.include_estimation_tokens,
-        )
+        run = run_method(ctx.backend, ctx.dataset, method, pricing, concurrency=ctx.concurrency,
+                         include_estimation_tokens=args.include_estimation_tokens)
         with open(ctx.path(f"records_{method.slug}.jsonl"), "w", encoding="utf-8") as sink:
             for record in run.records:
                 sink.write(encode_record(vars(record)) + "\n")
@@ -341,7 +348,7 @@ def cmd_elasticity(args) -> int:
 
     ranges = {}
     skipped = []
-    for record in read_jsonl(args.search_output, SearchRecord):
+    for record in _read_input("--search-output", args.search_output, SearchRecord):
         if record.status != "found":
             skipped.append({"question_id": record.question_id, "reason": record.status})
             continue
@@ -356,7 +363,7 @@ def cmd_elasticity(args) -> int:
     if args.estimates:
         estimates = {
             record.question_id: int(record.estimated_budget)
-            for record in read_jsonl(args.estimates, SampleRecord)
+            for record in _read_input("--estimates", args.estimates, SampleRecord)
             if record.estimated_budget is not None
         }
         paired = [
@@ -448,7 +455,7 @@ def cmd_audit(args) -> int:
     questions = {q.id: q for q in ctx.dataset.questions}
     skipped = []
     auditable = []
-    for record in read_jsonl(args.search_output, SearchRecord):
+    for record in _read_input("--search-output", args.search_output, SearchRecord):
         question = questions.get(record.question_id)
         reason = record.status
         if reason == "found" and question is None:

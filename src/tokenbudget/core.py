@@ -6,6 +6,7 @@ across threads without synchronization.
 
 from __future__ import annotations
 
+import json
 import math
 import string
 from dataclasses import dataclass
@@ -124,14 +125,13 @@ class CompletionOutcome:
         )
 
 
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string",
+               dict: "a JSON object", list: "a JSON array"}
 
 
 def _typed(section, where: str, **types) -> dict:
-    """The keys a config section sets, converted by ``types``; any other key is a ValueError."""
+    """The keys a config section sets, each of its JSON type in ``types`` (a float
+    key also takes an int, as a float); an unknown key or another type is a ValueError."""
     if not isinstance(section, dict):
         raise ValueError(f"{where or 'config'} must be a JSON object")
     typed = {}
@@ -139,10 +139,11 @@ def _typed(section, where: str, **types) -> dict:
         name = f"{where}.{key}" if where else key
         if key not in types:
             raise ValueError(f"unknown config key {name!r}")
-        try:
-            typed[key] = types[key](value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{name}: {exc}") from exc
+        if types[key] is float and value.__class__ is int:
+            value = float(value)
+        if value.__class__ is not types[key]:
+            raise ValueError(f"{name} must be {_JSON_TYPES[types[key]]}, got {json.dumps(value)}")
+        typed[key] = value
     return typed
 
 
@@ -175,7 +176,7 @@ class PricingTable:
         entries = []
         for index, row in enumerate(rows):
             where = f"pricing[{index}]"
-            fields = _typed(row, where, model_id=_text, input_price=float, output_price=float)
+            fields = _typed(row, where, model_id=str, input_price=float, output_price=float)
             try:
                 entries.append(ModelPricing(**fields))
             except (TypeError, ValueError) as exc:

@@ -15,13 +15,7 @@ import threading
 from dataclasses import dataclass, field
 
 from .backend import CompletionBackend, parse_scripted_file
-from .core import (
-    AnswerKind,
-    PricingTable,
-    Question,
-    TokenUsage,
-    compute_expense,
-)
+from .core import AnswerKind, ModelPricing, Question, compute_expense
 from .ep import run_ep
 from .errors import DatasetError, ProtocolError, TransportError
 from .grading import grade
@@ -336,12 +330,9 @@ def _run_sample(
     backend: CompletionBackend,
     question: Question,
     method: MethodSpec,
-    pricing: PricingTable,
+    pricing: ModelPricing,
     include_estimation_tokens: bool,
 ) -> SampleRecord:
-    def expense_of(usage: TokenUsage) -> float:
-        return compute_expense(usage, pricing.for_model(backend.model_id))
-
     if method.kind == "ep":
         result = run_ep(backend, question, alpha=method.alpha)
         reported = result.answer_usage.output_tokens
@@ -356,7 +347,7 @@ def _run_sample(
             output_tokens=reported,
             total_input_tokens=total.input_tokens,
             total_output_tokens=total.output_tokens,
-            expense=expense_of(total),
+            expense=compute_expense(total, pricing),
             estimated_budget=result.estimate,
             alpha=method.alpha,
             budget_used=result.budget_used,
@@ -377,7 +368,7 @@ def _run_sample(
         output_tokens=outcome.usage.output_tokens,
         total_input_tokens=outcome.usage.input_tokens,
         total_output_tokens=outcome.usage.output_tokens,
-        expense=expense_of(outcome.usage),
+        expense=compute_expense(outcome.usage, pricing),
         budget_used=method.budget,
     )
 
@@ -386,7 +377,7 @@ def run_method(
     backend: CompletionBackend,
     dataset: Dataset,
     method: MethodSpec,
-    pricing: PricingTable,
+    pricing: ModelPricing,
     concurrency: int = 4,
     include_estimation_tokens: bool = False,
 ) -> MethodRun:

@@ -18,7 +18,6 @@ from tokenbudget.cli import main
 from tokenbudget.core import (
     CountingSource,
     ModelPricing,
-    PricingTable,
     TokenUsage,
     compute_expense,
 )
@@ -337,7 +336,7 @@ def test_criterion_08_metrics_arithmetic():
             questions[2]: behavior_from_curve(vanilla_tokens=30, curve={}, vanilla_correct=False),
         }
     )
-    pricing = PricingTable([ModelPricing("scripted-v1", 0.15, 0.60)])
+    pricing = ModelPricing("scripted-v1", 0.15, 0.60)
     run = run_method(
         backend, Dataset("metrics", questions), MethodSpec("vanilla"), pricing, concurrency=1
     )

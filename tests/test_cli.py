@@ -17,7 +17,7 @@ import tokenbudget.cli as cli
 import tokenbudget.evaluate as evaluate
 from tokenbudget.cli import main
 from tokenbudget.errors import TransportError
-from tokenbudget.prompting import PromptKind
+from tokenbudget.prompting import Prompt, PromptKind
 
 from conftest import DEMO_CONFIG, DEMO_SCENARIO, completion_payload, write_demo_files
 
@@ -180,39 +180,23 @@ def test_eval_partial_sample_failures_exit_2(demo, monkeypatch):
     assert code == 2
 
 
-def _live_config(directory, endpoint="http://127.0.0.1:1/v1/chat/completions", **settings):
+LIVE_CONFIG = {
+    "backend": {
+        "kind": "live",
+        "endpoint": "http://127.0.0.1:1/v1/chat/completions",
+        "model_id": "gpt-4o-mini",
+        "credential_env": "TOKENBUDGET_TEST_KEY",
+    },
+    "pricing": [{"model_id": "gpt-4o-mini", "input_price": 0.15, "output_price": 0.60}],
+}
+
+
+def _live_config(directory, endpoint=LIVE_CONFIG["backend"]["endpoint"], **settings):
     """Write a live-backend config whose key is read from TOKENBUDGET_TEST_KEY; its path."""
     path = directory / "live.json"
-    path.write_text(json.dumps({
-        "backend": {
-            "kind": "live",
-            "endpoint": endpoint,
-            "model_id": "gpt-4o-mini",
-            "credential_env": "TOKENBUDGET_TEST_KEY",
-        },
-        "pricing": [{"model_id": "gpt-4o-mini", "input_price": 0.15, "output_price": 0.60}],
-        **settings,
-    }))
+    backend_section = dict(LIVE_CONFIG["backend"], endpoint=endpoint)
+    path.write_text(json.dumps(dict(LIVE_CONFIG, backend=backend_section, **settings)))
     return str(path)
-
-
-def test_live_config_requires_resolvable_credential(demo, monkeypatch, tmp_path):
-    _, dataset, tmp = demo
-    monkeypatch.delenv("TOKENBUDGET_TEST_KEY", raising=False)
-    code = main(["eval", "--config", _live_config(tmp_path), "--dataset", dataset,
-                 "--out-dir", str(tmp / "out"), "--methods", "vanilla"])
-    assert code == 1
-
-
-def test_live_api_key_with_a_line_break_is_fatal_and_not_echoed(demo, monkeypatch, tmp_path,
-                                                               capsys):
-    _, dataset, tmp = demo
-    monkeypatch.setenv("TOKENBUDGET_TEST_KEY", "sk-secret\r\nX-Injected: 1")
-    code = main(["eval", "--config", _live_config(tmp_path), "--dataset", dataset,
-                 "--out-dir", str(tmp / "out"), "--methods", "vanilla"])
-    assert code == 1
-    error = capsys.readouterr().err
-    assert "control character" in error and "sk-secret" not in error
 
 
 def test_live_payload_of_the_wrong_shape_fails_its_question(
@@ -270,83 +254,181 @@ def _config(**changes) -> str:
 DEMO_DATASET = json.dumps(DEMO_SCENARIO)
 
 
-@pytest.mark.parametrize("config, dataset, flags, problem", [
-    pytest.param('{"backend": ', DEMO_DATASET, [], "invalid JSON", id="config-not-json"),
-    pytest.param(_config(backend={"kind": "remote"}), DEMO_DATASET, [], "'remote'",
-                 id="unknown-backend-kind"),
-    pytest.param(_config(backend={"kind": "live", "model_id": "m", "credential_env": "KEY"}),
-                 DEMO_DATASET, [], "backend.endpoint", id="live-without-endpoint"),
-    pytest.param(_config(concurrency=0), DEMO_DATASET, [], "concurrency must be >= 1, got 0",
-                 id="config-concurrency-0"),
-    pytest.param(_config(), DEMO_DATASET, ["--concurrency", "0"],
-                 "--concurrency must be >= 1, got 0", id="flag-concurrency-0"),
-    pytest.param(_config(), None, [], "requires --dataset", id="cohort-verb-without-dataset"),
-    pytest.param(_config(sampling={"temperature": -1}), DEMO_DATASET, [],
-                 "temperature must be >= 0", id="negative-temperature"),
-    pytest.param(_config(sampling={"temperature": float("nan")}), DEMO_DATASET, [],
-                 "temperature must be >= 0 and finite, got nan", id="nan-temperature"),
-    pytest.param(_config(sampling={"temperature": float("inf")}), DEMO_DATASET, [],
-                 "temperature must be >= 0 and finite, got inf", id="infinite-temperature"),
-    pytest.param(_config(retry={"initial_backoff": float("nan")}), DEMO_DATASET, [],
-                 "initial_backoff must be >= 0 and finite", id="nan-retry-backoff"),
-    pytest.param(_config(backend={"kind": "live", "endpoint": "localhost:9/v1/chat/completions",
-                                  "model_id": "m", "credential_env": "KEY"}),
-                 DEMO_DATASET, [], "backend.endpoint", id="endpoint-without-scheme"),
-    pytest.param(_config(), '{"questions": [', [], "invalid JSON", id="fixture-not-json"),
-    pytest.param(_config(), json.dumps({"questions": [{"id": "q", "gold_answer": "1"}]}), [],
-                 "'text'", id="fixture-question-without-text"),
-    pytest.param(_config(), json.dumps({"questions": [{
-        "id": "q", "text": "Q?", "gold_answer": "1", "behavior": {"vanilla": {"correct": True}},
-    }]}), [], "'output_tokens'", id="fixture-entry-without-output-tokens"),
-    pytest.param(_config(concurency=2), DEMO_DATASET, [], "unknown config key 'concurency'",
-                 id="unknown-top-level-key"),
-    pytest.param(_config(rate_limit={"rate": 8.0, "burst": 8}), DEMO_DATASET, [],
-                 "unknown config key 'rate_limit'", id="removed-rate-limit"),
-    pytest.param(_config(backend={"kind": "scripted", "script_path": "fixture.json"}),
-                 DEMO_DATASET, [], "unknown config key 'backend.script_path'",
-                 id="removed-script-path"),
-    pytest.param(_config(sampling={"temprature": 0.2}), DEMO_DATASET, [],
-                 "unknown config key 'sampling.temprature'", id="unknown-sampling-key"),
-    pytest.param(_config(retry={"max_attemps": 2}), DEMO_DATASET, [],
-                 "unknown config key 'retry.max_attemps'", id="unknown-retry-key"),
-    pytest.param(_config(pricing=[{"model_id": "m", "input_price": 1, "output_price": 2,
-                                   "currency": "usd"}]), DEMO_DATASET, [],
-                 "unknown config key 'pricing[0].currency'", id="unknown-pricing-key"),
-    pytest.param(_config(pricing=[{"model_id": "m", "input_price": 1}]), DEMO_DATASET, [],
-                 "'output_price'", id="pricing-row-without-output-price"),
-    pytest.param(_config(pricing=[{"model_id": "scripted-v1", "input_price": float("nan"),
-                                   "output_price": 0.6}]), DEMO_DATASET, [],
-                 "pricing[0]: input_price must be >= 0 and finite, got nan", id="nan-price"),
-    pytest.param(_config(pricing=[{"model_id": "scripted-v1", "input_price": 0.15,
-                                   "output_price": float("inf")}]), DEMO_DATASET, [],
-                 "pricing[0]: output_price must be >= 0 and finite, got inf",
-                 id="infinite-price"),
-    pytest.param(_config(templates={"budgeted_suffix": "Use at most {tokens} tokens:"}),
-                 DEMO_DATASET, [], "budgeted_suffix", id="suffix-with-another-field"),
-    pytest.param(_config(templates={"budgeted_suffix": "Be brief:"}), DEMO_DATASET, [],
-                 "budgeted_suffix", id="suffix-without-budget"),
-    pytest.param(_config(templates={"nonsense": "x"}), DEMO_DATASET, [],
-                 "unknown config key 'templates.nonsense'", id="unknown-template-key"),
-    pytest.param(_config(templates={"system": 5}), DEMO_DATASET, [], "templates.system",
-                 id="template-not-a-string"),
-    pytest.param(_config(retry={"max_attempts": 0}), DEMO_DATASET, [],
-                 "max_attempts must be >= 1", id="retry-without-attempts"),
-    pytest.param(_config(retry={"jitter": -0.5}), DEMO_DATASET, [], "jitter must be >= 0",
-                 id="negative-retry-jitter"),
+def _refusal(id, problem, config=None, dataset=DEMO_DATASET, flags=(), verb="search",
+             api_key=None):
+    return pytest.param(verb, config or _config(), dataset, list(flags), api_key, problem, id=id)
+
+
+def _config_refusal(id, problem, **changes):
+    return _refusal(id, f"config.json: {problem}", config=_config(**changes))
+
+
+def _flag_refusal(verb, flag, value, problem):
+    return _refusal(f"{verb}-{flag}-{value}", f"{flag}{problem}", verb=verb, flags=[flag, value])
+
+
+_LIVE = json.dumps(LIVE_CONFIG)
+_LIVE_NO_ENDPOINT = {"kind": "live", "model_id": "m", "credential_env": "KEY"}
+_FIXED_N = ": the budget of fixed:N must be an integer >= 1"
+_NOT_POSITIVE = " must be finite and > 0, got "
+_OVER_THREE = " must be from 1 to 3, got "
+_NO_FILE = ": [Errno 2] No such file or directory: 'nope.jsonl'"
+_NO_QUESTIONS = "dataset.json: the dataset holds no questions"
+
+
+# Every refusal that main can reach before a request: each exits 1 with an
+# error that opens by naming the file, flag or config key at fault, leaves
+# no out-dir and sends nothing upstream.
+@pytest.mark.parametrize("verb, config, dataset, flags, api_key, problem", [
+    # The config.
+    _refusal("config-not-json", "config.json: invalid JSON", config='{"backend": '),
+    _config_refusal("unknown-backend-kind",
+                    "backend.kind must be 'live' or 'scripted', got 'remote'",
+                    backend={"kind": "remote"}),
+    _config_refusal("live-without-endpoint", "live backend requires backend.endpoint",
+                    backend=_LIVE_NO_ENDPOINT),
+    _config_refusal("endpoint-without-scheme",
+                    "backend.endpoint 'localhost:9/v1/chat/completions': not an http",
+                    backend=dict(_LIVE_NO_ENDPOINT, endpoint="localhost:9/v1/chat/completions")),
+    _config_refusal("config-concurrency-0", "concurrency must be >= 1, got 0", concurrency=0),
+    _config_refusal("config-concurrency-a-float", "concurrency must be an integer, got 2.9",
+                    concurrency=2.9),
+    _config_refusal("config-seed-a-string", 'seed must be an integer, got "7"', seed="7"),
+    _config_refusal("sampling-seed-a-bool", "sampling.seed must be an integer, got true",
+                    sampling={"seed": True}),
+    _config_refusal("negative-temperature", "temperature must be >= 0 and finite, got -1.0",
+                    sampling={"temperature": -1}),
+    _config_refusal("temperature-beyond-a-float", "int too large to convert to float",
+                    sampling={"temperature": 10 ** 400}),
+    _config_refusal("nan-temperature", "temperature must be >= 0 and finite, got nan",
+                    sampling={"temperature": float("nan")}),
+    _config_refusal("infinite-temperature", "temperature must be >= 0 and finite, got inf",
+                    sampling={"temperature": float("inf")}),
+    _config_refusal("nan-retry-backoff", "initial_backoff must be >= 0 and finite, got nan",
+                    retry={"initial_backoff": float("nan")}),
+    _config_refusal("retry-without-attempts", "max_attempts must be >= 1",
+                    retry={"max_attempts": 0}),
+    _config_refusal("negative-retry-jitter", "jitter must be >= 0 and finite, got -0.5",
+                    retry={"jitter": -0.5}),
+    _config_refusal("unknown-top-level-key", "unknown config key 'concurency'", concurency=2),
+    _config_refusal("removed-rate-limit", "unknown config key 'rate_limit'",
+                    rate_limit={"rate": 8.0, "burst": 8}),
+    _config_refusal("removed-script-path", "unknown config key 'backend.script_path'",
+                    backend={"kind": "scripted", "script_path": "fixture.json"}),
+    _config_refusal("unknown-sampling-key", "unknown config key 'sampling.temprature'",
+                    sampling={"temprature": 0.2}),
+    _config_refusal("unknown-retry-key", "unknown config key 'retry.max_attemps'",
+                    retry={"max_attemps": 2}),
+    _config_refusal("unknown-pricing-key", "unknown config key 'pricing[0].currency'",
+                    pricing=[{"model_id": "m", "input_price": 1, "output_price": 2,
+                              "currency": "usd"}]),
+    _config_refusal("pricing-row-without-output-price",
+                    "pricing[0]: ModelPricing.__init__() missing 1 required positional "
+                    "argument: 'output_price'",
+                    pricing=[{"model_id": "m", "input_price": 1}]),
+    _config_refusal("nan-price", "pricing[0]: input_price must be >= 0 and finite, got nan",
+                    pricing=[{"model_id": "scripted-v1", "input_price": float("nan"),
+                              "output_price": 0.6}]),
+    _config_refusal("infinite-price", "pricing[0]: output_price must be >= 0 and finite, got inf",
+                    pricing=[{"model_id": "scripted-v1", "input_price": 0.15,
+                              "output_price": float("inf")}]),
+    _refusal("eval-without-pricing", "no pricing entry for model 'scripted-v1'",
+             config=_config(pricing=[]), verb="eval"),
+    _config_refusal("suffix-with-another-field", "budgeted_suffix needs exactly one replacement "
+                    "field, {budget}, got 'Use at most {tokens} tokens:'",
+                    templates={"budgeted_suffix": "Use at most {tokens} tokens:"}),
+    _config_refusal("suffix-without-budget", "budgeted_suffix needs exactly one replacement "
+                    "field, {budget}, got 'Be brief:'",
+                    templates={"budgeted_suffix": "Be brief:"}),
+    _config_refusal("unknown-template-key", "unknown config key 'templates.nonsense'",
+                    templates={"nonsense": "x"}),
+    _config_refusal("template-not-a-string", "templates.system must be a string, got 5",
+                    templates={"system": 5}),
+    # The credential of a live backend; a key is never echoed.
+    _refusal("live-credential-unset", "backend.credential_env: 'TOKENBUDGET_TEST_KEY' is not set",
+             config=_LIVE, verb="eval"),
+    _refusal("live-api-key-with-a-line-break", "API key holds a control character",
+             config=_LIVE, verb="eval", api_key="sk-secret\r\nX-Injected: 1"),
+    # The dataset.
+    _refusal("cohort-verb-without-dataset", "this command requires --dataset", dataset=None),
+    _refusal("fixture-not-json", "dataset.json: invalid JSON", dataset='{"questions": ['),
+    _refusal("fixture-question-without-text", "bad question at dataset.json questions[0]: 'text'",
+             dataset=json.dumps({"questions": [{"id": "q", "gold_answer": "1"}]})),
+    _refusal("fixture-entry-without-output-tokens",
+             "bad scripted entry at dataset.json questions[0].vanilla: 'output_tokens'",
+             dataset=json.dumps({"questions": [{"id": "q", "text": "Q?", "gold_answer": "1",
+                                                "behavior": {"vanilla": {"correct": True}}}]})),
+    *[_refusal(f"{verb}-over-an-empty-fixture", _NO_QUESTIONS, verb=verb,
+               dataset=json.dumps({"questions": []}))
+      for verb in ("search", "eval", "ptdata", "audit")],
+    _refusal("live-eval-over-an-empty-gsm8k-file", _NO_QUESTIONS, config=_LIVE, dataset="",
+             flags=["--dataset-format", "gsm8k_jsonl"], verb="eval", api_key="sk-from-env"),
+    # The flags.
+    _refusal("flag-concurrency-0", "--concurrency must be >= 1, got 0",
+             flags=["--concurrency", "0"]),
+    _flag_refusal("eval", "--alpha", "0", f"{_NOT_POSITIVE}0.0"),
+    _flag_refusal("eval", "--alpha", "-1", f"{_NOT_POSITIVE}-1.0"),
+    _flag_refusal("eval", "--alpha", "nan", f"{_NOT_POSITIVE}nan"),
+    _flag_refusal("eval", "--alpha", "inf", f"{_NOT_POSITIVE}inf"),
+    _flag_refusal("eval", "--methods", "direct,fixed:0", f": 'fixed:0'{_FIXED_N}"),
+    _flag_refusal("eval", "--methods", "direct,fixed:abc", f": 'fixed:abc'{_FIXED_N}"),
+    _flag_refusal("eval", "--methods", "fixed:2.5", f": 'fixed:2.5'{_FIXED_N}"),
+    _flag_refusal("audit", "--multipliers", "0.5,inf", f"{_NOT_POSITIVE}inf"),
+    _flag_refusal("audit", "--multipliers", "nan", f"{_NOT_POSITIVE}nan"),
+    _flag_refusal("audit", "--multipliers", "1,0", f"{_NOT_POSITIVE}0.0"),
+    _flag_refusal("audit", "--multipliers", "1,two", ": could not convert string to float: 'two'"),
+    _flag_refusal("search", "--sample-n", "0", f"{_OVER_THREE}0"),
+    _flag_refusal("search", "--sample-n", "-1", f"{_OVER_THREE}-1"),
+    _flag_refusal("eval", "--sample-n", "0", f"{_OVER_THREE}0"),
+    _flag_refusal("search", "--sample-n", "9", f"{_OVER_THREE}9"),
+    _flag_refusal("eval", "--sample-n", "4", f"{_OVER_THREE}4"),
+    # The files a reader verb reads back.
+    _flag_refusal("audit", "--search-output", "nope.jsonl", _NO_FILE),
+    _flag_refusal("elasticity", "--search-output", "nope.jsonl", _NO_FILE),
+    _flag_refusal("elasticity", "--estimates", "nope.jsonl", _NO_FILE),
 ])
-def test_bad_input_is_fatal_and_names_the_problem(tmp_path, capsys, config, dataset, flags,
-                                                  problem):
-    config_path = tmp_path / "config.json"
-    config_path.write_text(config)
-    argv = ["search", "--config", str(config_path), "--out-dir", str(tmp_path / "out"), *flags]
+def test_bad_input_is_fatal_and_names_the_problem(tmp_path, capsys, monkeypatch, verb, config,
+                                                  dataset, flags, api_key, problem):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(config)
+    argv = [verb, "--config", "config.json", "--out-dir", "out", *flags]
     if dataset is not None:
-        dataset_path = tmp_path / "dataset.json"
-        dataset_path.write_text(dataset)
-        argv += ["--dataset", str(dataset_path)]
+        (tmp_path / "dataset.json").write_text(dataset)
+        argv += ["--dataset", "dataset.json"]
+    if verb in ("audit", "elasticity") and "--search-output" not in flags:
+        # Real search results, so that a reader the flags do not stop would
+        # send audit requests.
+        (tmp_path / "demo").mkdir()
+        demo_config, demo_dataset = write_demo_files(tmp_path / "demo")
+        assert main(["search", "--config", demo_config, "--dataset", demo_dataset,
+                     "--out-dir", "search"]) == 0
+        argv += ["--search-output", "search/search_results.jsonl"]
+    if api_key is None:
+        monkeypatch.delenv("TOKENBUDGET_TEST_KEY", raising=False)
+    else:
+        monkeypatch.setenv("TOKENBUDGET_TEST_KEY", api_key)
+    requests = []
+    for backend_class in (backend.ScriptedBackend, backend.LiveBackend):
+        monkeypatch.setattr(backend_class, "_request",
+                            lambda self, *request: requests.append(request))
+    capsys.readouterr()
     assert main(argv) == 1
     error = capsys.readouterr().err
-    assert error.startswith("error: ") and problem in error, error
+    assert error.startswith(f"error: {problem}"), error
+    assert "sk-secret" not in error
     assert not (tmp_path / "out").exists()
+    assert requests == []
+
+
+def test_an_integral_temperature_keeps_the_fingerprint_of_its_float(tmp_path):
+    fingerprints = []
+    for temperature in (1, 1.0):
+        path = tmp_path / f"config_{temperature!r}.json"
+        path.write_text(_config(sampling={"temperature": temperature}))
+        sampling = cli.load_config(str(path)).sampling
+        assert type(sampling.temperature) is float
+        fingerprints.append(backend.request_fingerprint(Prompt("system", "user"), sampling))
+    assert fingerprints[0] == fingerprints[1]
 
 
 def test_config_template_overrides_flow_into_prompts(demo, tmp_path):
@@ -503,7 +585,7 @@ def test_malformed_search_results_name_the_file_and_the_line(demo, capsys):
     capsys.readouterr()
     assert main(["elasticity", "--config", config, "--out-dir", str(tmp / "e"),
                  "--search-output", str(torn)]) == 1
-    assert f"error: {torn}: line 3: " in capsys.readouterr().err
+    assert f"error: --search-output: {torn}: line 3: " in capsys.readouterr().err
 
     records = [json.loads(line) for line in lines]
     assert records[0]["status"] == "found"
@@ -513,7 +595,7 @@ def test_malformed_search_results_name_the_file_and_the_line(demo, capsys):
     assert main(["audit", "--config", config, "--dataset", dataset, "--out-dir", str(tmp / "a"),
                  "--search-output", str(incomplete)]) == 1
     error = capsys.readouterr().err
-    assert str(incomplete) in error and "optimal_budget" in error
+    assert f"error: --search-output: {incomplete}: " in error and "optimal_budget" in error
 
 
 @pytest.mark.parametrize("verb, flag, line, problem", [
@@ -543,7 +625,7 @@ def test_read_back_records_are_checked(demo, capsys, verb, flag, line, problem):
     capsys.readouterr()
     assert main([*argv, flag, str(bad)]) == 1
     error = capsys.readouterr().err
-    assert error.startswith(f"error: {bad}: line 2: ") and problem in error, error
+    assert error.startswith(f"error: {flag}: {bad}: line 2: ") and problem in error, error
 
 
 @pytest.mark.parametrize("k", ["0", "-1", "two"])
@@ -553,43 +635,6 @@ def test_elasticity_rejects_a_bad_k_before_reading(demo, capsys, k):
     assert main(["elasticity", "--config", config, "--out-dir", str(out), "--k", k,
                  "--search-output", str(tmp / "missing.jsonl")]) == 1
     assert "--k" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("verb, flag, value", [
-    ("eval", "--alpha", "0"),
-    ("eval", "--alpha", "-1"),
-    ("eval", "--alpha", "nan"),
-    ("eval", "--alpha", "inf"),
-    ("eval", "--methods", "direct,fixed:0"),
-    ("eval", "--methods", "direct,fixed:abc"),
-    ("eval", "--methods", "fixed:2.5"),
-    ("audit", "--multipliers", "0.5,inf"),
-    ("audit", "--multipliers", "nan"),
-    ("audit", "--multipliers", "1,0"),
-    ("audit", "--multipliers", "1,two"),
-    ("search", "--sample-n", "0"),
-    ("search", "--sample-n", "-1"),
-    ("eval", "--sample-n", "0"),
-])
-def test_numeric_flags_are_checked_before_any_request(demo, capsys, monkeypatch, verb, flag,
-                                                       value):
-    config, dataset, tmp = demo
-    search_dir = tmp / "search"
-    assert main(["search", "--config", config, "--dataset", dataset,
-                 "--out-dir", str(search_dir)]) == 0
-    requests = []
-    monkeypatch.setattr(backend.ScriptedBackend, "_request",
-                        lambda self, prompt: requests.append(prompt))
-    out = tmp / "out"
-    argv = [verb, "--config", config, "--dataset", dataset, "--out-dir", str(out), flag, value]
-    if verb == "audit":
-        argv += ["--search-output", str(search_dir / "search_results.jsonl")]
-    capsys.readouterr()
-    assert main(argv) == 1
-    error = capsys.readouterr().err
-    assert error.startswith(f"error: {flag}") and value.split(",")[-1] in error, error
-    assert requests == []
     assert not out.exists()
 
 

@@ -76,9 +76,15 @@ def test_pricing_table_rejects_duplicates():
 
 def test_pricing_table_from_config():
     table = PricingTable.from_config(
-        [{"model_id": "gpt-4o-mini", "input_price": "0.15", "output_price": "0.60"}]
+        [{"model_id": "gpt-4o-mini", "input_price": 1, "output_price": 0.60}]
     )
-    assert table.for_model("gpt-4o-mini").output_price == 0.60
+    pricing = table.for_model("gpt-4o-mini")
+    assert pricing.output_price == 0.60
+    assert pricing.input_price == 1.0 and type(pricing.input_price) is float
+    with pytest.raises(ValueError, match=r"pricing\[0\]\.input_price must be a number"):
+        PricingTable.from_config(
+            [{"model_id": "gpt-4o-mini", "input_price": "0.15", "output_price": 0.60}]
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tokenbudget.backend import ScriptedBackend, ScriptedScenario
-from tokenbudget.core import AnswerKind, ModelPricing, PricingTable
+from tokenbudget.core import AnswerKind, ModelPricing
 from tokenbudget.errors import ConfigError, DatasetError, ProtocolError, RateLimitError, TransportError
 from tokenbudget.evaluate import (
     CSV_FORMAT,
@@ -32,7 +32,7 @@ from tokenbudget.evaluate import (
 
 from conftest import JSON_VALUES, behavior_from_curve, make_question, scripted_backend
 
-PRICING = PricingTable([ModelPricing("scripted-v1", 0.15, 0.60)])
+PRICING = ModelPricing("scripted-v1", 0.15, 0.60)
 
 
 def three_sample_cohort():
@@ -320,12 +320,6 @@ def test_pool_map_interrupted_wait_stops_every_worker():
         _pool_map(worker, range(1000), 2)
     assert threading.active_count() == before
     assert len(started) < 100
-
-
-def test_missing_pricing_is_fatal_not_a_sample_failure():
-    dataset, backend = three_sample_cohort()
-    with pytest.raises(ConfigError, match="scripted-v1"):
-        run_method(backend, dataset, MethodSpec("vanilla"), PricingTable([]), concurrency=1)
 
 
 def test_ep_method_records_budget_fields(fig_like_question, fig_like_backend):
