@@ -109,11 +109,13 @@ class HarnessConfig:
 
 def load_config(path: str) -> HarnessConfig:
     """Check one config file: an unknown key is a ConfigError, a key left out takes its default."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    except OSError as exc:
+        raise ConfigError(f"--config: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}") from exc
 
     try:
         top = _typed(raw, "", backend=dict, pricing=list, sampling=dict, templates=dict,
@@ -132,7 +134,7 @@ def load_config(path: str) -> HarnessConfig:
             **{template.name: str for template in fields(PromptTemplates)},
         ))
         pricing = PricingTable.from_config(top.get("pricing", []))
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     concurrency = top.get("concurrency", 4)
@@ -209,15 +211,18 @@ class VerbContext:
             raise ConfigError("this command requires --dataset")
         if args.concurrency is not None and args.concurrency < 1:
             raise ConfigError(f"--concurrency must be >= 1, got {args.concurrency}")
-        if args.dataset_format == SCRIPTED_JSON:
-            scenario = parse_scripted_file(args.dataset)
-            self.dataset = Dataset(name=scenario.name, questions=scenario.questions)
-        else:
-            scenario = None
-            self.dataset = load_dataset(args.dataset, args.dataset_format)
-            if self.config.backend_kind == "scripted":
-                raise ConfigError(f"--dataset-format {args.dataset_format}: the scripted "
-                                  f"backend needs a {SCRIPTED_JSON} fixture")
+        try:
+            if args.dataset_format == SCRIPTED_JSON:
+                scenario = parse_scripted_file(args.dataset)
+                self.dataset = Dataset(name=scenario.name, questions=scenario.questions)
+            else:
+                scenario = None
+                self.dataset = load_dataset(args.dataset, args.dataset_format)
+        except OSError as exc:
+            raise DatasetError(f"--dataset: {exc}") from exc
+        if scenario is None and self.config.backend_kind == "scripted":
+            raise ConfigError(f"--dataset-format {args.dataset_format}: the scripted "
+                              f"backend needs a {SCRIPTED_JSON} fixture")
         size = len(self.dataset)
         if size == 0:
             raise DatasetError(f"{args.dataset}: the dataset holds no questions")
@@ -409,18 +414,19 @@ def cmd_elasticity(args) -> int:
 def cmd_ptdata(args) -> int:
     ctx = VerbContext(args, "ptdata")
     config, dataset = ctx.config, ctx.dataset
+    results = os.path.join(args.out_dir, "search_results.jsonl")
+    records = {r.question_id: r for r in _read_input("--out-dir", results, SearchRecord)}
+    if missing := [q.id for q in dataset.questions if q.id not in records]:
+        raise DatasetError(f"--out-dir: {results}: no search record for {missing[0]!r}")
     builder = generate_target if args.format == SFT_FORMAT else build_preference_pair
-    outcomes = ctx.map(
-        lambda question: builder(
-            ctx.backend, question, baseline=args.baseline, input_style=args.pt_input
-        ),
-        dataset.questions,
-    )
+    outcomes = ctx.map(lambda q: builder(ctx.backend, q, records[q.id], args.pt_input),
+                       dataset.questions)
     outcomes = [
         Skip(question_id=question.id, reason=f"backend_error: {outcome}")
         if isinstance(outcome, Exception) else outcome
         for question, outcome in zip(dataset.questions, outcomes)
     ]
+    ctx.failed = ctx.failed or any(records[q.id].status == "error" for q in dataset.questions)
 
     corpus_path = ctx.path(f"corpus_{args.format}.jsonl")
     manifest = export_corpus(
@@ -435,12 +441,8 @@ def cmd_ptdata(args) -> int:
     counts = manifest.counts
     print(f"{args.format} corpus: {counts['succeeded']}/{counts['attempted']} records "
           f"-> {corpus_path}")
-    return ctx.finish(
-        format=args.format,
-        baseline=args.baseline,
-        pt_input=args.pt_input,
-        corpus=os.path.basename(corpus_path),
-    )
+    return ctx.finish(format=args.format, pt_input=args.pt_input,
+                      corpus=os.path.basename(corpus_path))
 
 
 def cmd_audit(args) -> int:

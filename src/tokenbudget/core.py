@@ -140,7 +140,10 @@ def _typed(section, where: str, **types) -> dict:
         if key not in types:
             raise ValueError(f"unknown config key {name!r}")
         if types[key] is float and value.__class__ is int:
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError as exc:
+                raise ValueError(f"{name}: {exc}") from None
         if value.__class__ is not types[key]:
             raise ValueError(f"{name} must be {_JSON_TYPES[types[key]]}, got {json.dumps(value)}")
         typed[key] = value

@@ -1,10 +1,10 @@
 """Training-corpus generation: budget-efficient targets and preference pairs.
 
-Phase one of budget-awareness post-training: run the optimal-budget search
-per question, keep the response produced under the optimal budget as the
-target, and export supervised fine-tuning records or preference pairs
-(budgeted target preferred over the longer vanilla output) as JSONL for an
-external trainer. No gradient training happens here.
+Phase one of budget-awareness post-training: from the records of one budget
+search (search_results.jsonl), keep the response produced under each optimal
+budget as the target, and export supervised fine-tuning records or preference
+pairs (budgeted target preferred over the longer vanilla output) as JSONL for
+an external trainer. No gradient training happens here.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .core import Question
 from .evaluate import encode_record, read_jsonl
 from .grading import grade
 from .prompting import PromptKind, build_prompt
-from .search import SearchStatus, search_optimal_budget
+from .search import SearchRecord, SearchStatus
 
 SFT_FORMAT = "sft"
 DPO_FORMAT = "dpo"
@@ -81,22 +81,24 @@ def _training_input(backend: CompletionBackend, question: Question, budget: int,
 def generate_target(
     backend: CompletionBackend,
     question: Question,
-    baseline: str = "probe",
+    record: SearchRecord,
     input_style: str = "vanilla",
 ) -> SftExample | Skip:
-    """Search the optimal budget and keep its response as the training target."""
-    result = search_optimal_budget(backend, question, baseline=baseline)
-    if result.status is SearchStatus.VANILLA_INCORRECT:
-        return Skip(question_id=question.id, reason="vanilla_incorrect")
-    if result.status is SearchStatus.NO_FEASIBLE_BUDGET:
-        return Skip(question_id=question.id, reason="no_feasible_budget")
+    """The search record's response under its optimal budget, the vanilla answer
+    at the upper bound, as the training target; no backend call."""
+    if record.status != SearchStatus.FOUND.value:
+        reason = f"backend_error: {record.error}" if record.status == "error" else record.status
+        return Skip(question_id=question.id, reason=reason)
+    budget = record.optimal_budget
+    output_tokens = budget if budget == record.upper_bound else next(
+        p.output_tokens for p in record.trace.points if p.budget == budget)
     return SftExample(
-        input=_training_input(backend, question, result.optimal_budget, input_style),
-        target=result.target_outcome.text,
+        input=_training_input(backend, question, budget, input_style),
+        target=record.target_output,
         meta={
             "question_id": question.id,
-            "optimal_budget": result.optimal_budget,
-            "output_tokens": result.target_outcome.usage.output_tokens,
+            "optimal_budget": budget,
+            "output_tokens": output_tokens,
         },
     )
 
@@ -104,11 +106,11 @@ def generate_target(
 def build_preference_pair(
     backend: CompletionBackend,
     question: Question,
-    baseline: str = "probe",
+    record: SearchRecord,
     input_style: str = "vanilla",
 ) -> PreferencePair | Skip:
     """Pair the budgeted target with the (cached) vanilla output as rejected."""
-    target = generate_target(backend, question, baseline=baseline, input_style=input_style)
+    target = generate_target(backend, question, record, input_style)
     if isinstance(target, Skip):
         return target
     # The search already issued this exact vanilla request, so a caching

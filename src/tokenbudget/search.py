@@ -362,8 +362,13 @@ class SearchRecord:
 
     def __post_init__(self):
         self.trace = ElasticityTrace([TracePoint(**row) for row in self.trace])
-        if self.status == SearchStatus.FOUND.value and not isinstance(self.optimal_budget, int):
-            raise ValueError(f"found record {self.question_id!r} has no optimal_budget")
+        if self.upper_bound.__class__ not in (int, type(None)):
+            raise ValueError(f"upper_bound must be an integer, got {self.upper_bound!r}")
+        budgets = {self.upper_bound, *(p.budget for p in self.trace.points)}
+        if self.status == SearchStatus.FOUND.value and (
+                not isinstance(self.optimal_budget, int) or self.optimal_budget not in budgets):
+            raise ValueError(f"found record {self.question_id!r} has optimal_budget "
+                             f"{self.optimal_budget!r}, not its upper_bound or a trace budget")
 
 
 def elasticity_rows(question_id: str, result: SearchResult) -> list[tuple]:

@@ -52,7 +52,13 @@ from tokenbudget.search import (
 )
 from tokenbudget.grading import grade
 
-from conftest import behavior_from_curve, make_question, scripted_backend, write_demo_files
+from conftest import (
+    behavior_from_curve,
+    make_question,
+    scripted_backend,
+    searched,
+    write_demo_files,
+)
 
 
 def _passed(number: int, description: str) -> None:
@@ -374,7 +380,8 @@ def _pt_cohort():
 def test_criterion_09_pt_corpus_integrity(tmp_path):
     questions, backend = _pt_cohort()
 
-    sft_outcomes = [generate_target(backend, q) for q in questions]
+    records = {q.id: searched(backend, q) for q in questions}
+    sft_outcomes = [generate_target(backend, q, records[q.id]) for q in questions]
     sft_path = str(tmp_path / "corpus_sft.jsonl")
     manifest = export_corpus(
         sft_outcomes, SFT_FORMAT, sft_path,
@@ -391,7 +398,7 @@ def test_criterion_09_pt_corpus_integrity(tmp_path):
     for record in loaded:
         assert grade(record.target, question_index[record.meta["question_id"]]).correct
 
-    dpo_outcomes = [build_preference_pair(backend, q) for q in questions]
+    dpo_outcomes = [build_preference_pair(backend, q, records[q.id]) for q in questions]
     dpo_path = str(tmp_path / "corpus_dpo.jsonl")
     dpo_manifest = export_corpus(
         dpo_outcomes, DPO_FORMAT, dpo_path,

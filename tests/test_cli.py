@@ -251,12 +251,18 @@ def _config(**changes) -> str:
     return json.dumps(dict(DEMO_CONFIG, **changes))
 
 
+# A reader verb's search results: those of a real search of the demo, the
+# lines given, or (None) no file at all.
+_DEMO_SEARCH = "demo"
+
+
 DEMO_DATASET = json.dumps(DEMO_SCENARIO)
 
 
 def _refusal(id, problem, config=None, dataset=DEMO_DATASET, flags=(), verb="search",
-             api_key=None):
-    return pytest.param(verb, config or _config(), dataset, list(flags), api_key, problem, id=id)
+             api_key=None, search=_DEMO_SEARCH):
+    return pytest.param(verb, config or _config(), dataset, list(flags), api_key, search, problem,
+                        id=id)
 
 
 def _config_refusal(id, problem, **changes):
@@ -274,13 +280,30 @@ _NOT_POSITIVE = " must be finite and > 0, got "
 _OVER_THREE = " must be from 1 to 3, got "
 _NO_FILE = ": [Errno 2] No such file or directory: 'nope.jsonl'"
 _NO_QUESTIONS = "dataset.json: the dataset holds no questions"
+_SEARCH_LINES = [json.dumps({"question_id": qid, "status": "vanilla_incorrect", "upper_bound": 80})
+                 + "\n" for qid in ("rebound", "mono")]
+_FOUND = {"question_id": "rebound", "status": "found", "target_output": "The answer is 18.",
+          "trace": [{"budget": 256, "output_tokens": 130, "correct": True},
+                    {"budget": 128, "output_tokens": 120, "correct": True}]}
+# (id, search_results.jsonl, problem) of a record that a reader verb refuses.
+_BAD_SEARCH_RECORDS = [
+    ("found-record-with-a-budget-it-lacks",
+     json.dumps(dict(_FOUND, optimal_budget=100, upper_bound=256)) + "\n",
+     "found record 'rebound' has optimal_budget 100, not its upper_bound or a trace budget"),
+    ("upper-bound-not-an-integer",
+     json.dumps(dict(_FOUND, optimal_budget=256, upper_bound=256.0)) + "\n",
+     "upper_bound must be an integer, got 256.0"),
+]
 
 
 # Every refusal that main can reach before a request: each exits 1 with an
 # error that opens by naming the file, flag or config key at fault, leaves
-# no out-dir and sends nothing upstream.
-@pytest.mark.parametrize("verb, config, dataset, flags, api_key, problem", [
+# the out-dir as it was (absent, or holding only the search ptdata reads)
+# and sends nothing upstream.
+@pytest.mark.parametrize("verb, config, dataset, flags, api_key, search, problem", [
     # The config.
+    _refusal("config-file-missing", "--config: [Errno 2] No such file or directory: 'nope.json'",
+             flags=["--config", "nope.json"]),
     _refusal("config-not-json", "config.json: invalid JSON", config='{"backend": '),
     _config_refusal("unknown-backend-kind",
                     "backend.kind must be 'live' or 'scripted', got 'remote'",
@@ -298,7 +321,8 @@ _NO_QUESTIONS = "dataset.json: the dataset holds no questions"
                     sampling={"seed": True}),
     _config_refusal("negative-temperature", "temperature must be >= 0 and finite, got -1.0",
                     sampling={"temperature": -1}),
-    _config_refusal("temperature-beyond-a-float", "int too large to convert to float",
+    _config_refusal("temperature-beyond-a-float",
+                    "sampling.temperature: int too large to convert to float",
                     sampling={"temperature": 10 ** 400}),
     _config_refusal("nan-temperature", "temperature must be >= 0 and finite, got nan",
                     sampling={"temperature": float("nan")}),
@@ -351,6 +375,11 @@ _NO_QUESTIONS = "dataset.json: the dataset holds no questions"
              config=_LIVE, verb="eval", api_key="sk-secret\r\nX-Injected: 1"),
     # The dataset.
     _refusal("cohort-verb-without-dataset", "this command requires --dataset", dataset=None),
+    _refusal("fixture-file-missing", "--dataset: [Errno 2] No such file or directory: 'nope.json'",
+             dataset=None, flags=["--dataset", "nope.json"]),
+    _refusal("gsm8k-file-missing", "--dataset: [Errno 2] No such file or directory: 'nope.json'",
+             config=_LIVE, dataset=None, verb="eval", api_key="sk-from-env",
+             flags=["--dataset", "nope.json", "--dataset-format", "gsm8k_jsonl"]),
     _refusal("fixture-not-json", "dataset.json: invalid JSON", dataset='{"questions": ['),
     _refusal("fixture-question-without-text", "bad question at dataset.json questions[0]: 'text'",
              dataset=json.dumps({"questions": [{"id": "q", "gold_answer": "1"}]})),
@@ -382,27 +411,46 @@ _NO_QUESTIONS = "dataset.json: the dataset holds no questions"
     _flag_refusal("eval", "--sample-n", "0", f"{_OVER_THREE}0"),
     _flag_refusal("search", "--sample-n", "9", f"{_OVER_THREE}9"),
     _flag_refusal("eval", "--sample-n", "4", f"{_OVER_THREE}4"),
-    # The files a reader verb reads back.
+    # The files a reader verb reads back: ptdata reads the search in its out-dir.
     _flag_refusal("audit", "--search-output", "nope.jsonl", _NO_FILE),
     _flag_refusal("elasticity", "--search-output", "nope.jsonl", _NO_FILE),
     _flag_refusal("elasticity", "--estimates", "nope.jsonl", _NO_FILE),
+    _refusal("ptdata-without-a-search", "--out-dir: [Errno 2] No such file or directory: "
+             "'out/search_results.jsonl'", verb="ptdata", search=None),
+    _refusal("ptdata-over-a-torn-search", "--out-dir: out/search_results.jsonl: line 2: "
+             "malformed JSON", verb="ptdata", search=_SEARCH_LINES[0] + '{"question_id": "mo'),
+    _refusal("ptdata-search-without-a-cohort-question",
+             "--out-dir: out/search_results.jsonl: no search record for 'wrong'",
+             verb="ptdata", search=_SEARCH_LINES[0] + _SEARCH_LINES[1]),
+    *[_refusal(f"{verb}-{name}", f"{where}: line 1: {problem}", verb=verb, search=line)
+      for verb, where in (("audit", "--search-output: search/search_results.jsonl"),
+                          ("elasticity", "--search-output: search/search_results.jsonl"),
+                          ("ptdata", "--out-dir: out/search_results.jsonl"))
+      for name, line, problem in _BAD_SEARCH_RECORDS],
 ])
 def test_bad_input_is_fatal_and_names_the_problem(tmp_path, capsys, monkeypatch, verb, config,
-                                                  dataset, flags, api_key, problem):
+                                                  dataset, flags, api_key, search, problem):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "config.json").write_text(config)
     argv = [verb, "--config", "config.json", "--out-dir", "out", *flags]
     if dataset is not None:
         (tmp_path / "dataset.json").write_text(dataset)
         argv += ["--dataset", "dataset.json"]
-    if verb in ("audit", "elasticity") and "--search-output" not in flags:
-        # Real search results, so that a reader the flags do not stop would
-        # send audit requests.
-        (tmp_path / "demo").mkdir()
-        demo_config, demo_dataset = write_demo_files(tmp_path / "demo")
-        assert main(["search", "--config", demo_config, "--dataset", demo_dataset,
-                     "--out-dir", "search"]) == 0
-        argv += ["--search-output", "search/search_results.jsonl"]
+    if verb in ("audit", "elasticity", "ptdata") and "--search-output" not in flags:
+        # Search results, by default real ones, so that a reader the flags do
+        # not stop would send requests.
+        where = "out" if verb == "ptdata" else "search"
+        if search == _DEMO_SEARCH:
+            (tmp_path / "demo").mkdir()
+            demo_config, demo_dataset = write_demo_files(tmp_path / "demo")
+            assert main(["search", "--config", demo_config, "--dataset", demo_dataset,
+                         "--out-dir", where]) == 0
+        elif search is not None:
+            (tmp_path / where).mkdir()
+            (tmp_path / where / "search_results.jsonl").write_text(search)
+        if verb != "ptdata":
+            argv += ["--search-output", f"{where}/search_results.jsonl"]
+    before = _tree(tmp_path / "out")
     if api_key is None:
         monkeypatch.delenv("TOKENBUDGET_TEST_KEY", raising=False)
     else:
@@ -416,8 +464,16 @@ def test_bad_input_is_fatal_and_names_the_problem(tmp_path, capsys, monkeypatch,
     error = capsys.readouterr().err
     assert error.startswith(f"error: {problem}"), error
     assert "sk-secret" not in error
-    assert not (tmp_path / "out").exists()
+    assert _tree(tmp_path / "out") == before
     assert requests == []
+
+
+def _tree(root):
+    """Every file under root with its bytes; None when there is no root."""
+    if not root.exists():
+        return None
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
 
 
 def test_an_integral_temperature_keeps_the_fingerprint_of_its_float(tmp_path):
@@ -643,9 +699,16 @@ def test_elasticity_rejects_a_bad_k_before_reading(demo, capsys, k):
 # ---------------------------------------------------------------------------
 
 
+def _searched_out(config, dataset, tmp):
+    """An out-dir holding the demo's search results, where ptdata reads them."""
+    out = str(tmp / "out")
+    assert main(["search", "--config", config, "--dataset", dataset, "--out-dir", out]) == 0
+    return out
+
+
 def test_ptdata_sft_corpus(demo):
     config, dataset, tmp = demo
-    out = str(tmp / "out")
+    out = _searched_out(config, dataset, tmp)
     code = main(["ptdata", "--config", config, "--dataset", dataset, "--out-dir", out,
                  "--format", "sft"])
     assert code == 0
@@ -661,7 +724,7 @@ def test_ptdata_sft_corpus(demo):
 
 def test_ptdata_dpo_corpus(demo):
     config, dataset, tmp = demo
-    out = str(tmp / "out")
+    out = _searched_out(config, dataset, tmp)
     assert main(["ptdata", "--config", config, "--dataset", dataset, "--out-dir", out,
                  "--format", "dpo"]) == 0
     corpus = _read_jsonl(os.path.join(out, "corpus_dpo.jsonl"))
@@ -671,31 +734,87 @@ def test_ptdata_dpo_corpus(demo):
 
 def test_ptdata_budgeted_input_flag(demo):
     config, dataset, tmp = demo
-    out = str(tmp / "out")
+    out = _searched_out(config, dataset, tmp)
     assert main(["ptdata", "--config", config, "--dataset", dataset, "--out-dir", out,
                  "--format", "sft", "--pt-input", "budgeted"]) == 0
     corpus = _read_jsonl(os.path.join(out, "corpus_sft.jsonl"))
     assert all("use less than" in r["input"] for r in corpus)
 
 
-def test_ptdata_backend_failure_is_a_skip_and_exits_2(demo, monkeypatch):
+def test_ptdata_after_search_sends_nothing_upstream(demo, monkeypatch):
+    """SFT makes no backend call; the one DPO ask per question is a cache hit."""
     config, dataset, tmp = demo
-    real = cli.generate_target
+    out = _searched_out(config, dataset, tmp)
+    completions, requests = [], []
+    real = backend.CompletionBackend.complete
+
+    def complete(self, prompt):
+        completions.append(prompt)
+        return real(self, prompt)
+
+    monkeypatch.setattr(backend.CompletionBackend, "complete", complete)
+    monkeypatch.setattr(backend.ScriptedBackend, "_request",
+                        lambda self, prompt: requests.append(prompt))
+    cohort = ["--config", config, "--dataset", dataset, "--out-dir", out]
+    assert main(["ptdata", *cohort, "--format", "sft"]) == 0
+    assert completions == []
+    assert main(["ptdata", *cohort, "--format", "dpo"]) == 0
+    assert len(completions) == 2  # the vanilla asks of rebound and mono
+    assert requests == []
+
+
+def test_ptdata_search_error_record_is_a_skip_and_exits_2(demo, monkeypatch):
+    config, dataset, tmp = demo
+    real = cli.search_optimal_budget
 
     def flaky(backend, question, **kwargs):
         if question.id == "mono":
             raise TransportError("interrupted")
         return real(backend, question, **kwargs)
 
-    monkeypatch.setattr(cli, "generate_target", flaky)
+    monkeypatch.setattr(cli, "search_optimal_budget", flaky)
     out = str(tmp / "out")
+    assert main(["search", "--config", config, "--dataset", dataset, "--out-dir", out]) == 2
+    for fmt in ("sft", "dpo"):
+        assert main(["ptdata", "--config", config, "--dataset", dataset, "--out-dir", out,
+                     "--format", fmt]) == 2
+        manifest = _read_json(os.path.join(out, f"corpus_{fmt}.manifest.json"))
+        assert manifest["counts"]["skipped"] == {
+            "backend_error: interrupted": 1,
+            "vanilla_incorrect": 1,
+        }
+
+
+def test_ptdata_backend_failure_is_a_skip_and_exits_2(demo, monkeypatch):
+    config, dataset, tmp = demo
+    out = _searched_out(config, dataset, tmp)
+    real = cli.build_preference_pair
+
+    def flaky(backend, question, *args):
+        if question.id == "mono":
+            raise TransportError("interrupted")
+        return real(backend, question, *args)
+
+    monkeypatch.setattr(cli, "build_preference_pair", flaky)
     assert main(["ptdata", "--config", config, "--dataset", dataset, "--out-dir", out,
-                 "--format", "sft"]) == 2
-    manifest = _read_json(os.path.join(out, "corpus_sft.manifest.json"))
+                 "--format", "dpo"]) == 2
+    manifest = _read_json(os.path.join(out, "corpus_dpo.manifest.json"))
     assert manifest["counts"]["skipped"] == {
         "backend_error: interrupted": 1,
         "vanilla_incorrect": 1,
     }
+
+
+def test_ptdata_ignores_search_records_outside_its_cohort(demo):
+    config, dataset, tmp = demo
+    out = _searched_out(config, dataset, tmp)
+    # --sample-n 1 --seed 3 draws the cohort {rebound}.
+    assert main(["ptdata", "--config", config, "--dataset", dataset, "--out-dir", out,
+                 "--format", "sft", "--sample-n", "1", "--seed", "3"]) == 0
+    corpus = _read_jsonl(os.path.join(out, "corpus_sft.jsonl"))
+    assert [r["meta"]["question_id"] for r in corpus] == ["rebound"]
+    manifest = _read_json(os.path.join(out, "run_manifest.json"))
+    assert "baseline" not in manifest and manifest["sample_n"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -809,7 +928,9 @@ def test_each_cohort_verb_parses_the_fixture_once(demo, verb, monkeypatch):
 
     for module in (backend, cli, evaluate):
         monkeypatch.setattr(module, "parse_scripted_file", counting)
-    argv = [verb, "--config", config, "--dataset", dataset, "--out-dir", str(tmp / "out")]
+    # ptdata reads the search in its out-dir.
+    out = search_out if verb == "ptdata" else str(tmp / "out")
+    argv = [verb, "--config", config, "--dataset", dataset, "--out-dir", out]
     if verb == "audit":
         argv += ["--search-output", os.path.join(search_out, "search_results.jsonl")]
     assert main(argv) == 0
@@ -962,6 +1083,11 @@ def test_per_question_config_error_is_fatal_in_every_cohort_verb(demo, verb, cap
             "--out-dir", str(tmp / "out")]
     if verb == "audit":
         argv += ["--search-output", os.path.join(search_out, "search_results.jsonl")]
+    if verb == "ptdata":
+        # The search's records without its cache: the DPO vanilla asks go upstream.
+        (tmp / "out").mkdir()
+        shutil.copy(os.path.join(search_out, "search_results.jsonl"), tmp / "out")
+        argv += ["--format", "dpo"]
     capsys.readouterr()
     assert main(argv) == 1
     assert "scripted behavior" in capsys.readouterr().err

@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from tokenbudget.backend import ResponseCache
+from tokenbudget.backend import ResponseCache, ScriptedBackend, parse_scripted_file
 from tokenbudget.errors import DatasetError
+from tokenbudget.prompting import PromptKind, build_prompt
 from tokenbudget.ptdata import (
     DPO_FORMAT,
     SFT_FORMAT,
@@ -20,8 +21,15 @@ from tokenbudget.ptdata import (
     load_corpus,
     manifest_path,
 )
+from tokenbudget.search import SearchRecord, SearchStatus, search_optimal_budget
 
-from conftest import behavior_from_curve, make_question, scripted_backend
+from conftest import (
+    behavior_from_curve,
+    make_question,
+    scripted_backend,
+    searched,
+    write_demo_files,
+)
 
 
 def wrong_vanilla_question():
@@ -32,13 +40,63 @@ def wrong_vanilla_question():
     return question, backend
 
 
+def upper_bound_question():
+    """The first candidate is infeasible, so the optimum is the upper bound."""
+    question = make_question(qid="inv", text="Inverted?", gold="3")
+    backend = scripted_backend(
+        {
+            question: behavior_from_curve(
+                vanilla_tokens=100,
+                curve={100: (60, True), 50: (70, True)},
+            )
+        }
+    )
+    return question, backend
+
+
+def reference_records(backend, question, input_style):
+    """The SFT and DPO records built straight from a search result, as the
+    corpus was built before it was read from the search's records."""
+    result = search_optimal_budget(backend, question)
+    if result.status is not SearchStatus.FOUND:
+        skip = Skip(question_id=question.id, reason=result.status.value)
+        return skip, skip
+    kind = {"vanilla": PromptKind.VANILLA_COT, "budgeted": PromptKind.BUDGETED_COT}[input_style]
+    prompt = build_prompt(question, kind, budget=result.optimal_budget, templates=backend.templates)
+    positive = result.target_outcome.usage.output_tokens
+    sft = SftExample(
+        input=prompt.user,
+        target=result.target_outcome.text,
+        meta={"question_id": question.id, "optimal_budget": result.optimal_budget,
+              "output_tokens": positive},
+    )
+    rejected = backend.ask(question, PromptKind.VANILLA_COT)
+    if positive >= rejected.usage.output_tokens:
+        return sft, Skip(question_id=question.id, reason="length_inversion")
+    return sft, PreferencePair(
+        input=prompt.user,
+        chosen=sft.target,
+        rejected=rejected.text,
+        meta={"question_id": question.id, "optimal_budget": result.optimal_budget,
+              "positive_tokens": positive, "negative_tokens": rejected.usage.output_tokens},
+    )
+
+
+def demo_question(tmp_path, qid):
+    write_demo_files(tmp_path)
+    scenario = parse_scripted_file(str(tmp_path / "demo_dataset.json"))
+    return next(q for q in scenario.questions if q.id == qid), ScriptedBackend(scenario)
+
+
 # ---------------------------------------------------------------------------
 # generate_target
 # ---------------------------------------------------------------------------
 
 
 def test_generate_target_uses_search_optimum(rebound_question, rebound_backend):
-    example = generate_target(rebound_backend, rebound_question)
+    example = generate_target(
+        rebound_backend, rebound_question, searched(rebound_backend, rebound_question)
+    )
     assert isinstance(example, SftExample)
     assert example.meta == {
         "question_id": "rebound",
@@ -51,14 +109,37 @@ def test_generate_target_uses_search_optimum(rebound_question, rebound_backend):
 
 
 def test_generate_target_budgeted_input_style(rebound_question, rebound_backend):
-    example = generate_target(rebound_backend, rebound_question, input_style="budgeted")
+    record = searched(rebound_backend, rebound_question)
+    example = generate_target(rebound_backend, rebound_question, record, input_style="budgeted")
     assert example.input.endswith("use less than 64 tokens:")
 
 
 def test_generate_target_skips_vanilla_incorrect():
     question, backend = wrong_vanilla_question()
-    skip = generate_target(backend, question)
+    skip = generate_target(backend, question, searched(backend, question))
     assert skip == Skip(question_id="wrong", reason="vanilla_incorrect")
+
+
+def test_error_record_is_a_backend_error_skip(rebound_question, rebound_backend):
+    record = SearchRecord(question_id="rebound", status="error", error="interrupted")
+    expected = Skip(question_id="rebound", reason="backend_error: interrupted")
+    assert generate_target(rebound_backend, rebound_question, record) == expected
+    assert build_preference_pair(rebound_backend, rebound_question, record) == expected
+
+
+@pytest.mark.parametrize("input_style", ["vanilla", "budgeted"])
+@pytest.mark.parametrize("case", ["rebound", "mono", "wrong", "upper-bound"])
+def test_records_equal_those_built_from_the_search_result(tmp_path, case, input_style):
+    """The demo questions, and a curve whose optimum is the upper bound."""
+    if case == "upper-bound":
+        question, backend = upper_bound_question()
+    else:
+        question, backend = demo_question(tmp_path, case)
+    record = searched(backend, question)
+    assert (case == "upper-bound") == (record.optimal_budget == record.upper_bound)
+    sft, dpo = reference_records(backend, question, input_style)
+    assert generate_target(backend, question, record, input_style) == sft
+    assert build_preference_pair(backend, question, record, input_style) == dpo
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +148,8 @@ def test_generate_target_skips_vanilla_incorrect():
 
 
 def test_preference_pair_positive_shorter_than_negative(rebound_question, rebound_backend):
-    pair = build_preference_pair(rebound_backend, rebound_question)
+    record = searched(rebound_backend, rebound_question)
+    pair = build_preference_pair(rebound_backend, rebound_question, record)
     assert isinstance(pair, PreferencePair)
     assert pair.meta["positive_tokens"] == 70
     assert pair.meta["negative_tokens"] == 256
@@ -83,30 +165,25 @@ def test_preference_pair_negative_reuses_cached_vanilla(tmp_path, rebound_questi
         {rebound_question: behavior},
         cache=ResponseCache(str(tmp_path / "cache.jsonl")),
     )
-    build_preference_pair(backend, rebound_question)
-    # vanilla + probe + three halving candidates; the negative is a cache hit.
+    record = searched(backend, rebound_question)
+    # vanilla + probe + three halving candidates.
+    assert backend.upstream_calls == 5
+    build_preference_pair(backend, rebound_question, record)
+    # The negative is a cache hit.
     assert backend.upstream_calls == 5
 
 
 def test_preference_pair_skips_length_inversion():
-    question = make_question(qid="inv", text="Inverted?", gold="3")
-    backend = scripted_backend(
-        {
-            question: behavior_from_curve(
-                vanilla_tokens=100,
-                curve={100: (60, True), 50: (70, True)},
-            )
-        }
-    )
+    question, backend = upper_bound_question()
     # First candidate infeasible, so the target is the vanilla output itself:
     # equal token counts violate the strict inequality.
-    skip = build_preference_pair(backend, question)
+    skip = build_preference_pair(backend, question, searched(backend, question))
     assert skip == Skip(question_id="inv", reason="length_inversion")
 
 
 def test_preference_pair_skips_vanilla_incorrect():
     question, backend = wrong_vanilla_question()
-    skip = build_preference_pair(backend, question)
+    skip = build_preference_pair(backend, question, searched(backend, question))
     assert skip.reason == "vanilla_incorrect"
 
 
@@ -116,7 +193,9 @@ def test_preference_pair_skips_vanilla_incorrect():
 
 
 def test_export_counts_and_round_trip(tmp_path, rebound_question, rebound_backend):
-    example = generate_target(rebound_backend, rebound_question)
+    example = generate_target(
+        rebound_backend, rebound_question, searched(rebound_backend, rebound_question)
+    )
     other = SftExample(
         input="Second question?\nLet's think step by step:",
         target="The answer is 4.",
@@ -156,7 +235,8 @@ def test_export_counts_and_round_trip(tmp_path, rebound_question, rebound_backen
 
 
 def test_export_dpo_round_trip(tmp_path, rebound_question, rebound_backend):
-    pair = build_preference_pair(rebound_backend, rebound_question)
+    record = searched(rebound_backend, rebound_question)
+    pair = build_preference_pair(rebound_backend, rebound_question, record)
     path = str(tmp_path / "corpus_dpo.jsonl")
     export_corpus([pair], DPO_FORMAT, path, questions=[rebound_question])
     assert load_corpus(path, DPO_FORMAT) == [pair]
