@@ -71,8 +71,7 @@ from .search import (
     EstimatorQuality,
     IdealRange,
     MonotonicityAudit,
-    SearchResult,
-    SearchStatus,
+    SearchRecord,
     TracePoint,
     estimator_quality,
     ideal_budget_range,

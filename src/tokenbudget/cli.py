@@ -62,13 +62,11 @@ from .ptdata import (
 )
 from .search import (
     SearchRecord,
-    elasticity_rows,
     estimator_quality,
     ideal_budget_range,
     monotonicity_audit,
     monotonic_fraction,
     search_optimal_budget,
-    search_record,
 )
 
 EXIT_OK = 0
@@ -323,7 +321,7 @@ def cmd_eval(args) -> int:
 def cmd_search(args) -> int:
     ctx = VerbContext(args, "search")
     questions = ctx.dataset.questions
-    results = ctx.map(
+    records = ctx.map(
         lambda question: search_optimal_budget(ctx.backend, question, baseline=args.baseline),
         questions,
     )
@@ -332,13 +330,11 @@ def cmd_search(args) -> int:
             open(ctx.path("elasticity.csv"), "w", encoding="utf-8", newline="") as csv_handle:
         writer = csv.writer(csv_handle, lineterminator="\n")
         writer.writerow(["question_id", "iteration", "budget", "output_tokens", "correct"])
-        for question, result in zip(questions, results):
-            if isinstance(result, Exception):
-                record = {"question_id": question.id, "status": "error", "error": str(result)}
-            else:
-                record = search_record(question, result)
-                writer.writerows(elasticity_rows(question.id, result))
-            handle.write(encode_record(record) + "\n")
+        for question, record in zip(questions, records):
+            if isinstance(record, Exception):
+                record = SearchRecord(question.id, "error", error=str(record))
+            handle.write(record.line() + "\n")
+            writer.writerows(record.elasticity_rows())
 
     return ctx.finish(baseline=args.baseline, results="search_results.jsonl")
 
@@ -574,7 +570,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_search = sub.add_parser("search", parents=[shared], help="optimal-budget search per question")
-    p_search.add_argument("--format", default="jsonl", help="output format (jsonl + csv)")
+    p_search.add_argument("--format", choices=["jsonl"], default="jsonl",
+                          help="output format (jsonl + csv)")
     p_search.set_defaults(func=cmd_search)
 
     p_elastic = sub.add_parser(
@@ -586,7 +583,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="per-sample ep records JSONL supplying estimated budgets",
     )
-    p_elastic.add_argument("--format", default="json", help="report format (json)")
+    p_elastic.add_argument("--format", choices=["json"], default="json", help="report format (json)")
     p_elastic.set_defaults(func=cmd_elasticity)
 
     p_ptdata = sub.add_parser(
@@ -608,7 +605,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "audit", parents=[shared], help="monotonicity audit around searched budgets"
     )
     p_audit.add_argument("--search-output", required=True, help="search_results.jsonl path")
-    p_audit.add_argument("--format", default="json", help="report format (json)")
+    p_audit.add_argument("--format", choices=["json"], default="json", help="report format (json)")
     p_audit.set_defaults(func=cmd_audit)
 
     return parser

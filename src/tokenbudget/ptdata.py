@@ -18,7 +18,7 @@ from .core import Question
 from .evaluate import encode_record, read_jsonl
 from .grading import grade
 from .prompting import PromptKind, build_prompt
-from .search import SearchRecord, SearchStatus
+from .search import SearchRecord
 
 SFT_FORMAT = "sft"
 DPO_FORMAT = "dpo"
@@ -86,7 +86,7 @@ def generate_target(
 ) -> SftExample | Skip:
     """The search record's response under its optimal budget, the vanilla answer
     at the upper bound, as the training target; no backend call."""
-    if record.status != SearchStatus.FOUND.value:
+    if record.status != "found":
         reason = f"backend_error: {record.error}" if record.status == "error" else record.status
         return Skip(question_id=question.id, reason=reason)
     budget = record.optimal_budget
@@ -157,7 +157,7 @@ def _validate_record(record, corpus_format: str, index: int, questions: dict[str
     if question is not None:
         graded_text = record.target if corpus_format == SFT_FORMAT else record.chosen
         if not grade(graded_text, question).correct:
-            raise ValueError(f"record {index} target no longer grades correct")
+            raise ValueError(f"record {index} ({question.id!r}) target no longer grades correct")
 
 
 def export_corpus(

@@ -1,4 +1,4 @@
-"""Optimal token-budget search and its analysis operations.
+"""Optimal token-budget search, its record, and its analysis operations.
 
 The search halves the budget starting from the vanilla chain-of-thought
 cost and accepts a candidate only while the answer stays correct AND the
@@ -6,6 +6,10 @@ observed output-token cost strictly drops (greedy feasibility). Reducing
 the budget past a reasonable range makes real token usage rebound upward
 ("token elasticity"), so the first rejected candidate terminates the walk
 and the last accepted one is the optimal budget.
+
+A search returns its SearchRecord, the one shape of a search result: it
+writes its own line of search_results.jsonl and its rows of elasticity.csv,
+and the audit, elasticity and ptdata verbs read the same record back.
 
 Also here: the ideal-budget-range rolling-window minimum over a trace,
 estimator-quality metrics against those ranges, and the per-question
@@ -16,19 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence
 
 from .backend import CompletionBackend
 from .core import CompletionOutcome, Question, clamp_budget
+from .evaluate import encode_record
 from .grading import grade
 from .prompting import PromptKind
-
-
-class SearchStatus(Enum):
-    FOUND = "found"
-    VANILLA_INCORRECT = "vanilla_incorrect"
-    NO_FEASIBLE_BUDGET = "no_feasible_budget"
 
 
 @dataclass(frozen=True)
@@ -61,14 +59,57 @@ class ElasticityTrace:
 
 
 @dataclass
-class SearchResult:
-    """Outcome of one budget search, with the full probe trace."""
+class SearchRecord:
+    """One question's budget search: what search_optimal_budget returns, and
+    one line of search_results.jsonl, written by `line` and read back checked.
 
-    status: SearchStatus
-    optimal_budget: int | None
-    trace: ElasticityTrace
-    upper_bound: int
-    target_outcome: CompletionOutcome | None = None
+    ``status`` is ``found``, ``vanilla_incorrect``, ``no_feasible_budget`` or,
+    for a question whose search raised, ``error`` with the ``error`` text. A
+    found record's target is the response under its optimal budget, the vanilla
+    answer when that is the upper bound. Trace rows read back are rebuilt as an
+    ElasticityTrace.
+    """
+
+    question_id: str
+    status: str
+    optimal_budget: int | None = None
+    upper_bound: int | None = None
+    target_output: str | None = None
+    trace: ElasticityTrace = field(default_factory=list)
+    error: str | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.trace, ElasticityTrace):
+            self.trace = ElasticityTrace([TracePoint(**row) for row in self.trace])
+        if self.upper_bound.__class__ not in (int, type(None)):
+            raise ValueError(f"upper_bound must be an integer, got {self.upper_bound!r}")
+        if self.status != "found":
+            return
+        budgets = {self.upper_bound, *(p.budget for p in self.trace.points)}
+        if not isinstance(self.optimal_budget, int) or self.optimal_budget not in budgets:
+            raise ValueError(f"found record {self.question_id!r} has optimal_budget "
+                             f"{self.optimal_budget!r}, not its upper_bound or a trace budget")
+        if not isinstance(self.target_output, str) or not self.target_output:
+            raise ValueError(f"found record {self.question_id!r} has target_output "
+                             f"{self.target_output!r}, not a non-empty string")
+
+    def line(self) -> str:
+        """The record's line of search_results.jsonl, without its newline: an
+        error line holds the question id, status and error, any other line
+        every field but the error."""
+        if self.status == "error":
+            return encode_record(
+                {"question_id": self.question_id, "status": self.status, "error": self.error})
+        fields = dict(vars(self), trace=[vars(p) for p in self.trace.points])
+        del fields["error"]
+        return encode_record(fields)
+
+    def elasticity_rows(self) -> list[tuple]:
+        """elasticity.csv rows (question_id, iteration, budget, output_tokens, correct)."""
+        return [
+            (self.question_id, iteration, p.budget, p.output_tokens, p.correct)
+            for iteration, p in enumerate(self.trace.points, start=1)
+        ]
 
 
 def halving_candidates(upper_bound: int) -> list[int]:
@@ -85,8 +126,9 @@ def search_optimal_budget(
     backend: CompletionBackend,
     question: Question,
     baseline: str = "probe",
-) -> SearchResult:
-    """Find the smallest correctness-preserving budget with the lowest cost.
+) -> SearchRecord:
+    """The question's SearchRecord: the smallest correctness-preserving budget
+    with the lowest cost, the response under it, and the probe trace.
 
     Runs vanilla CoT first; its output-token count is the search upper bound
     and its verdict is the precondition (a wrong vanilla answer aborts the
@@ -101,22 +143,10 @@ def search_optimal_budget(
 
     vanilla = backend.ask(question, PromptKind.VANILLA_COT)
     upper_bound = vanilla.usage.output_tokens
-    vanilla_verdict = grade(vanilla.text, question)
-
-    if not vanilla_verdict.correct:
-        return SearchResult(
-            status=SearchStatus.VANILLA_INCORRECT,
-            optimal_budget=None,
-            trace=ElasticityTrace(),
-            upper_bound=upper_bound,
-        )
+    if not grade(vanilla.text, question).correct:
+        return SearchRecord(question.id, "vanilla_incorrect", upper_bound=upper_bound)
     if upper_bound < 1:
-        return SearchResult(
-            status=SearchStatus.NO_FEASIBLE_BUDGET,
-            optimal_budget=None,
-            trace=ElasticityTrace(),
-            upper_bound=upper_bound,
-        )
+        return SearchRecord(question.id, "no_feasible_budget", upper_bound=upper_bound)
 
     candidates = halving_candidates(upper_bound)
     points: list[TracePoint] = []
@@ -134,7 +164,7 @@ def search_optimal_budget(
         return point, outcome
 
     best_budget = upper_bound
-    best_outcome = vanilla
+    best_text = vanilla.text
     if candidates:
         if baseline == "probe":
             previous_cost = probe(upper_bound)[0].output_tokens
@@ -146,16 +176,11 @@ def search_optimal_budget(
             if not feasible:
                 break
             best_budget = budget
-            best_outcome = outcome
+            best_text = outcome.text
             previous_cost = point.output_tokens
 
-    return SearchResult(
-        status=SearchStatus.FOUND,
-        optimal_budget=best_budget,
-        trace=ElasticityTrace(points),
-        upper_bound=upper_bound,
-        target_outcome=best_outcome,
-    )
+    return SearchRecord(question.id, "found", best_budget, upper_bound, best_text,
+                        ElasticityTrace(points))
 
 
 # ---------------------------------------------------------------------------
@@ -327,53 +352,3 @@ def monotonic_fraction(audits: Sequence[MonotonicityAudit]) -> float:
     if not audits:
         raise ValueError("monotonic_fraction needs at least one audit")
     return sum(1 for a in audits if a.is_monotonic) / len(audits)
-
-
-# ---------------------------------------------------------------------------
-# Serialization (per-question JSONL records and plot-ready CSV rows)
-# ---------------------------------------------------------------------------
-
-
-def search_record(question: Question, result: SearchResult) -> dict:
-    """JSON-ready record of one search result."""
-    return {
-        "question_id": question.id,
-        "status": result.status.value,
-        "optimal_budget": result.optimal_budget,
-        "upper_bound": result.upper_bound,
-        "target_output": result.target_outcome.text if result.target_outcome else None,
-        "trace": [vars(p) for p in result.trace.points],
-    }
-
-
-@dataclass
-class SearchRecord:
-    """One line of search_results.jsonl read back, checked: a search result
-    (its trace rows rebuilt as an ElasticityTrace) or the error that ended
-    the question's search."""
-
-    question_id: str
-    status: str
-    optimal_budget: int | None = None
-    upper_bound: int | None = None
-    target_output: str | None = None
-    trace: ElasticityTrace = field(default_factory=list)
-    error: str | None = None
-
-    def __post_init__(self):
-        self.trace = ElasticityTrace([TracePoint(**row) for row in self.trace])
-        if self.upper_bound.__class__ not in (int, type(None)):
-            raise ValueError(f"upper_bound must be an integer, got {self.upper_bound!r}")
-        budgets = {self.upper_bound, *(p.budget for p in self.trace.points)}
-        if self.status == SearchStatus.FOUND.value and (
-                not isinstance(self.optimal_budget, int) or self.optimal_budget not in budgets):
-            raise ValueError(f"found record {self.question_id!r} has optimal_budget "
-                             f"{self.optimal_budget!r}, not its upper_bound or a trace budget")
-
-
-def elasticity_rows(question_id: str, result: SearchResult) -> list[tuple]:
-    """CSV rows (question_id, iteration, budget, output_tokens, correct)."""
-    return [
-        (question_id, iteration, p.budget, p.output_tokens, p.correct)
-        for iteration, p in enumerate(result.trace.points, start=1)
-    ]

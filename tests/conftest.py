@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from tokenbudget.backend import ScriptedBackend, ScriptedBehavior, ScriptedEntry, ScriptedScenario
 from tokenbudget.core import AnswerKind, Question
-from tokenbudget.search import SearchRecord, search_optimal_budget, search_record
 
 
 # Any JSON document the standard encoder writes, non-ASCII and lone
@@ -73,12 +72,6 @@ def scripted_backend(
         default_entry=default_entry,
     )
     return ScriptedBackend(scenario, **kwargs)
-
-
-def searched(backend, question: Question) -> SearchRecord:
-    """Search question and read its record back as the line `search` writes."""
-    result = search_optimal_budget(backend, question)
-    return SearchRecord(**json.loads(json.dumps(search_record(question, result))))
 
 
 @pytest.fixture

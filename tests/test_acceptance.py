@@ -56,7 +56,6 @@ from conftest import (
     behavior_from_curve,
     make_question,
     scripted_backend,
-    searched,
     write_demo_files,
 )
 
@@ -150,7 +149,7 @@ def test_criterion_01_and_02_search_matches_bruteforce_oracle():
         )
         result = search_optimal_budget(backend, question, baseline=baseline)
 
-        assert result.status.value == expected_status
+        assert result.status == expected_status
         assert result.optimal_budget == expected_best
         observed_trace = [(p.budget, p.output_tokens, p.correct) for p in result.trace.points]
         assert observed_trace == expected_trace
@@ -380,7 +379,7 @@ def _pt_cohort():
 def test_criterion_09_pt_corpus_integrity(tmp_path):
     questions, backend = _pt_cohort()
 
-    records = {q.id: searched(backend, q) for q in questions}
+    records = {q.id: search_optimal_budget(backend, q) for q in questions}
     sft_outcomes = [generate_target(backend, q, records[q.id]) for q in questions]
     sft_path = str(tmp_path / "corpus_sft.jsonl")
     manifest = export_corpus(

@@ -18,6 +18,7 @@ import tokenbudget.evaluate as evaluate
 from tokenbudget.cli import main
 from tokenbudget.errors import TransportError
 from tokenbudget.prompting import Prompt, PromptKind
+from tokenbudget.search import SearchRecord, search_optimal_budget
 
 from conftest import DEMO_CONFIG, DEMO_SCENARIO, completion_payload, write_demo_files
 
@@ -293,6 +294,9 @@ _BAD_SEARCH_RECORDS = [
     ("upper-bound-not-an-integer",
      json.dumps(dict(_FOUND, optimal_budget=256, upper_bound=256.0)) + "\n",
      "upper_bound must be an integer, got 256.0"),
+    ("found-record-without-a-target",
+     json.dumps(dict(_FOUND, optimal_budget=256, upper_bound=256, target_output=None)) + "\n",
+     "found record 'rebound' has target_output None, not a non-empty string"),
 ]
 
 
@@ -571,6 +575,18 @@ def test_search_partial_backend_failure_exits_2(demo, monkeypatch):
     assert "interrupted" in records["mono"]["error"]
 
 
+def test_search_writes_the_records_the_search_returns(demo):
+    config, dataset, tmp = demo
+    out = tmp / "out"
+    assert main(["search", "--config", config, "--dataset", dataset, "--out-dir", str(out)]) == 0
+    scenario = backend.parse_scripted_file(dataset)
+    fresh = backend.ScriptedBackend(scenario)
+    returned = [search_optimal_budget(fresh, question) for question in scenario.questions]
+    assert evaluate.read_jsonl(str(out / "search_results.jsonl"), SearchRecord) == returned
+    assert (out / "search_results.jsonl").read_text() == "".join(
+        record.line() + "\n" for record in returned)
+
+
 # ---------------------------------------------------------------------------
 # elasticity
 # ---------------------------------------------------------------------------
@@ -761,6 +777,50 @@ def test_ptdata_after_search_sends_nothing_upstream(demo, monkeypatch):
     assert main(["ptdata", *cohort, "--format", "dpo"]) == 0
     assert len(completions) == 2  # the vanilla asks of rebound and mono
     assert requests == []
+
+
+def _tampered_search(config, dataset, tmp, monkeypatch, **changes):
+    """The demo's search in out/, rebound's record changed; requests are refused from here on."""
+    out = _searched_out(config, dataset, tmp)
+    path = os.path.join(out, "search_results.jsonl")
+    records = _read_jsonl(path)
+    assert records[0]["question_id"] == "rebound" and records[0]["status"] == "found"
+    records[0].update(changes)
+    with open(path, "w") as handle:
+        handle.writelines(json.dumps(record) + "\n" for record in records)
+    requests = []
+    monkeypatch.setattr(backend.ScriptedBackend, "_request",
+                        lambda self, prompt: requests.append(prompt))
+    return out, path, requests
+
+
+@pytest.mark.parametrize("fmt", ["sft", "dpo"])
+def test_ptdata_refuses_a_found_record_without_a_target_before_asking(demo, monkeypatch,
+                                                                      capsys, fmt):
+    config, dataset, tmp = demo
+    out, path, requests = _tampered_search(config, dataset, tmp, monkeypatch, target_output=None)
+    capsys.readouterr()
+    assert main(["ptdata", "--config", config, "--dataset", dataset, "--out-dir", out,
+                 "--format", fmt]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --out-dir: {path}: line 1: found record 'rebound' has target_output None, "
+        "not a non-empty string\n")
+    assert requests == []
+    assert not os.path.exists(os.path.join(out, f"corpus_{fmt}.jsonl"))
+
+
+@pytest.mark.parametrize("fmt", ["sft", "dpo"])
+def test_ptdata_names_the_question_whose_target_no_longer_grades(demo, monkeypatch, capsys, fmt):
+    config, dataset, tmp = demo
+    out, _, requests = _tampered_search(config, dataset, tmp, monkeypatch,
+                                        target_output="The answer is 999.")
+    capsys.readouterr()
+    assert main(["ptdata", "--config", config, "--dataset", dataset, "--out-dir", out,
+                 "--format", fmt]) == 1
+    assert capsys.readouterr().err == (
+        "error: record 0 ('rebound') target no longer grades correct\n")
+    assert requests == []
+    assert not os.path.exists(os.path.join(out, f"corpus_{fmt}.jsonl"))
 
 
 def test_ptdata_search_error_record_is_a_skip_and_exits_2(demo, monkeypatch):
@@ -1194,6 +1254,20 @@ SPEC_FLAGS = (
     "--config", "--dataset", "--out-dir", "--seed", "--sample-n", "--concurrency",
     "--baseline", "--alpha", "--k", "--multipliers", "--format",
 )
+
+
+@pytest.mark.parametrize("verb, wrong", [("search", "csv"), ("elasticity", "csv"), ("audit", "yaml")])
+def test_a_format_the_verb_does_not_write_is_a_usage_error(demo, capsys, verb, wrong):
+    config, dataset, tmp = demo
+    out = tmp / "out"
+    argv = [verb, "--config", config, "--dataset", dataset, "--out-dir", str(out)]
+    if verb in ("elasticity", "audit"):
+        argv += ["--search-output", str(tmp / "search_results.jsonl")]
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--format", wrong])
+    assert excinfo.value.code == 2
+    assert f"argument --format: invalid choice: '{wrong}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("verb", ["eval", "search", "elasticity", "ptdata", "audit"])

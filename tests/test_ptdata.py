@@ -21,13 +21,12 @@ from tokenbudget.ptdata import (
     load_corpus,
     manifest_path,
 )
-from tokenbudget.search import SearchRecord, SearchStatus, search_optimal_budget
+from tokenbudget.search import SearchRecord, search_optimal_budget
 
 from conftest import (
     behavior_from_curve,
     make_question,
     scripted_backend,
-    searched,
     write_demo_files,
 )
 
@@ -40,7 +39,7 @@ def wrong_vanilla_question():
     return question, backend
 
 
-def upper_bound_question():
+def upper_bound_question(cache=None):
     """The first candidate is infeasible, so the optimum is the upper bound."""
     question = make_question(qid="inv", text="Inverted?", gold="3")
     backend = scripted_backend(
@@ -49,26 +48,34 @@ def upper_bound_question():
                 vanilla_tokens=100,
                 curve={100: (60, True), 50: (70, True)},
             )
-        }
+        },
+        cache=cache,
     )
     return question, backend
 
 
 def reference_records(backend, question, input_style):
-    """The SFT and DPO records built straight from a search result, as the
-    corpus was built before it was read from the search's records."""
+    """The SFT and DPO records built from a search's optimum alone: the target
+    is asked again at the optimum, a cache hit, as the corpus was built before
+    it was read from the search's records."""
     result = search_optimal_budget(backend, question)
-    if result.status is not SearchStatus.FOUND:
-        skip = Skip(question_id=question.id, reason=result.status.value)
+    if result.status != "found":
+        skip = Skip(question_id=question.id, reason=result.status)
         return skip, skip
+    budget = result.optimal_budget
+    calls = backend.upstream_calls
+    if budget == result.upper_bound:
+        answer = backend.ask(question, PromptKind.VANILLA_COT)
+    else:
+        answer = backend.ask(question, PromptKind.BUDGETED_COT, budget=budget)
+    assert backend.upstream_calls == calls
     kind = {"vanilla": PromptKind.VANILLA_COT, "budgeted": PromptKind.BUDGETED_COT}[input_style]
-    prompt = build_prompt(question, kind, budget=result.optimal_budget, templates=backend.templates)
-    positive = result.target_outcome.usage.output_tokens
+    prompt = build_prompt(question, kind, budget=budget, templates=backend.templates)
+    positive = answer.usage.output_tokens
     sft = SftExample(
         input=prompt.user,
-        target=result.target_outcome.text,
-        meta={"question_id": question.id, "optimal_budget": result.optimal_budget,
-              "output_tokens": positive},
+        target=answer.text,
+        meta={"question_id": question.id, "optimal_budget": budget, "output_tokens": positive},
     )
     rejected = backend.ask(question, PromptKind.VANILLA_COT)
     if positive >= rejected.usage.output_tokens:
@@ -77,7 +84,7 @@ def reference_records(backend, question, input_style):
         input=prompt.user,
         chosen=sft.target,
         rejected=rejected.text,
-        meta={"question_id": question.id, "optimal_budget": result.optimal_budget,
+        meta={"question_id": question.id, "optimal_budget": budget,
               "positive_tokens": positive, "negative_tokens": rejected.usage.output_tokens},
     )
 
@@ -85,7 +92,8 @@ def reference_records(backend, question, input_style):
 def demo_question(tmp_path, qid):
     write_demo_files(tmp_path)
     scenario = parse_scripted_file(str(tmp_path / "demo_dataset.json"))
-    return next(q for q in scenario.questions if q.id == qid), ScriptedBackend(scenario)
+    backend = ScriptedBackend(scenario, cache=ResponseCache(str(tmp_path / "cache.jsonl")))
+    return next(q for q in scenario.questions if q.id == qid), backend
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +103,7 @@ def demo_question(tmp_path, qid):
 
 def test_generate_target_uses_search_optimum(rebound_question, rebound_backend):
     example = generate_target(
-        rebound_backend, rebound_question, searched(rebound_backend, rebound_question)
+        rebound_backend, rebound_question, search_optimal_budget(rebound_backend, rebound_question)
     )
     assert isinstance(example, SftExample)
     assert example.meta == {
@@ -109,14 +117,14 @@ def test_generate_target_uses_search_optimum(rebound_question, rebound_backend):
 
 
 def test_generate_target_budgeted_input_style(rebound_question, rebound_backend):
-    record = searched(rebound_backend, rebound_question)
+    record = search_optimal_budget(rebound_backend, rebound_question)
     example = generate_target(rebound_backend, rebound_question, record, input_style="budgeted")
     assert example.input.endswith("use less than 64 tokens:")
 
 
 def test_generate_target_skips_vanilla_incorrect():
     question, backend = wrong_vanilla_question()
-    skip = generate_target(backend, question, searched(backend, question))
+    skip = generate_target(backend, question, search_optimal_budget(backend, question))
     assert skip == Skip(question_id="wrong", reason="vanilla_incorrect")
 
 
@@ -132,10 +140,10 @@ def test_error_record_is_a_backend_error_skip(rebound_question, rebound_backend)
 def test_records_equal_those_built_from_the_search_result(tmp_path, case, input_style):
     """The demo questions, and a curve whose optimum is the upper bound."""
     if case == "upper-bound":
-        question, backend = upper_bound_question()
+        question, backend = upper_bound_question(ResponseCache(str(tmp_path / "cache.jsonl")))
     else:
         question, backend = demo_question(tmp_path, case)
-    record = searched(backend, question)
+    record = search_optimal_budget(backend, question)
     assert (case == "upper-bound") == (record.optimal_budget == record.upper_bound)
     sft, dpo = reference_records(backend, question, input_style)
     assert generate_target(backend, question, record, input_style) == sft
@@ -148,7 +156,7 @@ def test_records_equal_those_built_from_the_search_result(tmp_path, case, input_
 
 
 def test_preference_pair_positive_shorter_than_negative(rebound_question, rebound_backend):
-    record = searched(rebound_backend, rebound_question)
+    record = search_optimal_budget(rebound_backend, rebound_question)
     pair = build_preference_pair(rebound_backend, rebound_question, record)
     assert isinstance(pair, PreferencePair)
     assert pair.meta["positive_tokens"] == 70
@@ -165,7 +173,7 @@ def test_preference_pair_negative_reuses_cached_vanilla(tmp_path, rebound_questi
         {rebound_question: behavior},
         cache=ResponseCache(str(tmp_path / "cache.jsonl")),
     )
-    record = searched(backend, rebound_question)
+    record = search_optimal_budget(backend, rebound_question)
     # vanilla + probe + three halving candidates.
     assert backend.upstream_calls == 5
     build_preference_pair(backend, rebound_question, record)
@@ -177,13 +185,13 @@ def test_preference_pair_skips_length_inversion():
     question, backend = upper_bound_question()
     # First candidate infeasible, so the target is the vanilla output itself:
     # equal token counts violate the strict inequality.
-    skip = build_preference_pair(backend, question, searched(backend, question))
+    skip = build_preference_pair(backend, question, search_optimal_budget(backend, question))
     assert skip == Skip(question_id="inv", reason="length_inversion")
 
 
 def test_preference_pair_skips_vanilla_incorrect():
     question, backend = wrong_vanilla_question()
-    skip = build_preference_pair(backend, question, searched(backend, question))
+    skip = build_preference_pair(backend, question, search_optimal_budget(backend, question))
     assert skip.reason == "vanilla_incorrect"
 
 
@@ -194,7 +202,7 @@ def test_preference_pair_skips_vanilla_incorrect():
 
 def test_export_counts_and_round_trip(tmp_path, rebound_question, rebound_backend):
     example = generate_target(
-        rebound_backend, rebound_question, searched(rebound_backend, rebound_question)
+        rebound_backend, rebound_question, search_optimal_budget(rebound_backend, rebound_question)
     )
     other = SftExample(
         input="Second question?\nLet's think step by step:",
@@ -235,7 +243,7 @@ def test_export_counts_and_round_trip(tmp_path, rebound_question, rebound_backen
 
 
 def test_export_dpo_round_trip(tmp_path, rebound_question, rebound_backend):
-    record = searched(rebound_backend, rebound_question)
+    record = search_optimal_budget(rebound_backend, rebound_question)
     pair = build_preference_pair(rebound_backend, rebound_question, record)
     path = str(tmp_path / "corpus_dpo.jsonl")
     export_corpus([pair], DPO_FORMAT, path, questions=[rebound_question])

@@ -14,16 +14,13 @@ from tokenbudget.search import (
     ElasticityTrace,
     IdealRange,
     SearchRecord,
-    SearchStatus,
     TracePoint,
-    elasticity_rows,
     estimator_quality,
     halving_candidates,
     ideal_budget_range,
     monotonic_fraction,
     monotonicity_audit,
     search_optimal_budget,
-    search_record,
 )
 
 from conftest import behavior_from_curve, make_question, scripted_backend
@@ -47,7 +44,7 @@ def test_rebound_curve_finds_64(rebound_question, rebound_backend):
     # Probe at 256 costs 130; 128 (120) and 64 (70) are accepted, 32 rebounds
     # to 90 >= 70 and terminates the walk.
     result = search_optimal_budget(rebound_backend, rebound_question)
-    assert result.status is SearchStatus.FOUND
+    assert result.status == "found"
     assert result.optimal_budget == 64
     observed = [(p.budget, p.output_tokens, p.correct) for p in result.trace.points]
     assert observed == [(256, 130, True), (128, 120, True), (64, 70, True), (32, 90, True)]
@@ -88,9 +85,9 @@ def test_vanilla_incorrect_aborts(rebound_question):
         }
     )
     result = search_optimal_budget(backend, rebound_question)
-    assert result.status is SearchStatus.VANILLA_INCORRECT
+    assert result.status == "vanilla_incorrect"
     assert result.optimal_budget is None
-    assert result.target_outcome is None
+    assert result.target_output is None
     assert len(result.trace) == 0
     assert result.upper_bound == 256
 
@@ -136,10 +133,10 @@ def test_first_candidate_infeasible_falls_back_to_upper_bound():
     )
     backend = scripted_backend({question: behavior})
     result = search_optimal_budget(backend, question)
-    assert result.status is SearchStatus.FOUND
+    assert result.status == "found"
     assert result.optimal_budget == 100
-    assert result.target_outcome.text == "Step one, step two. The answer is 3."
-    assert result.target_outcome.usage.output_tokens == 100
+    assert result.target_output == "Step one, step two. The answer is 3."
+    assert result.upper_bound == 100
 
 
 def test_vanilla_baseline_skips_probe(rebound_question, rebound_backend):
@@ -160,18 +157,13 @@ def test_upper_bound_one_has_no_candidates():
         {question: behavior_from_curve(vanilla_tokens=1, curve={})}
     )
     result = search_optimal_budget(backend, question)
-    assert result.status is SearchStatus.FOUND
+    assert result.status == "found"
     assert result.optimal_budget == 1
     assert len(result.trace) == 0
 
 
 def test_zero_token_vanilla_means_no_feasible_budget():
-    question = make_question(qid="zero", text="Zero?", gold="1")
-    behavior = behavior_from_curve(vanilla_tokens=0, curve={})
-    behavior.vanilla = ScriptedEntry(output_tokens=0, correct=True, text="The answer is 1.")
-    backend = scripted_backend({question: behavior})
-    result = search_optimal_budget(backend, question)
-    assert result.status is SearchStatus.NO_FEASIBLE_BUDGET
+    assert _zero_vanilla_record().status == "no_feasible_budget"
 
 
 def test_halving_candidates():
@@ -373,18 +365,55 @@ def test_monotonic_fraction():
 # ---------------------------------------------------------------------------
 
 
+def _zero_vanilla_record():
+    question = make_question(qid="zero", text="Zero?", gold="1")
+    behavior = behavior_from_curve(vanilla_tokens=0, curve={})
+    behavior.vanilla = ScriptedEntry(output_tokens=0, correct=True, text="The answer is 1.")
+    return search_optimal_budget(scripted_backend({question: behavior}), question)
+
+
+def _wrong_vanilla_record(question):
+    backend = scripted_backend(
+        {question: behavior_from_curve(vanilla_tokens=256, curve={}, vanilla_correct=False)}
+    )
+    return search_optimal_budget(backend, question)
+
+
+_RESULT_KEYS = {"question_id", "status", "optimal_budget", "upper_bound", "target_output", "trace"}
+
+
 def test_search_record_round_trip(rebound_question, rebound_backend):
-    result = search_optimal_budget(rebound_backend, rebound_question)
-    record = search_record(rebound_question, result)
-    assert record["question_id"] == "rebound"
-    assert record["optimal_budget"] == 64
-    assert record["trace"][0]["response_fingerprint"]
-    rebuilt = SearchRecord(**json.loads(json.dumps(record))).trace
-    assert rebuilt.points == result.trace.points
+    """Each status: the line read back is the record, and writes the same bytes."""
+    records = {
+        "found": search_optimal_budget(rebound_backend, rebound_question),
+        "vanilla_incorrect": _wrong_vanilla_record(rebound_question),
+        "no_feasible_budget": _zero_vanilla_record(),
+        "error": SearchRecord("rebound", "error", error="interrupted"),
+    }
+    for status, record in records.items():
+        assert record.status == status
+        line = record.line()
+        assert set(json.loads(line)) == (
+            {"question_id", "status", "error"} if status == "error" else _RESULT_KEYS)
+        assert line == json.dumps(json.loads(line), sort_keys=True)
+        read_back = SearchRecord(**json.loads(line))
+        assert read_back == record
+        assert read_back.line() == line
+    written = json.loads(records["found"].line())
+    assert (written["question_id"], written["optimal_budget"], written["upper_bound"]) == (
+        "rebound", 64, 256)
+    assert written["trace"][0]["response_fingerprint"]
+
+
+@pytest.mark.parametrize("target", [None, "", 7])
+def test_found_record_needs_a_target_text(target):
+    with pytest.raises(ValueError, match=rf"found record 'q' has target_output {target!r}, "
+                                         r"not a non-empty string"):
+        SearchRecord("q", "found", 8, 8, target)
 
 
 def test_elasticity_rows_are_iteration_ordered(rebound_question, rebound_backend):
-    result = search_optimal_budget(rebound_backend, rebound_question)
-    rows = elasticity_rows("rebound", result)
+    rows = search_optimal_budget(rebound_backend, rebound_question).elasticity_rows()
     assert rows[0] == ("rebound", 1, 256, 130, True)
     assert rows[-1] == ("rebound", 4, 32, 90, True)
+    assert SearchRecord("rebound", "error", error="interrupted").elasticity_rows() == []
