@@ -64,7 +64,6 @@ from .ptdata import (
     build_preference_pair,
     export_corpus,
     generate_target,
-    load_corpus,
 )
 from .search import (
     ElasticityTrace,

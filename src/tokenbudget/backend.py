@@ -480,13 +480,11 @@ class ScriptedBackend(CompletionBackend):
             question = self._by_text.get(text[len(task) + 1:-len(contract) - 1])
         estimation = question is not None
         if not estimation:
-            lines = text.split("\n")
-            for stop in range(len(lines), 0, -1):
-                question = self._by_text.get("\n".join(lines[:stop]))
-                if question is not None:
-                    break
-            else:
-                raise ConfigError("no scripted question matches the incoming prompt")
+            end = len(text)
+            while (question := self._by_text.get(text[:end])) is None:
+                end = text.rfind("\n", 0, end)
+                if end < 0:
+                    raise ConfigError("no scripted question matches the incoming prompt")
 
         behavior = self._behaviors.get(question.id)
         if behavior is None:
@@ -498,7 +496,7 @@ class ScriptedBackend(CompletionBackend):
             entry = behavior.estimate or fallback
         else:
             pattern = _budget_pattern(self.templates.budgeted_suffix)
-            budget = pattern.search("\n".join(lines[stop:]))
+            budget = pattern.search(text[end + 1:])
             if budget is None:
                 entry = behavior.vanilla
             else:

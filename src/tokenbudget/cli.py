@@ -132,7 +132,7 @@ def load_config(path: str) -> HarnessConfig:
             **{template.name: str for template in fields(PromptTemplates)},
         ))
         pricing = PricingTable.from_config(top.get("pricing", []))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     concurrency = top.get("concurrency", 4)
@@ -363,7 +363,7 @@ def cmd_elasticity(args) -> int:
     quality_block = None
     if args.estimates:
         estimates = {
-            record.question_id: int(record.estimated_budget)
+            record.question_id: record.estimated_budget
             for record in _read_input("--estimates", args.estimates, SampleRecord)
             if record.estimated_budget is not None
         }

@@ -89,14 +89,6 @@ class TokenUsage:
             "counting_source": self.counting_source.value,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TokenUsage":
-        return cls(
-            input_tokens=data["input_tokens"],
-            output_tokens=data["output_tokens"],
-            counting_source=CountingSource(data["counting_source"]),
-        )
-
 
 @dataclass(frozen=True)
 class CompletionOutcome:
@@ -106,23 +98,6 @@ class CompletionOutcome:
     usage: TokenUsage
     model_id: str
     request_fingerprint: str
-
-    def to_dict(self) -> dict:
-        return {
-            "text": self.text,
-            "usage": self.usage.to_dict(),
-            "model_id": self.model_id,
-            "request_fingerprint": self.request_fingerprint,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CompletionOutcome":
-        return cls(
-            text=data["text"],
-            usage=TokenUsage.from_dict(data["usage"]),
-            model_id=data["model_id"],
-            request_fingerprint=data["request_fingerprint"],
-        )
 
 
 _JSON_TYPES = {int: "an integer", float: "a number", str: "a string",
@@ -220,7 +195,5 @@ def count_tokens_approx(text: str) -> int:
     backend uses it only when the provider omits its usage block, and tags
     the result as a local approximation, never as provider-reported.
     """
-    if not text:
-        return 0
     data = text.encode("utf-8", "surrogatepass")
     return len(text.split()) + len(data) - len(data.translate(None, _PUNCTUATION))

@@ -225,6 +225,12 @@ class SampleRecord:
     used_fallback: bool = False
     usage_breakdown: dict | None = None
 
+    def __post_init__(self):
+        # Read back by elasticity's --estimates; parse_estimate clamps to >= 1.
+        budget = self.estimated_budget
+        if budget is not None and (budget.__class__ is not int or budget < 1):
+            raise ValueError(f"estimated_budget must be null or an integer >= 1, got {budget!r}")
+
 
 @dataclass(frozen=True)
 class EvalReport:

@@ -33,7 +33,6 @@ class PromptKind(Enum):
     VANILLA_COT = "vanilla_cot"
     BUDGETED_COT = "budgeted_cot"
     BUDGET_ESTIMATION = "budget_estimation"
-    FORMAT_INSTRUCTION = "format_instruction"
 
 
 @dataclass(frozen=True)
@@ -77,10 +76,6 @@ def build_prompt(
     t = templates or DEFAULT_TEMPLATES
     if kind is PromptKind.BUDGET_ESTIMATION:
         return build_estimation_prompt(question, templates=t)
-    if kind is PromptKind.FORMAT_INSTRUCTION:
-        # The bare formatting scaffold, question-free, so that overridden
-        # templates can be inspected and pinned without ambiguity.
-        return Prompt(system=t.system, user=t.format_instruction)
 
     parts = [question.text]
     if kind is PromptKind.VANILLA_COT:

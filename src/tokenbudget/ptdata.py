@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .backend import CompletionBackend
 from .core import Question
-from .evaluate import encode_record, read_jsonl
+from .evaluate import encode_record
 from .grading import grade
 from .prompting import PromptKind, build_prompt
 from .search import SearchRecord
@@ -216,14 +216,3 @@ def export_corpus(
 def manifest_path(corpus_path: str) -> str:
     root, _ = os.path.splitext(corpus_path)
     return f"{root}.manifest.json"
-
-
-def load_corpus(path: str, corpus_format: str) -> list:
-    """Round-trip loader for exported corpora."""
-    if corpus_format == SFT_FORMAT:
-        record_type = SftExample
-    elif corpus_format == DPO_FORMAT:
-        record_type = PreferencePair
-    else:
-        raise ValueError(f"unknown corpus format {corpus_format!r}")
-    return read_jsonl(path, record_type)

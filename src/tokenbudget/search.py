@@ -54,8 +54,8 @@ class ElasticityTrace:
     def correct_points(self) -> list[TracePoint]:
         return [p for p in self.points if p.correct]
 
-    def __len__(self) -> int:
-        return len(self.points)
+
+STATUSES = ("found", "vanilla_incorrect", "no_feasible_budget", "error")
 
 
 @dataclass
@@ -79,6 +79,8 @@ class SearchRecord:
     error: str | None = None
 
     def __post_init__(self):
+        if self.status not in STATUSES:
+            raise ValueError(f"status must be one of {', '.join(STATUSES)}, got {self.status!r}")
         if not isinstance(self.trace, ElasticityTrace):
             self.trace = ElasticityTrace([TracePoint(**row) for row in self.trace])
         if self.upper_bound.__class__ not in (int, type(None)):
@@ -208,9 +210,8 @@ class IdealRange:
         return self.low <= budget <= self.high
 
     def distance(self, budget: int) -> int:
-        if self.contains(budget):
-            return 0
-        return min(abs(budget - self.low), abs(budget - self.high))
+        """How far ``budget`` lies outside the range; 0 inside it."""
+        return max(0, self.low - budget, budget - self.high)
 
 
 def ideal_budget_range(trace: ElasticityTrace, k: int | str = "auto") -> IdealRange:

@@ -22,7 +22,7 @@ from tokenbudget.core import (
     compute_expense,
 )
 from tokenbudget.ep import run_ep
-from tokenbudget.evaluate import Dataset, MethodSpec, run_method, token_reduction
+from tokenbudget.evaluate import Dataset, MethodSpec, read_jsonl, run_method, token_reduction
 from tokenbudget.prompting import (
     BUDGETED_COT_SUFFIX,
     ESTIMATION_TASK,
@@ -34,11 +34,12 @@ from tokenbudget.prompting import (
 from tokenbudget.ptdata import (
     DPO_FORMAT,
     SFT_FORMAT,
+    PreferencePair,
+    SftExample,
     Skip,
     build_preference_pair,
     generate_target,
     export_corpus,
-    load_corpus,
     manifest_path,
 )
 from tokenbudget.search import (
@@ -389,7 +390,7 @@ def test_criterion_09_pt_corpus_integrity(tmp_path):
     assert manifest.counts["attempted"] == 4
     assert manifest.counts["succeeded"] == 3
     assert manifest.counts["skipped"] == {"vanilla_incorrect": 1}
-    loaded = load_corpus(sft_path, SFT_FORMAT)
+    loaded = read_jsonl(sft_path, SftExample)
     exported = [o for o in sft_outcomes if not isinstance(o, Skip)]
     assert loaded == exported
     assert len(loaded) == 3
@@ -403,7 +404,7 @@ def test_criterion_09_pt_corpus_integrity(tmp_path):
         dpo_outcomes, DPO_FORMAT, dpo_path,
         dataset_name="pt-fixture", model_id="scripted-v1", questions=questions,
     )
-    pairs = load_corpus(dpo_path, DPO_FORMAT)
+    pairs = read_jsonl(dpo_path, PreferencePair)
     assert dpo_manifest.counts["succeeded"] <= 3
     assert len(pairs) <= 3
     for pair in pairs:

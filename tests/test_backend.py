@@ -214,15 +214,15 @@ def test_prompt_matching_resolves_every_prompt_kind(question, base, templates):
     served = {
         kind: backend.complete(build_prompt(question, kind, budget=8, templates=templates))
         for kind in PromptKind
-        if kind is not PromptKind.FORMAT_INSTRUCTION
     }
     assert served[PromptKind.DIRECT_ANSWER].usage.output_tokens == base
     assert served[PromptKind.VANILLA_COT].usage.output_tokens == base
     assert served[PromptKind.BUDGETED_COT].usage.output_tokens == base + 8
     assert served[PromptKind.BUDGET_ESTIMATION].text == str(base + 1)
-    # The bare format scaffold carries no question at all.
+    # The bare format instruction carries no question at all.
+    rendered = templates or PromptTemplates()
     with pytest.raises(ConfigError):
-        backend.complete(build_prompt(question, PromptKind.FORMAT_INSTRUCTION, templates=templates))
+        backend.complete(Prompt(system=rendered.system, user=rendered.format_instruction))
 
 
 def test_budget_parsing_follows_template_override():
@@ -315,7 +315,7 @@ def test_cache_idempotence_one_upstream_call(tmp_path, fig_like_question):
     second = backend.complete(prompt)
     assert first == second
     assert backend.upstream_calls == 1
-    assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
+    assert json.dumps(_outcome_dict(first)) == json.dumps(_outcome_dict(second))
 
 
 def test_cache_survives_reload(tmp_path, fig_like_question):
@@ -368,6 +368,15 @@ def _outcome(index: int) -> CompletionOutcome:
     usage = TokenUsage(index, index + 1, CountingSource.PROVIDER_REPORTED)
     return CompletionOutcome(text=f"answer {index}", usage=usage, model_id="m",
                              request_fingerprint=f"fp{index}")
+
+
+def _outcome_dict(outcome: CompletionOutcome) -> dict:
+    """The reference for the ``outcome`` object of a cache line."""
+    usage = outcome.usage
+    return {"text": outcome.text, "model_id": outcome.model_id,
+            "request_fingerprint": outcome.request_fingerprint,
+            "usage": {"input_tokens": usage.input_tokens, "output_tokens": usage.output_tokens,
+                      "counting_source": usage.counting_source.value}}
 
 
 def test_cache_puts_are_visible_to_a_fresh_cache(tmp_path):
@@ -552,7 +561,7 @@ def test_cache_serves_only_the_lines_of_its_own_backend(tmp_path, fig_like_quest
 
 def test_cache_of_an_older_format_is_rejected_naming_the_format(tmp_path):
     path = tmp_path / "cache.jsonl"
-    record = {"fingerprint": "fp0", "outcome": _outcome(0).to_dict()}
+    record = {"fingerprint": "fp0", "outcome": _outcome_dict(_outcome(0))}
     path.write_text(json.dumps(record, sort_keys=True) + "\n")
     with pytest.raises(DatasetError, match=r"line 1: not a tokenbudget-cache/2 record"):
         ResponseCache(str(path))
@@ -652,7 +661,7 @@ def test_cache_puts_of_one_fingerprint_from_many_threads_append_once(tmp_path):
     records = [json.loads(line) for line in path.read_bytes().splitlines()]
     assert sorted(r["fingerprint"] for r in records) == sorted(f"fp{i}" for i in range(1000))
     # The outcome served is the one written.
-    assert all(cache.get(r["fingerprint"]).to_dict() == r["outcome"] for r in records)
+    assert all(_outcome_dict(cache.get(r["fingerprint"])) == r["outcome"] for r in records)
 
 
 def test_fingerprint_depends_on_prompt_and_params(fig_like_question):
@@ -727,7 +736,7 @@ _OUTCOMES = st.builds(
 
 def _record(model_id: str, fingerprint: str, outcome: CompletionOutcome) -> dict:
     return {"backend": backend_tag("scripted", model_id), "fingerprint": fingerprint,
-            "outcome": outcome.to_dict()}
+            "outcome": _outcome_dict(outcome)}
 
 
 def _reversed_keys(value):
@@ -739,7 +748,14 @@ def _reversed_keys(value):
 
 def _reference_decode(line: bytes):
     record = json.loads(line)
-    return record["backend"], record["fingerprint"], CompletionOutcome.from_dict(record["outcome"])
+    outcome, usage = record["outcome"], record["outcome"]["usage"]
+    return record["backend"], record["fingerprint"], CompletionOutcome(
+        text=outcome["text"],
+        usage=TokenUsage(usage["input_tokens"], usage["output_tokens"],
+                         CountingSource(usage["counting_source"])),
+        model_id=outcome["model_id"],
+        request_fingerprint=outcome["request_fingerprint"],
+    )
 
 
 @given(model_id=_ANY_TEXT, fingerprint=_ANY_TEXT, outcome=_OUTCOMES)

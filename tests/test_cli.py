@@ -9,6 +9,7 @@ import io
 import json
 import os
 import shutil
+import socket
 
 import pytest
 
@@ -248,6 +249,122 @@ def test_live_config_sends_its_settings_and_retries_each_question(
     ]
 
 
+@pytest.mark.parametrize("reply, failed, error", [
+    pytest.param((200, "this is not json"), True, "malformed completion payload", id="not-json"),
+    pytest.param((200, {"choices": [{"message": {"content": 123}}]}), True,
+                 "choices[0].message.content must be a string or null", id="content-a-number"),
+    pytest.param((200, {"choices": [{"message": {"content": "18"}}],
+                        "usage": {"prompt_tokens": 1, "completion_tokens": -5}}), True,
+                 "usage.completion_tokens must be a non-negative integer", id="count-negative"),
+    pytest.param((400, {"error": "bad request"}), True, "unexpected HTTP 400", id="client-error"),
+    pytest.param((429, {}), True, "rate limited (HTTP 429) after retries", id="rate-limited"),
+    pytest.param((204, ""), True, "unexpected HTTP 204", id="no-content"),
+    pytest.param((200, {"choices": [{"message": {"content": None}}], "usage": None}), False, None,
+                 id="null-content-and-usage"),
+])
+def test_a_live_reply_the_client_cannot_use_fails_only_its_question(
+        demo, http_server, monkeypatch, tmp_path, reply, failed, error):
+    _, dataset, tmp = demo
+    server = http_server([(200, completion_payload()), reply, (200, completion_payload())])
+    monkeypatch.setenv("TOKENBUDGET_TEST_KEY", "sk-from-env")
+    out = tmp / "out"
+    config = _live_config(tmp_path, server.endpoint, concurrency=1, retry={"max_attempts": 1})
+    assert main(["eval", "--config", config, "--dataset", dataset, "--out-dir", str(out),
+                 "--methods", "vanilla"]) == (2 if failed else 0)
+    records = _read_jsonl(out / "records_vanilla.jsonl")
+    assert [r["failed"] for r in records] == [False, failed, False]
+    if error is None:
+        assert records[1]["error"] is None
+    else:
+        assert error in records[1]["error"]
+
+
+def test_a_live_endpoint_that_refuses_connections_fails_every_question(
+        demo, monkeypatch, tmp_path):
+    _, dataset, tmp = demo
+    with socket.socket() as listener:  # a port that nothing listens on once it closes
+        listener.bind(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+    monkeypatch.setenv("TOKENBUDGET_TEST_KEY", "sk-from-env")
+    out = tmp / "out"
+    config = _live_config(tmp_path, f"http://127.0.0.1:{port}/v1/chat/completions",
+                          retry={"max_attempts": 1})
+    assert main(["eval", "--config", config, "--dataset", dataset, "--out-dir", str(out),
+                 "--methods", "vanilla", "--format", "json"]) == 2
+    records = _read_jsonl(out / "records_vanilla.jsonl")
+    assert all(r["failed"] and r["error"].startswith("request failed: ") for r in records)
+    row, = _read_json(out / "report.json")["rows"]
+    assert (row["samples"], row["failed"], row["accuracy_pct"], row["output_tokens"]) == (
+        0, 3, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("scheme", ["http", "https"])
+def test_live_requests_go_through_the_proxy_of_the_environment(
+        demo, http_server, monkeypatch, tmp_path, scheme):
+    _, dataset, tmp = demo
+    # A plain HTTP proxy is sent each request; an HTTPS one is asked for a
+    # tunnel, which this one refuses (501), so every question fails.
+    proxy = http_server([(200, completion_payload())] * 3)
+    upstream = http_server([])
+    for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    host, port = proxy.server.server_address
+    monkeypatch.setenv(f"{scheme}_proxy", f"{host}:{port}")
+    monkeypatch.setenv("TOKENBUDGET_TEST_KEY", "sk-from-env")
+    endpoint = upstream.endpoint.replace("http://", f"{scheme}://")
+    out = tmp / "out"
+    config = _live_config(tmp_path, endpoint, concurrency=1, retry={"max_attempts": 1})
+    code = main(["eval", "--config", config, "--dataset", dataset, "--out-dir", str(out),
+                 "--methods", "vanilla"])
+    records = _read_jsonl(out / "records_vanilla.jsonl")
+    assert upstream.server.accepts == 0
+    if scheme == "http":
+        assert code == 0 and not any(r["failed"] for r in records)
+        assert [sent["path"] for sent in proxy.requests] == [endpoint] * 3
+    else:
+        assert code == 2 and all("Tunnel connection failed" in r["error"] for r in records)
+        assert proxy.requests == [] and proxy.server.accepts == 3
+
+
+def test_live_ep_reads_every_reply_framing_and_counts_a_missing_usage(
+        demo, raw_server, monkeypatch, tmp_path):
+    _, dataset, tmp = demo
+    answer = json.dumps(completion_payload()).encode()
+    bare = json.dumps(completion_payload(usage=False)).encode()
+    half = len(answer) // 2
+    sized = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(answer), answer)
+    # At concurrency 1 the replies go to rebound's estimate and answer, then
+    # mono's, then wrong's.
+    server = raw_server([
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x;name=value\r\n%s\r\n"
+        b"%x\r\n%s\r\n0\r\nX-Trailer: yes\r\n\r\n"
+        % (half, answer[:half], len(answer) - half, answer[half:]),
+        (b"HTTP/1.0 200 OK\r\n\r\n" + bare, "close"),
+        b"HTTP/1.1 200 OK\r\nContent-Length: %d, %d\r\n\r\n%s" % (len(bare), len(bare), bare),
+        sized, sized, sized,
+    ])
+    monkeypatch.setenv("TOKENBUDGET_TEST_KEY", "sk-from-env")
+    out = tmp / "out"
+    assert main(["eval", "--config", _live_config(tmp_path, server.endpoint, concurrency=1),
+                 "--dataset", dataset, "--out-dir", str(out), "--methods", "ep",
+                 "--include-estimation-tokens"]) == 0
+    assert server.posts == 6
+    records = _read_jsonl(out / "records_ep.jsonl")
+    sources = [(r["usage_breakdown"]["estimation"]["counting_source"],
+                r["usage_breakdown"]["answer"]["counting_source"]) for r in records]
+    assert sources == [("provider_reported", "local_approximation"),
+                       ("local_approximation", "provider_reported"),
+                       ("provider_reported", "provider_reported")]
+    # Without usage, the answer's own text is counted: 4 words and a period.
+    assert [r["usage_breakdown"]["answer"]["output_tokens"] for r in records] == [5, 86, 86]
+    for record in records:
+        breakdown = record["usage_breakdown"]
+        assert record["output_tokens"] == (breakdown["estimation"]["output_tokens"]
+                                           + breakdown["answer"]["output_tokens"])
+        assert record["total_output_tokens"] == record["output_tokens"]
+
+
 def _config(**changes) -> str:
     return json.dumps(dict(DEMO_CONFIG, **changes))
 
@@ -297,7 +414,27 @@ _BAD_SEARCH_RECORDS = [
     ("found-record-without-a-target",
      json.dumps(dict(_FOUND, optimal_budget=256, upper_bound=256, target_output=None)) + "\n",
      "found record 'rebound' has target_output None, not a non-empty string"),
+    ("status-misspelt", json.dumps(dict(_FOUND, status="fuond")) + "\n",
+     "status must be one of found, vanilla_incorrect, no_feasible_budget, error, got 'fuond'"),
+    ("trace-not-decreasing",
+     json.dumps(dict(_FOUND, optimal_budget=128, upper_bound=256,
+                     trace=_FOUND["trace"][::-1])) + "\n",
+     "trace budgets must be strictly decreasing"),
+    ("record-not-an-object", "[]\n", "not a JSON object"),
 ]
+_GOOD_QUESTION = {"id": "q0", "text": "Q?", "gold_answer": "1",
+                  "behavior": {"vanilla": {"output_tokens": 5}}}
+
+
+def _fixture_refusal(id, problem, *changes):
+    """A fixture of one question per dict of ``changes`` to a good question."""
+    questions = [dict(_GOOD_QUESTION, **change) for change in changes]
+    return _refusal(id, problem, dataset=json.dumps({"questions": questions}))
+
+
+def _dataset_refusal(id, problem, fmt, content):
+    return _refusal(id, f"dataset.json: {problem}", dataset=content, verb="eval",
+                    flags=["--dataset-format", fmt])
 
 
 # Every refusal that main can reach before a request: each exits 1 with an
@@ -309,6 +446,7 @@ _BAD_SEARCH_RECORDS = [
     _refusal("config-file-missing", "--config: [Errno 2] No such file or directory: 'nope.json'",
              flags=["--config", "nope.json"]),
     _refusal("config-not-json", "config.json: invalid JSON", config='{"backend": '),
+    _refusal("config-not-an-object", "config.json: config must be a JSON object", config="[]"),
     _config_refusal("unknown-backend-kind",
                     "backend.kind must be 'live' or 'scripted', got 'remote'",
                     backend={"kind": "remote"}),
@@ -323,6 +461,8 @@ _BAD_SEARCH_RECORDS = [
     _config_refusal("config-seed-a-string", 'seed must be an integer, got "7"', seed="7"),
     _config_refusal("sampling-seed-a-bool", "sampling.seed must be an integer, got true",
                     sampling={"seed": True}),
+    _config_refusal("more-than-one-candidate", "max_candidates must be 1",
+                    sampling={"max_candidates": 2}),
     _config_refusal("negative-temperature", "temperature must be >= 0 and finite, got -1.0",
                     sampling={"temperature": -1}),
     _config_refusal("temperature-beyond-a-float",
@@ -354,6 +494,10 @@ _BAD_SEARCH_RECORDS = [
                     "pricing[0]: ModelPricing.__init__() missing 1 required positional "
                     "argument: 'output_price'",
                     pricing=[{"model_id": "m", "input_price": 1}]),
+    _config_refusal("pricing-row-not-an-object", "pricing[0] must be a JSON object",
+                    pricing=[5]),
+    _config_refusal("pricing-row-twice", "duplicate pricing entry for model 'scripted-v1'",
+                    pricing=DEMO_CONFIG["pricing"] * 2),
     _config_refusal("nan-price", "pricing[0]: input_price must be >= 0 and finite, got nan",
                     pricing=[{"model_id": "scripted-v1", "input_price": float("nan"),
                               "output_price": 0.6}]),
@@ -377,6 +521,10 @@ _BAD_SEARCH_RECORDS = [
              config=_LIVE, verb="eval"),
     _refusal("live-api-key-with-a-line-break", "API key holds a control character",
              config=_LIVE, verb="eval", api_key="sk-secret\r\nX-Injected: 1"),
+    _refusal("live-endpoint-with-a-space", "endpoint holds a space or a control character",
+             config=json.dumps(dict(LIVE_CONFIG, backend=dict(
+                 LIVE_CONFIG["backend"], endpoint="http://127.0.0.1:1/v1/chat completions"))),
+             verb="eval", api_key="sk-from-env"),
     # The dataset.
     _refusal("cohort-verb-without-dataset", "this command requires --dataset", dataset=None),
     _refusal("fixture-file-missing", "--dataset: [Errno 2] No such file or directory: 'nope.json'",
@@ -391,6 +539,41 @@ _BAD_SEARCH_RECORDS = [
              "bad scripted entry at dataset.json questions[0].vanilla: 'output_tokens'",
              dataset=json.dumps({"questions": [{"id": "q", "text": "Q?", "gold_answer": "1",
                                                 "behavior": {"vanilla": {"correct": True}}}]})),
+    _refusal("fixture-questions-not-a-list", "dataset.json: questions must be a JSON list, got dict",
+             dataset=json.dumps({"questions": {"q0": _GOOD_QUESTION}})),
+    _fixture_refusal("fixture-question-with-empty-text",
+                     "bad question at dataset.json questions[0]: question 'q0' has empty text",
+                     {"text": ""}),
+    _fixture_refusal("fixture-numeric-question-without-gold",
+                     "bad question at dataset.json questions[0]: question 'q0' is missing its "
+                     "gold answer", {"gold_answer": ""}),
+    _fixture_refusal("fixture-unknown-answer-kind", "bad question at dataset.json questions[0]: "
+                     "'essay' is not a valid AnswerKind", {"answer_kind": "essay"}),
+    _fixture_refusal("fixture-question-id-twice",
+                     "duplicate question id 'q0' at dataset.json questions[1]",
+                     {}, {"text": "Another?"}),
+    _fixture_refusal("fixture-behavior-without-vanilla",
+                     "behavior at dataset.json questions[0] is missing its vanilla entry",
+                     {"behavior": {"budgets": {}}}),
+    _fixture_refusal("fixture-budgets-not-an-object",
+                     "budgets at dataset.json questions[0] must be a JSON object, got list",
+                     {"behavior": {"vanilla": {"output_tokens": 5}, "budgets": [5]}}),
+    _fixture_refusal("fixture-negative-output-tokens", "bad scripted entry at dataset.json "
+                     "questions[0].default: output_tokens must be >= 0, got -1",
+                     {"behavior": {"vanilla": {"output_tokens": 5},
+                                   "default": {"output_tokens": -1}}}),
+    _dataset_refusal("gsm8k-answer-without-marker", "line 1 has no '#### ' answer marker",
+                     "gsm8k_jsonl", '{"question": "Q?", "answer": "3"}\n'),
+    _dataset_refusal("gsm8k-empty-gold", "line 1 has an empty gold answer", "gsm8k_jsonl",
+                     '{"question": "Q?", "answer": "x #### "}\n'),
+    _dataset_refusal("gsm8k-question-id-twice", "duplicate question id 'a'", "gsm8k_jsonl",
+                     '{"id": "a", "question": "Q?", "answer": "#### 1"}\n\n'
+                     '{"id": "a", "question": "R?", "answer": "#### 2"}\n'),
+    _dataset_refusal("mathbench-not-json", "malformed JSON at line 1", "mathbench_json",
+                     '[{"question": '),
+    _dataset_refusal("mathbench-jsonl-question-a-number",
+                     "item 1: question must be a string, got 5", "mathbench_json",
+                     '{"question": 5, "answer": "A"}\n'),
     *[_refusal(f"{verb}-over-an-empty-fixture", _NO_QUESTIONS, verb=verb,
                dataset=json.dumps({"questions": []}))
       for verb in ("search", "eval", "ptdata", "audit")],
@@ -406,6 +589,8 @@ _BAD_SEARCH_RECORDS = [
     _flag_refusal("eval", "--methods", "direct,fixed:0", f": 'fixed:0'{_FIXED_N}"),
     _flag_refusal("eval", "--methods", "direct,fixed:abc", f": 'fixed:abc'{_FIXED_N}"),
     _flag_refusal("eval", "--methods", "fixed:2.5", f": 'fixed:2.5'{_FIXED_N}"),
+    _flag_refusal("eval", "--methods", "direct,best", ": unknown method 'best' "
+                  "(expected direct|vanilla|ep|fixed:N)"),
     _flag_refusal("audit", "--multipliers", "0.5,inf", f"{_NOT_POSITIVE}inf"),
     _flag_refusal("audit", "--multipliers", "nan", f"{_NOT_POSITIVE}nan"),
     _flag_refusal("audit", "--multipliers", "1,0", f"{_NOT_POSITIVE}0.0"),
@@ -636,6 +821,16 @@ def test_elasticity_explicit_k(demo):
     assert ranges["rebound"]["window_budgets"] == [64, 32]  # 70 + 90 is minimal
     assert ranges["rebound"]["total_cost"] == 160
 
+    # mono has 3 correct points, one short of a window of 4.
+    assert main(
+        ["elasticity", "--config", config, "--out-dir", out, "--k", "4",
+         "--search-output", os.path.join(search_out, "search_results.jsonl")]
+    ) == 0
+    report = _read_json(os.path.join(out, "elasticity_report.json"))
+    assert [r["question_id"] for r in report["ranges"]] == ["rebound"]
+    assert {"question_id": "mono", "reason": "window size 4 out of range for a 3-point trace"} \
+        in report["skipped"]
+
 
 def test_elasticity_missing_input_is_fatal(demo):
     config, _, tmp = demo
@@ -681,6 +876,11 @@ def test_malformed_search_results_name_the_file_and_the_line(demo, capsys):
                  "'output_tokens'", id="trace-row-without-output-tokens"),
     pytest.param("elasticity", "--estimates", {"method": "ep", "estimated_budget": 50},
                  "'question_id'", id="ep-record-without-question-id"),
+    *[pytest.param("elasticity", "--estimates",
+                   {"question_id": "rebound", "method": "ep", "estimated_budget": estimate},
+                   f"estimated_budget must be null or an integer >= 1, got {estimate!r}",
+                   id=f"estimate-{estimate!r}")
+      for estimate in ("abc", 12.7, True, 0)],
 ])
 def test_read_back_records_are_checked(demo, capsys, verb, flag, line, problem):
     config, dataset, tmp = demo
@@ -698,6 +898,7 @@ def test_read_back_records_are_checked(demo, capsys, verb, flag, line, problem):
     assert main([*argv, flag, str(bad)]) == 1
     error = capsys.readouterr().err
     assert error.startswith(f"error: {flag}: {bad}: line 2: ") and problem in error, error
+    assert not (tmp / "out").exists()
 
 
 @pytest.mark.parametrize("k", ["0", "-1", "two"])
@@ -906,6 +1107,21 @@ def test_audit_report(demo):
     assert report["live_reference"]["accuracy_pct"] == [69.23, 75.82, 75.82, 76.92]
 
 
+def test_audit_of_a_search_that_found_nothing_audits_nothing(demo, capsys):
+    config, dataset, tmp = demo
+    results = tmp / "search_results.jsonl"
+    results.write_text("".join(_SEARCH_LINES))
+    out = tmp / "audit"
+    capsys.readouterr()
+    assert main(["audit", "--config", config, "--dataset", dataset, "--out-dir", str(out),
+                 "--search-output", str(results)]) == 0
+    assert capsys.readouterr().out == "monotonic samples: none audited\n"
+    report = _read_json(out / "audit_report.json")
+    assert (report["audited"], report["monotonic_fraction_pct"], report["per_multiplier"]) == (
+        0, None, [])
+    assert [s["reason"] for s in report["skipped"]] == ["vanilla_incorrect"] * 2
+
+
 def test_audit_custom_multipliers(demo):
     config, dataset, tmp = demo
     search_out = str(tmp / "search")
@@ -1040,11 +1256,162 @@ def test_a_changed_model_id_sends_every_request_upstream(demo, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Every answer kind and search outcome, end to end
+# ---------------------------------------------------------------------------
+
+# (id, answer kind, gold, the vanilla answer's text or None to let the mock
+# write it, extracted, correct): every grading rule, as eval records it.
+_GRADED = [
+    ("mc-marker", "multiple_choice", "B", "So the answer is (b).", "B", True),
+    ("mc-last-letter", "multiple_choice", "C", "Between A and C, C.", "C", True),
+    ("mc-no-letter", "multiple_choice", "A", "I cannot tell.", None, False),
+    ("free-text", "free_text", "Paris", None, "paris", True),
+    ("free-text-blank", "free_text", "Paris", " \n ", None, False),
+    ("gold-a-fraction", "numeric", "3/2", "It comes to 1.5", "1.5", True),
+    ("gold-over-zero", "numeric", "1/0", "The answer is 2.", "2", False),
+    ("gold-a-bad-fraction", "numeric", "1/x", "The answer is 2.", "2", False),
+    ("gold-a-word", "numeric", "abc", "The answer is 2.", "2", False),
+    ("gold-a-symbol", "numeric", "$", "The answer is 2.", "2", False),
+]
+_OUTCOMES_SCENARIO = {
+    "name": "outcomes",
+    "default_behavior": {"output_tokens": 40, "correct": False},
+    "questions": [
+        *[{"id": qid, "text": f"Question {qid}?", "gold_answer": gold, "answer_kind": kind,
+           "behavior": {"vanilla": {"output_tokens": 5, "text": text}
+                        if text is not None else {"output_tokens": 5}}}
+          for qid, kind, gold, text, _, _ in _GRADED],
+        # No behavior: the fixture's default entry answers every prompt.
+        {"id": "unscripted", "text": "Question unscripted?", "gold_answer": "7"},
+        # A correct vanilla answer that costs nothing leaves no budget to search.
+        {"id": "no-feasible", "text": "Question no-feasible?", "gold_answer": "7",
+         "behavior": {"vanilla": {"output_tokens": 0}}},
+        # Every probe is wrong: the optimum is the vanilla answer at its own
+        # cost, so its preference pair is no shorter than the rejected answer.
+        {"id": "inverted", "text": "Question inverted?", "gold_answer": "7",
+         "behavior": {"vanilla": {"output_tokens": 64},
+                      "budgets": {"64": {"output_tokens": 60, "correct": False}},
+                      "default": {"output_tokens": 50, "correct": False}}},
+    ],
+}
+
+
+def test_every_answer_kind_and_search_outcome_through_main(tmp_path, capsys):
+    config, dataset = tmp_path / "config.json", tmp_path / "outcomes.json"
+    config.write_text(_config())
+    dataset.write_text(json.dumps(_OUTCOMES_SCENARIO))
+    out = tmp_path / "out"
+    cohort = ["--config", str(config), "--dataset", str(dataset), "--out-dir", str(out)]
+    assert main(["eval", *cohort, "--methods", "direct"]) == 0
+    graded = {r["question_id"]: (r["extracted"], r["correct"])
+              for r in _read_jsonl(out / "records_direct.jsonl")}
+    assert graded == {
+        **{qid: (extracted, correct) for qid, _, _, _, extracted, correct in _GRADED},
+        "unscripted": (None, False), "no-feasible": ("7", True), "inverted": ("7", True),
+    }
+
+    assert main(["search", *cohort]) == 0
+    searched = {r["question_id"]: r for r in _read_jsonl(out / "search_results.jsonl")}
+    assert searched["no-feasible"]["status"] == "no_feasible_budget"
+    assert searched["inverted"]["status"] == "found"
+    assert searched["inverted"]["optimal_budget"] == searched["inverted"]["upper_bound"] == 64
+    assert [(p["budget"], p["correct"]) for p in searched["inverted"]["trace"]] == [
+        (64, False), (32, False)]
+
+    assert main(["ptdata", *cohort, "--format", "dpo"]) == 0
+    skipped = _read_json(out / "corpus_dpo.manifest.json")["counts"]["skipped"]
+    assert skipped["no_feasible_budget"] == 1
+    # Each found optimum here is the vanilla answer itself.
+    found = [qid for qid, r in searched.items() if r["status"] == "found"]
+    assert "inverted" in found and skipped["length_inversion"] == len(found)
+
+    capsys.readouterr()
+    assert main(["elasticity", "--config", str(config), "--out-dir", str(out / "elasticity"),
+                 "--search-output", str(out / "search_results.jsonl")]) == 0
+    report = _read_json(out / "elasticity" / "elasticity_report.json")
+    assert {"question_id": "inverted", "reason": "trace has no correctness-preserving points"} \
+        in report["skipped"]
+    assert {"question_id": "no-feasible", "reason": "no_feasible_budget"} in report["skipped"]
+
+
+# ---------------------------------------------------------------------------
+# A damaged cache
+# ---------------------------------------------------------------------------
+
+
+def _second_line(lines, change):
+    return b"".join([lines[0], change(lines[1]), *lines[2:]])
+
+
+def _escape_fingerprint(line):
+    """The line with its fingerprint's first character written as a JSON escape."""
+    at = line.index(b'"fingerprint": "') + len(b'"fingerprint": "')
+    return line[:at] + b"\\u%04x" % line[at] + line[at + 1:]
+
+
+def _outcome_emptied(line):
+    """The line with its outcome written as an empty object."""
+    return line[:line.index(b'"outcome": ') + len(b'"outcome": ')] + b"{}}\n"
+
+
+# (damage to the demo search's cache, verb run on it, exit code, the error at
+# line 2 or None, requests sent): a torn append is cut back and asked again,
+# any other damage is refused naming its line.
+@pytest.mark.parametrize("damage, verb, code, error, requests", [
+    pytest.param(lambda lines: b"".join(lines)[:-30], ["search"], 0, None, 1,
+                 id="torn-last-line"),
+    pytest.param(lambda lines: b"".join(lines) + b"  ", ["search"], 0, None, 0,
+                 id="blank-torn-last-line"),
+    pytest.param(lambda lines: b"".join(lines) + lines[-1][:-1] + b"x", ["search"], 0, None, 0,
+                 id="torn-last-line-after-a-whole-record"),
+    pytest.param(lambda lines: b"".join(lines)[:-1], ["eval", "--methods", "direct"], 0, None, 3,
+                 id="whole-last-record-without-its-newline"),
+    pytest.param(lambda lines: _second_line(lines, _escape_fingerprint), ["search"], 0, None, 0,
+                 id="fingerprint-written-with-an-escape"),
+    pytest.param(lambda lines: _second_line(lines, lambda line: b"garbage\n"), ["search"], 1,
+                 "not a tokenbudget-cache/2 record", 0, id="middle-line-not-a-record"),
+    pytest.param(lambda lines: _second_line(lines, _outcome_emptied), ["search"], 1,
+                 "'usage'", 0, id="corrupt-outcome-behind-an-intact-prefix"),
+    pytest.param(lambda lines: _second_line(lines, lambda line: _outcome_emptied(
+        _escape_fingerprint(line))), ["search"], 1, "'usage'", 0,
+                 id="corrupt-outcome-behind-an-escaped-fingerprint"),
+    pytest.param(lambda lines: _second_line(lines, lambda line: line.replace(
+        b'"input_tokens": ', b'"input_tokens": -')), ["search"], 1,
+                 "token counts must be non-negative", 0, id="negative-token-count"),
+])
+def test_a_damaged_cache_is_cut_back_or_refused_naming_the_line(
+        demo, monkeypatch, capsys, damage, verb, code, error, requests):
+    config, dataset, tmp = demo
+    out = tmp / "out"
+    cohort = ["--config", config, "--dataset", dataset, "--out-dir", str(out)]
+    assert main(["search", *cohort]) == 0
+    cache = out / "cache.jsonl"
+    whole = cache.read_bytes()
+    cache.write_bytes(damage(whole.splitlines(keepends=True)))
+    sent = []
+    request = backend.ScriptedBackend._request
+    monkeypatch.setattr(backend.ScriptedBackend, "_request",
+                        lambda self, prompt: sent.append(prompt) or request(self, prompt))
+    capsys.readouterr()
+    assert main([verb[0], *cohort, *verb[1:]]) == code
+    assert len(sent) == requests
+    if error is not None:
+        assert capsys.readouterr().err == (
+            f"error: {cache}: corrupt cache record at line 2: {error}\n")
+        return
+    repaired = cache.read_bytes()
+    if verb == ["search"]:
+        # The same records as before the damage, each written once.
+        assert [json.loads(line) for line in repaired.splitlines()] == [
+            json.loads(line) for line in whole.splitlines()]
+    else:
+        assert repaired.startswith(whole)
+        assert len(repaired.splitlines()) == len(whole.splitlines()) + requests
+        assert all(json.loads(line) for line in repaired.splitlines())
+
+
+# ---------------------------------------------------------------------------
 # Failure policy
-_GOOD_QUESTION = {"id": "q0", "text": "Q?", "gold_answer": "1",
-                  "behavior": {"vanilla": {"output_tokens": 5}}}
-
-
 @pytest.mark.parametrize("fixture, item, problem", [
     pytest.param([_GOOD_QUESTION], None, "must be a JSON object, got list", id="top-level-list"),
     pytest.param({"questions": [_GOOD_QUESTION, ["q1", "Q?"]]}, "questions[1]",

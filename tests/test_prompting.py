@@ -91,7 +91,6 @@ def test_rendering_is_injective_across_kinds_and_budgets():
             build_prompt(question, PromptKind.BUDGETED_COT, budget=50).user,
             build_prompt(question, PromptKind.BUDGETED_COT, budget=51).user,
             build_prompt(question, PromptKind.BUDGET_ESTIMATION).user,
-            build_prompt(question, PromptKind.FORMAT_INSTRUCTION).user,
         ]
         assert len(set(rendered)) == len(rendered)
 

@@ -8,6 +8,7 @@ import pytest
 
 from tokenbudget.backend import ResponseCache, ScriptedBackend, parse_scripted_file
 from tokenbudget.errors import DatasetError
+from tokenbudget.evaluate import read_jsonl
 from tokenbudget.prompting import PromptKind, build_prompt
 from tokenbudget.ptdata import (
     DPO_FORMAT,
@@ -18,7 +19,6 @@ from tokenbudget.ptdata import (
     build_preference_pair,
     export_corpus,
     generate_target,
-    load_corpus,
     manifest_path,
 )
 from tokenbudget.search import SearchRecord, search_optimal_budget
@@ -227,7 +227,7 @@ def test_export_counts_and_round_trip(tmp_path, rebound_question, rebound_backen
     assert manifest.counts["succeeded"] == 2
     assert manifest.counts["skipped"] == {"vanilla_incorrect": 1}
 
-    loaded = load_corpus(path, SFT_FORMAT)
+    loaded = read_jsonl(path, SftExample)
     assert loaded == [example, other]
 
     with open(manifest_path(path)) as handle:
@@ -247,7 +247,7 @@ def test_export_dpo_round_trip(tmp_path, rebound_question, rebound_backend):
     pair = build_preference_pair(rebound_backend, rebound_question, record)
     path = str(tmp_path / "corpus_dpo.jsonl")
     export_corpus([pair], DPO_FORMAT, path, questions=[rebound_question])
-    assert load_corpus(path, DPO_FORMAT) == [pair]
+    assert read_jsonl(path, PreferencePair) == [pair]
     with open(path) as handle:
         record = json.loads(handle.readline())
     assert set(record) == {"input", "chosen", "rejected", "meta"}
@@ -264,7 +264,7 @@ def test_load_corpus_names_the_file_and_line_of_a_bad_record(tmp_path, line, pro
     good = '{"input": "Q?", "target": "A.", "meta": {}}'
     path.write_text(f"{good}\n\n{line}\n")
     with pytest.raises(DatasetError, match=r"corpus_sft\.jsonl: line 3: ") as excinfo:
-        load_corpus(str(path), SFT_FORMAT)
+        read_jsonl(str(path), SftExample)
     assert problem in str(excinfo.value)
 
 
@@ -281,14 +281,14 @@ def test_load_corpus_reads_literal_corpus_lines(tmp_path):
         '"optimal_budget": 64, "positive_tokens": 70, "question_id": "q1"}, '
         '"rejected": "Step one, step two. The answer is 18."}\n\n'
     )
-    assert load_corpus(str(sft), SFT_FORMAT) == [
+    assert read_jsonl(str(sft), SftExample) == [
         SftExample(
             input="Q?",
             target="The answer is 18.",
             meta={"optimal_budget": 64, "output_tokens": 70, "question_id": "q1"},
         )
     ]
-    assert load_corpus(str(dpo), DPO_FORMAT) == [
+    assert read_jsonl(str(dpo), PreferencePair) == [
         PreferencePair(
             input="Q?",
             chosen="The answer is 18.",

@@ -88,7 +88,7 @@ def test_vanilla_incorrect_aborts(rebound_question):
     assert result.status == "vanilla_incorrect"
     assert result.optimal_budget is None
     assert result.target_output is None
-    assert len(result.trace) == 0
+    assert len(result.trace.points) == 0
     assert result.upper_bound == 256
 
 
@@ -159,7 +159,7 @@ def test_upper_bound_one_has_no_candidates():
     result = search_optimal_budget(backend, question)
     assert result.status == "found"
     assert result.optimal_budget == 1
-    assert len(result.trace) == 0
+    assert len(result.trace.points) == 0
 
 
 def test_zero_token_vanilla_means_no_feasible_budget():

@@ -1,0 +1,176 @@
+"""Which source lines no verb runs: a line tracer over the tests that drive
+the package only through ``tokenbudget.cli.main``.
+
+Run it from anywhere in a checkout, with the interpreter that runs the tests:
+
+    python3 tools/reach.py
+
+It runs pytest in-process on tests/test_cli.py and tests/test_acceptance.py
+under ``sys.settrace`` and ``threading.settrace``, so the verbs' pool threads
+are traced too, and takes the executable lines of src/tokenbudget/*.py from
+their code objects (``co_lines``). A line that no test ran is left over
+unless tools/reach_keep.txt holds it with a reason. The tool prints the
+counts per module and every line left over, and exits 1 if any line is left,
+or if a keep entry names a line the source no longer has.
+
+Test results do not gate the collection: the two wall-clock bounds in
+tests/test_acceptance.py fail under any line tracer. The tool prints pytest's
+exit status and leaves the tests as they are.
+
+The keep list: ``@<reason>: <why>`` defines a reason. Every other line that
+is not blank or a ``#`` comment is ``<reason> | <module> | <function> |
+<text>``: the module's file name without ``.py``, the qualified name of the
+innermost code object that holds the line (``<module>`` at module level) and
+the stripped source line. An entry matches by module, function and text,
+never by line number, so it survives edits elsewhere in the file; it holds
+every line of its function with that text.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import threading
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+PACKAGE = os.path.join(SRC, "tokenbudget")
+KEEP = os.path.join(ROOT, "tools", "reach_keep.txt")
+TESTS = ("tests/test_cli.py", "tests/test_acceptance.py")
+
+
+def executable_lines(path: str) -> dict[int, tuple[str, str]]:
+    """Line number -> (function, stripped text) of every line of ``path`` that
+    holds an instruction; the function is the innermost code object's name."""
+    with open(path, encoding="utf-8") as handle:
+        source = handle.read()
+    texts = source.splitlines()
+    lines = {}
+    # A code object is visited before the ones nested in it, which then
+    # claim the lines they share with it (a ``def`` line, say).
+    codes = [compile(source, path, "exec")]
+    while codes:
+        code = codes.pop()
+        for _, _, line in code.co_lines():
+            if line:  # None, or 0 for a module's set-up
+                lines[line] = (code.co_qualname, texts[line - 1].strip())
+        codes.extend(const for const in code.co_consts if hasattr(const, "co_lines"))
+    return lines
+
+
+def trace_lines(paths, run):
+    """``run()`` with every thread traced: (its result, path -> line numbers run)."""
+    hits = {os.path.realpath(path): set() for path in paths}
+    tracers: dict[str, object] = {}
+
+    def line_tracer(lines: set):
+        add = lines.add
+
+        def local(frame, event, arg):
+            if event == "line":
+                add(frame.f_lineno)
+            return local
+        return local
+
+    def tracer(frame, event, arg):
+        filename = frame.f_code.co_filename
+        local = tracers.get(filename, tracers)
+        if local is tracers:
+            lines = hits.get(os.path.realpath(filename))
+            local = tracers[filename] = None if lines is None else line_tracer(lines)
+        return local
+
+    previous = sys.gettrace(), threading.gettrace()
+    sys.settrace(tracer)
+    threading.settrace(tracer)
+    try:
+        result = run()
+    finally:
+        sys.settrace(previous[0])
+        threading.settrace(previous[1])
+    return result, {path: hits[os.path.realpath(path)] for path in paths}
+
+
+def read_keep(path: str) -> tuple[dict[str, str], list[tuple[str, str, str, str]]]:
+    """(reason -> why, entries as (reason, module, function, text)) of a keep list;
+    an entry of an undefined reason, or of the wrong shape, is a ValueError."""
+    reasons, entries = {}, []
+    with open(path, encoding="utf-8") as handle:
+        for number, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line.startswith("@"):
+                name, _, why = line[1:].partition(":")
+                reasons[name.strip()] = why.strip()
+                continue
+            entry = tuple(part.strip() for part in line.split(" | ", 3))
+            if len(entry) != 4 or entry[0] not in reasons:
+                raise ValueError(f"{path}: line {number}: not '<defined reason> | <module> | "
+                                 f"<function> | <text>': {line!r}")
+            entries.append(entry)
+    return reasons, entries
+
+
+def classify(executable: dict[str, dict], hits: dict[str, set], entries) -> tuple[dict, list]:
+    """(per module: its ``lines``, how many were ``reached``, and the unreached
+    ones as (number, function, text) that a keep entry holds, ``kept`` with the
+    entry's reason, or that are ``left``; the ``stale`` entries, which name no
+    executable line)."""
+    reasons = {tuple(entry[1:]): entry[0] for entry in entries}
+    named = set()
+    report = {}
+    for module, lines in executable.items():
+        reached = hits[module] & lines.keys()
+        kept, left = [], []
+        for number in sorted(lines.keys() - reached):
+            function, text = lines[number]
+            reason = reasons.get((module, function, text))
+            if reason is None:
+                left.append((number, function, text))
+            else:
+                kept.append((number, function, text, reason))
+        named.update((module, *line) for line in lines.values())
+        report[module] = {"lines": len(lines), "reached": len(reached), "kept": kept, "left": left}
+    return report, [entry for entry in entries if tuple(entry[1:]) not in named]
+
+
+def main() -> int:
+    sys.path.insert(0, SRC)
+    import pytest
+
+    paths = {name[:-3]: os.path.join(PACKAGE, name)
+             for name in sorted(os.listdir(PACKAGE)) if name.endswith(".py")}
+    status, hits = trace_lines(paths.values(), lambda: pytest.main(
+        ["-q", "-p", "no:cacheprovider", *(os.path.join(ROOT, test) for test in TESTS)]))
+    reasons, entries = read_keep(KEEP)
+    report, stale = classify({module: executable_lines(path) for module, path in paths.items()},
+                             {module: hits[path] for module, path in paths.items()}, entries)
+
+    print(f"\npytest exit status {int(status)}; a failure of a wall-clock bound is "
+          f"expected under the tracer and does not gate this report")
+    print(f"{'module':<12} {'lines':>6} {'reached':>8} {'kept':>5} {'left':>5}")
+    totals = [0, 0, 0, 0]
+    for module, row in report.items():
+        counts = [row["lines"], row["reached"], len(row["kept"]), len(row["left"])]
+        totals = [total + count for total, count in zip(totals, counts)]
+        print(f"{module:<12} {counts[0]:>6} {counts[1]:>8} {counts[2]:>5} {counts[3]:>5}")
+    print(f"{'total':<12} {totals[0]:>6} {totals[1]:>8} {totals[2]:>5} {totals[3]:>5}")
+    for reason in reasons:
+        lines = sum(1 for row in report.values() for kept in row["kept"] if kept[3] == reason)
+        listed = sum(1 for entry in entries if entry[0] == reason)
+        print(f"kept for {reason}: {lines} lines, {listed} entries")
+    left = [(module, *line) for module, row in report.items() for line in row["left"]]
+    if left:
+        print("\nno test reaches these lines through main(), and the keep list does not hold them:")
+        for module, number, function, text in left:
+            print(f"  {module}.py:{number} | {function} | {text}")
+    if stale:
+        print(f"\n{KEEP} names lines the source no longer has:")
+        for entry in stale:
+            print("  " + " | ".join(entry))
+    return 1 if left or stale else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
