@@ -21,6 +21,7 @@ from .core import (
     AnswerKind,
     CompletionOutcome,
     CountingSource,
+    Dataset,
     ModelPricing,
     PricingTable,
     Question,
@@ -38,7 +39,6 @@ from .errors import (
     TransportError,
 )
 from .evaluate import (
-    Dataset,
     EvalReport,
     MethodRun,
     MethodSpec,

@@ -46,6 +46,7 @@ from .core import (
     AnswerKind,
     CompletionOutcome,
     CountingSource,
+    Dataset,
     Question,
     TokenUsage,
     count_tokens_approx,
@@ -407,12 +408,10 @@ class ScriptedBehavior:
     default: ScriptedEntry | None = None
 
 
-@dataclass
-class ScriptedScenario:
-    """Parsed scripted fixture: the questions plus their behaviors."""
+@dataclass(frozen=True)
+class ScriptedScenario(Dataset):
+    """Parsed scripted fixture: a cohort whose questions carry their behaviors."""
 
-    name: str
-    questions: list[Question]
     behaviors: dict[str, ScriptedBehavior]
     default_entry: ScriptedEntry | None = None
 
@@ -454,14 +453,6 @@ class ScriptedBackend(CompletionBackend):
         self._by_text: dict[str, Question] = {}
         for question in scenario.questions:
             self._by_text.setdefault(question.text, question)
-        self._lock = threading.Lock()
-        self._upstream_calls = 0
-
-    @property
-    def upstream_calls(self) -> int:
-        """Number of requests that reached the script (cache misses)."""
-        with self._lock:
-            return self._upstream_calls
 
     def _select_entry(self, prompt: Prompt) -> tuple[Question, ScriptedEntry]:
         """The prompt's question and scripted entry, from one read of the prompt.
@@ -509,8 +500,6 @@ class ScriptedBackend(CompletionBackend):
         return question, entry
 
     def _request(self, prompt: Prompt) -> tuple[str, TokenUsage]:
-        with self._lock:
-            self._upstream_calls += 1
         question, entry = self._select_entry(prompt)
         text = entry.text if entry.text is not None else _synthesize_text(question, entry.correct)
         return text, TokenUsage(
@@ -591,7 +580,6 @@ def parse_scripted_file(path: str) -> ScriptedScenario:
     def at(index: int) -> str:
         return f"{path} questions[{index}]"
 
-    source = data.get("name", "scripted")
     questions: list[Question] = []
     behaviors: dict[str, ScriptedBehavior] = {}
     seen_ids: set[str] = set()
@@ -607,7 +595,6 @@ def parse_scripted_file(path: str) -> ScriptedScenario:
                 text=text,
                 gold_answer=str(item.get("gold_answer", "")),
                 answer_kind=_answer_kind(item.get("answer_kind", "numeric")),
-                source=item.get("source", source),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"bad question at {at(index)}: {exc}") from exc

@@ -40,7 +40,6 @@ from .evaluate import (
     TABLE_TEXT,
     CSV_FORMAT,
     SCRIPTED_JSON,
-    Dataset,
     SampleRecord,
     _pool_map,
     encode_record,
@@ -50,6 +49,7 @@ from .evaluate import (
     render_report,
     run_method,
     sample_dataset,
+    write_json,
 )
 from .prompting import PromptTemplates
 from .ptdata import (
@@ -190,11 +190,12 @@ class VerbContext:
     """One verb's set-up, per-question fan-out, manifest and exit code.
 
     Reads the config and seed, and for a cohort verb the dataset, its seeded
-    subsample, the backend and the pool size; a scripted fixture is parsed
-    once, for both the cohort and the mock. None of it has a side effect: the
-    cache only reads, a live backend connects at its first request, and the
-    out-dir is made by the first output `path`. So a refusal before a verb's
-    first request leaves nothing behind.
+    subsample, the backend and the pool size. Every dataset format loads
+    through load_dataset, once: the mock plays the whole ScriptedScenario it
+    returns, and the verb runs the subsample. None of it has a side effect:
+    the cache only reads, a live backend connects at its first request, and
+    the out-dir is made by the first output `path`. So a refusal before a
+    verb's first request leaves nothing behind.
     """
 
     def __init__(self, args, verb: str, cohort: bool = True):
@@ -210,14 +211,10 @@ class VerbContext:
         if args.concurrency is not None and args.concurrency < 1:
             raise ConfigError(f"--concurrency must be >= 1, got {args.concurrency}")
         try:
-            if args.dataset_format == SCRIPTED_JSON:
-                scenario = parse_scripted_file(args.dataset)
-                self.dataset = Dataset(name=scenario.name, questions=scenario.questions)
-            else:
-                scenario = None
-                self.dataset = load_dataset(args.dataset, args.dataset_format)
+            self.dataset = load_dataset(args.dataset, args.dataset_format)
         except OSError as exc:
             raise DatasetError(f"--dataset: {exc}") from exc
+        scenario = self.dataset if isinstance(self.dataset, ScriptedScenario) else None
         if scenario is None and self.config.backend_kind == "scripted":
             raise ConfigError(f"--dataset-format {args.dataset_format}: the scripted "
                               f"backend needs a {SCRIPTED_JSON} fixture")
@@ -258,17 +255,8 @@ class VerbContext:
                 sample_n=self.args.sample_n,
             )
         manifest.update(details)
-        _write_json(self.path("run_manifest.json"), manifest)
+        write_json(self.path("run_manifest.json"), manifest)
         return EXIT_PARTIAL if self.failed else EXIT_OK
-
-
-def _write_json(path: str, document: dict) -> None:
-    # json.dump streams its chunks to the file. One json.dumps string would
-    # hold all of them at once: writing the 1.4 MB audit report of a
-    # 2,000-question cohort that way raised peak RSS from 50.0 to 54.4 MB.
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, sort_keys=True, indent=2)
-        handle.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +287,16 @@ def cmd_eval(args) -> int:
     config = ctx.config
     pricing = config.pricing.for_model(config.model_id)
 
-    runs = []
-    for method in methods:
-        run = run_method(ctx.backend, ctx.dataset, method, pricing, concurrency=ctx.concurrency,
-                         include_estimation_tokens=args.include_estimation_tokens)
-        with open(ctx.path(f"records_{method.slug}.jsonl"), "w", encoding="utf-8") as sink:
+    runs = [run_method(ctx.backend, ctx.dataset, method, pricing, concurrency=ctx.concurrency,
+                       include_estimation_tokens=args.include_estimation_tokens)
+            for method in methods]
+    # Written only once every method has run, so a fatal error in a later
+    # method leaves the out-dir as it was.
+    for run in runs:
+        with open(ctx.path(f"records_{run.method.slug}.jsonl"), "w", encoding="utf-8") as sink:
             for record in run.records:
                 sink.write(encode_record(vars(record)) + "\n")
         ctx.failed = ctx.failed or run.report.failed_count > 0
-        runs.append(run)
 
     print(render_report(runs, TABLE_TEXT, config_hash=config.config_hash), end="")
     extension = {TABLE_TEXT: "txt", CSV_FORMAT: "csv", JSON_FORMAT: "json"}[args.format]
@@ -394,7 +383,7 @@ def cmd_elasticity(args) -> int:
         "estimator_quality": quality_block,
         "live_reference": ESTIMATOR_LIVE_REFERENCE,
     }
-    _write_json(ctx.path("elasticity_report.json"), document)
+    write_json(ctx.path("elasticity_report.json"), document)
 
     print(f"ideal budget ranges: {len(ranges)} (skipped {len(skipped)})")
     if quality_block:
@@ -503,7 +492,7 @@ def cmd_audit(args) -> int:
         ],
         "live_reference": AUDIT_LIVE_REFERENCE,
     }
-    _write_json(ctx.path("audit_report.json"), document)
+    write_json(ctx.path("audit_report.json"), document)
     if fraction is not None:
         print(f"monotonic samples: {round(fraction * 100.0, 2):.2f}% of {len(audits)}")
     else:

@@ -35,7 +35,6 @@ class Question:
     text: str
     gold_answer: str
     answer_kind: AnswerKind
-    source: str = ""
 
     def __post_init__(self):
         if not self.text:
@@ -43,6 +42,17 @@ class Question:
         needs_gold = (AnswerKind.NUMERIC, AnswerKind.MULTIPLE_CHOICE)
         if self.answer_kind in needs_gold and not self.gold_answer:
             raise ValueError(f"question {self.id!r} is missing its gold answer")
+
+
+@dataclass(frozen=True)
+class Dataset:
+    """Named, ordered cohort of questions."""
+
+    name: str
+    questions: list[Question]
+
+    def __len__(self) -> int:
+        return len(self.questions)
 
 
 def validate_budget(tokens: int) -> int:
@@ -100,27 +110,31 @@ class CompletionOutcome:
     request_fingerprint: str
 
 
-_JSON_TYPES = {int: "an integer", float: "a number", str: "a string",
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
                dict: "a JSON object", list: "a JSON array"}
 
 
-def _typed(section, where: str, **types) -> dict:
-    """The keys a config section sets, each of its JSON type in ``types`` (a float
-    key also takes an int, as a float); an unknown key or another type is a ValueError."""
+def _typed(section, where: str, nullable=(), **types) -> dict:
+    """The keys a config section or a read-back record sets, each of its JSON
+    type in ``types``: a float key also takes an int, as a float, a key in
+    ``nullable`` also takes null, and a bool is no integer. An unknown key or
+    another type is a ValueError."""
     if not isinstance(section, dict):
         raise ValueError(f"{where or 'config'} must be a JSON object")
     typed = {}
     for key, value in section.items():
-        name = f"{where}.{key}" if where else key
-        if key not in types:
-            raise ValueError(f"unknown config key {name!r}")
-        if types[key] is float and value.__class__ is int:
+        kind = types.get(key)
+        if value.__class__ is not kind and not (value is None and key in nullable):
+            name = f"{where}.{key}" if where else key
+            if kind is None:
+                raise ValueError(f"unknown config key {name!r}")
+            if kind is not float or value.__class__ is not int:
+                null = " or null" if key in nullable else ""
+                raise ValueError(f"{name} must be {_JSON_TYPES[kind]}{null}, got {json.dumps(value)}")
             try:
                 value = float(value)
             except OverflowError as exc:
                 raise ValueError(f"{name}: {exc}") from None
-        if value.__class__ is not types[key]:
-            raise ValueError(f"{name} must be {_JSON_TYPES[types[key]]}, got {json.dumps(value)}")
         typed[key] = value
     return typed
 

@@ -9,13 +9,12 @@ an external trainer. No gradient training happens here.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
 from .backend import CompletionBackend
 from .core import Question
-from .evaluate import encode_record
+from .evaluate import encode_record, write_json
 from .grading import grade
 from .prompting import PromptKind, build_prompt
 from .search import SearchRecord
@@ -206,10 +205,7 @@ def export_corpus(
         },
         config_hash=config_hash,
     )
-    # Streamed to the file, as cli._write_json does, not built as one string.
-    with open(manifest_path(path), "w", encoding="utf-8") as handle:
-        json.dump(vars(manifest), handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    write_json(manifest_path(path), vars(manifest))
     return manifest
 
 

@@ -8,6 +8,7 @@ import ipaddress
 import json
 import socketserver
 import threading
+import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -32,9 +33,8 @@ def make_question(
     text: str = "A robe takes 2 bolts of blue fiber and half that much white fiber. How many bolts in total?",
     gold: str = "3",
     kind: AnswerKind = AnswerKind.NUMERIC,
-    source: str = "fixture",
 ) -> Question:
-    return Question(id=qid, text=text, gold_answer=gold, answer_kind=kind, source=source)
+    return Question(id=qid, text=text, gold_answer=gold, answer_kind=kind)
 
 
 def behavior_from_curve(
@@ -72,6 +72,22 @@ def scripted_backend(
         default_entry=default_entry,
     )
     return ScriptedBackend(scenario, **kwargs)
+
+
+def count_misses(backend):
+    """From now on, count the requests that reach ``backend``'s upstream (its
+    cache misses); returns the function that reads the count."""
+    calls = []
+    # A weak reference: a backend that refers to itself lives until the next
+    # garbage collection, and so does the file its cache holds open.
+    request = weakref.WeakMethod(backend._request)
+
+    def counted(prompt):
+        calls.append(prompt)
+        return request()(prompt)
+
+    backend._request = counted
+    return lambda: len(calls)
 
 
 @pytest.fixture

@@ -59,6 +59,7 @@ from conftest import (
     JSON_VALUES,
     behavior_from_curve,
     completion_payload,
+    count_misses,
     make_question,
     scripted_backend,
 )
@@ -311,10 +312,11 @@ def test_cache_idempotence_one_upstream_call(tmp_path, fig_like_question):
         cache=cache,
     )
     prompt = build_prompt(fig_like_question, PromptKind.BUDGETED_COT, budget=50)
+    misses = count_misses(backend)
     first = backend.complete(prompt)
     second = backend.complete(prompt)
     assert first == second
-    assert backend.upstream_calls == 1
+    assert misses() == 1
     assert json.dumps(_outcome_dict(first)) == json.dumps(_outcome_dict(second))
 
 
@@ -331,8 +333,9 @@ def test_cache_survives_reload(tmp_path, fig_like_question):
         {fig_like_question: behavior_from_curve(vanilla_tokens=258, curve={})},
         cache=ResponseCache(path),
     )
+    misses = count_misses(resumed)
     assert resumed.complete(prompt) == original
-    assert resumed.upstream_calls == 0
+    assert misses() == 0
 
 
 def test_concurrent_cached_completions_are_consistent(tmp_path, fig_like_question):
@@ -414,11 +417,12 @@ def test_cache_cut_at_any_byte_resumes_like_uninterrupted(tmp_path, rebound_ques
     for cut in range(len(data) + 1):
         path.write_bytes(data[:cut])
         backend = backend_on(str(path))
+        misses = count_misses(backend)
         assert search_optimal_budget(backend, rebound_question) == reference
         # Whole lines before the cut are served; so is a record cut only
         # before its newline. Every other request is issued again.
         served = sum(1 for end in line_ends if end <= cut + 1)
-        assert backend.upstream_calls == len(line_ends) - served
+        assert misses() == len(line_ends) - served
         assert path.read_bytes() == (data[:-1] if cut == len(data) - 1 else data)
 
 
@@ -911,7 +915,6 @@ def _reference_parse_scripted_file(path):
                 text=text,
                 gold_answer=str(item.get("gold_answer", "")),
                 answer_kind=AnswerKind(item.get("answer_kind", "numeric")),
-                source=item.get("source", data.get("name", "scripted")),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"bad question at {where}: {exc}") from exc

@@ -21,7 +21,13 @@ from tokenbudget.errors import TransportError
 from tokenbudget.prompting import Prompt, PromptKind
 from tokenbudget.search import SearchRecord, search_optimal_budget
 
-from conftest import DEMO_CONFIG, DEMO_SCENARIO, completion_payload, write_demo_files
+from conftest import (
+    DEMO_CONFIG,
+    DEMO_SCENARIO,
+    completion_payload,
+    count_misses,
+    write_demo_files,
+)
 
 
 @pytest.fixture
@@ -881,6 +887,16 @@ def test_malformed_search_results_name_the_file_and_the_line(demo, capsys):
                    f"estimated_budget must be null or an integer >= 1, got {estimate!r}",
                    id=f"estimate-{estimate!r}")
       for estimate in ("abc", 12.7, True, 0)],
+    *[pytest.param("elasticity", "--estimates", {"question_id": "rebound", "method": "ep", **field},
+                   problem, id=f"ep-record-{name}")
+      for name, field, problem in (
+          ("question-id-a-number", {"question_id": 5}, "question_id must be a string, got 5"),
+          ("failed-a-string", {"failed": "yes"}, 'failed must be a boolean, got "yes"'),
+          ("failed-null", {"failed": None}, "failed must be a boolean, got null"),
+          ("output-tokens-a-bool", {"output_tokens": True},
+           "output_tokens must be an integer or null, got true"),
+          ("expense-a-string", {"expense": "1.5"}, 'expense must be a number or null, got "1.5"'),
+      )],
 ])
 def test_read_back_records_are_checked(demo, capsys, verb, flag, line, problem):
     config, dataset, tmp = demo
@@ -1189,8 +1205,11 @@ def test_audit_skips_found_questions_outside_its_cohort(demo):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("verb", ["search", "eval", "ptdata", "audit"])
-def test_each_cohort_verb_parses_the_fixture_once(demo, verb, monkeypatch):
+# Each cohort verb parses the fixture once; elasticity reads no dataset.
+@pytest.mark.parametrize("verb, parsed", [
+    pytest.param(verb, int(verb != "elasticity"), id=verb)
+    for verb in ("search", "eval", "ptdata", "audit", "elasticity")])
+def test_each_cohort_verb_parses_the_fixture_once(demo, verb, parsed, monkeypatch):
     config, dataset, tmp = demo
     search_out = str(tmp / "search")
     assert main(["search", "--config", config, "--dataset", dataset, "--out-dir", search_out]) == 0
@@ -1207,18 +1226,26 @@ def test_each_cohort_verb_parses_the_fixture_once(demo, verb, monkeypatch):
     # ptdata reads the search in its out-dir.
     out = search_out if verb == "ptdata" else str(tmp / "out")
     argv = [verb, "--config", config, "--dataset", dataset, "--out-dir", out]
-    if verb == "audit":
+    if verb in ("audit", "elasticity"):
         argv += ["--search-output", os.path.join(search_out, "search_results.jsonl")]
     assert main(argv) == 0
-    assert parses == [dataset]
+    assert parses == [dataset] * parsed
+
+
+def test_load_dataset_returns_the_scenario_the_mock_plays(demo):
+    _, dataset, _ = demo
+    scenario = evaluate.load_dataset(dataset, "scripted_json")
+    assert isinstance(scenario, backend.ScriptedScenario)
+    assert scenario == backend.parse_scripted_file(dataset)
 
 
 def test_build_backend_parses_the_fixture_when_given_only_its_path(demo):
     config, dataset, tmp = demo
     scripted = cli.build_backend(cli.load_config(config), str(tmp / "out"), dataset)
+    misses = count_misses(scripted)
     question = evaluate.load_dataset(dataset, "scripted_json").questions[0]
     assert scripted.ask(question, PromptKind.VANILLA_COT).usage.output_tokens == 256
-    assert scripted.upstream_calls == 1
+    assert misses() == 1
     assert len((tmp / "out" / "cache.jsonl").read_bytes().splitlines()) == 1
 
 
@@ -1408,6 +1435,26 @@ def test_a_damaged_cache_is_cut_back_or_refused_naming_the_line(
         assert repaired.startswith(whole)
         assert len(repaired.splitlines()) == len(whole.splitlines()) + requests
         assert all(json.loads(line) for line in repaired.splitlines())
+
+
+def test_eval_writes_nothing_when_a_later_method_meets_a_corrupt_cache_line(demo, capsys):
+    config, dataset, tmp = demo
+    cohort = ["--config", config, "--dataset", dataset, "--concurrency", "1"]
+    # At concurrency 1 the cache holds the vanilla answers in cohort order, then
+    # the direct ones: line 2 is mono's vanilla answer.
+    warm = tmp / "warm"
+    assert main(["eval", *cohort, "--out-dir", str(warm), "--methods", "vanilla,direct"]) == 0
+    out = tmp / "out"
+    out.mkdir()
+    cache = out / "cache.jsonl"
+    lines = (warm / "cache.jsonl").read_bytes().splitlines(keepends=True)
+    cache.write_bytes(_second_line(lines, _outcome_emptied))
+    before = _tree(out)
+    capsys.readouterr()
+    # Every direct answer is a hit; vanilla stops at mono's.
+    assert main(["eval", *cohort, "--out-dir", str(out), "--methods", "direct,vanilla"]) == 1
+    assert capsys.readouterr().err == f"error: {cache}: corrupt cache record at line 2: 'usage'\n"
+    assert _tree(out) == before
 
 
 # ---------------------------------------------------------------------------

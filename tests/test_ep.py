@@ -11,7 +11,7 @@ from tokenbudget.backend import ScriptedEntry
 from tokenbudget.ep import parse_estimate, run_ep, scale_budget
 from tokenbudget.prompting import PromptTemplates, build_estimation_prompt
 
-from conftest import behavior_from_curve, scripted_backend
+from conftest import behavior_from_curve, count_misses, scripted_backend
 
 
 # ---------------------------------------------------------------------------
@@ -89,13 +89,14 @@ def test_scale_monotone_in_alpha(value, alpha_a, alpha_b):
 
 
 def test_run_ep_happy_path(fig_like_question, fig_like_backend):
+    misses = count_misses(fig_like_backend)
     result = run_ep(fig_like_backend, fig_like_question)
     assert result.verdict.correct
     assert result.estimate == 50
     assert result.budget_used == 50
     assert result.answer_usage.output_tokens == 86
     assert not result.used_fallback
-    assert fig_like_backend.upstream_calls == 2
+    assert misses() == 2
 
 
 def test_run_ep_usage_sums_exactly(fig_like_question, fig_like_backend):
@@ -128,10 +129,11 @@ def test_run_ep_renders_with_the_backend_templates(fig_like_question):
         budgeted_suffix="Think briefly, at most {budget} tokens:",
     )
     backend = scripted_backend({fig_like_question: behavior}, templates=templates)
+    misses = count_misses(backend)
     result = run_ep(backend, fig_like_question)
     assert result.estimate == 50
     assert result.answer_usage.output_tokens == 86
-    assert backend.upstream_calls == 2
+    assert misses() == 2
 
 
 def test_run_ep_fallback_on_unparsable_estimate(fig_like_question):
@@ -142,6 +144,7 @@ def test_run_ep_fallback_on_unparsable_estimate(fig_like_question):
     )
     behavior.estimate = ScriptedEntry(output_tokens=4, text="I don't know")
     backend = scripted_backend({fig_like_question: behavior})
+    misses = count_misses(backend)
     result = run_ep(backend, fig_like_question)
     assert result.used_fallback
     assert result.estimate is None
@@ -149,7 +152,7 @@ def test_run_ep_fallback_on_unparsable_estimate(fig_like_question):
     assert result.verdict.correct
     # Fallback answers with vanilla CoT: full vanilla cost, still 2 calls.
     assert result.answer_usage.output_tokens == 258
-    assert backend.upstream_calls == 2
+    assert misses() == 2
     # The unparsable estimation call's usage is still accounted for.
     estimation = backend.complete(build_estimation_prompt(fig_like_question))
     assert result.estimation_usage == estimation.usage

@@ -12,11 +12,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tokenbudget.backend import ScriptedBackend, ScriptedScenario
-from tokenbudget.core import AnswerKind, ModelPricing
+from tokenbudget.core import AnswerKind, Dataset, ModelPricing
 from tokenbudget.errors import ConfigError, DatasetError, ProtocolError, RateLimitError, TransportError
 from tokenbudget.evaluate import (
     CSV_FORMAT,
-    Dataset,
     JSON_FORMAT,
     MethodSpec,
     _pool_map,

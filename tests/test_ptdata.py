@@ -25,6 +25,7 @@ from tokenbudget.search import SearchRecord, search_optimal_budget
 
 from conftest import (
     behavior_from_curve,
+    count_misses,
     make_question,
     scripted_backend,
     write_demo_files,
@@ -58,17 +59,18 @@ def reference_records(backend, question, input_style):
     """The SFT and DPO records built from a search's optimum alone: the target
     is asked again at the optimum, a cache hit, as the corpus was built before
     it was read from the search's records."""
+    misses = count_misses(backend)
     result = search_optimal_budget(backend, question)
     if result.status != "found":
         skip = Skip(question_id=question.id, reason=result.status)
         return skip, skip
     budget = result.optimal_budget
-    calls = backend.upstream_calls
+    calls = misses()
     if budget == result.upper_bound:
         answer = backend.ask(question, PromptKind.VANILLA_COT)
     else:
         answer = backend.ask(question, PromptKind.BUDGETED_COT, budget=budget)
-    assert backend.upstream_calls == calls
+    assert misses() == calls
     kind = {"vanilla": PromptKind.VANILLA_COT, "budgeted": PromptKind.BUDGETED_COT}[input_style]
     prompt = build_prompt(question, kind, budget=budget, templates=backend.templates)
     positive = answer.usage.output_tokens
@@ -173,12 +175,13 @@ def test_preference_pair_negative_reuses_cached_vanilla(tmp_path, rebound_questi
         {rebound_question: behavior},
         cache=ResponseCache(str(tmp_path / "cache.jsonl")),
     )
+    misses = count_misses(backend)
     record = search_optimal_budget(backend, rebound_question)
     # vanilla + probe + three halving candidates.
-    assert backend.upstream_calls == 5
+    assert misses() == 5
     build_preference_pair(backend, rebound_question, record)
     # The negative is a cache hit.
-    assert backend.upstream_calls == 5
+    assert misses() == 5
 
 
 def test_preference_pair_skips_length_inversion():

@@ -23,7 +23,7 @@ from tokenbudget.search import (
     search_optimal_budget,
 )
 
-from conftest import behavior_from_curve, make_question, scripted_backend
+from conftest import behavior_from_curve, count_misses, make_question, scripted_backend
 
 
 def trace_of(costs, budgets=None, correct=None) -> ElasticityTrace:
@@ -173,9 +173,10 @@ def test_halving_candidates():
 
 
 def test_search_query_bound(rebound_question, rebound_backend):
+    misses = count_misses(rebound_backend)
     search_optimal_budget(rebound_backend, rebound_question)
     bound = (256 - 1).bit_length() + 2
-    assert rebound_backend.upstream_calls <= bound
+    assert misses() <= bound
 
 
 def test_trace_budgets_strictly_decreasing_enforced():
@@ -346,9 +347,10 @@ def test_nonpositive_multiplier_rejected(rebound_question, rebound_backend):
 @pytest.mark.parametrize("multiplier", [math.nan, math.inf, -math.inf])
 def test_nan_and_infinite_multipliers_rejected_before_any_call(rebound_question, multiplier):
     backend = scripted_backend({rebound_question: behavior_from_curve(vanilla_tokens=258, curve={})})
+    misses = count_misses(backend)
     with pytest.raises(ValueError, match=r"multipliers must be finite and > 0, got"):
         monotonicity_audit(backend, rebound_question, 64, multipliers=(1.0, multiplier))
-    assert backend.upstream_calls == 0
+    assert misses() == 0
 
 
 def test_monotonic_fraction():
