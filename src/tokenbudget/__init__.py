@@ -40,7 +40,6 @@ from .errors import (
 )
 from .evaluate import (
     EvalReport,
-    MethodRun,
     MethodSpec,
     load_dataset,
     render_report,
@@ -57,7 +56,6 @@ from .prompting import (
     build_prompt,
 )
 from .ptdata import (
-    CorpusManifest,
     PreferencePair,
     SftExample,
     Skip,
@@ -66,7 +64,6 @@ from .ptdata import (
     generate_target,
 )
 from .search import (
-    ElasticityTrace,
     EstimatorQuality,
     IdealRange,
     MonotonicityAudit,

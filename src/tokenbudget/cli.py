@@ -59,6 +59,7 @@ from .ptdata import (
     build_preference_pair,
     export_corpus,
     generate_target,
+    stale_targets,
 )
 from .search import (
     SearchRecord,
@@ -287,22 +288,26 @@ def cmd_eval(args) -> int:
     config = ctx.config
     pricing = config.pricing.for_model(config.model_id)
 
-    runs = [run_method(ctx.backend, ctx.dataset, method, pricing, concurrency=ctx.concurrency,
-                       include_estimation_tokens=args.include_estimation_tokens)
+    runs = [(method, run_method(ctx.backend, ctx.dataset, method, pricing,
+                                concurrency=ctx.concurrency,
+                                include_estimation_tokens=args.include_estimation_tokens))
             for method in methods]
     # Written only once every method has run, so a fatal error in a later
     # method leaves the out-dir as it was.
-    for run in runs:
-        with open(ctx.path(f"records_{run.method.slug}.jsonl"), "w", encoding="utf-8") as sink:
-            for record in run.records:
+    for method, records in runs:
+        with open(ctx.path(f"records_{method.slug}.jsonl"), "w", encoding="utf-8") as sink:
+            for record in records:
                 sink.write(encode_record(vars(record)) + "\n")
-        ctx.failed = ctx.failed or run.report.failed_count > 0
+        ctx.failed = ctx.failed or any(record.failed for record in records)
 
-    print(render_report(runs, TABLE_TEXT, config_hash=config.config_hash), end="")
+    def report(fmt: str) -> str:
+        return render_report(runs, ctx.dataset.name, config.model_id, fmt, config.config_hash)
+
+    print(report(TABLE_TEXT), end="")
     extension = {TABLE_TEXT: "txt", CSV_FORMAT: "csv", JSON_FORMAT: "json"}[args.format]
     report_name = f"report.{extension}"
     with open(ctx.path(report_name), "w", encoding="utf-8") as handle:
-        handle.write(render_report(runs, args.format, config_hash=config.config_hash))
+        handle.write(report(args.format))
 
     return ctx.finish(methods=[m.label for m in methods], alpha=args.alpha, report=report_name)
 
@@ -403,6 +408,9 @@ def cmd_ptdata(args) -> int:
     records = {r.question_id: r for r in _read_input("--out-dir", results, SearchRecord)}
     if missing := [q.id for q in dataset.questions if q.id not in records]:
         raise DatasetError(f"--out-dir: {results}: no search record for {missing[0]!r}")
+    if stale := stale_targets(records, dataset.questions):
+        raise DatasetError(f"--out-dir: {results}: the target of {stale[0]!r} "
+                           "no longer grades correct")
     builder = generate_target if args.format == SFT_FORMAT else build_preference_pair
     outcomes = ctx.map(lambda q: builder(ctx.backend, q, records[q.id], args.pt_input),
                        dataset.questions)
@@ -421,9 +429,8 @@ def cmd_ptdata(args) -> int:
         dataset_name=dataset.name,
         model_id=config.model_id,
         config_hash=config.config_hash,
-        questions=dataset.questions,
     )
-    counts = manifest.counts
+    counts = manifest["counts"]
     print(f"{args.format} corpus: {counts['succeeded']}/{counts['attempted']} records "
           f"-> {corpus_path}")
     return ctx.finish(format=args.format, pt_input=args.pt_input,

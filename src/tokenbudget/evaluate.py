@@ -1,8 +1,10 @@
 """Dataset ingestion, cohort execution, and report generation.
 
-Aggregates are always recomputable from the persisted per-sample records;
-failed samples are excluded from accuracy's denominator but surfaced as a
-separate count so API hiccups never masquerade as wrong answers.
+A method run is its per-sample records, and the report is computed from
+them, by construction: render_report aggregates the records it is handed, so
+the records a run writes rebuild its report exactly. Failed samples are
+excluded from accuracy's denominator but surfaced as a separate count so API
+hiccups never masquerade as wrong answers.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import io
 import json
 import random
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .backend import CompletionBackend, parse_scripted_file
 from .core import AnswerKind, Dataset, ModelPricing, Question, _typed, compute_expense
@@ -249,19 +251,8 @@ class EvalReport:
     failed_count: int = 0
 
 
-@dataclass
-class MethodRun:
-    """One method's per-sample records plus the aggregate report."""
-
-    method: MethodSpec
-    dataset_name: str
-    model_id: str
-    records: list[SampleRecord] = field(default_factory=list)
-    report: EvalReport | None = None
-
-
 def aggregate_records(records: list[SampleRecord]) -> EvalReport:
-    """Recompute the aggregate from per-sample records (the only way it exists)."""
+    """The aggregate of per-sample records (the only way it exists)."""
     graded = [r for r in records if not r.failed]
     failed = len(records) - len(graded)
     if not graded:
@@ -392,7 +383,7 @@ def run_method(
     pricing: ModelPricing,
     concurrency: int = 4,
     include_estimation_tokens: bool = False,
-) -> MethodRun:
+) -> list[SampleRecord]:
     """Execute one method over the cohort with bounded parallelism.
 
     A provider error that _pool_map returns in a question's place becomes a
@@ -410,18 +401,11 @@ def run_method(
         dataset.questions,
         concurrency,
     )
-    records = [
+    return [
         SampleRecord(question_id=question.id, method=method.label, failed=True, error=str(result))
         if isinstance(result, Exception) else result
         for question, result in zip(dataset.questions, results)
     ]
-    return MethodRun(
-        method=method,
-        dataset_name=dataset.name,
-        model_id=backend.model_id,
-        records=records,
-        report=aggregate_records(records),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -451,22 +435,18 @@ def token_reduction(vanilla_tokens: float, method_tokens: float) -> float:
     return (1.0 - method_tokens / vanilla_tokens) * 100.0
 
 
-def _report_rows(runs: list[MethodRun]) -> list[dict]:
-    vanilla_tokens: dict[str, float] = {}
-    for run in runs:
-        if run.method.kind == "vanilla":
-            vanilla_tokens[run.dataset_name] = run.report.mean_output_tokens
+def _report_rows(runs, dataset_name: str) -> list[dict]:
+    reports = [(method, aggregate_records(records)) for method, records in runs]
+    base = next((r.mean_output_tokens for m, r in reports if m.kind == "vanilla"), None)
     rows = []
-    for run in runs:
-        report = run.report
+    for method, report in reports:
         reduction = None
-        base = vanilla_tokens.get(run.dataset_name)
-        if base and run.method.kind != "vanilla":
+        if base and method.kind != "vanilla":
             reduction = token_reduction(base, report.mean_output_tokens)
         rows.append(
             {
-                "dataset": run.dataset_name,
-                "method": run.method.label,
+                "dataset": dataset_name,
+                "method": method.label,
                 "accuracy_pct": round(report.accuracy * 100.0, 2),
                 "output_tokens": round(report.mean_output_tokens, 2),
                 "expense_1e5_usd": round(report.mean_expense, 2),
@@ -479,21 +459,24 @@ def _report_rows(runs: list[MethodRun]) -> list[dict]:
 
 
 def render_report(
-    runs: list[MethodRun],
+    runs: list[tuple[MethodSpec, list[SampleRecord]]],
+    dataset_name: str,
+    model_id: str,
     fmt: str = TABLE_TEXT,
     config_hash: str = "",
 ) -> str:
-    """One row per (dataset, method): accuracy, output tokens, expense.
+    """One row per (method, records) run over one dataset: accuracy, output
+    tokens, expense, each aggregated here from the records.
 
     CSV and JSON renderings are bit-stable for identical inputs.
     """
     if not runs:
         raise ValueError("render_report needs at least one run")
-    rows = _report_rows(runs)
+    rows = _report_rows(runs, dataset_name)
     if fmt == JSON_FORMAT:
         document = {
             "rows": rows,
-            "model_id": runs[0].model_id,
+            "model_id": model_id,
             "config_hash": config_hash,
         }
         return json.dumps(document, sort_keys=True, indent=2) + "\n"
@@ -519,6 +502,6 @@ def render_report(
                 f"{row['failed']:>7d} {reduction:>10}"
             )
         if config_hash:
-            lines.append(f"config_hash: {config_hash}  model: {runs[0].model_id}")
+            lines.append(f"config_hash: {config_hash}  model: {model_id}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")

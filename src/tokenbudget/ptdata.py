@@ -51,21 +51,6 @@ class Skip:
     reason: str
 
 
-@dataclass(frozen=True)
-class CorpusManifest:
-    """Provenance for one exported corpus.
-
-    ``counts`` holds ``attempted`` and ``succeeded`` record counts and the
-    ``skipped`` count per reason.
-    """
-
-    dataset: str
-    model_id: str
-    format: str
-    counts: dict
-    config_hash: str
-
-
 def _training_input(backend: CompletionBackend, question: Question, budget: int,
                     input_style: str) -> str:
     """Budget-free vanilla instruction by default; budgeted via input_style."""
@@ -90,7 +75,7 @@ def generate_target(
         return Skip(question_id=question.id, reason=reason)
     budget = record.optimal_budget
     output_tokens = budget if budget == record.upper_bound else next(
-        p.output_tokens for p in record.trace.points if p.budget == budget)
+        p.output_tokens for p in record.trace if p.budget == budget)
     return SftExample(
         input=_training_input(backend, question, budget, input_style),
         target=record.target_output,
@@ -132,7 +117,15 @@ def build_preference_pair(
     )
 
 
-def _validate_record(record, corpus_format: str, index: int, questions: dict[str, Question]):
+def stale_targets(records: dict[str, SearchRecord], questions: list[Question]) -> list[str]:
+    """Ids of the questions whose found search record holds a target that no
+    longer grades correct against the question; ptdata refuses any such
+    record on read, before its first request."""
+    return [q.id for q in questions if records[q.id].status == "found"
+            and not grade(records[q.id].target_output, q).correct]
+
+
+def _validate_record(record, corpus_format: str, index: int):
     if corpus_format == SFT_FORMAT:
         if not isinstance(record, SftExample):
             raise ValueError(f"record {index} is not an SFT example")
@@ -152,12 +145,6 @@ def _validate_record(record, corpus_format: str, index: int, questions: dict[str
     if any(not t for t in texts):
         raise ValueError(f"record {index} has an empty field")
 
-    question = questions.get(record.meta.get("question_id"))
-    if question is not None:
-        graded_text = record.target if corpus_format == SFT_FORMAT else record.chosen
-        if not grade(graded_text, question).correct:
-            raise ValueError(f"record {index} ({question.id!r}) target no longer grades correct")
-
 
 def export_corpus(
     records,
@@ -166,17 +153,16 @@ def export_corpus(
     dataset_name: str = "",
     model_id: str = "",
     config_hash: str = "",
-    questions: list[Question] | None = None,
-) -> CorpusManifest:
-    """Write a JSONL corpus plus its manifest; skips are counted, not written.
+) -> dict:
+    """Write a JSONL corpus plus its manifest, and return the manifest; skips
+    are counted, not written. ``counts`` holds the ``attempted`` and
+    ``succeeded`` record counts and the ``skipped`` count per reason.
 
-    Every exported target/positive is re-graded against its question when the
-    questions are supplied; a violation aborts naming the record index.
+    A record of the wrong shape aborts naming its index.
     """
     records = list(records)
     if not records:
         raise ValueError("export_corpus needs at least one record")
-    question_index = {q.id: q for q in (questions or [])}
 
     exported = []
     skipped: dict[str, int] = {}
@@ -184,7 +170,7 @@ def export_corpus(
         if isinstance(record, Skip):
             skipped[record.reason] = skipped.get(record.reason, 0) + 1
             continue
-        _validate_record(record, corpus_format, index, question_index)
+        _validate_record(record, corpus_format, index)
         exported.append(record)
 
     directory = os.path.dirname(path)
@@ -194,18 +180,18 @@ def export_corpus(
         for record in exported:
             handle.write(encode_record(vars(record)) + "\n")
 
-    manifest = CorpusManifest(
-        dataset=dataset_name,
-        model_id=model_id,
-        format=corpus_format,
-        counts={
+    manifest = {
+        "dataset": dataset_name,
+        "model_id": model_id,
+        "format": corpus_format,
+        "counts": {
             "attempted": len(records),
             "succeeded": len(exported),
             "skipped": dict(sorted(skipped.items())),
         },
-        config_hash=config_hash,
-    )
-    write_json(manifest_path(path), vars(manifest))
+        "config_hash": config_hash,
+    }
+    write_json(manifest_path(path), manifest)
     return manifest
 
 

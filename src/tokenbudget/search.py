@@ -19,7 +19,7 @@ monotonicity audit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .backend import CompletionBackend
@@ -40,21 +40,6 @@ class TracePoint:
     response_fingerprint: str | None = None
 
 
-@dataclass
-class ElasticityTrace:
-    """Ordered (budget, output tokens, correctness) points from one search."""
-
-    points: list[TracePoint] = field(default_factory=list)
-
-    def __post_init__(self):
-        budgets = [p.budget for p in self.points]
-        if any(b2 >= b1 for b1, b2 in zip(budgets, budgets[1:])):
-            raise ValueError("trace budgets must be strictly decreasing")
-
-    def correct_points(self) -> list[TracePoint]:
-        return [p for p in self.points if p.correct]
-
-
 STATUSES = ("found", "vanilla_incorrect", "no_feasible_budget", "error")
 
 
@@ -66,8 +51,8 @@ class SearchRecord:
     ``status`` is ``found``, ``vanilla_incorrect``, ``no_feasible_budget`` or,
     for a question whose search raised, ``error`` with the ``error`` text. A
     found record's target is the response under its optimal budget, the vanilla
-    answer when that is the upper bound. Trace rows read back are rebuilt as an
-    ElasticityTrace.
+    answer when that is the upper bound. The trace is the search's probes in
+    order, its budgets strictly decreasing; rows read back become TracePoints.
     """
 
     question_id: str
@@ -75,19 +60,20 @@ class SearchRecord:
     optimal_budget: int | None = None
     upper_bound: int | None = None
     target_output: str | None = None
-    trace: ElasticityTrace = field(default_factory=list)
+    trace: tuple[TracePoint, ...] = ()
     error: str | None = None
 
     def __post_init__(self):
         if self.status not in STATUSES:
             raise ValueError(f"status must be one of {', '.join(STATUSES)}, got {self.status!r}")
-        if not isinstance(self.trace, ElasticityTrace):
-            self.trace = ElasticityTrace([TracePoint(**row) for row in self.trace])
+        self.trace = tuple(p if isinstance(p, TracePoint) else TracePoint(**p) for p in self.trace)
+        if any(b.budget >= a.budget for a, b in zip(self.trace, self.trace[1:])):
+            raise ValueError("trace budgets must be strictly decreasing")
         if self.upper_bound.__class__ not in (int, type(None)):
             raise ValueError(f"upper_bound must be an integer, got {self.upper_bound!r}")
         if self.status != "found":
             return
-        budgets = {self.upper_bound, *(p.budget for p in self.trace.points)}
+        budgets = {self.upper_bound, *(p.budget for p in self.trace)}
         if not isinstance(self.optimal_budget, int) or self.optimal_budget not in budgets:
             raise ValueError(f"found record {self.question_id!r} has optimal_budget "
                              f"{self.optimal_budget!r}, not its upper_bound or a trace budget")
@@ -102,7 +88,7 @@ class SearchRecord:
         if self.status == "error":
             return encode_record(
                 {"question_id": self.question_id, "status": self.status, "error": self.error})
-        fields = dict(vars(self), trace=[vars(p) for p in self.trace.points])
+        fields = dict(vars(self), trace=[vars(p) for p in self.trace])
         del fields["error"]
         return encode_record(fields)
 
@@ -110,7 +96,7 @@ class SearchRecord:
         """elasticity.csv rows (question_id, iteration, budget, output_tokens, correct)."""
         return [
             (self.question_id, iteration, p.budget, p.output_tokens, p.correct)
-            for iteration, p in enumerate(self.trace.points, start=1)
+            for iteration, p in enumerate(self.trace, start=1)
         ]
 
 
@@ -181,8 +167,7 @@ def search_optimal_budget(
             best_text = outcome.text
             previous_cost = point.output_tokens
 
-    return SearchRecord(question.id, "found", best_budget, upper_bound, best_text,
-                        ElasticityTrace(points))
+    return SearchRecord(question.id, "found", best_budget, upper_bound, best_text, tuple(points))
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +199,14 @@ class IdealRange:
         return max(0, self.low - budget, budget - self.high)
 
 
-def ideal_budget_range(trace: ElasticityTrace, k: int | str = "auto") -> IdealRange:
-    """Size-k contiguous window of the trace minimizing total observed cost.
+def ideal_budget_range(trace: Sequence[TracePoint], k: int | str = "auto") -> IdealRange:
+    """Size-k contiguous window of a search trace minimizing total observed cost.
 
     Only correctness-preserving points participate. ``k="auto"`` picks
     max(1, N // 3); ties between equal-cost windows go to the smallest
     starting index.
     """
-    points = trace.correct_points()
+    points = [p for p in trace if p.correct]
     n = len(points)
     if n == 0:
         raise ValueError("trace has no correctness-preserving points")

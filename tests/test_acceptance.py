@@ -23,7 +23,13 @@ from tokenbudget.core import (
     compute_expense,
 )
 from tokenbudget.ep import run_ep
-from tokenbudget.evaluate import MethodSpec, read_jsonl, run_method, token_reduction
+from tokenbudget.evaluate import (
+    MethodSpec,
+    aggregate_records,
+    read_jsonl,
+    run_method,
+    token_reduction,
+)
 from tokenbudget.prompting import (
     BUDGETED_COT_SUFFIX,
     ESTIMATION_TASK,
@@ -42,9 +48,9 @@ from tokenbudget.ptdata import (
     generate_target,
     export_corpus,
     manifest_path,
+    stale_targets,
 )
 from tokenbudget.search import (
-    ElasticityTrace,
     TracePoint,
     estimator_quality,
     ideal_budget_range,
@@ -155,7 +161,7 @@ def test_criterion_01_and_02_search_matches_bruteforce_oracle():
 
         assert result.status == expected_status
         assert result.optimal_budget == expected_best
-        observed_trace = [(p.budget, p.output_tokens, p.correct) for p in result.trace.points]
+        observed_trace = [(p.budget, p.output_tokens, p.correct) for p in result.trace]
         assert observed_trace == expected_trace
 
         # Criterion 2: vanilla + optional probe + halving walk.
@@ -177,7 +183,7 @@ def test_criterion_01_and_02_search_matches_bruteforce_oracle():
 def test_criterion_03_elasticity_rebound_reproduced(tmp_path, rebound_question, rebound_backend):
     result = search_optimal_budget(rebound_backend, rebound_question)
     assert result.optimal_budget == 64
-    assert [(p.budget, p.output_tokens, p.correct) for p in result.trace.points] == [
+    assert [(p.budget, p.output_tokens, p.correct) for p in result.trace] == [
         (256, 130, True), (128, 120, True), (64, 70, True), (32, 90, True),
     ]
 
@@ -210,7 +216,7 @@ def test_criterion_03_elasticity_rebound_reproduced(tmp_path, rebound_question, 
     )
     tier_result = search_optimal_budget(backend, question)
     assert tier_result.optimal_budget == 50
-    assert tier_result.trace.points[-1].output_tokens == 157
+    assert tier_result.trace[-1].output_tokens == 157
     _passed(3, "halving trace reproduces the 130/120/70/90 rebound and keeps 64")
 
 
@@ -236,9 +242,7 @@ def test_criterion_04_window_matches_exhaustive_enumeration():
         length = rng.randint(3, 300)
         budgets = sorted(rng.sample(range(1, 12 * length + 12), length), reverse=True)
         costs = [rng.randint(1, 1000) for _ in range(length)]
-        trace = ElasticityTrace(
-            [TracePoint(b, c, True) for b, c in zip(budgets, costs)]
-        )
+        trace = [TracePoint(b, c, True) for b, c in zip(budgets, costs)]
         for k in ("auto", 1, 2, 5):
             window_size = max(1, length // 3) if k == "auto" else k
             if window_size > length:
@@ -259,9 +263,7 @@ def test_criterion_04_window_matches_exhaustive_enumeration():
 
 
 def test_criterion_05_estimator_quality_fixture():
-    trace = ElasticityTrace(
-        [TracePoint(80, 10, True), TracePoint(60, 10, True), TracePoint(40, 10, True)]
-    )
+    trace = [TracePoint(80, 10, True), TracePoint(60, 10, True), TracePoint(40, 10, True)]
     window = ideal_budget_range(trace, k=3)
     assert (window.low, window.high) == (40, 80)
     quality = estimator_quality([(50, window), (100, window), (60, window)])
@@ -346,11 +348,11 @@ def test_criterion_08_metrics_arithmetic():
         }
     )
     pricing = ModelPricing("scripted-v1", 0.15, 0.60)
-    run = run_method(
+    report = aggregate_records(run_method(
         backend, Dataset("metrics", questions), MethodSpec("vanilla"), pricing, concurrency=1
-    )
-    assert abs(run.report.accuracy - 2 / 3) == 0.0
-    assert run.report.mean_output_tokens == 20.0
+    ))
+    assert abs(report.accuracy - 2 / 3) == 0.0
+    assert report.mean_output_tokens == 20.0
 
     usage = TokenUsage(100, 200, CountingSource.PROVIDER_REPORTED)
     assert compute_expense(usage, ModelPricing("m", 0.15, 0.60)) == 13.5
@@ -384,15 +386,15 @@ def test_criterion_09_pt_corpus_integrity(tmp_path):
     questions, backend = _pt_cohort()
 
     records = {q.id: search_optimal_budget(backend, q) for q in questions}
+    assert stale_targets(records, questions) == []
     sft_outcomes = [generate_target(backend, q, records[q.id]) for q in questions]
     sft_path = str(tmp_path / "corpus_sft.jsonl")
     manifest = export_corpus(
         sft_outcomes, SFT_FORMAT, sft_path,
-        dataset_name="pt-fixture", model_id="scripted-v1", questions=questions,
+        dataset_name="pt-fixture", model_id="scripted-v1",
     )
-    assert manifest.counts["attempted"] == 4
-    assert manifest.counts["succeeded"] == 3
-    assert manifest.counts["skipped"] == {"vanilla_incorrect": 1}
+    assert manifest["counts"] == {
+        "attempted": 4, "succeeded": 3, "skipped": {"vanilla_incorrect": 1}}
     loaded = read_jsonl(sft_path, SftExample)
     exported = [o for o in sft_outcomes if not isinstance(o, Skip)]
     assert loaded == exported
@@ -405,10 +407,10 @@ def test_criterion_09_pt_corpus_integrity(tmp_path):
     dpo_path = str(tmp_path / "corpus_dpo.jsonl")
     dpo_manifest = export_corpus(
         dpo_outcomes, DPO_FORMAT, dpo_path,
-        dataset_name="pt-fixture", model_id="scripted-v1", questions=questions,
+        dataset_name="pt-fixture", model_id="scripted-v1",
     )
     pairs = read_jsonl(dpo_path, PreferencePair)
-    assert dpo_manifest.counts["succeeded"] <= 3
+    assert dpo_manifest["counts"]["succeeded"] <= 3
     assert len(pairs) <= 3
     for pair in pairs:
         assert pair.meta["positive_tokens"] < pair.meta["negative_tokens"]

@@ -521,7 +521,19 @@ def test_dropped_caches_leave_no_descriptor_open(tmp_path):
     ResponseCache(str(path)).put("fp0", _outcome(0))
     corrupt = tmp_path / "corrupt.jsonl"
     corrupt.write_bytes(path.read_bytes()[:20] + b"\n" + path.read_bytes())
-    before = len(os.listdir("/proc/self/fd"))
+    watched = {os.path.realpath(path), os.path.realpath(corrupt)}
+
+    def open_on_the_caches() -> int:
+        """Descriptors of this process on the two cache files; no other test's count."""
+        count = 0
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                count += os.readlink(f"/proc/self/fd/{fd}") in watched
+            except OSError:  # the descriptor that listed the directory, closed since
+                pass
+        return count
+
+    assert open_on_the_caches() == 0
     errors = []
     for index in range(200):
         cache = ResponseCache(str(path))
@@ -530,9 +542,10 @@ def test_dropped_caches_leave_no_descriptor_open(tmp_path):
         with pytest.raises(DatasetError, match="line 1") as error:
             ResponseCache(str(corrupt))
         errors.append(error.value)
+    assert open_on_the_caches() == 2  # the live cache's reader and appender
     del cache
     # A load that fails closes its descriptor, even while its error is held.
-    assert len(os.listdir("/proc/self/fd")) == before
+    assert open_on_the_caches() == 0
 
 
 def test_cache_indexes_any_fingerprint_string(tmp_path):

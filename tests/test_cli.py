@@ -169,18 +169,35 @@ def test_eval_bad_config_is_fatal(tmp_path):
     assert main(["eval", "--config", str(bad), "--dataset", "x"]) == 1
 
 
-def test_eval_partial_sample_failures_exit_2(demo, monkeypatch):
-    from tokenbudget.evaluate import aggregate_records
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_eval_report_is_rebuilt_from_the_written_records(demo, capsys, fmt):
+    config, dataset, tmp = demo
+    out = str(tmp / "out")
+    methods = "direct,vanilla,ep,fixed:64"
+    assert main(["eval", "--config", config, "--dataset", dataset, "--out-dir", out,
+                 "--methods", methods, "--format", fmt]) == 0
+    manifest = _read_json(os.path.join(out, "run_manifest.json"))
+    runs = []
+    for method in map(evaluate.parse_method, methods.split(",")):
+        path = os.path.join(out, f"records_{method.slug}.jsonl")
+        runs.append((method, evaluate.read_jsonl(path, evaluate.SampleRecord)))
+    rebuilt = {form: evaluate.render_report(runs, DEMO_SCENARIO["name"], manifest["model_id"],
+                                            form, manifest["config_hash"])
+               for form in (fmt, "table_text")}
+    with open(os.path.join(out, f"report.{fmt}"), encoding="utf-8") as handle:
+        assert handle.read() == rebuilt[fmt]
+    assert capsys.readouterr().out == rebuilt["table_text"]
 
+
+def test_eval_partial_sample_failures_exit_2(demo, monkeypatch):
     config, dataset, tmp = demo
     real = cli.run_method
 
     def flaky(backend, dataset_obj, method, pricing, **kwargs):
-        run = real(backend, dataset_obj, method, pricing, **kwargs)
-        run.records[0].failed = True
-        run.records[0].error = "injected"
-        run.report = aggregate_records(run.records)
-        return run
+        records = real(backend, dataset_obj, method, pricing, **kwargs)
+        records[0].failed = True
+        records[0].error = "injected"
+        return records
 
     monkeypatch.setattr(cli, "run_method", flaky)
     code = main(["eval", "--config", config, "--dataset", dataset,
@@ -1029,15 +1046,40 @@ def test_ptdata_refuses_a_found_record_without_a_target_before_asking(demo, monk
 @pytest.mark.parametrize("fmt", ["sft", "dpo"])
 def test_ptdata_names_the_question_whose_target_no_longer_grades(demo, monkeypatch, capsys, fmt):
     config, dataset, tmp = demo
-    out, _, requests = _tampered_search(config, dataset, tmp, monkeypatch,
-                                        target_output="The answer is 999.")
+    out, path, requests = _tampered_search(config, dataset, tmp, monkeypatch,
+                                           target_output="The answer is 999.")
     capsys.readouterr()
     assert main(["ptdata", "--config", config, "--dataset", dataset, "--out-dir", out,
                  "--format", fmt]) == 1
     assert capsys.readouterr().err == (
-        "error: record 0 ('rebound') target no longer grades correct\n")
+        f"error: --out-dir: {path}: the target of 'rebound' no longer grades correct\n")
     assert requests == []
     assert not os.path.exists(os.path.join(out, f"corpus_{fmt}.jsonl"))
+
+
+def test_ptdata_refuses_a_stale_target_before_any_request_on_a_cold_cache(demo, monkeypatch,
+                                                                         capsys):
+    """A DPO export asks for each vanilla answer; with no cache, a refusal after
+    the first ask would already have sent requests and written a cache."""
+    config, dataset, tmp = demo
+    request = backend.ScriptedBackend._request
+    out, path, requests = _tampered_search(config, dataset, tmp, monkeypatch,
+                                           target_output="The answer is 999.")
+    # Requests are answered here, and counted.
+    monkeypatch.setattr(backend.ScriptedBackend, "_request",
+                        lambda self, prompt: requests.append(prompt) or request(self, prompt))
+    os.remove(os.path.join(out, "cache.jsonl"))
+
+    def snapshot():
+        return {name: (tmp / "out" / name).read_bytes() for name in os.listdir(out)}
+
+    before = snapshot()
+    assert main(["ptdata", "--config", config, "--dataset", dataset, "--out-dir", out,
+                 "--format", "dpo", "--concurrency", "1"]) == 1
+    assert requests == []
+    assert snapshot() == before and "cache.jsonl" not in before
+    assert capsys.readouterr().err == (
+        f"error: --out-dir: {path}: the target of 'rebound' no longer grades correct\n")
 
 
 def test_ptdata_search_error_record_is_a_skip_and_exits_2(demo, monkeypatch):

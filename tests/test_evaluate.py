@@ -176,11 +176,12 @@ def test_sample_of_fewer_than_one_is_domain_error(n):
 
 def test_three_sample_aggregation_oracle():
     dataset, backend = three_sample_cohort()
-    run = run_method(backend, dataset, MethodSpec("vanilla"), PRICING, concurrency=1)
-    assert run.report.accuracy == pytest.approx(2 / 3)
-    assert run.report.mean_output_tokens == 20.0
-    assert run.report.sample_count == 3
-    assert run.report.failed_count == 0
+    report = aggregate_records(
+        run_method(backend, dataset, MethodSpec("vanilla"), PRICING, concurrency=1))
+    assert report.accuracy == pytest.approx(2 / 3)
+    assert report.mean_output_tokens == 20.0
+    assert report.sample_count == 3
+    assert report.failed_count == 0
 
 
 def test_empty_cohort_is_domain_error():
@@ -191,14 +192,18 @@ def test_empty_cohort_is_domain_error():
 
 def test_aggregate_recomputable_from_records():
     dataset, backend = three_sample_cohort()
-    run = run_method(backend, dataset, MethodSpec("vanilla"), PRICING, concurrency=2)
-    assert aggregate_records(run.records) == run.report
+    records = run_method(backend, dataset, MethodSpec("vanilla"), PRICING, concurrency=2)
+    report = aggregate_records(records)
+    [row] = json.loads(render_report([(MethodSpec("vanilla"), records)], "fixture", "m",
+                                     JSON_FORMAT))["rows"]
+    assert (row["accuracy_pct"], row["output_tokens"], row["samples"], row["failed"]) == (
+        round(report.accuracy * 100, 2), report.mean_output_tokens, 3, 0)
 
 
 def test_records_stream_in_dataset_order_regardless_of_concurrency():
     dataset, backend = three_sample_cohort()
-    run = run_method(backend, dataset, MethodSpec("vanilla"), PRICING, concurrency=4)
-    assert [r.question_id for r in run.records] == ["a", "b", "c"]
+    records = run_method(backend, dataset, MethodSpec("vanilla"), PRICING, concurrency=4)
+    assert [r.question_id for r in records] == ["a", "b", "c"]
 
 
 def test_backend_failures_excluded_from_denominator():
@@ -214,12 +219,13 @@ def test_backend_failures_excluded_from_denominator():
         for i, q in enumerate(dataset.questions)
     }
     backend = Flaky(ScriptedScenario("fixture", dataset.questions, behaviors))
-    run = run_method(backend, dataset, MethodSpec("vanilla"), PRICING, concurrency=1)
-    assert run.report.failed_count == 1
-    assert run.report.sample_count == 2
+    records = run_method(backend, dataset, MethodSpec("vanilla"), PRICING, concurrency=1)
+    report = aggregate_records(records)
+    assert report.failed_count == 1
+    assert report.sample_count == 2
     # One graded correct of two graded: the failure is not a wrong answer.
-    assert run.report.accuracy == pytest.approx(1 / 2)
-    failed = [r for r in run.records if r.failed]
+    assert report.accuracy == pytest.approx(1 / 2)
+    failed = [r for r in records if r.failed]
     assert failed[0].question_id == "b" and "down" in failed[0].error
 
 
@@ -323,8 +329,8 @@ def test_pool_map_interrupted_wait_stops_every_worker():
 
 def test_ep_method_records_budget_fields(fig_like_question, fig_like_backend):
     dataset = Dataset("fig", [fig_like_question])
-    run = run_method(fig_like_backend, dataset, MethodSpec("ep"), PRICING, concurrency=1)
-    record = run.records[0]
+    records = run_method(fig_like_backend, dataset, MethodSpec("ep"), PRICING, concurrency=1)
+    record = records[0]
     assert record.estimated_budget == 50
     assert record.alpha == 1.0
     assert record.budget_used == 50
@@ -332,23 +338,23 @@ def test_ep_method_records_budget_fields(fig_like_question, fig_like_backend):
     assert record.total_output_tokens == 87  # plus the 1-token estimate
     assert record.usage_breakdown["estimation"]["output_tokens"] == 1
     assert record.usage_breakdown["answer"]["output_tokens"] == 86
-    assert run.report.mean_output_tokens == 86.0
+    assert aggregate_records(records).mean_output_tokens == 86.0
 
 
 def test_ep_method_can_include_estimation_tokens(fig_like_question, fig_like_backend):
     dataset = Dataset("fig", [fig_like_question])
-    run = run_method(
+    records = run_method(
         fig_like_backend, dataset, MethodSpec("ep"), PRICING,
         concurrency=1, include_estimation_tokens=True,
     )
-    assert run.records[0].output_tokens == 87
+    assert records[0].output_tokens == 87
 
 
 def test_fixed_budget_method(fig_like_question, fig_like_backend):
     dataset = Dataset("fig", [fig_like_question])
-    run = run_method(fig_like_backend, dataset, MethodSpec("fixed", budget=50), PRICING)
-    assert run.records[0].output_tokens == 86
-    assert run.records[0].budget_used == 50
+    [record] = run_method(fig_like_backend, dataset, MethodSpec("fixed", budget=50), PRICING)
+    assert record.output_tokens == 86
+    assert record.budget_used == 50
 
 
 def test_direct_method_sends_bare_prompt(fig_like_question):
@@ -384,13 +390,16 @@ def test_parse_method_tokens():
 
 def _runs_for_report():
     dataset, backend = three_sample_cohort()
-    vanilla = run_method(backend, dataset, MethodSpec("vanilla"), PRICING, concurrency=1)
-    direct = run_method(backend, dataset, MethodSpec("direct"), PRICING, concurrency=1)
-    return [vanilla, direct]
+    return [(method, run_method(backend, dataset, method, PRICING, concurrency=1))
+            for method in (MethodSpec("vanilla"), MethodSpec("direct"))]
+
+
+def _render(runs, fmt, config_hash=""):
+    return render_report(runs, "fixture", "scripted-v1", fmt, config_hash)
 
 
 def test_report_has_one_row_per_run_with_metric_columns():
-    text = render_report(_runs_for_report(), "table_text")
+    text = _render(_runs_for_report(), "table_text")
     lines = [line for line in text.splitlines() if line.startswith("fixture")]
     assert len(lines) == 2
     assert "ACC" in text and "Output Tokens" in text and "Expense" in text
@@ -398,17 +407,17 @@ def test_report_has_one_row_per_run_with_metric_columns():
 
 def test_report_json_round_trips_aggregates():
     runs = _runs_for_report()
-    document = json.loads(render_report(runs, JSON_FORMAT, config_hash="abc"))
-    assert document["config_hash"] == "abc"
+    document = json.loads(_render(runs, JSON_FORMAT, config_hash="abc"))
+    assert (document["config_hash"], document["model_id"]) == ("abc", "scripted-v1")
     vanilla_row = next(r for r in document["rows"] if r["method"] == "vanilla")
-    assert vanilla_row["accuracy_pct"] == round(runs[0].report.accuracy * 100, 2)
+    assert vanilla_row["accuracy_pct"] == round(aggregate_records(runs[0][1]).accuracy * 100, 2)
     assert vanilla_row["output_tokens"] == 20.0
 
 
 def test_report_csv_is_bit_stable():
     runs = _runs_for_report()
-    assert render_report(runs, CSV_FORMAT) == render_report(runs, CSV_FORMAT)
-    header = render_report(runs, CSV_FORMAT).splitlines()[0]
+    assert _render(runs, CSV_FORMAT) == _render(runs, CSV_FORMAT)
+    header = _render(runs, CSV_FORMAT).splitlines()[0]
     assert header.startswith("dataset,method,accuracy_pct")
 
 
@@ -424,7 +433,7 @@ def test_report_token_reduction_column_against_published_averages():
 
 def test_report_reduction_column_appears_for_non_vanilla_methods():
     runs = _runs_for_report()
-    rows = json.loads(render_report(runs, JSON_FORMAT))["rows"]
+    rows = json.loads(_render(runs, JSON_FORMAT))["rows"]
     vanilla_row = next(r for r in rows if r["method"] == "vanilla")
     direct_row = next(r for r in rows if r["method"] == "direct")
     assert vanilla_row["token_reduction_pct"] is None
@@ -433,4 +442,4 @@ def test_report_reduction_column_appears_for_non_vanilla_methods():
 
 def test_report_empty_runs_rejected():
     with pytest.raises(ValueError):
-        render_report([], "table_text")
+        _render([], "table_text")

@@ -20,6 +20,7 @@ from tokenbudget.ptdata import (
     export_corpus,
     generate_target,
     manifest_path,
+    stale_targets,
 )
 from tokenbudget.search import SearchRecord, search_optimal_budget
 
@@ -221,21 +222,19 @@ def test_export_counts_and_round_trip(tmp_path, rebound_question, rebound_backen
             path,
             dataset_name="fixture",
             model_id="scripted-v1",
-            questions=[rebound_question],
         )
 
     path = str(tmp_path / "corpus_sft.jsonl")
     manifest = export(path)
-    assert manifest.counts["attempted"] == 3
-    assert manifest.counts["succeeded"] == 2
-    assert manifest.counts["skipped"] == {"vanilla_incorrect": 1}
+    assert manifest["counts"] == {
+        "attempted": 3, "succeeded": 2, "skipped": {"vanilla_incorrect": 1}}
 
     loaded = read_jsonl(path, SftExample)
     assert loaded == [example, other]
 
     with open(manifest_path(path)) as handle:
         on_disk = json.load(handle)
-    assert on_disk["counts"]["succeeded"] == 2
+    assert on_disk == manifest
     assert on_disk["dataset"] == "fixture"
 
     # No timestamp: exporting the same records again gives the same manifest bytes.
@@ -249,7 +248,7 @@ def test_export_dpo_round_trip(tmp_path, rebound_question, rebound_backend):
     record = search_optimal_budget(rebound_backend, rebound_question)
     pair = build_preference_pair(rebound_backend, rebound_question, record)
     path = str(tmp_path / "corpus_dpo.jsonl")
-    export_corpus([pair], DPO_FORMAT, path, questions=[rebound_question])
+    export_corpus([pair], DPO_FORMAT, path)
     assert read_jsonl(path, PreferencePair) == [pair]
     with open(path) as handle:
         record = json.loads(handle.readline())
@@ -322,16 +321,16 @@ def test_export_aborts_on_schema_violation_with_index(tmp_path):
         export_corpus([good, bad], SFT_FORMAT, str(tmp_path / "c.jsonl"))
 
 
-def test_export_regrades_targets_against_questions(tmp_path, rebound_question):
-    stale = SftExample(
-        input=f"{rebound_question.text}\nLet's think step by step:",
-        target="The answer is 999.",
-        meta={"question_id": "rebound", "optimal_budget": 64, "output_tokens": 70},
-    )
-    with pytest.raises(ValueError, match="record 0"):
-        export_corpus(
-            [stale], SFT_FORMAT, str(tmp_path / "c.jsonl"), questions=[rebound_question]
-        )
+def test_stale_targets_regrades_each_found_target(rebound_question, rebound_backend):
+    wrong, wrong_backend = wrong_vanilla_question()
+    records = {
+        "rebound": search_optimal_budget(rebound_backend, rebound_question),
+        "wrong": search_optimal_budget(wrong_backend, wrong),
+    }
+    assert records["wrong"].status == "vanilla_incorrect"
+    assert stale_targets(records, [rebound_question, wrong]) == []
+    records["rebound"].target_output = "The answer is 999."
+    assert stale_targets(records, [wrong, rebound_question]) == ["rebound"]
 
 
 def test_export_enforces_pair_length_invariant(tmp_path, rebound_question):

@@ -11,7 +11,6 @@ import pytest
 from tokenbudget.backend import ScriptedEntry
 from tokenbudget.prompting import PromptTemplates
 from tokenbudget.search import (
-    ElasticityTrace,
     IdealRange,
     SearchRecord,
     TracePoint,
@@ -26,13 +25,11 @@ from tokenbudget.search import (
 from conftest import behavior_from_curve, count_misses, make_question, scripted_backend
 
 
-def trace_of(costs, budgets=None, correct=None) -> ElasticityTrace:
+def trace_of(costs, budgets=None, correct=None) -> tuple[TracePoint, ...]:
     n = len(costs)
     budgets = budgets or [2 ** (n + 2 - i) for i in range(n)]
     correct = correct or [True] * n
-    return ElasticityTrace(
-        [TracePoint(b, c, ok) for b, c, ok in zip(budgets, costs, correct)]
-    )
+    return tuple(TracePoint(b, c, ok) for b, c, ok in zip(budgets, costs, correct))
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +43,7 @@ def test_rebound_curve_finds_64(rebound_question, rebound_backend):
     result = search_optimal_budget(rebound_backend, rebound_question)
     assert result.status == "found"
     assert result.optimal_budget == 64
-    observed = [(p.budget, p.output_tokens, p.correct) for p in result.trace.points]
+    observed = [(p.budget, p.output_tokens, p.correct) for p in result.trace]
     assert observed == [(256, 130, True), (128, 120, True), (64, 70, True), (32, 90, True)]
 
 
@@ -65,12 +62,12 @@ def test_overridden_budgeted_suffix_finds_the_same_optimum(rebound_question):
     )
 
     def observed(result):
-        return [(p.budget, p.output_tokens, p.correct) for p in result.trace.points]
+        return [(p.budget, p.output_tokens, p.correct) for p in result.trace]
 
     assert overridden.optimal_budget == default.optimal_budget == 64
     assert observed(overridden) == observed(default)
     fingerprints = [
-        {p.response_fingerprint for p in result.trace.points}
+        {p.response_fingerprint for p in result.trace}
         for result in (default, overridden)
     ]
     assert fingerprints[0].isdisjoint(fingerprints[1])
@@ -88,7 +85,7 @@ def test_vanilla_incorrect_aborts(rebound_question):
     assert result.status == "vanilla_incorrect"
     assert result.optimal_budget is None
     assert result.target_output is None
-    assert len(result.trace.points) == 0
+    assert len(result.trace) == 0
     assert result.upper_bound == 256
 
 
@@ -103,8 +100,8 @@ def test_cost_tie_fails_strict_decrease():
     )
     result = search_optimal_budget(backend, question)
     assert result.optimal_budget == 2
-    assert result.trace.points[-1].budget == 1
-    assert result.trace.points[-1].output_tokens == 1
+    assert result.trace[-1].budget == 1
+    assert result.trace[-1].output_tokens == 1
 
 
 def test_unreasonable_budget_rejected_reasonable_kept():
@@ -117,7 +114,7 @@ def test_unreasonable_budget_rejected_reasonable_kept():
     )
     result = search_optimal_budget(backend, question)
     assert result.optimal_budget == 50
-    rejected = result.trace.points[-1]
+    rejected = result.trace[-1]
     assert rejected.budget == 25 and rejected.output_tokens == 157
 
 
@@ -142,7 +139,7 @@ def test_first_candidate_infeasible_falls_back_to_upper_bound():
 def test_vanilla_baseline_skips_probe(rebound_question, rebound_backend):
     result = search_optimal_budget(rebound_backend, rebound_question, baseline="vanilla")
     assert result.optimal_budget == 64
-    observed = [(p.budget, p.output_tokens) for p in result.trace.points]
+    observed = [(p.budget, p.output_tokens) for p in result.trace]
     assert observed == [(128, 120), (64, 70), (32, 90)]
 
 
@@ -159,7 +156,7 @@ def test_upper_bound_one_has_no_candidates():
     result = search_optimal_budget(backend, question)
     assert result.status == "found"
     assert result.optimal_budget == 1
-    assert len(result.trace.points) == 0
+    assert len(result.trace) == 0
 
 
 def test_zero_token_vanilla_means_no_feasible_budget():
@@ -180,8 +177,11 @@ def test_search_query_bound(rebound_question, rebound_backend):
 
 
 def test_trace_budgets_strictly_decreasing_enforced():
-    with pytest.raises(ValueError):
-        ElasticityTrace([TracePoint(10, 5, True), TracePoint(10, 6, True)])
+    for trace in ([TracePoint(10, 5, True), TracePoint(10, 6, True)],
+                  [{"budget": 8, "output_tokens": 5, "correct": True},
+                   {"budget": 16, "output_tokens": 6, "correct": True}]):
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            SearchRecord("q", "no_feasible_budget", upper_bound=0, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +238,7 @@ def test_window_of_a_single_correct_point():
 
 def test_window_domain_errors():
     with pytest.raises(ValueError):
-        ideal_budget_range(ElasticityTrace([]), k=1)
+        ideal_budget_range((), k=1)
     with pytest.raises(ValueError):
         ideal_budget_range(trace_of([1, 2]), k=3)
     wrong_only = trace_of([5], budgets=[4], correct=[False])
