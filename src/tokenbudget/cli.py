@@ -6,9 +6,9 @@ and pool size) with no side effect, and the out-dir appears at the first
 write; so a bad flag, config, dataset, credential, pricing or input file exits
 1 before any output or request. Per-question tasks fan out through the only
 scheduler, evaluate._pool_map, which also holds the one failure policy: a
-provider error that outlasted the retries fails that question (exit 2), any
-other error is fatal (exit 1). Re-running with an intact cache issues no
-upstream calls and reproduces byte-identical files.
+provider error that outlasted the retries becomes its question's failure
+record (exit 2), any other error is fatal (exit 1). Re-running with an
+intact cache issues no upstream calls and reproduces byte-identical files.
 """
 
 from __future__ import annotations
@@ -234,11 +234,13 @@ class VerbContext:
         os.makedirs(self.args.out_dir, exist_ok=True)
         return os.path.join(self.args.out_dir, name)
 
-    def map(self, worker, items) -> list:
-        """Worker results in input order; a per-question failure is its exception."""
-        results = _pool_map(worker, items, self.concurrency)
-        self.failed = self.failed or any(isinstance(r, Exception) for r in results)
-        return results
+    def map(self, worker, items, failed) -> list:
+        """Worker results in input order; a provider error puts ``failed(item,
+        error)`` in its item's place and marks the run failed (exit 2)."""
+        def failure(item, error):
+            self.failed = True
+            return failed(item, error)
+        return _pool_map(worker, items, self.concurrency, failure)
 
     def finish(self, **details) -> int:
         # Deliberately no wall-clock timestamp: reruns must be byte-identical.
@@ -284,6 +286,8 @@ def cmd_eval(args) -> int:
         methods = [parse_method(token, alpha=alpha) for token in args.methods.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--methods: {exc}") from exc
+    if repeated := [m.label for index, m in enumerate(methods) if m in methods[:index]]:
+        raise ConfigError(f"--methods: {repeated[0]!r} is named twice")
     ctx = VerbContext(args, "eval")
     config = ctx.config
     pricing = config.pricing.for_model(config.model_id)
@@ -314,19 +318,17 @@ def cmd_eval(args) -> int:
 
 def cmd_search(args) -> int:
     ctx = VerbContext(args, "search")
-    questions = ctx.dataset.questions
     records = ctx.map(
         lambda question: search_optimal_budget(ctx.backend, question, baseline=args.baseline),
-        questions,
+        ctx.dataset.questions,
+        lambda question, error: SearchRecord(question.id, "error", error=str(error)),
     )
 
     with open(ctx.path("search_results.jsonl"), "w", encoding="utf-8") as handle, \
             open(ctx.path("elasticity.csv"), "w", encoding="utf-8", newline="") as csv_handle:
         writer = csv.writer(csv_handle, lineterminator="\n")
         writer.writerow(["question_id", "iteration", "budget", "output_tokens", "correct"])
-        for question, record in zip(questions, records):
-            if isinstance(record, Exception):
-                record = SearchRecord(question.id, "error", error=str(record))
+        for record in records:
             handle.write(record.line() + "\n")
             writer.writerows(record.elasticity_rows())
 
@@ -413,12 +415,7 @@ def cmd_ptdata(args) -> int:
                            "no longer grades correct")
     builder = generate_target if args.format == SFT_FORMAT else build_preference_pair
     outcomes = ctx.map(lambda q: builder(ctx.backend, q, records[q.id], args.pt_input),
-                       dataset.questions)
-    outcomes = [
-        Skip(question_id=question.id, reason=f"backend_error: {outcome}")
-        if isinstance(outcome, Exception) else outcome
-        for question, outcome in zip(dataset.questions, outcomes)
-    ]
+                       dataset.questions, lambda q, error: Skip(q.id, f"backend_error: {error}"))
     ctx.failed = ctx.failed or any(records[q.id].status == "error" for q in dataset.questions)
 
     corpus_path = ctx.path(f"corpus_{args.format}.jsonl")
@@ -462,13 +459,10 @@ def cmd_audit(args) -> int:
     outcomes = ctx.map(
         lambda item: monotonicity_audit(ctx.backend, *item, multipliers=multipliers),
         auditable,
+        lambda item, error: {"question_id": item[0].id, "reason": f"backend_error: {error}"},
     )
-    audits = []
-    for (question, _), outcome in zip(auditable, outcomes):
-        if isinstance(outcome, Exception):
-            skipped.append({"question_id": question.id, "reason": f"backend_error: {outcome}"})
-        else:
-            audits.append(outcome)
+    skipped += [outcome for outcome in outcomes if isinstance(outcome, dict)]
+    audits = [outcome for outcome in outcomes if not isinstance(outcome, dict)]
 
     per_multiplier = []
     for index, multiplier in enumerate(multipliers):

@@ -61,14 +61,17 @@ def _jsonl_objects(path: str):
 
 
 def read_jsonl(path: str, record_type=dict) -> list:
-    """``record_type(**object)`` per JSONL line; a missing or unknown key, or
-    a value the type rejects, is a DatasetError naming the line."""
-    records = []
+    """``record_type(**object)`` per JSONL line; a missing or unknown key, a value
+    the type rejects, or a repeated ``question_id`` is a DatasetError naming the line."""
+    records, seen = [], set()
     for number, item in _jsonl_objects(path):
         try:
             records.append(record_type(**item))
         except (TypeError, ValueError) as exc:
             raise DatasetError(f"{path}: line {number}: {exc}") from exc
+        if (key := getattr(records[-1], "question_id", number)) in seen:
+            raise DatasetError(f"{path}: line {number}: a second record of {key!r}")
+        seen.add(key)
     return records
 
 
@@ -273,27 +276,19 @@ _PROMPT_KINDS = {
 }
 
 
-def _pool_map(worker, items, concurrency: int):
+def _pool_map(worker, items, concurrency: int, failed):
     """Run worker over a sequence of items on a bounded pool, results in input order.
 
     The harness's only scheduler, and its one per-question failure policy: a
     provider error that outlasted the retries (TransportError, RateLimitError
-    among them, or ProtocolError) is returned in its item's place; any other
-    error is fatal and propagates. At concurrency 1 the items run inline.
-    Otherwise ``min(concurrency, len(items))`` threads take the next index
-    from one shared iterator, so an item costs no future or queue hand-off.
-    A fatal error, or an interrupt while the caller waits, stops every thread
-    from starting another item; it is raised once all of them have returned.
+    among them, or ProtocolError) puts ``failed(item, error)`` in its item's
+    place; any other error is fatal and propagates. ``min(concurrency,
+    len(items))`` threads, one at concurrency 1, take the next index from one
+    shared iterator, so an item costs no future or queue hand-off. A fatal
+    error, or an interrupt while the caller waits, stops every thread from
+    starting another item; it is raised once all of them have returned, so
+    Ctrl-C waits for the items in flight.
     """
-
-    def guarded(item):
-        try:
-            return worker(item)
-        except (TransportError, ProtocolError) as exc:
-            return exc
-
-    if concurrency == 1:
-        return [guarded(item) for item in items]
     results = [None] * len(items)
     indices = iter(range(len(items)))
     fatal: list[BaseException] = []
@@ -304,7 +299,10 @@ def _pool_map(worker, items, concurrency: int):
             for index in indices:
                 if fatal:
                     return
-                results[index] = guarded(items[index])
+                try:
+                    results[index] = worker(items[index])
+                except (TransportError, ProtocolError) as exc:
+                    results[index] = failed(items[index], exc)
         except BaseException as exc:
             fatal.append(exc)
         finally:
@@ -386,8 +384,8 @@ def run_method(
 ) -> list[SampleRecord]:
     """Execute one method over the cohort with bounded parallelism.
 
-    A provider error that _pool_map returns in a question's place becomes a
-    failed record, excluded from the aggregate; any other error is fatal.
+    A question that a provider error fails gets a failed record from
+    _pool_map, excluded from the aggregate; any other error is fatal.
     Records come back in dataset order regardless of completion order, so
     outputs stay byte-stable.
     """
@@ -396,16 +394,13 @@ def run_method(
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
 
-    results = _pool_map(
+    return _pool_map(
         lambda question: _run_sample(backend, question, method, pricing, include_estimation_tokens),
         dataset.questions,
         concurrency,
+        lambda question, error: SampleRecord(question.id, method.label, failed=True,
+                                             error=str(error)),
     )
-    return [
-        SampleRecord(question_id=question.id, method=method.label, failed=True, error=str(result))
-        if isinstance(result, Exception) else result
-        for question, result in zip(dataset.questions, results)
-    ]
 
 
 # ---------------------------------------------------------------------------

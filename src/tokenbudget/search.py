@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .backend import CompletionBackend
-from .core import CompletionOutcome, Question, clamp_budget
+from .core import CompletionOutcome, Question, _typed, clamp_budget
 from .evaluate import encode_record
 from .grading import grade
 from .prompting import PromptKind
@@ -38,6 +38,16 @@ class TracePoint:
     output_tokens: int
     correct: bool
     response_fingerprint: str | None = None
+
+
+def _read_point(row: dict, where: str) -> TracePoint:
+    """A trace row read back, each field of its JSON type, budget >= 1, output_tokens >= 0."""
+    point = TracePoint(**_typed(row, where, {"response_fingerprint"}, budget=int,
+                                output_tokens=int, correct=bool, response_fingerprint=str))
+    if point.budget < 1 or point.output_tokens < 0:
+        raise ValueError(f"{where} needs budget >= 1 and output_tokens >= 0, got "
+                         f"{point.budget} and {point.output_tokens}")
+    return point
 
 
 STATUSES = ("found", "vanilla_incorrect", "no_feasible_budget", "error")
@@ -64,9 +74,12 @@ class SearchRecord:
     error: str | None = None
 
     def __post_init__(self):
+        if self.question_id.__class__ is not str:
+            raise ValueError(f"question_id must be a string, got {self.question_id!r}")
         if self.status not in STATUSES:
             raise ValueError(f"status must be one of {', '.join(STATUSES)}, got {self.status!r}")
-        self.trace = tuple(p if isinstance(p, TracePoint) else TracePoint(**p) for p in self.trace)
+        self.trace = tuple(p if isinstance(p, TracePoint) else _read_point(p, f"trace[{i}]")
+                           for i, p in enumerate(self.trace))
         if any(b.budget >= a.budget for a, b in zip(self.trace, self.trace[1:])):
             raise ValueError("trace budgets must be strictly decreasing")
         if self.upper_bound.__class__ not in (int, type(None)):

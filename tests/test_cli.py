@@ -443,6 +443,10 @@ _BAD_SEARCH_RECORDS = [
      json.dumps(dict(_FOUND, optimal_budget=128, upper_bound=256,
                      trace=_FOUND["trace"][::-1])) + "\n",
      "trace budgets must be strictly decreasing"),
+    ("trace-row-correct-a-string",
+     json.dumps(dict(_FOUND, optimal_budget=256, upper_bound=256,
+                     trace=[_FOUND["trace"][0], dict(_FOUND["trace"][1], correct="no")])) + "\n",
+     'trace[1].correct must be a boolean, got "no"'),
     ("record-not-an-object", "[]\n", "not a JSON object"),
 ]
 _GOOD_QUESTION = {"id": "q0", "text": "Q?", "gold_answer": "1",
@@ -614,6 +618,9 @@ def _dataset_refusal(id, problem, fmt, content):
     _flag_refusal("eval", "--methods", "fixed:2.5", f": 'fixed:2.5'{_FIXED_N}"),
     _flag_refusal("eval", "--methods", "direct,best", ": unknown method 'best' "
                   "(expected direct|vanilla|ep|fixed:N)"),
+    _flag_refusal("eval", "--methods", "vanilla,vanilla", ": 'vanilla' is named twice"),
+    _flag_refusal("eval", "--methods", "direct,fixed:64,ep,fixed:064",
+                  ": 'fixed(64)' is named twice"),
     _flag_refusal("audit", "--multipliers", "0.5,inf", f"{_NOT_POSITIVE}inf"),
     _flag_refusal("audit", "--multipliers", "nan", f"{_NOT_POSITIVE}nan"),
     _flag_refusal("audit", "--multipliers", "1,0", f"{_NOT_POSITIVE}0.0"),
@@ -631,6 +638,9 @@ def _dataset_refusal(id, problem, fmt, content):
              "'out/search_results.jsonl'", verb="ptdata", search=None),
     _refusal("ptdata-over-a-torn-search", "--out-dir: out/search_results.jsonl: line 2: "
              "malformed JSON", verb="ptdata", search=_SEARCH_LINES[0] + '{"question_id": "mo'),
+    _refusal("ptdata-search-with-a-question-twice",
+             "--out-dir: out/search_results.jsonl: line 2: a second record of 'rebound'",
+             verb="ptdata", search=_SEARCH_LINES[0] * 2),
     _refusal("ptdata-search-without-a-cohort-question",
              "--out-dir: out/search_results.jsonl: no search record for 'wrong'",
              verb="ptdata", search=_SEARCH_LINES[0] + _SEARCH_LINES[1]),
@@ -897,6 +907,31 @@ def test_malformed_search_results_name_the_file_and_the_line(demo, capsys):
                  {"question_id": "rebound", "status": "found", "optimal_budget": 4,
                   "trace": [{"budget": 4, "correct": True}]},
                  "'output_tokens'", id="trace-row-without-output-tokens"),
+    *[pytest.param(verb, "--search-output",
+                   dict(_FOUND, optimal_budget=256, upper_bound=256,
+                        trace=[_FOUND["trace"][0], dict(_FOUND["trace"][1], **change)]),
+                   problem, id=f"{verb}-trace-row-{name}")
+      for verb in ("elasticity", "audit")
+      for name, change, problem in (
+          ("output-tokens-a-string", {"output_tokens": "90"},
+           'trace[1].output_tokens must be an integer, got "90"'),
+          ("output-tokens-negative", {"output_tokens": -1},
+           "trace[1] needs budget >= 1 and output_tokens >= 0, got 128 and -1"),
+          ("correct-a-string", {"correct": "no"}, 'trace[1].correct must be a boolean, got "no"'),
+          ("budget-a-fraction", {"budget": 31.5}, "trace[1].budget must be an integer, got 31.5"),
+          ("budget-0", {"budget": 0}, "trace[1] needs budget >= 1 and output_tokens >= 0, got 0"),
+          ("fingerprint-a-number", {"response_fingerprint": 5},
+           "trace[1].response_fingerprint must be a string or null, got 5"),
+      )],
+    *[pytest.param(verb, flag, line, "a second record of 'mono'",
+                   id=f"{verb}-{flag[2:]}-question-twice")
+      for verb, flag, line in (
+          ("elasticity", "--search-output", {"question_id": "mono", "status": "vanilla_incorrect"}),
+          ("audit", "--search-output", {"question_id": "mono", "status": "vanilla_incorrect"}),
+          ("elasticity", "--estimates", {"question_id": "mono", "method": "ep"}))],
+    *[pytest.param(verb, "--search-output", {"question_id": ["mono"], "status": "vanilla_incorrect"},
+                   "question_id must be a string, got ['mono']", id=f"{verb}-question-id-a-list")
+      for verb in ("elasticity", "audit")],
     pytest.param("elasticity", "--estimates", {"method": "ep", "estimated_budget": 50},
                  "'question_id'", id="ep-record-without-question-id"),
     *[pytest.param("elasticity", "--estimates",
@@ -1646,6 +1681,48 @@ def test_demo_outputs_do_not_depend_on_concurrency(demo, capsys):
     sequential = run_demo(1)
     assert "corpus_sft.manifest.json" in sequential[0]
     assert run_demo(4) == sequential
+
+
+@pytest.mark.parametrize("verb, failures", [
+    ("search", "search_results.jsonl"),
+    ("eval", "records_vanilla.jsonl"),
+    ("ptdata", "corpus_dpo.manifest.json"),
+    ("audit", "audit_report.json"),
+])
+def test_a_provider_error_fails_only_its_question_at_any_concurrency(demo, monkeypatch, capsys,
+                                                                     verb, failures):
+    config, dataset, tmp = demo
+    search_out = tmp / "search"
+    assert main(["search", "--config", config, "--dataset", dataset,
+                 "--out-dir", str(search_out)]) == 0
+    mono = next(q["text"] for q in DEMO_SCENARIO["questions"] if q["id"] == "mono")
+    real = backend.ScriptedBackend._request
+
+    def request(self, prompt):
+        if mono in prompt.user:
+            raise TransportError("connection reset")
+        return real(self, prompt)
+
+    monkeypatch.setattr(backend.ScriptedBackend, "_request", request)
+    out = tmp / "out"
+    argv = [verb, "--config", config, "--dataset", dataset, "--out-dir", str(out)]
+    argv += {"eval": ["--methods", "direct,vanilla,ep,fixed:64"], "ptdata": ["--format", "dpo"],
+             "audit": ["--search-output", str(search_out / "search_results.jsonl")]}.get(verb, [])
+
+    def run(concurrency):
+        if verb == "ptdata":
+            # The search's records without its cache: the DPO vanilla asks go upstream.
+            out.mkdir()
+            shutil.copy(search_out / "search_results.jsonl", out)
+        assert main([*argv, "--concurrency", str(concurrency)]) == 2
+        files = _tree(out)
+        files["cache.jsonl"] = sorted(files["cache.jsonl"].splitlines())
+        shutil.rmtree(out)
+        return files, capsys.readouterr().out
+
+    sequential = run(1)
+    assert b"connection reset" in sequential[0][failures]
+    assert run(4) == sequential
 
 
 # ---------------------------------------------------------------------------

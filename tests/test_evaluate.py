@@ -229,6 +229,10 @@ def test_backend_failures_excluded_from_denominator():
     assert failed[0].question_id == "b" and "down" in failed[0].error
 
 
+def _unused(item, error):
+    raise AssertionError(f"no provider error was raised, got {error!r} for {item!r}")
+
+
 @pytest.mark.parametrize("concurrency", [1, 4])
 def test_pool_map_returns_provider_errors_in_their_items_place(concurrency):
     errors = {2: TransportError("down"), 3: RateLimitError("429"), 5: ProtocolError("garbled")}
@@ -238,8 +242,9 @@ def test_pool_map_returns_provider_errors_in_their_items_place(concurrency):
             raise errors[item]
         return item * 10
 
-    results = _pool_map(worker, range(7), concurrency)
-    assert results == [0, 10, errors[2], errors[3], 40, errors[5], 60]
+    results = _pool_map(worker, range(7), concurrency, lambda item, error: ("failed", item, error))
+    assert results == [0, 10, ("failed", 2, errors[2]), ("failed", 3, errors[3]), 40,
+                       ("failed", 5, errors[5]), 60]
 
 
 @pytest.mark.parametrize("concurrency", [1, 4])
@@ -250,7 +255,7 @@ def test_pool_map_raises_any_other_error(concurrency):
         return item
 
     with pytest.raises(ConfigError, match="no pricing"):
-        _pool_map(worker, range(7), concurrency)
+        _pool_map(worker, range(7), concurrency, _unused)
 
 
 @pytest.mark.parametrize("concurrency", [1, 4])
@@ -268,7 +273,7 @@ def test_pool_map_fatal_error_cancels_queued_items(concurrency):
         return item
 
     with pytest.raises(ConfigError, match="no pricing"):
-        _pool_map(worker, range(200), concurrency)
+        _pool_map(worker, range(200), concurrency, _unused)
     assert len(started) <= 2 * concurrency
     # No worker is left running.
     assert threading.active_count() == before
@@ -294,17 +299,19 @@ def test_pool_map_runs_each_item_once_and_never_more_than_concurrency_at_a_time(
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        results = _pool_map(worker, range(items), concurrency)
+        results = _pool_map(worker, range(items), concurrency, _unused)
     finally:
         sys.setswitchinterval(interval)
     assert results == [item * 10 for item in range(items)]
     assert sorted(calls) == list(range(items))
+    if concurrency == 1:
+        assert calls == list(range(items))
     assert 1 <= peak <= min(concurrency, items)
 
 
 @pytest.mark.parametrize("concurrency", [1, 4])
 def test_pool_map_of_no_items_is_empty(concurrency):
-    assert _pool_map(lambda item: item, [], concurrency) == []
+    assert _pool_map(lambda item: item, [], concurrency, _unused) == []
 
 
 def test_pool_map_interrupted_wait_stops_every_worker():
@@ -322,9 +329,33 @@ def test_pool_map_interrupted_wait_stops_every_worker():
         return item
 
     with pytest.raises(KeyboardInterrupt):
-        _pool_map(worker, range(1000), 2)
+        _pool_map(worker, range(1000), 2, _unused)
     assert threading.active_count() == before
     assert len(started) < 100
+
+
+def test_pool_map_at_concurrency_1_runs_on_one_worker_thread_and_an_interrupt_waits_for_it():
+    before = threading.active_count()
+    main = threading.main_thread().ident
+    threads, finished = set(), []
+
+    def worker(item):
+        threads.add(threading.get_ident())
+        if item == 0:
+            # Long enough that the caller is waiting on the worker; the item
+            # in flight then runs to its end after the interrupt.
+            time.sleep(0.2)
+            signal.pthread_kill(main, signal.SIGINT)
+            time.sleep(0.1)
+        time.sleep(0.01)
+        finished.append(item)
+        return item
+
+    with pytest.raises(KeyboardInterrupt):
+        _pool_map(worker, range(1000), 1, _unused)
+    assert finished[0] == 0 and len(finished) < 100
+    assert len(threads) == 1 and main not in threads
+    assert threading.active_count() == before
 
 
 def test_ep_method_records_budget_fields(fig_like_question, fig_like_backend):
