@@ -52,6 +52,7 @@ from .core import (
     count_tokens_approx,
 )
 from .errors import ConfigError, DatasetError, ProtocolError, RateLimitError, TransportError
+from .jsonstream import JSONStream, build_each, not_utf8
 from .prompting import DEFAULT_TEMPLATES, Prompt, PromptKind, PromptTemplates, build_prompt
 
 
@@ -528,6 +529,15 @@ def _object(value, where: str) -> None:
 def parse_scripted_file(path: str) -> ScriptedScenario:
     """Load a scripted fixture: per-question entries with budget-keyed cost curves.
 
+    The file is read as ``json.load`` reads it, but through a JSONStream:
+    the ``questions`` array is decoded one question at a time, and each is
+    built and dropped before the next is read, so the load holds the
+    scenario and one question's raw JSON, not the whole document. Keys may
+    come in any order, and a repeated key counts with its last value. Every
+    error is the one a whole-file parse gives: a syntax error anywhere
+    first, then the shape of the document, then the first bad question,
+    then ``default_behavior``.
+
     A fixture repeats its entries (the bench cohort holds about 2,700
     distinct ones among 18,000), so each distinct raw
     ``(output_tokens, correct, text)`` is checked and built once. Equal raw
@@ -535,17 +545,6 @@ def parse_scripted_file(path: str) -> ScriptedScenario:
     ``1.0`` and ``true``; an unhashable value is checked every time, and a
     failure is never cached. Error locations are formatted only to raise.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    if data.__class__ is not dict:
-        _object(data, f"{path}: the scripted fixture")
-    items = data.get("questions", [])
-    if not isinstance(items, list):
-        raise DatasetError(f"{path}: questions must be a JSON list, got {type(items).__name__}")
-
     built: dict[tuple, ScriptedEntry] = {}
 
     def entry(raw, where: str, *parts) -> ScriptedEntry:
@@ -580,10 +579,9 @@ def parse_scripted_file(path: str) -> ScriptedScenario:
     def at(index: int) -> str:
         return f"{path} questions[{index}]"
 
-    questions: list[Question] = []
-    behaviors: dict[str, ScriptedBehavior] = {}
-    seen_ids: set[str] = set()
-    for index, item in enumerate(items):
+    def build_question(index: int, item) -> Question:
+        """The question of ``questions[index]``; its behavior goes into
+        ``behaviors``, and ``seen_ids`` holds the ids of the questions before it."""
         if item.__class__ is not dict:
             _object(item, f"question at {at(index)}")
         try:
@@ -601,11 +599,10 @@ def parse_scripted_file(path: str) -> ScriptedScenario:
         if question.id in seen_ids:
             raise DatasetError(f"duplicate question id {question.id!r} at {at(index)}")
         seen_ids.add(question.id)
-        questions.append(question)
 
         raw = item.get("behavior")
         if raw is None:
-            continue
+            return question
         if raw.__class__ is not dict:
             _object(raw, f"behavior at {at(index)}")
         if "vanilla" not in raw:
@@ -628,12 +625,44 @@ def parse_scripted_file(path: str) -> ScriptedScenario:
             default=entry(raw["default"], "{} questions[{}].default", index)
             if "default" in raw else None,
         )
+        return question
+
+    # The last ``questions`` value: its cohort, or the error that refuses it.
+    parsed: tuple | DatasetError = ([], {})
+    top = {}
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            stream = JSONStream(handle)
+            if stream.peek() != "{":
+                _object(stream.value(), f"{path}: the scripted fixture")
+            for key in stream.members():
+                if key != "questions":
+                    value = stream.value()
+                    if key in ("name", "default_behavior"):
+                        top[key] = value
+                elif stream.peek() == "[":
+                    behaviors: dict[str, ScriptedBehavior] = {}
+                    seen_ids: set[str] = set()
+                    try:
+                        parsed = build_each(enumerate(stream.items()), build_question), behaviors
+                    except DatasetError as exc:
+                        parsed = exc
+                else:
+                    parsed = DatasetError(f"{path}: questions must be a JSON list, "
+                                          f"got {type(stream.value()).__name__}")
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from exc
+    if isinstance(parsed, DatasetError):
+        raise parsed
+    questions, behaviors = parsed
 
     default_entry = None
-    if "default_behavior" in data:
-        default_entry = entry(data["default_behavior"], "{} default_behavior")
+    if "default_behavior" in top:
+        default_entry = entry(top["default_behavior"], "{} default_behavior")
     return ScriptedScenario(
-        name=data.get("name", os.path.basename(path)),
+        name=top.get("name", os.path.basename(path)),
         questions=questions,
         behaviors=behaviors,
         default_entry=default_entry,

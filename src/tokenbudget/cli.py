@@ -34,7 +34,7 @@ from .backend import (
     parse_scripted_file,
 )
 from .core import PricingTable, _typed
-from .errors import ConfigError, DatasetError, HarnessError
+from .errors import ConfigError, DatasetError, EncodingError, HarnessError
 from .evaluate import (
     JSON_FORMAT,
     TABLE_TEXT,
@@ -51,6 +51,7 @@ from .evaluate import (
     sample_dataset,
     write_json,
 )
+from .jsonstream import not_utf8
 from .prompting import PromptTemplates
 from .ptdata import (
     DPO_FORMAT,
@@ -113,6 +114,8 @@ def load_config(path: str) -> HarnessConfig:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"--config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"--config: {not_utf8(path, exc)}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}") from exc
 
@@ -213,7 +216,7 @@ class VerbContext:
             raise ConfigError(f"--concurrency must be >= 1, got {args.concurrency}")
         try:
             self.dataset = load_dataset(args.dataset, args.dataset_format)
-        except OSError as exc:
+        except (OSError, EncodingError) as exc:
             raise DatasetError(f"--dataset: {exc}") from exc
         scenario = self.dataset if isinstance(self.dataset, ScriptedScenario) else None
         if scenario is None and self.config.backend_kind == "scripted":
@@ -321,7 +324,8 @@ def cmd_search(args) -> int:
     records = ctx.map(
         lambda question: search_optimal_budget(ctx.backend, question, baseline=args.baseline),
         ctx.dataset.questions,
-        lambda question, error: SearchRecord(question.id, "error", error=str(error)),
+        lambda question, error: SearchRecord(question.id, "error",
+                                             error=str(error) or type(error).__name__),
     )
 
     with open(ctx.path("search_results.jsonl"), "w", encoding="utf-8") as handle, \

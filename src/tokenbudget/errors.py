@@ -13,6 +13,11 @@ class DatasetError(HarnessError):
     """A dataset or fixture file failed to parse or violates its schema."""
 
 
+class EncodingError(DatasetError):
+    """An input file is not UTF-8 text; the message names the file and the
+    line, and the command line adds the flag that named the file."""
+
+
 class TransportError(HarnessError):
     """Network-level failure that survived the bounded retry policy."""
 

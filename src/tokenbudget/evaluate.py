@@ -21,6 +21,7 @@ from .core import AnswerKind, Dataset, ModelPricing, Question, _typed, compute_e
 from .ep import run_ep
 from .errors import DatasetError, ProtocolError, TransportError
 from .grading import grade
+from .jsonstream import WINDOW, JSONStream, build_each, not_utf8
 from .prompting import PromptKind
 
 GSM8K_JSONL = "gsm8k_jsonl"
@@ -47,17 +48,20 @@ def write_json(path: str, document: dict) -> None:
 
 def _jsonl_objects(path: str):
     """(line number, object) per non-blank line; any other line is a DatasetError."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                item = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}: line {number}: malformed JSON: {exc.msg}") from exc
-            if not isinstance(item, dict):
-                raise DatasetError(f"{path}: line {number}: not a JSON object")
-            yield number, item
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for number, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    item = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DatasetError(f"{path}: line {number}: malformed JSON: {exc.msg}") from exc
+                if not isinstance(item, dict):
+                    raise DatasetError(f"{path}: line {number}: not a JSON object")
+                yield number, item
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from exc
 
 
 def read_jsonl(path: str, record_type=dict) -> list:
@@ -110,32 +114,36 @@ def _load_gsm8k(path: str) -> list[Question]:
 
 
 def _load_mathbench(path: str) -> list[Question]:
-    with open(path, "r", encoding="utf-8") as handle:
-        content = handle.read()
-    if content.lstrip().startswith("["):
-        try:
-            items = list(enumerate(json.loads(content), start=1))
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{path}: malformed JSON at line {exc.lineno}") from exc
-    else:
-        items = list(_jsonl_objects(path))
-
-    questions = []
-    for lineno, item in items:
+    """A JSON array of items, read one item at a time, or else JSONL."""
+    def question(lineno: int, item) -> Question:
         if not isinstance(item, dict):
             raise DatasetError(f"{path}: item {lineno}: not a JSON object")
         try:
-            questions.append(
-                Question(
-                    id=str(item.get("id", f"mathbench-{lineno}")),
-                    text=_question_text(item),
-                    gold_answer=str(item["answer"]).strip().upper(),
-                    answer_kind=AnswerKind.MULTIPLE_CHOICE,
-                )
+            return Question(
+                id=str(item.get("id", f"mathbench-{lineno}")),
+                text=_question_text(item),
+                gold_answer=str(item["answer"]).strip().upper(),
+                answer_kind=AnswerKind.MULTIPLE_CHOICE,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"{path}: item {lineno}: {exc}") from exc
-    return questions
+
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            # An array when the first character that is not white space opens one.
+            while (head := handle.read(WINDOW)).isspace():
+                pass
+            if not head.lstrip().startswith("["):
+                return build_each(_jsonl_objects(path), question)
+            handle.seek(0)
+            stream = JSONStream(handle)
+            if stream.peek() != "[":
+                stream.value()  # white space json does not skip: "Expecting value"
+            return build_each(enumerate(stream.items(), start=1), question)
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"{path}: malformed JSON at line {exc.lineno}") from exc
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from exc
 
 
 def load_dataset(path: str, fmt: str) -> Dataset:

@@ -59,7 +59,8 @@ class SearchRecord:
     one line of search_results.jsonl, written by `line` and read back checked.
 
     ``status`` is ``found``, ``vanilla_incorrect``, ``no_feasible_budget`` or,
-    for a question whose search raised, ``error`` with the ``error`` text. A
+    for a question whose search raised, ``error`` with the ``error`` text, a
+    non-empty string that no other status carries. A
     found record's target is the response under its optimal budget, the vanilla
     answer when that is the upper bound. The trace is the search's probes in
     order, its budgets strictly decreasing; rows read back become TracePoints.
@@ -84,6 +85,14 @@ class SearchRecord:
             raise ValueError("trace budgets must be strictly decreasing")
         if self.upper_bound.__class__ not in (int, type(None)):
             raise ValueError(f"upper_bound must be an integer, got {self.upper_bound!r}")
+        if self.status == "error":
+            if self.error.__class__ is not str or not self.error:
+                raise ValueError(f"error record {self.question_id!r} has error "
+                                 f"{self.error!r}, not a non-empty string")
+            return
+        if self.error is not None:
+            raise ValueError(f"{self.status} record {self.question_id!r} carries an error: "
+                             f"{self.error!r}")
         if self.status != "found":
             return
         budgets = {self.upper_bound, *(p.budget for p in self.trace)}

@@ -17,11 +17,13 @@ import time
 import tracemalloc
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import tokenbudget
+from tokenbudget import jsonstream
 from tokenbudget.backend import (
     DEFAULT_SAMPLING,
     LiveBackend,
@@ -1078,17 +1080,19 @@ def _corrupt(document, how: str, draw):
     return document
 
 
-def _parse_both(document) -> list:
-    """What the parser and the reference parser make of ``document``: the
+def _parse_text(text: str, window: int = jsonstream.WINDOW) -> list:
+    """What the parser, reading through a window of ``window`` characters,
+    and the reference parser make of a fixture file holding ``text``: the
     scenario and its repr, or the DatasetError text."""
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "fixture.json")
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
+            handle.write(text)
         outcomes = []
         for parse in (parse_scripted_file, _reference_parse_scripted_file):
             try:
-                scenario = parse(path)
+                with mock.patch.object(jsonstream, "WINDOW", window):
+                    scenario = parse(path)
             except DatasetError as exc:
                 outcomes.append(str(exc))
             else:
@@ -1097,11 +1101,41 @@ def _parse_both(document) -> list:
         return outcomes
 
 
-@given(fixture=_FIXTURES)
-def test_parse_scripted_file_builds_what_the_reference_parser_builds(fixture):
-    built, reference = _parse_both(fixture)
+def _parse_both(document, window: int = jsonstream.WINDOW) -> list:
+    return _parse_text(json.dumps(document), window)
+
+
+# Windows of a few characters, so that every element of a fixture, and most
+# of their tokens, straddle a window's edge.
+_FEW = st.sampled_from([1, 2, 3, 5, 8])
+
+
+def _build_check(fixture, window):
+    built, reference = _parse_both(fixture, window)
     assert isinstance(built, tuple), built
     assert built == reference
+
+
+@given(fixture=_FIXTURES)
+def test_parse_scripted_file_builds_what_the_reference_parser_builds(fixture):
+    _build_check(fixture, jsonstream.WINDOW)
+
+
+@given(fixture=_FIXTURES, window=_FEW)
+def test_a_window_of_a_few_characters_builds_what_the_reference_parser_builds(fixture, window):
+    _build_check(fixture, window)
+
+
+def _refusal_check(how, fixture, more, draw, window):
+    # The first corruption in parse order names the error, in both parsers.
+    document = _corrupt(fixture, how, draw)
+    for then in more:
+        if not _corruptible(document):
+            break
+        document = _corrupt(document, then, draw)
+    refused, reference = _parse_both(document, window)
+    assert isinstance(refused, str), refused
+    assert refused == reference
 
 
 @pytest.mark.parametrize("how", _CORRUPTIONS)
@@ -1109,15 +1143,83 @@ def test_parse_scripted_file_builds_what_the_reference_parser_builds(fixture):
 @given(fixture=_FIXTURES, more=st.lists(st.sampled_from(_CORRUPTIONS), max_size=2),
        data=st.data())
 def test_parse_scripted_file_refuses_what_the_reference_parser_refuses(how, fixture, more, data):
-    # The first corruption in parse order names the error, in both parsers.
-    document = _corrupt(fixture, how, data.draw)
-    for then in more:
-        if not _corruptible(document):
-            break
-        document = _corrupt(document, then, data.draw)
-    refused, reference = _parse_both(document)
-    assert isinstance(refused, str), refused
-    assert refused == reference
+    _refusal_check(how, fixture, more, data.draw, jsonstream.WINDOW)
+
+
+@pytest.mark.parametrize("how", _CORRUPTIONS)
+@settings(max_examples=8)
+@given(fixture=_FIXTURES, more=st.lists(st.sampled_from(_CORRUPTIONS), max_size=2),
+       data=st.data(), window=_FEW)
+def test_a_window_of_a_few_characters_refuses_what_the_reference_parser_refuses(
+        how, fixture, more, data, window):
+    _refusal_check(how, fixture, more, data.draw, window)
+
+
+# A value a top-level key may take besides its own: a cohort, a bad one, or
+# something of another shape.
+_TOP_VALUES = st.one_of(_FIXTURES.map(lambda fixture: fixture["questions"]),
+                        st.just([{"id": "q", "text": ""}]), _ENTRIES,
+                        st.sampled_from(["drawn", 5, None, [], {}, [[]]]))
+
+
+@given(fixture=_FIXTURES, window=st.sampled_from([3, jsonstream.WINDOW]), data=st.data(),
+       extra=st.lists(st.tuples(st.sampled_from(["questions", "name", "default_behavior", "notes"]),
+                                _TOP_VALUES), max_size=3))
+def test_keys_in_any_order_and_repeated_are_read_as_json_load_reads_them(fixture, window, data,
+                                                                         extra):
+    # A repeated key counts with its last value: an earlier cohort, and any
+    # refusal of it, is dropped.
+    members = data.draw(st.permutations([*fixture.items(), *extra]))
+    text = "{" + ", ".join(f"{json.dumps(key)}: {json.dumps(value)}" for key, value in members) + "}"
+    parsed, reference = _parse_text(text, window)
+    assert parsed == reference
+
+
+@settings(max_examples=80)
+@given(fixture=_FIXTURES, indent=st.sampled_from([None, 1]), window=st.sampled_from([2, 7, 4096]),
+       corruption=st.sampled_from([None, *_CORRUPTIONS]), data=st.data(),
+       edits=st.lists(st.tuples(st.floats(0, 1), st.sampled_from([*'{}[],:"\\ \n1.x', ""]),
+                                st.booleans()), min_size=1, max_size=2))
+def test_a_syntax_error_anywhere_comes_before_every_other_refusal(fixture, indent, window,
+                                                                  corruption, data, edits):
+    # A fixture, maybe refused for its content, with a character inserted,
+    # replaced or deleted: both parsers give one outcome, a syntax error
+    # first, wherever it is.
+    document = fixture if corruption is None else _corrupt(fixture, corruption, data.draw)
+    text = json.dumps(document, indent=indent)
+    for where, char, insert in edits:
+        at = int(where * len(text))
+        text = text[:at] + char + text[at + (not insert):]
+    parsed, reference = _parse_text(text, window)
+    assert parsed == reference
+
+
+def test_a_fixture_load_holds_one_question_at_a_time(tmp_path):
+    # Peak minus retained memory of a whole-file json.load grows with the
+    # file: 5.6 MB on the 2.4 MB fixture of the benchmark's cohort.
+    questions = [{
+        "id": f"q{index:05d}",
+        "text": f"Question {index}: " + "how many apples are left in the basket? " * 12,
+        "gold_answer": str(index),
+        "behavior": {
+            "vanilla": {"output_tokens": 300 + index % 50},
+            "estimate": {"output_tokens": 1, "text": str(10 + index % 90)},
+            "budgets": {str(2 ** k): {"output_tokens": 100 + index * k % 200, "correct": k > 2}
+                        for k in range(1, 9)},
+        },
+    } for index in range(2500)]
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps({"name": "big", "questions": questions}, indent=1))
+    del questions
+    assert path.stat().st_size >= 2 * 2 ** 20
+    tracemalloc.start()
+    try:
+        scenario = parse_scripted_file(str(path))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scenario) == 2500
+    assert peak - retained < 2 ** 20, (peak, retained)
 
 
 # ---------------------------------------------------------------------------

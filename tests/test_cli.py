@@ -18,6 +18,7 @@ import tokenbudget.cli as cli
 import tokenbudget.evaluate as evaluate
 from tokenbudget.cli import main
 from tokenbudget.errors import TransportError
+from tokenbudget.jsonstream import WINDOW
 from tokenbudget.prompting import Prompt, PromptKind
 from tokenbudget.search import SearchRecord, search_optimal_budget
 
@@ -474,6 +475,9 @@ def _dataset_refusal(id, problem, fmt, content):
              flags=["--config", "nope.json"]),
     _refusal("config-not-json", "config.json: invalid JSON", config='{"backend": '),
     _refusal("config-not-an-object", "config.json: config must be a JSON object", config="[]"),
+    _refusal("config-not-utf8", "--config: config.json: line 2: not UTF-8: 'utf-8' codec can't "
+             "decode byte 0xff in position 16: invalid start byte",
+             config=b'{"seed": 1,\n "cache_path": "\xff"}'),
     _config_refusal("unknown-backend-kind",
                     "backend.kind must be 'live' or 'scripted', got 'remote'",
                     backend={"kind": "remote"}),
@@ -589,6 +593,33 @@ def _dataset_refusal(id, problem, fmt, content):
                      "questions[0].default: output_tokens must be >= 0, got -1",
                      {"behavior": {"vanilla": {"output_tokens": 5},
                                    "default": {"output_tokens": -1}}}),
+    _refusal("fixture-with-a-repeated-questions-key", _NO_QUESTIONS,
+             dataset='{"questions": [{"id": "q0"}], "questions": []}'),
+    _refusal("fixture-questions-before-name-and-default",
+             "bad question at dataset.json questions[0]: 'text'",
+             dataset=json.dumps({"questions": [{"id": "q0"}], "name": "late",
+                                 "default_behavior": {"output_tokens": -1}})),
+    _refusal("fixture-default-before-questions",
+             "bad question at dataset.json questions[0]: 'text'",
+             dataset=json.dumps({"default_behavior": {"output_tokens": -1},
+                                 "questions": [{"id": "q0"}]})),
+    _refusal("fixture-syntax-error-after-a-bad-question", "dataset.json: invalid JSON at line 3",
+             dataset='{"questions": [{"id": "q0"},\n' + json.dumps(_GOOD_QUESTION) + ',\n{"id": ]}'),
+    _refusal("fixture-with-trailing-data", "dataset.json: invalid JSON at line 2",
+             dataset=DEMO_DATASET + "\n]"),
+    _refusal("fixture-with-a-byte-order-mark", "dataset.json: invalid JSON at line 1",
+             dataset="\ufeff" + DEMO_DATASET),
+    *[_refusal(f"fixture-{name}", f"dataset.json: invalid JSON at line {line}", dataset=text)
+      for name, text, line in (
+          ("string-unterminated", '{"questions": [{"id": "q0}]}', 1),
+          ("key-not-a-string", '{"questions": [],\n 5: 1}', 2),
+          ("key-without-colon", '{"name": "n",\n "questions" []}', 2),
+          # Past the window, so that the rest of the file is read to find the error.
+          ("comma-missing", '{"questions": []\n"name": "n"}' + " " * (WINDOW + 1), 2))],
+    _refusal("fixture-an-empty-object", _NO_QUESTIONS, dataset="{}"),
+    _refusal("fixture-not-utf8", "--dataset: dataset.json: line 2: not UTF-8: 'utf-8' codec "
+             "can't decode byte 0xff in position 8: invalid start byte",
+             dataset=b'{"questions": [\n{"id": "\xff"}]}'),
     _dataset_refusal("gsm8k-answer-without-marker", "line 1 has no '#### ' answer marker",
                      "gsm8k_jsonl", '{"question": "Q?", "answer": "3"}\n'),
     _dataset_refusal("gsm8k-empty-gold", "line 1 has an empty gold answer", "gsm8k_jsonl",
@@ -598,6 +629,24 @@ def _dataset_refusal(id, problem, fmt, content):
                      '{"id": "a", "question": "R?", "answer": "#### 2"}\n'),
     _dataset_refusal("mathbench-not-json", "malformed JSON at line 1", "mathbench_json",
                      '[{"question": '),
+    _dataset_refusal("mathbench-array-past-a-window-of-white-space",
+                     "item 1: question must be a string, got 5", "mathbench_json",
+                     " " * (WINDOW + 1) + '[{"question": 5, "answer": "A"}]'),
+    _dataset_refusal("mathbench-array-after-white-space-json-does-not-skip",
+                     "malformed JSON at line 2", "mathbench_json",
+                     '\n\u00a0[{"question": "Q?", "answer": "A"}]'),
+    _dataset_refusal("mathbench-item-then-trailing-data", "malformed JSON at line 2",
+                     "mathbench_json", '[{"question": 5, "answer": "A"}]\n]'),
+    *[_refusal(f"{name}-not-utf8", "--dataset: dataset.json: line 2: not UTF-8: 'utf-8' codec "
+               "can't decode byte 0xe9 in position 17: invalid continuation byte",
+               dataset=content, verb="eval", flags=["--dataset-format", fmt])
+      for name, fmt, content in (
+          ("gsm8k", "gsm8k_jsonl",
+           b'{"question": "Q?", "answer": "#### 1"}\n{"question": "Caf\xe9?"}\n'),
+          ("mathbench-array", "mathbench_json",
+           b'[{"question": "Q?", "answer": "A"},\n{"question": "Caf\xe9?"}]'),
+          ("mathbench-lines", "mathbench_json",
+           b'{"question": "Q?", "answer": "A"}\n{"question": "Caf\xe9?"}\n'))],
     _dataset_refusal("mathbench-jsonl-question-a-number",
                      "item 1: question must be a string, got 5", "mathbench_json",
                      '{"question": 5, "answer": "A"}\n'),
@@ -644,6 +693,12 @@ def _dataset_refusal(id, problem, fmt, content):
     _refusal("ptdata-search-without-a-cohort-question",
              "--out-dir: out/search_results.jsonl: no search record for 'wrong'",
              verb="ptdata", search=_SEARCH_LINES[0] + _SEARCH_LINES[1]),
+    *[_refusal(f"{verb}-search-not-utf8", f"{where}: line 2: not UTF-8: 'utf-8' codec can't "
+               "decode byte 0xff in position 17: invalid start byte", verb=verb,
+               search=_SEARCH_LINES[0].encode() + b'{"question_id": "\xff", "status": "error"}\n')
+      for verb, where in (("audit", "--search-output: search/search_results.jsonl"),
+                          ("elasticity", "--search-output: search/search_results.jsonl"),
+                          ("ptdata", "--out-dir: out/search_results.jsonl"))],
     *[_refusal(f"{verb}-{name}", f"{where}: line 1: {problem}", verb=verb, search=line)
       for verb, where in (("audit", "--search-output: search/search_results.jsonl"),
                           ("elasticity", "--search-output: search/search_results.jsonl"),
@@ -653,10 +708,10 @@ def _dataset_refusal(id, problem, fmt, content):
 def test_bad_input_is_fatal_and_names_the_problem(tmp_path, capsys, monkeypatch, verb, config,
                                                   dataset, flags, api_key, search, problem):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "config.json").write_text(config)
+    _write(tmp_path / "config.json", config)
     argv = [verb, "--config", "config.json", "--out-dir", "out", *flags]
     if dataset is not None:
-        (tmp_path / "dataset.json").write_text(dataset)
+        _write(tmp_path / "dataset.json", dataset)
         argv += ["--dataset", "dataset.json"]
     if verb in ("audit", "elasticity", "ptdata") and "--search-output" not in flags:
         # Search results, by default real ones, so that a reader the flags do
@@ -669,7 +724,7 @@ def test_bad_input_is_fatal_and_names_the_problem(tmp_path, capsys, monkeypatch,
                          "--out-dir", where]) == 0
         elif search is not None:
             (tmp_path / where).mkdir()
-            (tmp_path / where / "search_results.jsonl").write_text(search)
+            _write(tmp_path / where / "search_results.jsonl", search)
         if verb != "ptdata":
             argv += ["--search-output", f"{where}/search_results.jsonl"]
     before = _tree(tmp_path / "out")
@@ -688,6 +743,14 @@ def test_bad_input_is_fatal_and_names_the_problem(tmp_path, capsys, monkeypatch,
     assert "sk-secret" not in error
     assert _tree(tmp_path / "out") == before
     assert requests == []
+
+
+def _write(path, content):
+    """Text as UTF-8, bytes (a file that is not UTF-8) as they are."""
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
 
 
 def _tree(root):
@@ -791,6 +854,22 @@ def test_search_partial_backend_failure_exits_2(demo, monkeypatch):
     records = {r["question_id"]: r for r in _read_jsonl(os.path.join(out, "search_results.jsonl"))}
     assert records["mono"]["status"] == "error"
     assert "interrupted" in records["mono"]["error"]
+
+
+def test_a_search_failure_without_a_message_is_recorded_by_its_type(demo, monkeypatch):
+    # An error line needs a non-empty error text to read back.
+    config, dataset, tmp = demo
+
+    def silent(backend, question, **kwargs):
+        raise TransportError()
+
+    monkeypatch.setattr(cli, "search_optimal_budget", silent)
+    out = str(tmp / "out")
+    assert main(["search", "--config", config, "--dataset", dataset, "--out-dir", out]) == 2
+    results = os.path.join(out, "search_results.jsonl")
+    assert {r["error"] for r in _read_jsonl(results)} == {"TransportError"}
+    assert main(["elasticity", "--config", config, "--out-dir", str(tmp / "e"),
+                 "--search-output", results]) == 0
 
 
 def test_search_writes_the_records_the_search_returns(demo):
@@ -932,6 +1011,19 @@ def test_malformed_search_results_name_the_file_and_the_line(demo, capsys):
     *[pytest.param(verb, "--search-output", {"question_id": ["mono"], "status": "vanilla_incorrect"},
                    "question_id must be a string, got ['mono']", id=f"{verb}-question-id-a-list")
       for verb in ("elasticity", "audit")],
+    *[pytest.param(verb, flag, line, problem, id=f"{verb}-{name}")
+      for verb, flag in (("audit", "--search-output"), ("elasticity", "--search-output"),
+                         ("ptdata", "--out-dir"))
+      for name, line, problem in (
+          ("error-a-number", {"question_id": "rebound", "status": "error", "error": 5},
+           "error record 'rebound' has error 5, not a non-empty string"),
+          ("error-empty", {"question_id": "rebound", "status": "error", "error": ""},
+           "error record 'rebound' has error '', not a non-empty string"),
+          ("error-record-without-error", {"question_id": "rebound", "status": "error"},
+           "error record 'rebound' has error None, not a non-empty string"),
+          ("found-record-with-an-error",
+           dict(_FOUND, optimal_budget=256, upper_bound=256, error="boom"),
+           "found record 'rebound' carries an error: 'boom'"))],
     pytest.param("elasticity", "--estimates", {"method": "ep", "estimated_budget": 50},
                  "'question_id'", id="ep-record-without-question-id"),
     *[pytest.param("elasticity", "--estimates",
@@ -957,16 +1049,22 @@ def test_read_back_records_are_checked(demo, capsys, verb, flag, line, problem):
     search_output.write_text(json.dumps(good) + "\n")
     if flag == "--estimates":
         good = {"question_id": "mono", "method": "ep"}
-    bad = tmp / "bad.jsonl"
-    bad.write_text(f"{json.dumps(good)}\n{json.dumps(line)}\n")
     argv = [verb, "--config", config, "--dataset", dataset, "--out-dir", str(tmp / "out")]
+    if flag == "--out-dir":  # ptdata reads the search in its out-dir
+        (tmp / "out").mkdir()
+        bad = tmp / "out" / "search_results.jsonl"
+    else:
+        bad = tmp / "bad.jsonl"
+        argv += [flag, str(bad)]
+    bad.write_text(f"{json.dumps(good)}\n{json.dumps(line)}\n")
     if flag == "--estimates":
         argv += ["--search-output", str(search_output)]
+    before = _tree(tmp / "out")
     capsys.readouterr()
-    assert main([*argv, flag, str(bad)]) == 1
+    assert main(argv) == 1
     error = capsys.readouterr().err
     assert error.startswith(f"error: {flag}: {bad}: line 2: ") and problem in error, error
-    assert not (tmp / "out").exists()
+    assert _tree(tmp / "out") == before
 
 
 @pytest.mark.parametrize("k", ["0", "-1", "two"])
