@@ -339,8 +339,8 @@ class CompletionBackend:
     A run renders every prompt with one set of templates and sends it with
     one set of sampling parameters, so both are fixed on the backend: ``ask``
     renders a question under ``templates`` and ``complete`` sends a prompt
-    with ``params`` (part of the cache key). The cache must be opened with
-    this backend's ``cache_tag``.
+    with ``params`` (part of the cache key). ``build_backend`` opens the
+    cache with the ``backend_tag`` of this backend's kind, model and endpoint.
     """
 
     kind = ""
@@ -351,13 +351,8 @@ class CompletionBackend:
         cache: ResponseCache | None = None,
         params: SamplingParams = DEFAULT_SAMPLING,
         templates: PromptTemplates | None = None,
-        endpoint: str | None = None,
     ):
         self.model_id = model_id
-        self.cache_tag = backend_tag(self.kind, model_id, endpoint)
-        if cache is not None and cache.tag != self.cache_tag:
-            raise ValueError(f"{cache.path} is opened for another backend than "
-                             f"{self.kind} {model_id!r}")
         self._cache = cache
         self.params = params
         self.templates = templates or DEFAULT_TEMPLATES
@@ -905,8 +900,7 @@ class LiveBackend(CompletionBackend):
         params: SamplingParams = DEFAULT_SAMPLING,
         templates: PromptTemplates | None = None,
     ):
-        super().__init__(model_id=model_id, cache=cache, params=params, templates=templates,
-                         endpoint=endpoint)
+        super().__init__(model_id=model_id, cache=cache, params=params, templates=templates)
         if _TARGET_UNSAFE.search(endpoint):
             raise ValueError("endpoint holds a space or a control character")
         if _HEADER_UNSAFE.search(api_key):

@@ -55,13 +55,6 @@ class Dataset:
         return len(self.questions)
 
 
-def validate_budget(tokens: int) -> int:
-    """Token budgets are positive integers; returns the value unchanged."""
-    if not isinstance(tokens, int) or isinstance(tokens, bool) or tokens < 1:
-        raise ValueError(f"token budget must be an integer >= 1, got {tokens!r}")
-    return tokens
-
-
 def clamp_budget(value: float) -> int:
     """Floor a real-valued budget and clamp it into the valid range."""
     return max(1, int(value))

@@ -8,7 +8,6 @@ flagged, so accuracy is preserved at the cost of tokens.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -28,8 +27,6 @@ def parse_estimate(raw_response: str) -> int | None:
 
 def scale_budget(estimate: int, alpha: float) -> int:
     """Scale an estimate by alpha, rounding and clamping to >= 1."""
-    if not 0 < alpha < math.inf:
-        raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
     return max(1, round(alpha * estimate))
 
 

@@ -25,7 +25,6 @@ from .jsonstream import WINDOW, JSONStream, build_each, not_utf8
 from .prompting import PromptKind
 
 GSM8K_JSONL = "gsm8k_jsonl"
-MATHBENCH_JSON = "mathbench_json"
 SCRIPTED_JSON = "scripted_json"
 
 GSM8K_ANSWER_MARKER = "#### "
@@ -147,16 +146,15 @@ def _load_mathbench(path: str) -> list[Question]:
 
 
 def load_dataset(path: str, fmt: str) -> Dataset:
-    """Normalize a dataset file into Question records, deterministic order; a
-    scripted fixture is the ScriptedScenario the mock plays."""
+    """Normalize a dataset file in one of the ``--dataset-format`` formats into
+    Question records, deterministic order; a scripted fixture is the
+    ScriptedScenario the mock plays."""
     if fmt == SCRIPTED_JSON:
         return parse_scripted_file(path)
     if fmt == GSM8K_JSONL:
         questions, name = _load_gsm8k(path), "gsm8k"
-    elif fmt == MATHBENCH_JSON:
-        questions, name = _load_mathbench(path), "mathbench"
     else:
-        raise DatasetError(f"unknown dataset format {fmt!r}")
+        questions, name = _load_mathbench(path), "mathbench"
     seen: set[str] = set()
     for question in questions:
         if question.id in seen:
@@ -167,10 +165,6 @@ def load_dataset(path: str, fmt: str) -> Dataset:
 
 def sample_dataset(dataset: Dataset, n: int, seed: int) -> Dataset:
     """Seeded, order-stable subsample; identical across runs and platforms."""
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
-    if n > len(dataset.questions):
-        raise ValueError(f"cannot sample {n} questions from {len(dataset.questions)}")
     rng = random.Random(seed)
     keyed = sorted(range(len(dataset.questions)), key=lambda i: (rng.random(), i))
     chosen = sorted(keyed[:n])
@@ -397,11 +391,6 @@ def run_method(
     Records come back in dataset order regardless of completion order, so
     outputs stay byte-stable.
     """
-    if not dataset.questions:
-        raise ValueError("cannot run a method over an empty cohort")
-    if concurrency < 1:
-        raise ValueError("concurrency must be >= 1")
-
     return _pool_map(
         lambda question: _run_sample(backend, question, method, pricing, include_estimation_tokens),
         dataset.questions,
@@ -433,8 +422,6 @@ REPORT_COLUMNS = (
 
 def token_reduction(vanilla_tokens: float, method_tokens: float) -> float:
     """Percent reduction in mean output tokens relative to vanilla CoT."""
-    if vanilla_tokens <= 0:
-        raise ValueError("vanilla token mean must be positive")
     return (1.0 - method_tokens / vanilla_tokens) * 100.0
 
 
@@ -471,10 +458,9 @@ def render_report(
     """One row per (method, records) run over one dataset: accuracy, output
     tokens, expense, each aggregated here from the records.
 
-    CSV and JSON renderings are bit-stable for identical inputs.
+    ``fmt`` is JSON_FORMAT, CSV_FORMAT or TABLE_TEXT, the ``--format``
+    choices; CSV and JSON renderings are bit-stable for identical inputs.
     """
-    if not runs:
-        raise ValueError("render_report needs at least one run")
     rows = _report_rows(runs, dataset_name)
     if fmt == JSON_FORMAT:
         document = {
@@ -490,21 +476,19 @@ def render_report(
         for row in rows:
             writer.writerow(["" if row[c] is None else row[c] for c in REPORT_COLUMNS])
         return buffer.getvalue()
-    if fmt == TABLE_TEXT:
-        header = (
-            f"{'dataset':<16} {'method':<14} {'ACC':>8} {'Output Tokens':>14} "
-            f"{'Expense':>10} {'Samples':>8} {'Failed':>7} {'Reduction':>10}"
+    header = (
+        f"{'dataset':<16} {'method':<14} {'ACC':>8} {'Output Tokens':>14} "
+        f"{'Expense':>10} {'Samples':>8} {'Failed':>7} {'Reduction':>10}"
+    )
+    lines = [header, "-" * len(header)]
+    for row in rows:
+        reduction = f"{row['token_reduction_pct']:.2f}%" if row["token_reduction_pct"] is not None else "-"
+        lines.append(
+            f"{row['dataset']:<16} {row['method']:<14} "
+            f"{row['accuracy_pct']:>7.2f}% {row['output_tokens']:>14.2f} "
+            f"{row['expense_1e5_usd']:>10.2f} {row['samples']:>8d} "
+            f"{row['failed']:>7d} {reduction:>10}"
         )
-        lines = [header, "-" * len(header)]
-        for row in rows:
-            reduction = f"{row['token_reduction_pct']:.2f}%" if row["token_reduction_pct"] is not None else "-"
-            lines.append(
-                f"{row['dataset']:<16} {row['method']:<14} "
-                f"{row['accuracy_pct']:>7.2f}% {row['output_tokens']:>14.2f} "
-                f"{row['expense_1e5_usd']:>10.2f} {row['samples']:>8d} "
-                f"{row['failed']:>7d} {reduction:>10}"
-            )
-        if config_hash:
-            lines.append(f"config_hash: {config_hash}  model: {model_id}")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown report format {fmt!r}")
+    if config_hash:
+        lines.append(f"config_hash: {config_hash}  model: {model_id}")
+    return "\n".join(lines) + "\n"

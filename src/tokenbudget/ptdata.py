@@ -53,10 +53,9 @@ class Skip:
 
 def _training_input(backend: CompletionBackend, question: Question, budget: int,
                     input_style: str) -> str:
-    """Budget-free vanilla instruction by default; budgeted via input_style."""
+    """The budget-free vanilla instruction, or the budgeted one: ``input_style``
+    is a ``--pt-input`` choice, ``vanilla`` or ``budgeted``."""
     kinds = {"vanilla": PromptKind.VANILLA_COT, "budgeted": PromptKind.BUDGETED_COT}
-    if input_style not in kinds:
-        raise ValueError(f"input_style must be 'vanilla' or 'budgeted', got {input_style!r}")
     return build_prompt(
         question, kinds[input_style], budget=budget, templates=backend.templates
     ).user
@@ -126,13 +125,7 @@ def stale_targets(records: dict[str, SearchRecord], questions: list[Question]) -
 
 
 def _validate_record(record, corpus_format: str, index: int):
-    if corpus_format == SFT_FORMAT:
-        if not isinstance(record, SftExample):
-            raise ValueError(f"record {index} is not an SFT example")
-        texts = (record.input, record.target)
-    elif corpus_format == DPO_FORMAT:
-        if not isinstance(record, PreferencePair):
-            raise ValueError(f"record {index} is not a preference pair")
+    if corpus_format == DPO_FORMAT:
         positive_tokens = record.meta.get("positive_tokens")
         negative_tokens = record.meta.get("negative_tokens")
         if positive_tokens is None or negative_tokens is None:
@@ -141,7 +134,7 @@ def _validate_record(record, corpus_format: str, index: int):
             raise ValueError(f"record {index} violates positive-shorter-than-negative")
         texts = (record.input, record.chosen, record.rejected)
     else:
-        raise ValueError(f"unknown corpus format {corpus_format!r}")
+        texts = (record.input, record.target)
     if any(not t for t in texts):
         raise ValueError(f"record {index} has an empty field")
 
@@ -158,12 +151,8 @@ def export_corpus(
     are counted, not written. ``counts`` holds the ``attempted`` and
     ``succeeded`` record counts and the ``skipped`` count per reason.
 
-    A record of the wrong shape aborts naming its index.
+    A record that breaks its format's invariants aborts naming its index.
     """
-    records = list(records)
-    if not records:
-        raise ValueError("export_corpus needs at least one record")
-
     exported = []
     skipped: dict[str, int] = {}
     for index, record in enumerate(records):
@@ -173,9 +162,6 @@ def export_corpus(
         _validate_record(record, corpus_format, index)
         exported.append(record)
 
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         for record in exported:
             handle.write(encode_record(vars(record)) + "\n")
@@ -191,10 +177,5 @@ def export_corpus(
         },
         "config_hash": config_hash,
     }
-    write_json(manifest_path(path), manifest)
+    write_json(f"{os.path.splitext(path)[0]}.manifest.json", manifest)
     return manifest
-
-
-def manifest_path(corpus_path: str) -> str:
-    root, _ = os.path.splitext(corpus_path)
-    return f"{root}.manifest.json"

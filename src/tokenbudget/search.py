@@ -18,7 +18,6 @@ monotonicity audit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -60,10 +59,13 @@ class SearchRecord:
 
     ``status`` is ``found``, ``vanilla_incorrect``, ``no_feasible_budget`` or,
     for a question whose search raised, ``error`` with the ``error`` text, a
-    non-empty string that no other status carries. A
-    found record's target is the response under its optimal budget, the vanilla
-    answer when that is the upper bound. The trace is the search's probes in
-    order, its budgets strictly decreasing; rows read back become TracePoints.
+    non-empty string that no other status carries. No upper bound is
+    negative. A found record's optimal budget is its upper bound or a trace
+    budget, and at least 1 (a vanilla answer of 0 tokens is
+    ``no_feasible_budget``); its target is the response under that budget,
+    the vanilla answer when that is the upper bound. The trace is the
+    search's probes in order, its budgets strictly decreasing; rows read back
+    become TracePoints.
     """
 
     question_id: str
@@ -85,6 +87,8 @@ class SearchRecord:
             raise ValueError("trace budgets must be strictly decreasing")
         if self.upper_bound.__class__ not in (int, type(None)):
             raise ValueError(f"upper_bound must be an integer, got {self.upper_bound!r}")
+        if (self.upper_bound or 0) < 0:
+            raise ValueError(f"upper_bound must be >= 0, got {self.upper_bound}")
         if self.status == "error":
             if self.error.__class__ is not str or not self.error:
                 raise ValueError(f"error record {self.question_id!r} has error "
@@ -96,9 +100,12 @@ class SearchRecord:
         if self.status != "found":
             return
         budgets = {self.upper_bound, *(p.budget for p in self.trace)}
-        if not isinstance(self.optimal_budget, int) or self.optimal_budget not in budgets:
+        if self.optimal_budget.__class__ is not int or self.optimal_budget not in budgets:
             raise ValueError(f"found record {self.question_id!r} has optimal_budget "
                              f"{self.optimal_budget!r}, not its upper_bound or a trace budget")
+        if self.optimal_budget < 1:
+            raise ValueError(f"found record {self.question_id!r} has optimal_budget "
+                             f"{self.optimal_budget}, not a budget >= 1")
         if not isinstance(self.target_output, str) or not self.target_output:
             raise ValueError(f"found record {self.question_id!r} has target_output "
                              f"{self.target_output!r}, not a non-empty string")
@@ -148,9 +155,6 @@ def search_optimal_budget(
 
     Backend errors propagate; an ungradable response counts as incorrect.
     """
-    if baseline not in ("probe", "vanilla"):
-        raise ValueError(f"baseline must be 'probe' or 'vanilla', got {baseline!r}")
-
     vanilla = backend.ask(question, PromptKind.VANILLA_COT)
     upper_bound = vanilla.usage.output_tokens
     if not grade(vanilla.text, question).correct:
@@ -272,8 +276,6 @@ def estimator_quality(samples: Sequence[tuple[int, IdealRange]]) -> EstimatorQua
     Accuracy is the fraction of estimates inside their range; the distance is
     averaged over out-of-range samples only and absent when there are none.
     """
-    if not samples:
-        raise ValueError("estimator_quality needs at least one sample")
     hits = 0
     misses: list[int] = []
     for estimate, window in samples:
@@ -293,9 +295,6 @@ def estimator_quality(samples: Sequence[tuple[int, IdealRange]]) -> EstimatorQua
 # ---------------------------------------------------------------------------
 # Monotonicity audit
 # ---------------------------------------------------------------------------
-
-DEFAULT_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
-
 
 @dataclass(frozen=True)
 class AuditCheck:
@@ -319,7 +318,7 @@ def monotonicity_audit(
     backend: CompletionBackend,
     question: Question,
     optimal_budget: int,
-    multipliers: Sequence[float] = DEFAULT_MULTIPLIERS,
+    multipliers: Sequence[float],
 ) -> MonotonicityAudit:
     """Probe scaled budgets around the optimum and test the monotone pattern.
 
@@ -327,9 +326,6 @@ def monotonicity_audit(
     budget is incorrect and every verdict at or above it is correct. Scaled
     budgets are floored and clamped to >= 1.
     """
-    for multiplier in multipliers:
-        if not 0 < multiplier < math.inf:
-            raise ValueError(f"multipliers must be finite and > 0, got {multiplier!r}")
     checks = []
     for multiplier in multipliers:
         budget = clamp_budget(multiplier * optimal_budget)
@@ -357,6 +353,4 @@ def monotonicity_audit(
 
 def monotonic_fraction(audits: Sequence[MonotonicityAudit]) -> float:
     """Fraction of audited samples satisfying the monotone pattern."""
-    if not audits:
-        raise ValueError("monotonic_fraction needs at least one audit")
     return sum(1 for a in audits if a.is_monotonic) / len(audits)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import strategies as st
 
 from tokenbudget.backend import ScriptedBackend, ScriptedBehavior, ScriptedEntry, ScriptedScenario
+from tokenbudget.cli import main
 from tokenbudget.core import AnswerKind, Question
 
 
@@ -193,6 +194,26 @@ def write_demo_files(directory) -> tuple[str, str]:
     config_path = directory / "config.json"
     config_path.write_text(json.dumps(DEMO_CONFIG, indent=2))
     return str(config_path), str(dataset_path)
+
+
+def main_refuses(directory, capsys, verb, *flags, code=1) -> str:
+    """Run ``verb`` over the demo files written under ``directory`` with
+    ``flags`` added, which main must refuse: exit ``code`` (1, or 2 for a
+    usage error) and no out-dir, so no request either, as the mock's cache
+    lives there. Returns the error output."""
+    config, dataset = write_demo_files(directory)
+    out = directory / "out"
+    argv = [verb, "--config", config, "--dataset", dataset, "--out-dir", str(out), *flags]
+    if verb == "audit":
+        argv += ["--search-output", str(directory / "search_results.jsonl")]
+    capsys.readouterr()
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    assert status == code
+    assert not out.exists()
+    return capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from tokenbudget.ptdata import (
     build_preference_pair,
     generate_target,
     export_corpus,
-    manifest_path,
     stale_targets,
 )
 from tokenbudget.search import (
@@ -305,7 +304,8 @@ def test_criterion_06_prompt_golden_bytes():
 def _threshold_audit(qid: str, optimal: int, violator: bool):
     question = make_question(qid=qid, text=f"Audit question {qid}?", gold="18")
     curve = {}
-    for multiplier in (0.25, 0.5, 1, 2, 4):
+    multipliers = (0.25, 0.5, 1, 2, 4)
+    for multiplier in multipliers:
         budget = max(1, int(multiplier * optimal))
         ok = budget >= optimal
         if violator and multiplier == 0.5:
@@ -314,7 +314,7 @@ def _threshold_audit(qid: str, optimal: int, violator: bool):
     backend = scripted_backend(
         {question: behavior_from_curve(vanilla_tokens=4 * optimal, curve=curve)}
     )
-    return monotonicity_audit(backend, question, optimal)
+    return monotonicity_audit(backend, question, optimal, multipliers)
 
 
 def test_criterion_07_monotonicity_pattern_and_cohort_rate():
@@ -415,7 +415,7 @@ def test_criterion_09_pt_corpus_integrity(tmp_path):
     for pair in pairs:
         assert pair.meta["positive_tokens"] < pair.meta["negative_tokens"]
         assert grade(pair.chosen, question_index[pair.meta["question_id"]]).correct
-    assert os.path.exists(manifest_path(sft_path))
+    assert (tmp_path / "corpus_sft.manifest.json").exists()
     _passed(9, f"sft 3/4 exported, dpo {len(pairs)} pairs, round-trip identical")
 
 

@@ -27,6 +27,7 @@ from conftest import (
     DEMO_SCENARIO,
     completion_payload,
     count_misses,
+    main_refuses,
     write_demo_files,
 )
 
@@ -839,6 +840,18 @@ def test_search_writes_results_and_elasticity_csv(demo):
     assert [int(r["output_tokens"]) for r in rebound_rows] == [130, 120, 70, 90]
 
 
+def test_search_vanilla_baseline_skips_the_probe_at_the_upper_bound(demo):
+    config, dataset, tmp = demo
+    out = tmp / "out"
+    assert main(["search", "--config", config, "--dataset", dataset, "--out-dir", str(out),
+                 "--baseline", "vanilla"]) == 0
+    records = {r["question_id"]: r for r in _read_jsonl(out / "search_results.jsonl")}
+    # The vanilla cost, 256, is the first baseline: no probe at 256.
+    assert [point["budget"] for point in records["rebound"]["trace"]] == [128, 64, 32]
+    assert records["rebound"]["optimal_budget"] == 64
+    assert _read_json(out / "run_manifest.json")["baseline"] == "vanilla"
+
+
 def test_search_partial_backend_failure_exits_2(demo, monkeypatch):
     config, dataset, tmp = demo
     real = cli.search_optimal_budget
@@ -917,6 +930,20 @@ def test_elasticity_report_with_estimates(demo):
     assert quality["in_range_accuracy"] == 0.5
     assert quality["out_of_range_distance"] == 14.0
     assert report["live_reference"]["in_range_accuracy_pct"] == 60.61
+
+
+def test_elasticity_with_no_estimate_paired_to_a_range_reports_no_quality(demo):
+    config, _, tmp = demo
+    search_output = tmp / "search_results.jsonl"
+    search_output.write_text("".join(_SEARCH_LINES))
+    estimates = tmp / "records_ep.jsonl"
+    estimates.write_text(json.dumps({"question_id": "rebound", "method": "ep",
+                                     "estimated_budget": 50}) + "\n")
+    out = tmp / "elastic"
+    assert main(["elasticity", "--config", config, "--out-dir", str(out),
+                 "--search-output", str(search_output), "--estimates", str(estimates)]) == 0
+    report = _read_json(out / "elasticity_report.json")
+    assert (report["ranges"], report["estimator_quality"]) == ([], None)
 
 
 def test_elasticity_explicit_k(demo):
@@ -1023,7 +1050,13 @@ def test_malformed_search_results_name_the_file_and_the_line(demo, capsys):
            "error record 'rebound' has error None, not a non-empty string"),
           ("found-record-with-an-error",
            dict(_FOUND, optimal_budget=256, upper_bound=256, error="boom"),
-           "found record 'rebound' carries an error: 'boom'"))],
+           "found record 'rebound' carries an error: 'boom'"),
+          # The search writes these as no_feasible_budget.
+          ("found-record-with-budget-0", dict(_FOUND, optimal_budget=0, upper_bound=0, trace=[]),
+           "found record 'rebound' has optimal_budget 0, not a budget >= 1"),
+          ("upper-bound-negative",
+           {"question_id": "rebound", "status": "vanilla_incorrect", "upper_bound": -5},
+           "upper_bound must be >= 0, got -5"))],
     pytest.param("elasticity", "--estimates", {"method": "ep", "estimated_budget": 50},
                  "'question_id'", id="ep-record-without-question-id"),
     *[pytest.param("elasticity", "--estimates",
@@ -1899,6 +1932,16 @@ def test_a_format_the_verb_does_not_write_is_a_usage_error(demo, capsys, verb, w
     assert excinfo.value.code == 2
     assert f"argument --format: invalid choice: '{wrong}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+# The other choice flags; the library code behind each takes only their choices.
+@pytest.mark.parametrize("verb, flag, wrong", [
+    ("eval", "--format", "yaml"), ("eval", "--dataset-format", "csv_rows"),
+    ("ptdata", "--pt-input", "raw"),
+])
+def test_a_value_outside_a_flags_choices_is_a_usage_error(tmp_path, capsys, verb, flag, wrong):
+    error = main_refuses(tmp_path, capsys, verb, flag, wrong, code=2)
+    assert f"argument {flag}: invalid choice: '{wrong}'" in error
 
 
 @pytest.mark.parametrize("verb", ["eval", "search", "elasticity", "ptdata", "audit"])

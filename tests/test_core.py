@@ -16,7 +16,6 @@ from tokenbudget.core import (
     TokenUsage,
     compute_expense,
     count_tokens_approx,
-    validate_budget,
 )
 from tokenbudget.errors import ConfigError
 
@@ -159,10 +158,3 @@ def test_usage_combined_downgrades_mixed_provenance():
     assert reported.combined(approx).counting_source is CountingSource.LOCAL_APPROXIMATION
     assert reported.combined(approx).input_tokens == 11
     assert reported.combined(approx).output_tokens == 22
-
-
-def test_validate_budget():
-    assert validate_budget(1) == 1
-    for bad in (0, -5, 1.5, True):
-        with pytest.raises(ValueError):
-            validate_budget(bad)

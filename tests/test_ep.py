@@ -11,7 +11,7 @@ from tokenbudget.backend import ScriptedEntry
 from tokenbudget.ep import parse_estimate, run_ep, scale_budget
 from tokenbudget.prompting import PromptTemplates, build_estimation_prompt
 
-from conftest import behavior_from_curve, count_misses, scripted_backend
+from conftest import behavior_from_curve, count_misses, main_refuses, scripted_backend
 
 
 # ---------------------------------------------------------------------------
@@ -66,15 +66,19 @@ def test_scale_clamps_to_floor():
     assert scale_budget(parse_estimate("50"), 0.01) == 1
 
 
-def test_scale_rejects_nonpositive_alpha():
-    with pytest.raises(ValueError):
-        scale_budget(parse_estimate("50"), 0.0)
+# The CLI refuses an alpha that scale_budget cannot scale by, before any request.
+
+
+def test_scale_rejects_nonpositive_alpha(tmp_path, capsys):
+    # 1e-400 is below the smallest float: it parses as 0.0.
+    error = main_refuses(tmp_path, capsys, "eval", "--alpha", "1e-400")
+    assert error == "error: --alpha must be finite and > 0, got 0.0\n"
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
-def test_scale_rejects_nan_and_infinite_alpha_naming_it(alpha):
-    with pytest.raises(ValueError, match=r"alpha must be finite and > 0, got"):
-        scale_budget(50, alpha)
+def test_scale_rejects_nan_and_infinite_alpha_naming_it(tmp_path, capsys, alpha):
+    error = main_refuses(tmp_path, capsys, "eval", "--methods", "ep", f"--alpha={alpha}")
+    assert error == f"error: --alpha must be finite and > 0, got {alpha}\n"
 
 
 @given(st.integers(1, 10**6), st.floats(0.01, 100.0), st.floats(0.01, 100.0))

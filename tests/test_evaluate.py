@@ -29,7 +29,7 @@ from tokenbudget.evaluate import (
     token_reduction,
 )
 
-from conftest import JSON_VALUES, behavior_from_curve, make_question, scripted_backend
+from conftest import JSON_VALUES, behavior_from_curve, main_refuses, make_question, scripted_backend
 
 PRICING = ModelPricing("scripted-v1", 0.15, 0.60)
 
@@ -158,15 +158,19 @@ def test_sample_full_size_keeps_membership():
     assert {q.id for q in sampled.questions} == {q.id for q in dataset.questions}
 
 
-def test_sample_too_large_is_domain_error():
-    with pytest.raises(ValueError):
-        sample_dataset(_toy_dataset(3), 4, seed=1)
+# The CLI refuses a sample size that sample_dataset cannot draw from the
+# 3-question demo cohort, before any request.
+
+
+def test_sample_too_large_is_domain_error(tmp_path, capsys):
+    error = main_refuses(tmp_path, capsys, "audit", "--sample-n", "4")
+    assert error == "error: --sample-n must be from 1 to 3, got 4\n"
 
 
 @pytest.mark.parametrize("n", [0, -1])
-def test_sample_of_fewer_than_one_is_domain_error(n):
-    with pytest.raises(ValueError, match=f"sample size must be >= 1, got {n}"):
-        sample_dataset(_toy_dataset(3), n, seed=1)
+def test_sample_of_fewer_than_one_is_domain_error(tmp_path, capsys, n):
+    error = main_refuses(tmp_path, capsys, "ptdata", "--sample-n", str(n))
+    assert error == f"error: --sample-n must be from 1 to 3, got {n}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +188,12 @@ def test_three_sample_aggregation_oracle():
     assert report.failed_count == 0
 
 
-def test_empty_cohort_is_domain_error():
-    _, backend = three_sample_cohort()
-    with pytest.raises(ValueError):
-        run_method(backend, Dataset("empty", []), MethodSpec("vanilla"), PRICING)
+def test_empty_cohort_is_domain_error(tmp_path, capsys):
+    # The CLI refuses a cohort that run_method would have nothing to run over.
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"name": "empty", "questions": []}')
+    error = main_refuses(tmp_path, capsys, "eval", "--dataset", str(empty))
+    assert error == f"error: {empty}: the dataset holds no questions\n"
 
 
 def test_aggregate_recomputable_from_records():
@@ -457,9 +463,6 @@ def test_report_token_reduction_column_against_published_averages():
     reduction = token_reduction(461.25, 148.72)
     assert reduction == pytest.approx(67.757, abs=0.01)
     assert abs(reduction - 67.0) <= 1.0
-    for vanilla in (0, 0.0, -1.0):
-        with pytest.raises(ValueError, match="must be positive"):
-            token_reduction(vanilla, 148.72)
 
 
 def test_report_reduction_column_appears_for_non_vanilla_methods():
@@ -471,6 +474,7 @@ def test_report_reduction_column_appears_for_non_vanilla_methods():
     assert direct_row["token_reduction_pct"] is not None
 
 
-def test_report_empty_runs_rejected():
-    with pytest.raises(ValueError):
-        _render([], "table_text")
+def test_report_empty_runs_rejected(tmp_path, capsys):
+    # The CLI refuses an eval with no method, so no report of no run is rendered.
+    error = main_refuses(tmp_path, capsys, "eval", "--methods", "")
+    assert error == "error: --methods: unknown method '' (expected direct|vanilla|ep|fixed:N)\n"

@@ -15,7 +15,7 @@ from tokenbudget.prompting import (
     build_prompt,
 )
 
-from conftest import behavior_from_curve, make_question, scripted_backend
+from conftest import behavior_from_curve, main_refuses, make_question, scripted_backend
 
 NUMERIC_Q = make_question(qid="n1", text="How many bolts in total?", gold="3")
 CHOICE_Q = make_question(
@@ -124,11 +124,14 @@ def test_no_prompt_embeds_the_gold_answer():
     ).user
 
 
-def test_budget_invariant_enforced():
-    with pytest.raises(ValueError):
-        build_prompt(NUMERIC_Q, PromptKind.BUDGETED_COT, budget=0)
-    with pytest.raises(ValueError):
-        build_prompt(NUMERIC_Q, PromptKind.BUDGETED_COT)
+def test_budget_invariant_enforced(tmp_path, capsys):
+    # Every budget a verb renders is >= 1: searched and audited budgets by
+    # construction, an ep budget by its clamp, and a search record read back
+    # by its check. The one budget the CLI reads as given is fixed:N's.
+    for budget in ("0", "-3"):
+        error = main_refuses(tmp_path, capsys, "eval", "--methods", f"fixed:{budget}")
+        assert error == (f"error: --methods: 'fixed:{budget}': the budget of fixed:N "
+                         "must be an integer >= 1\n")
 
 
 def test_determinism_two_questions_differ_only_in_body():

@@ -19,7 +19,6 @@ from tokenbudget.ptdata import (
     build_preference_pair,
     export_corpus,
     generate_target,
-    manifest_path,
     stale_targets,
 )
 from tokenbudget.search import SearchRecord, search_optimal_budget
@@ -27,6 +26,7 @@ from tokenbudget.search import SearchRecord, search_optimal_budget
 from conftest import (
     behavior_from_curve,
     count_misses,
+    main_refuses,
     make_question,
     scripted_backend,
     write_demo_files,
@@ -232,15 +232,16 @@ def test_export_counts_and_round_trip(tmp_path, rebound_question, rebound_backen
     loaded = read_jsonl(path, SftExample)
     assert loaded == [example, other]
 
-    with open(manifest_path(path)) as handle:
+    with open(tmp_path / "corpus_sft.manifest.json") as handle:
         on_disk = json.load(handle)
     assert on_disk == manifest
     assert on_disk["dataset"] == "fixture"
 
     # No timestamp: exporting the same records again gives the same manifest bytes.
-    again = str(tmp_path / "again" / "corpus_sft.jsonl")
-    export(again)
-    with open(manifest_path(path), "rb") as first, open(manifest_path(again), "rb") as second:
+    (tmp_path / "again").mkdir()
+    export(str(tmp_path / "again" / "corpus_sft.jsonl"))
+    with open(tmp_path / "corpus_sft.manifest.json", "rb") as first, \
+            open(tmp_path / "again" / "corpus_sft.manifest.json", "rb") as second:
         assert first.read() == second.read()
 
 
@@ -305,9 +306,12 @@ def test_load_corpus_reads_literal_corpus_lines(tmp_path):
     ]
 
 
-def test_export_rejects_empty_input():
-    with pytest.raises(ValueError):
-        export_corpus([], SFT_FORMAT, "nowhere.jsonl")
+def test_export_rejects_empty_input(tmp_path, capsys):
+    # The CLI refuses an empty cohort, so it never exports a corpus of no record.
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"questions": []}')
+    error = main_refuses(tmp_path, capsys, "ptdata", "--dataset", str(empty))
+    assert error == f"error: {empty}: the dataset holds no questions\n"
 
 
 def test_export_aborts_on_schema_violation_with_index(tmp_path):
@@ -349,7 +353,6 @@ def test_export_enforces_pair_length_invariant(tmp_path, rebound_question):
         export_corpus([inverted], DPO_FORMAT, str(tmp_path / "c.jsonl"))
 
 
-def test_export_unknown_format_rejected(tmp_path):
-    record = SftExample(input="a", target="b", meta={"question_id": "x"})
-    with pytest.raises(ValueError, match="format"):
-        export_corpus([record], "parquet", str(tmp_path / "c.jsonl"))
+def test_export_unknown_format_rejected(tmp_path, capsys):
+    error = main_refuses(tmp_path, capsys, "ptdata", "--format", "parquet", code=2)
+    assert "argument --format: invalid choice: 'parquet' (choose from 'sft', 'dpo')" in error

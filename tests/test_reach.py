@@ -1,10 +1,11 @@
-"""tools/reach.py: line collection and keep-list matching on a small module."""
+"""tools/reach.py: line collection, default watching and keep-list matching on small modules."""
 
 from __future__ import annotations
 
 import importlib.util
 import os
 import threading
+import types
 
 import pytest
 
@@ -87,3 +88,64 @@ def test_a_keep_entry_of_an_undefined_reason_is_refused(tmp_path):
     keep.write_text("@kept: why\nother | sample | uncalled | total = 1\n")
     with pytest.raises(ValueError, match="line 2"):
         reach.read_keep(str(keep))
+
+
+DEFAULTS_SAMPLE = '''\
+import threading
+
+
+def main(runs):
+    workers = [threading.Thread(target=run) for run in runs]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=10)
+    return [worker.is_alive() for worker in workers]
+
+
+def styled(text, style="vanilla", *, width=80):
+    return text
+
+
+class Box:
+    def __init__(self, size=1, label=None):
+        self.size = size
+
+    def grow(self, by=2):
+        return self.size + by
+'''
+
+
+def test_a_default_counts_only_when_a_call_under_the_entry_leaves_it_out(tmp_path):
+    path = tmp_path / "toy.py"
+    path.write_text(DEFAULTS_SAMPLE)
+    toy = _load("toy", str(path))
+    # An import site: a module that holds the function under its own name.
+    site = types.ModuleType("site")
+    site.styled = toy.styled
+    original = toy.main, toy.styled, toy.Box.__init__
+
+    def run():
+        # Outside main every default is left out, and none of it counts.
+        toy.styled("a")
+        toy.Box().grow()
+        # Under main, on its worker threads: style is passed, with the value
+        # of its default; size is passed; width, label and by are left out.
+        return toy.main([lambda: site.styled("b", "vanilla"), lambda: toy.Box(2).grow()])
+
+    alive, omitted = reach.watch_defaults({"toy": toy, "site": site}, ("toy", "main"), run)
+    assert alive == [False, False]
+    assert omitted == {
+        ("toy", "styled", "style"): False, ("toy", "styled", "width"): True,
+        ("toy", "Box.__init__", "size"): False, ("toy", "Box.__init__", "label"): True,
+        ("toy", "Box.grow", "by"): True,
+    }
+    # Every wrapper is gone again.
+    assert (toy.main, toy.styled, toy.Box.__init__) == original
+    assert site.styled is original[1]
+
+    entries = [("kept", "toy", "styled", "style="), ("kept", "toy", "styled", "colour=")]
+    kept, unused, stale = reach.classify_defaults(omitted, entries)
+    assert kept == [("toy", "styled", "style", "kept")]
+    assert unused == [("toy", "Box.__init__", "size")]
+    assert stale == [("kept", "toy", "styled", "colour=")]

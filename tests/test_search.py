@@ -22,7 +22,11 @@ from tokenbudget.search import (
     search_optimal_budget,
 )
 
-from conftest import behavior_from_curve, count_misses, make_question, scripted_backend
+from conftest import (behavior_from_curve, count_misses, main_refuses, make_question,
+                      scripted_backend)
+
+# The CLI's --multipliers default.
+MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
 def trace_of(costs, budgets=None, correct=None) -> tuple[TracePoint, ...]:
@@ -143,9 +147,9 @@ def test_vanilla_baseline_skips_probe(rebound_question, rebound_backend):
     assert observed == [(128, 120), (64, 70), (32, 90)]
 
 
-def test_invalid_baseline_rejected(rebound_question, rebound_backend):
-    with pytest.raises(ValueError):
-        search_optimal_budget(rebound_backend, rebound_question, baseline="nope")
+def test_invalid_baseline_rejected(tmp_path, capsys):
+    error = main_refuses(tmp_path, capsys, "search", "--baseline", "nope", code=2)
+    assert "argument --baseline: invalid choice: 'nope' (choose from 'probe', 'vanilla')" in error
 
 
 def test_upper_bound_one_has_no_candidates():
@@ -278,11 +282,6 @@ def test_estimator_quality_all_in_range_has_no_distance():
     assert quality.out_of_range_distance is None
 
 
-def test_estimator_quality_empty_is_domain_error():
-    with pytest.raises(ValueError):
-        estimator_quality([])
-
-
 def test_adding_in_range_sample_never_increases_distance():
     base = estimator_quality([(100, window_40_80())])
     extended = estimator_quality([(100, window_40_80()), (60, window_40_80())])
@@ -312,7 +311,7 @@ def _threshold_backend(question, optimal, flip_budget=None):
 def test_monotone_pattern_classifies_monotonic():
     question = make_question(qid="mono", text="Monotone?", gold="18")
     backend = _threshold_backend(question, optimal=64)
-    audit = monotonicity_audit(backend, question, optimal_budget=64)
+    audit = monotonicity_audit(backend, question, optimal_budget=64, multipliers=MULTIPLIERS)
     assert [c.correct for c in audit.checks] == [False, False, True, True, True]
     assert audit.is_monotonic
 
@@ -320,7 +319,7 @@ def test_monotone_pattern_classifies_monotonic():
 def test_flip_below_breaks_monotonicity():
     question = make_question(qid="flip", text="Flipped?", gold="18")
     backend = _threshold_backend(question, optimal=64, flip_budget=32)
-    audit = monotonicity_audit(backend, question, optimal_budget=64)
+    audit = monotonicity_audit(backend, question, optimal_budget=64, multipliers=MULTIPLIERS)
     assert [c.correct for c in audit.checks] == [False, True, True, True, True]
     assert not audit.is_monotonic
 
@@ -328,38 +327,37 @@ def test_flip_below_breaks_monotonicity():
 def test_flip_above_breaks_monotonicity():
     question = make_question(qid="flip2", text="Flipped above?", gold="18")
     backend = _threshold_backend(question, optimal=64, flip_budget=128)
-    audit = monotonicity_audit(backend, question, optimal_budget=64)
+    audit = monotonicity_audit(backend, question, optimal_budget=64, multipliers=MULTIPLIERS)
     assert not audit.is_monotonic
 
 
 def test_multiplier_budgets_floored_and_clamped():
     question = make_question(qid="clamp", text="Clamp?", gold="18")
     backend = _threshold_backend(question, optimal=2)
-    audit = monotonicity_audit(backend, question, optimal_budget=2)
+    audit = monotonicity_audit(backend, question, optimal_budget=2, multipliers=MULTIPLIERS)
     assert [c.budget for c in audit.checks] == [1, 1, 2, 4, 8]
 
 
-def test_nonpositive_multiplier_rejected(rebound_question, rebound_backend):
-    with pytest.raises(ValueError):
-        monotonicity_audit(rebound_backend, rebound_question, 64, multipliers=(0.0, 1.0))
+# The CLI refuses a multiplier that monotonicity_audit cannot scale by, before any request.
+
+
+def test_nonpositive_multiplier_rejected(tmp_path, capsys):
+    error = main_refuses(tmp_path, capsys, "audit", "--multipliers", "0.5,-0.0")
+    assert error == "error: --multipliers must be finite and > 0, got -0.0\n"
 
 
 @pytest.mark.parametrize("multiplier", [math.nan, math.inf, -math.inf])
-def test_nan_and_infinite_multipliers_rejected_before_any_call(rebound_question, multiplier):
-    backend = scripted_backend({rebound_question: behavior_from_curve(vanilla_tokens=258, curve={})})
-    misses = count_misses(backend)
-    with pytest.raises(ValueError, match=r"multipliers must be finite and > 0, got"):
-        monotonicity_audit(backend, rebound_question, 64, multipliers=(1.0, multiplier))
-    assert misses() == 0
+def test_nan_and_infinite_multipliers_rejected_before_any_call(tmp_path, capsys, multiplier):
+    error = main_refuses(tmp_path, capsys, "audit", "--multipliers", f"1,{multiplier}")
+    assert error == f"error: --multipliers must be finite and > 0, got {multiplier}\n"
 
 
 def test_monotonic_fraction():
     question = make_question(qid="mf", text="Fraction?", gold="18")
-    good = monotonicity_audit(_threshold_backend(question, 64), question, 64)
-    bad = monotonicity_audit(_threshold_backend(question, 64, flip_budget=32), question, 64)
+    good = monotonicity_audit(_threshold_backend(question, 64), question, 64, MULTIPLIERS)
+    bad = monotonicity_audit(_threshold_backend(question, 64, flip_budget=32), question, 64,
+                             MULTIPLIERS)
     assert monotonic_fraction([good, good, bad]) == pytest.approx(2 / 3)
-    with pytest.raises(ValueError):
-        monotonic_fraction([])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Which source lines no verb runs: a line tracer over the tests that drive
-the package only through ``tokenbudget.cli.main``.
+"""Which source lines no verb runs, and which parameter defaults no verb
+takes: a tracer over the tests that drive the package through
+``tokenbudget.cli.main``.
 
 Run it from anywhere in a checkout, with the interpreter that runs the tests:
 
@@ -13,6 +14,15 @@ unless tools/reach_keep.txt holds it with a reason. The tool prints the
 counts per module and every line left over, and exits 1 if any line is left,
 or if a keep entry names a line the source no longer has.
 
+The same run wraps every function and method of the package that has a
+parameter default, at its module, its class and each import site, and records
+which parameters a call left to their default while ``main()`` ran (calls
+that the unit tests make outside ``main()`` do not count). The tool lists
+every parameter that no such call left to its default, apart from those the
+keep list holds: a candidate for deletion, if the source holds code only for
+it. The list does not gate: a plain default that only shortens the tests'
+calls may stay.
+
 Test results do not gate the collection: the two wall-clock bounds in
 tests/test_acceptance.py fail under any line tracer. The tool prints pytest's
 exit status and leaves the tests as they are.
@@ -23,11 +33,15 @@ is not blank or a ``#`` comment is ``<reason> | <module> | <function> |
 innermost code object that holds the line (``<module>`` at module level) and
 the stripped source line. An entry matches by module, function and text,
 never by line number, so it survives edits elsewhere in the file; it holds
-every line of its function with that text.
+every line of its function with that text. An entry whose text is
+``<parameter>=`` holds that parameter's default instead.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
+import inspect
 import os
 import sys
 import threading
@@ -91,6 +105,83 @@ def trace_lines(paths, run):
     return result, {path: hits[os.path.realpath(path)] for path in paths}
 
 
+def defaulted(module) -> dict[str, tuple[object, tuple[str, ...]]]:
+    """Qualified name -> (function, names of its parameters with a default) of
+    every function and method that ``module``'s own source defines with one."""
+    found = {}
+    source = getattr(module, "__file__", None)
+    owners = [module, *(value for value in vars(module).values() if inspect.isclass(value))]
+    for owner in owners:
+        for value in vars(owner).values():
+            code = getattr(value, "__code__", None)
+            if code is None or code.co_filename != source:
+                continue
+            names = code.co_varnames[:code.co_argcount]
+            params = names[len(names) - len(value.__defaults__ or ()):]
+            params += tuple(value.__kwdefaults__ or ())
+            if params:
+                found[value.__qualname__] = value, params
+    return found
+
+
+def watch_defaults(modules: dict, entry: tuple[str, str], run):
+    """``run()`` with every defaulted function of ``modules`` (name -> module)
+    wrapped at its module, its class and each import site among them: (its
+    result, (module, function, parameter) -> whether a call left the
+    parameter to its default while the function ``entry`` (module, name)
+    ran, on any thread)."""
+    omitted: dict[tuple[str, str, str], bool] = {}
+    active = [0]
+    lock = threading.Lock()
+    undo = []
+
+    def watched(key, function, params):
+        positional = function.__code__.co_varnames[:function.__code__.co_argcount]
+
+        @functools.wraps(function)
+        def wrapper(*args, **kwargs):
+            if active[0]:
+                for name in set(params).difference(positional[:len(args)], kwargs):
+                    omitted[(*key, name)] = True
+            return function(*args, **kwargs)
+        return wrapper
+
+    def entered(function):
+        @functools.wraps(function)
+        def wrapper(*args, **kwargs):
+            with lock:
+                active[0] += 1
+            try:
+                return function(*args, **kwargs)
+            finally:
+                with lock:
+                    active[0] -= 1
+        return wrapper
+
+    def patch(module, function, wrapper) -> None:
+        # A method is replaced on its class; a function wherever a module holds it.
+        owner = module
+        for name in function.__qualname__.split(".")[:-1]:
+            owner = getattr(owner, name)
+        for place in [owner] if owner is not module else modules.values():
+            for attribute, value in list(vars(place).items()):
+                if value is function:
+                    undo.append((place, attribute, value))
+                    setattr(place, attribute, wrapper)
+
+    for module_name, module in modules.items():
+        for qualname, (function, params) in defaulted(module).items():
+            omitted.update({(module_name, qualname, name): False for name in params})
+            patch(module, function, watched((module_name, qualname), function, params))
+    main = getattr(modules[entry[0]], entry[1])
+    patch(modules[entry[0]], main, entered(main))
+    try:
+        return run(), omitted
+    finally:
+        for place, attribute, value in reversed(undo):
+            setattr(place, attribute, value)
+
+
 def read_keep(path: str) -> tuple[dict[str, str], list[tuple[str, str, str, str]]]:
     """(reason -> why, entries as (reason, module, function, text)) of a keep list;
     an entry of an undefined reason, or of the wrong shape, is a ValueError."""
@@ -135,17 +226,43 @@ def classify(executable: dict[str, dict], hits: dict[str, set], entries) -> tupl
     return report, [entry for entry in entries if tuple(entry[1:]) not in named]
 
 
+def classify_defaults(omitted: dict, entries) -> tuple[list, list, list]:
+    """(the parameters no call left to their default, as (module, function,
+    parameter), that a keep entry holds, ``kept`` with the entry's reason, or
+    that are ``unused``; the ``stale`` entries, which name no parameter with a
+    default)."""
+    reasons = {(module, function, text[:-1]): reason for reason, module, function, text in entries}
+    kept = [(*key, reasons[key]) for key, left in omitted.items() if not left and key in reasons]
+    unused = [key for key, left in omitted.items() if not left and key not in reasons]
+    return kept, unused, [entry for entry in entries if (*entry[1:3], entry[3][:-1]) not in omitted]
+
+
+def is_default_entry(entry) -> bool:
+    """Whether a keep entry holds a parameter default (text ``<parameter>=``), not a line."""
+    return entry[3].endswith("=") and entry[3][:-1].isidentifier()
+
+
 def main() -> int:
     sys.path.insert(0, SRC)
     import pytest
 
     paths = {name[:-3]: os.path.join(PACKAGE, name)
              for name in sorted(os.listdir(PACKAGE)) if name.endswith(".py")}
-    status, hits = trace_lines(paths.values(), lambda: pytest.main(
-        ["-q", "-p", "no:cacheprovider", *(os.path.join(ROOT, test) for test in TESTS)]))
+
+    def run():
+        # Imported under the tracer, so that module-level lines count.
+        modules = {name: importlib.import_module(f"tokenbudget.{name}") for name in paths}
+        return watch_defaults(modules, ("cli", "main"), lambda: pytest.main(
+            ["-q", "-p", "no:cacheprovider", *(os.path.join(ROOT, test) for test in TESTS)]))
+
+    (status, omitted), hits = trace_lines(paths.values(), run)
     reasons, entries = read_keep(KEEP)
     report, stale = classify({module: executable_lines(path) for module, path in paths.items()},
-                             {module: hits[path] for module, path in paths.items()}, entries)
+                             {module: hits[path] for module, path in paths.items()},
+                             [entry for entry in entries if not is_default_entry(entry)])
+    kept_defaults, unused, stale_defaults = classify_defaults(
+        omitted, [entry for entry in entries if is_default_entry(entry)])
+    stale += stale_defaults
 
     print(f"\npytest exit status {int(status)}; a failure of a wall-clock bound is "
           f"expected under the tracer and does not gate this report")
@@ -156,17 +273,26 @@ def main() -> int:
         totals = [total + count for total, count in zip(totals, counts)]
         print(f"{module:<12} {counts[0]:>6} {counts[1]:>8} {counts[2]:>5} {counts[3]:>5}")
     print(f"{'total':<12} {totals[0]:>6} {totals[1]:>8} {totals[2]:>5} {totals[3]:>5}")
+    print(f"parameter defaults: {len(omitted)}; left to their default by a call under main(): "
+          f"{sum(omitted.values())}; kept: {len(kept_defaults)}; unused: {len(unused)}")
     for reason in reasons:
         lines = sum(1 for row in report.values() for kept in row["kept"] if kept[3] == reason)
+        defaults = sum(1 for kept in kept_defaults if kept[3] == reason)
         listed = sum(1 for entry in entries if entry[0] == reason)
-        print(f"kept for {reason}: {lines} lines, {listed} entries")
+        print(f"kept for {reason}: {lines} lines, {defaults} defaults, {listed} entries")
     left = [(module, *line) for module, row in report.items() for line in row["left"]]
     if left:
         print("\nno test reaches these lines through main(), and the keep list does not hold them:")
         for module, number, function, text in left:
             print(f"  {module}.py:{number} | {function} | {text}")
+    if unused:
+        print("\nno call under main() leaves these parameters to their default; each is a "
+              "candidate for deletion where the source holds code only for the default "
+              "(this list does not gate):")
+        for module, function, parameter in unused:
+            print(f"  {module} | {function} | {parameter}=")
     if stale:
-        print(f"\n{KEEP} names lines the source no longer has:")
+        print(f"\n{KEEP} names lines or parameter defaults the source no longer has:")
         for entry in stale:
             print("  " + " | ".join(entry))
     return 1 if left or stale else 0
