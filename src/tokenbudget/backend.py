@@ -85,7 +85,6 @@ class SamplingParams:
 DEFAULT_SAMPLING = SamplingParams()
 
 
-@functools.lru_cache(maxsize=16)
 def _budget_pattern(budgeted_suffix: str) -> re.Pattern:
     """Regex matching the rendered suffix as whole lines, capturing ``{budget}``."""
     parts = []
@@ -114,8 +113,6 @@ def request_fingerprint(prompt: Prompt, params: SamplingParams) -> str:
             "max_candidates": params.max_candidates,
         }, sort_keys=True, ensure_ascii=True)
         prefix = hashlib.sha256((head[:-1] + ', "user": ').encode("ascii"))
-        if len(prefixes) >= 64:
-            prefixes.clear()
         prefixes[prompt.system] = prefix
     digest = prefix.copy()
     digest.update((encode_basestring_ascii(prompt.user) + "}").encode("ascii"))
@@ -449,9 +446,23 @@ class ScriptedBackend(CompletionBackend):
         self._by_text: dict[str, Question] = {}
         for question in scenario.questions:
             self._by_text.setdefault(question.text, question)
+        t = self.templates
+        self._task_line = t.estimation_task + "\n"
+        self._contract_line = "\n" + t.estimation_contract
+        self._budget = _budget_pattern(t.budgeted_suffix)
+        # A prompt's input count is the sum of its parts' counts: a "\n" join
+        # splits words and adds no punctuation mark. Every prompt is rendered
+        # with these templates, so the texts every request repeats are counted
+        # once, a question's text the first time it is asked, and a request
+        # counts only its own template lines.
+        self._system_tokens = count_tokens_approx(t.system)
+        self._estimation_tokens = (count_tokens_approx(t.estimation_task)
+                                   + count_tokens_approx(t.estimation_contract))
+        self._question_tokens: dict[str, int] = {}
 
-    def _select_entry(self, prompt: Prompt) -> tuple[Question, ScriptedEntry]:
-        """The prompt's question and scripted entry, from one read of the prompt.
+    def _select_entry(self, prompt: Prompt) -> tuple[Question, ScriptedEntry, int]:
+        """The prompt's question, its scripted entry and the input tokens of
+        the user text's template lines, from one read of the prompt.
 
         An estimation prompt is exactly three parts: the estimation task
         line(s), a question's text, then the contract line(s). Any other
@@ -461,29 +472,31 @@ class ScriptedBackend(CompletionBackend):
         template lines after the question, never from the question itself.
         """
         text = prompt.user
-        task, contract = self.templates.estimation_task, self.templates.estimation_contract
         question = None
-        if text.startswith(task + "\n") and text.endswith("\n" + contract):
-            question = self._by_text.get(text[len(task) + 1:-len(contract) - 1])
+        if text.startswith(self._task_line) and text.endswith(self._contract_line):
+            question = self._by_text.get(text[len(self._task_line):-len(self._contract_line)])
         estimation = question is not None
-        if not estimation:
+        if estimation:
+            template_tokens = self._estimation_tokens
+        else:
             end = len(text)
             while (question := self._by_text.get(text[:end])) is None:
                 end = text.rfind("\n", 0, end)
                 if end < 0:
                     raise ConfigError("no scripted question matches the incoming prompt")
+            lines = text[end + 1:]
+            template_tokens = count_tokens_approx(lines)
 
         behavior = self._behaviors.get(question.id)
         if behavior is None:
             if self._default_entry is None:
                 raise ConfigError(f"no scripted behavior for question {question.id!r}")
-            return question, self._default_entry
+            return question, self._default_entry, template_tokens
         fallback = behavior.default or self._default_entry
         if estimation:
             entry = behavior.estimate or fallback
         else:
-            pattern = _budget_pattern(self.templates.budgeted_suffix)
-            budget = pattern.search(text[end + 1:])
+            budget = self._budget.search(lines)
             if budget is None:
                 entry = behavior.vanilla
             else:
@@ -493,13 +506,16 @@ class ScriptedBackend(CompletionBackend):
                 f"scripted behavior for question {question.id!r} has no entry "
                 f"for this prompt and no fallback"
             )
-        return question, entry
+        return question, entry, template_tokens
 
     def _request(self, prompt: Prompt) -> tuple[str, TokenUsage]:
-        question, entry = self._select_entry(prompt)
+        question, entry, template_tokens = self._select_entry(prompt)
         text = entry.text if entry.text is not None else _synthesize_text(question, entry.correct)
+        counted = self._question_tokens.get(question.text)
+        if counted is None:  # two threads may both count a text, to the same number
+            counted = self._question_tokens[question.text] = count_tokens_approx(question.text)
         return text, TokenUsage(
-            input_tokens=count_tokens_approx(prompt.system) + count_tokens_approx(prompt.user),
+            input_tokens=self._system_tokens + counted + template_tokens,
             output_tokens=entry.output_tokens,
             counting_source=CountingSource.PROVIDER_REPORTED,
         )

@@ -364,7 +364,7 @@ def cmd_elasticity(args) -> int:
     if args.estimates:
         estimates = {
             record.question_id: record.estimated_budget
-            for record in _read_input("--estimates", args.estimates, SampleRecord)
+            for record in _read_input("--estimates", args.estimates, SampleRecord.read)
             if record.estimated_budget is not None
         }
         paired = [

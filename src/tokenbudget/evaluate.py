@@ -30,9 +30,19 @@ SCRIPTED_JSON = "scripted_json"
 GSM8K_ANSWER_MARKER = "#### "
 
 # Every JSONL record line (search and eval records, corpus lines) comes from
-# this one encoder: the bytes of ``json.dumps(record, sort_keys=True)``,
-# without building a new JSONEncoder per record as ``json.dumps`` does.
-encode_record = json.JSONEncoder(sort_keys=True).encode
+# this one C encoder, built once: ``JSONEncoder.encode``, like ``json.dumps``,
+# builds a new one and a dict of circular-check markers per call. Records are
+# trees, so it makes no circular check; its line is the bytes of
+# ``json.dumps(record, sort_keys=True)``. The arguments: markers, default,
+# string encoder, indent, key and item separators, sort_keys, skipkeys,
+# allow_nan.
+_encode_chunks = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+    ": ", ", ", True, False, True)
+
+
+def encode_record(record: dict) -> str:
+    return "".join(_encode_chunks(record, 0))
 
 
 def write_json(path: str, document: dict) -> None:
@@ -229,13 +239,18 @@ class SampleRecord:
     used_fallback: bool = False
     usage_breakdown: dict | None = None
 
-    def __post_init__(self):
-        # Read back by elasticity's --estimates: each field of its JSON type,
-        # and an estimate as parse_estimate clamps it, >= 1.
-        budget = self.estimated_budget
+    @classmethod
+    def read(cls, **line) -> SampleRecord:
+        """A record line read back, as elasticity's --estimates does: each field
+        of its JSON type, and an estimate as parse_estimate clamps it, >= 1.
+        A run builds its own records of these types, so only a line read back
+        is checked."""
+        record = cls(**line)
+        budget = record.estimated_budget
         if budget is not None and (budget.__class__ is not int or budget < 1):
             raise ValueError(f"estimated_budget must be null or an integer >= 1, got {budget!r}")
-        vars(self).update(_typed(vars(self), "", _SAMPLE_NULLABLE, **_SAMPLE_TYPES))
+        vars(record).update(_typed(vars(record), "", _SAMPLE_NULLABLE, **_SAMPLE_TYPES))
+        return record
 
 
 # Each SampleRecord field's JSON type, named first in its annotation; a field

@@ -49,7 +49,15 @@ def _read_point(row: dict, where: str) -> TracePoint:
     return point
 
 
-STATUSES = ("found", "vanilla_incorrect", "no_feasible_budget", "error")
+# Per status, the fields its line holds besides question_id and status, and
+# those of them it may set: every other field is null, or an empty trace.
+_SEARCHED = ("optimal_budget", "upper_bound", "target_output", "trace")
+STATUS_FIELDS = {
+    "found": (_SEARCHED, _SEARCHED),
+    "vanilla_incorrect": (_SEARCHED, ("upper_bound",)),
+    "no_feasible_budget": (_SEARCHED, ("upper_bound",)),
+    "error": (("error",), ("error",)),
+}
 
 
 @dataclass
@@ -59,7 +67,8 @@ class SearchRecord:
 
     ``status`` is ``found``, ``vanilla_incorrect``, ``no_feasible_budget`` or,
     for a question whose search raised, ``error`` with the ``error`` text, a
-    non-empty string that no other status carries. No upper bound is
+    non-empty string, and nothing else. ``vanilla_incorrect`` and
+    ``no_feasible_budget`` carry only an upper bound, and no upper bound is
     negative. A found record's optimal budget is its upper bound or a trace
     budget, and at least 1 (a vanilla answer of 0 tokens is
     ``no_feasible_budget``); its target is the response under that budget,
@@ -79,8 +88,9 @@ class SearchRecord:
     def __post_init__(self):
         if self.question_id.__class__ is not str:
             raise ValueError(f"question_id must be a string, got {self.question_id!r}")
-        if self.status not in STATUSES:
-            raise ValueError(f"status must be one of {', '.join(STATUSES)}, got {self.status!r}")
+        if self.status not in STATUS_FIELDS:
+            raise ValueError(f"status must be one of {', '.join(STATUS_FIELDS)}, "
+                             f"got {self.status!r}")
         self.trace = tuple(p if isinstance(p, TracePoint) else _read_point(p, f"trace[{i}]")
                            for i, p in enumerate(self.trace))
         if any(b.budget >= a.budget for a, b in zip(self.trace, self.trace[1:])):
@@ -89,14 +99,15 @@ class SearchRecord:
             raise ValueError(f"upper_bound must be an integer, got {self.upper_bound!r}")
         if (self.upper_bound or 0) < 0:
             raise ValueError(f"upper_bound must be >= 0, got {self.upper_bound}")
-        if self.status == "error":
-            if self.error.__class__ is not str or not self.error:
-                raise ValueError(f"error record {self.question_id!r} has error "
-                                 f"{self.error!r}, not a non-empty string")
-            return
-        if self.error is not None:
-            raise ValueError(f"{self.status} record {self.question_id!r} carries an error: "
-                             f"{self.error!r}")
+        if self.status == "error" and (self.error.__class__ is not str or not self.error):
+            raise ValueError(f"error record {self.question_id!r} has error "
+                             f"{self.error!r}, not a non-empty string")
+        settable = STATUS_FIELDS[self.status][1]
+        for name in (*_SEARCHED, "error"):
+            if name not in settable and (value := getattr(self, name)) not in (None, ()):
+                what = "an error" if name == "error" else name
+                raise ValueError(f"{self.status} record {self.question_id!r} carries "
+                                 f"{what}: {value!r}")
         if self.status != "found":
             return
         budgets = {self.upper_bound, *(p.budget for p in self.trace)}
@@ -111,15 +122,13 @@ class SearchRecord:
                              f"{self.target_output!r}, not a non-empty string")
 
     def line(self) -> str:
-        """The record's line of search_results.jsonl, without its newline: an
-        error line holds the question id, status and error, any other line
-        every field but the error."""
-        if self.status == "error":
-            return encode_record(
-                {"question_id": self.question_id, "status": self.status, "error": self.error})
-        fields = dict(vars(self), trace=[vars(p) for p in self.trace])
-        del fields["error"]
-        return encode_record(fields)
+        """The record's line of search_results.jsonl, without its newline: the
+        question id, the status and the fields STATUS_FIELDS gives the status."""
+        line = {"question_id": self.question_id, "status": self.status}
+        line.update((name, getattr(self, name)) for name in STATUS_FIELDS[self.status][0])
+        if "trace" in line:
+            line["trace"] = [vars(p) for p in self.trace]
+        return encode_record(line)
 
     def elasticity_rows(self) -> list[tuple]:
         """elasticity.csv rows (question_id, iteration, budget, output_tokens, correct)."""

@@ -43,7 +43,14 @@ from tokenbudget.backend import (
     _encode_body,
 )
 from tokenbudget.cli import build_backend, load_config
-from tokenbudget.core import AnswerKind, CompletionOutcome, CountingSource, Question, TokenUsage
+from tokenbudget.core import (
+    AnswerKind,
+    CompletionOutcome,
+    CountingSource,
+    Question,
+    TokenUsage,
+    count_tokens_approx,
+)
 from tokenbudget.errors import ConfigError, DatasetError, ProtocolError, RateLimitError, TransportError
 from tokenbudget.grading import grade
 from tokenbudget.prompting import (
@@ -262,6 +269,46 @@ def test_suffix_wording_inside_a_question_is_not_a_budget():
     )
     vanilla = build_prompt(default_wording, PromptKind.VANILLA_COT)
     assert backend.complete(vanilla).usage.output_tokens == 100
+
+
+# Text that tests the count of a prompt in parts: punctuation, white space that
+# str.split splits at (\x0b, \x1c, \x85, \u3000) or not (\u200b), multi-byte
+# UTF-8 and lone surrogates. No brace, so a budgeted suffix renders as drawn.
+_COUNTED = st.text(st.one_of(
+    st.sampled_from(" \n\t\x0b\x1c\x85\u3000\u200b.,:'?!\u00e9\u6f22\U0001f600\ud800\udfff"),
+    st.characters(max_codepoint=127).filter(lambda c: c not in "{}"),
+), max_size=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_scripted_input_count_is_the_count_of_the_whole_prompt(data):
+    # Question texts that may be a default template line, and drawn
+    # templates whose lines may be a question text.
+    texts = data.draw(st.lists(
+        _COUNTED.filter(bool) | st.sampled_from([ESTIMATION_TASK, "Let's think step by step:",
+                                                  "Respond with a single integer.", "a\n"]),
+        min_size=1, max_size=3, unique=True))
+    line = _COUNTED | st.sampled_from(texts)
+    templates = data.draw(st.none() | st.builds(
+        PromptTemplates, system=line, vanilla_suffix=line, estimation_task=line,
+        estimation_contract=line, format_instruction=line,
+        budgeted_suffix=st.builds("{}{{budget}}{}".format, _COUNTED, _COUNTED)))
+    questions = [
+        Question(id=f"q{index}", text=text, gold_answer="A",
+                 answer_kind=data.draw(st.sampled_from([AnswerKind.NUMERIC,
+                                                        AnswerKind.MULTIPLE_CHOICE])))
+        for index, text in enumerate(texts)]
+    backend = ScriptedBackend(ScriptedScenario(name="counted", questions=questions, behaviors={},
+                                               default_entry=ScriptedEntry(5)),
+                              templates=templates)
+    budget = data.draw(st.integers(min_value=1, max_value=10**6))
+    for _ in range(2):  # the second round counts each question from its first count
+        for question in questions:
+            for kind in PromptKind:
+                prompt = build_prompt(question, kind, budget=budget, templates=templates)
+                assert backend.complete(prompt).usage.input_tokens == (
+                    count_tokens_approx(prompt.system) + count_tokens_approx(prompt.user))
 
 
 def test_more_than_one_candidate_is_rejected(tmp_path):

@@ -182,7 +182,7 @@ def test_eval_report_is_rebuilt_from_the_written_records(demo, capsys, fmt):
     runs = []
     for method in map(evaluate.parse_method, methods.split(",")):
         path = os.path.join(out, f"records_{method.slug}.jsonl")
-        runs.append((method, evaluate.read_jsonl(path, evaluate.SampleRecord)))
+        runs.append((method, evaluate.read_jsonl(path, evaluate.SampleRecord.read)))
     rebuilt = {form: evaluate.render_report(runs, DEMO_SCENARIO["name"], manifest["model_id"],
                                             form, manifest["config_hash"])
                for form in (fmt, "table_text")}
@@ -1056,7 +1056,24 @@ def test_malformed_search_results_name_the_file_and_the_line(demo, capsys):
            "found record 'rebound' has optimal_budget 0, not a budget >= 1"),
           ("upper-bound-negative",
            {"question_id": "rebound", "status": "vanilla_incorrect", "upper_bound": -5},
-           "upper_bound must be >= 0, got -5"))],
+           "upper_bound must be >= 0, got -5"),
+          # A search writes only the upper bound of these, and only the error of this.
+          ("vanilla-incorrect-record-with-a-target",
+           {"question_id": "wrong", "status": "vanilla_incorrect", "upper_bound": 128,
+            "optimal_budget": 64, "target_output": "The answer is 3.",
+            "trace": [{"budget": 64, "output_tokens": 60, "correct": True}]},
+           "vanilla_incorrect record 'wrong' carries optimal_budget: 64"),
+          ("no-feasible-record-with-a-trace",
+           {"question_id": "wrong", "status": "no_feasible_budget", "upper_bound": 0,
+            "trace": [{"budget": 64, "output_tokens": 60, "correct": True}]},
+           "no_feasible_budget record 'wrong' carries trace: (TracePoint(budget=64"),
+          ("no-feasible-record-with-a-target",
+           {"question_id": "wrong", "status": "no_feasible_budget", "upper_bound": 0,
+            "target_output": ""},
+           "no_feasible_budget record 'wrong' carries target_output: ''"),
+          ("error-record-with-an-upper-bound",
+           {"question_id": "rebound", "status": "error", "error": "boom", "upper_bound": 0},
+           "error record 'rebound' carries upper_bound: 0"))],
     pytest.param("elasticity", "--estimates", {"method": "ep", "estimated_budget": 50},
                  "'question_id'", id="ep-record-without-question-id"),
     *[pytest.param("elasticity", "--estimates",

@@ -3,21 +3,27 @@
 from __future__ import annotations
 
 import json
+import math
 import signal
 import sys
 import threading
 import time
 
+from dataclasses import fields
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tokenbudget.backend import ScriptedBackend, ScriptedScenario
-from tokenbudget.core import AnswerKind, Dataset, ModelPricing
+from tokenbudget.core import AnswerKind, Dataset, ModelPricing, _typed
 from tokenbudget.errors import ConfigError, DatasetError, ProtocolError, RateLimitError, TransportError
 from tokenbudget.evaluate import (
     CSV_FORMAT,
     JSON_FORMAT,
     MethodSpec,
+    SampleRecord,
+    _SAMPLE_NULLABLE,
+    _SAMPLE_TYPES,
     _pool_map,
     aggregate_records,
     encode_record,
@@ -50,9 +56,55 @@ def three_sample_cohort():
     return Dataset(name="fixture", questions=questions), backend
 
 
-@given(record=st.dictionaries(st.text(), JSON_VALUES, max_size=6))
+_RECORD_VALUES = st.recursive(
+    JSON_VALUES | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 2**64, -(10**40),
+                                   "\u00e9\u6f22\U0001f600\ud800", "\u2028\x00\x7f"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=50)
+@given(record=st.dictionaries(st.text(), _RECORD_VALUES, max_size=6))
 def test_record_line_is_the_sorted_key_json_dumps(record):
     assert encode_record(record) == json.dumps(record, sort_keys=True)
+
+
+# Values of each field's JSON type, a float field's ints among them (10**400
+# is past float's range), and values that a line may put in any one field.
+_TYPED_VALUES = {bool: [True, False], int: [0, 7, 2**70], str: ["", "x"],
+                 float: [0.5, -0.0, math.nan, math.inf, 0, 7, 10**400],
+                 dict: [{}, {"answer": {"input_tokens": 1}}]}
+_ANY_VALUES = [None, True, 1, 1.5, "x", {}, []]
+_FIELD_VALUES = {name: st.sampled_from(_TYPED_VALUES[kind] + [None] * (name in _SAMPLE_NULLABLE))
+                 for name, kind in _SAMPLE_TYPES.items()}
+
+
+@settings(max_examples=150)
+@given(line=st.fixed_dictionaries(
+    {name: _FIELD_VALUES[name] for name in ("question_id", "method")},
+    optional={name: _FIELD_VALUES[name] for name in list(_SAMPLE_TYPES)[2:]}),
+    other=st.none() | st.tuples(st.sampled_from(list(_SAMPLE_TYPES)), st.sampled_from(_ANY_VALUES)))
+def test_a_read_back_record_gets_the_verdict_typed_gives(line, other):
+    if other is not None:
+        line[other[0]] = other[1]
+    # The reference: the estimate check, then _typed over every field in
+    # field order, defaults included.
+    every = {f.name: line.get(f.name, f.default) for f in fields(SampleRecord)}
+    try:
+        budget = every["estimated_budget"]
+        if budget is not None and (budget.__class__ is not int or budget < 1):
+            raise ValueError(f"estimated_budget must be null or an integer >= 1, got {budget!r}")
+        expected = _typed(every, "", _SAMPLE_NULLABLE, **_SAMPLE_TYPES)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            SampleRecord.read(**line)
+        assert str(refused.value) == str(exc)
+        return
+    # repr tells 1 from 1.0 and True from 1, and shows NaN.
+    assert {k: repr(v) for k, v in vars(SampleRecord.read(**line)).items()} == {
+        k: repr(v) for k, v in expected.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,41 @@ def test_keep_entries_match_by_function_and_text_at_any_line(tmp_path, padding):
                      ("kept", "sample", "uncalled", "return 2")]
 
 
+ENTRY_SAMPLE = '''\
+def helper(x):
+    return x + 1
+
+
+def unused():
+    return 2
+
+
+def main():
+    return helper(1)
+'''
+
+
+def test_a_line_counts_when_run_at_import_or_under_the_entry(tmp_path):
+    path = tmp_path / "entry.py"
+    path.write_text(ENTRY_SAMPLE)
+    active = [1]  # the import counts
+
+    def run():
+        module = _load("entry", str(path))
+        active[0] -= 1
+        # Calls outside main, as a unit test makes them, count for nothing.
+        assert (module.helper(0), module.unused()) == (1, 2)
+        return reach.watch_defaults({"entry": module}, ("entry", "main"),
+                                    lambda: module.main(), active)
+
+    (result, _), hits = reach.trace_lines([str(path)], run, active)
+    assert result == 2 and active == [0]
+    lines = reach.executable_lines(str(path))
+    assert sorted(lines[number] for number in hits[str(path)]) == [
+        ("helper", "def helper(x):"), ("helper", "return x + 1"), ("main", "def main():"),
+        ("main", "return helper(1)"), ("unused", "def unused():")]
+
+
 def test_a_keep_entry_of_an_undefined_reason_is_refused(tmp_path):
     keep = tmp_path / "keep.txt"
     keep.write_text("@kept: why\nother | sample | uncalled | total = 1\n")
@@ -133,7 +168,7 @@ def test_a_default_counts_only_when_a_call_under_the_entry_leaves_it_out(tmp_pat
         # of its default; size is passed; width, label and by are left out.
         return toy.main([lambda: site.styled("b", "vanilla"), lambda: toy.Box(2).grow()])
 
-    alive, omitted = reach.watch_defaults({"toy": toy, "site": site}, ("toy", "main"), run)
+    alive, omitted = reach.watch_defaults({"toy": toy, "site": site}, ("toy", "main"), run, [0])
     assert alive == [False, False]
     assert omitted == {
         ("toy", "styled", "style"): False, ("toy", "styled", "width"): True,

@@ -9,10 +9,13 @@ Run it from anywhere in a checkout, with the interpreter that runs the tests:
 It runs pytest in-process on tests/test_cli.py and tests/test_acceptance.py
 under ``sys.settrace`` and ``threading.settrace``, so the verbs' pool threads
 are traced too, and takes the executable lines of src/tokenbudget/*.py from
-their code objects (``co_lines``). A line that no test ran is left over
-unless tools/reach_keep.txt holds it with a reason. The tool prints the
-counts per module and every line left over, and exits 1 if any line is left,
-or if a keep entry names a line the source no longer has.
+their code objects (``co_lines``). A line counts as run when it runs while
+the package is imported or while ``main()`` runs, on any thread; a call that
+a test makes to the package outside ``main()`` does not count. A line that
+no verb ran is left over unless tools/reach_keep.txt holds it with a reason.
+The tool prints the counts per module and every line left over, and exits 1
+if any line is left, or if a keep entry names a line the source no longer
+has.
 
 The same run wraps every function and method of the package that has a
 parameter default, at its module, its class and each import site, and records
@@ -72,8 +75,9 @@ def executable_lines(path: str) -> dict[int, tuple[str, str]]:
     return lines
 
 
-def trace_lines(paths, run):
-    """``run()`` with every thread traced: (its result, path -> line numbers run)."""
+def trace_lines(paths, run, active=(1,)):
+    """``run()`` with every thread traced: (its result, path -> line numbers
+    run in a call that started while ``active[0]`` was not 0)."""
     hits = {os.path.realpath(path): set() for path in paths}
     tracers: dict[str, object] = {}
 
@@ -92,7 +96,7 @@ def trace_lines(paths, run):
         if local is tracers:
             lines = hits.get(os.path.realpath(filename))
             local = tracers[filename] = None if lines is None else line_tracer(lines)
-        return local
+        return local if active[0] else None
 
     previous = sys.gettrace(), threading.gettrace()
     sys.settrace(tracer)
@@ -124,14 +128,14 @@ def defaulted(module) -> dict[str, tuple[object, tuple[str, ...]]]:
     return found
 
 
-def watch_defaults(modules: dict, entry: tuple[str, str], run):
+def watch_defaults(modules: dict, entry: tuple[str, str], run, active: list[int]):
     """``run()`` with every defaulted function of ``modules`` (name -> module)
     wrapped at its module, its class and each import site among them: (its
     result, (module, function, parameter) -> whether a call left the
     parameter to its default while the function ``entry`` (module, name)
-    ran, on any thread)."""
+    ran, on any thread). ``active[0]`` counts the calls of ``entry`` in
+    progress."""
     omitted: dict[tuple[str, str, str], bool] = {}
-    active = [0]
     lock = threading.Lock()
     undo = []
 
@@ -249,13 +253,17 @@ def main() -> int:
     paths = {name[:-3]: os.path.join(PACKAGE, name)
              for name in sorted(os.listdir(PACKAGE)) if name.endswith(".py")}
 
-    def run():
-        # Imported under the tracer, so that module-level lines count.
-        modules = {name: importlib.import_module(f"tokenbudget.{name}") for name in paths}
-        return watch_defaults(modules, ("cli", "main"), lambda: pytest.main(
-            ["-q", "-p", "no:cacheprovider", *(os.path.join(ROOT, test) for test in TESTS)]))
+    # Lines count while the package is imported, then only under main().
+    active = [1]
 
-    (status, omitted), hits = trace_lines(paths.values(), run)
+    def run():
+        modules = {name: importlib.import_module(f"tokenbudget.{name}") for name in paths}
+        active[0] -= 1
+        return watch_defaults(modules, ("cli", "main"), lambda: pytest.main(
+            ["-q", "-p", "no:cacheprovider", *(os.path.join(ROOT, test) for test in TESTS)]),
+            active)
+
+    (status, omitted), hits = trace_lines(paths.values(), run, active)
     reasons, entries = read_keep(KEEP)
     report, stale = classify({module: executable_lines(path) for module, path in paths.items()},
                              {module: hits[path] for module, path in paths.items()},
