@@ -9,15 +9,17 @@ hiccups never masquerade as wrong answers.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import os
 import random
 import threading
 from dataclasses import dataclass, fields
 
 from .backend import CompletionBackend, parse_scripted_file
-from .core import AnswerKind, Dataset, ModelPricing, Question, _typed, compute_expense
+from .core import AnswerKind, Dataset, ModelPricing, Question, _typed, _written, compute_expense
 from .ep import run_ep
 from .errors import DatasetError, ProtocolError, TransportError
 from .grading import grade
@@ -45,14 +47,91 @@ def encode_record(record: dict) -> str:
     return "".join(_encode_chunks(record, 0))
 
 
+# Every JSON document (reports and manifests) is written by write_json, in
+# the bytes of ``json.dumps(document, sort_keys=True, indent=2)``. CPython
+# 3.11's C encoder has no indent, and the pure-Python one that json.dump runs
+# makes one write per token (220,395 for the 1.4 MB audit report of a
+# 2,000-question cohort).
+_encode_string = json.encoder.encode_basestring_ascii
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_parts(value, newline: str, parts: list, flush) -> None:
+    """Append the text of ``value`` to ``parts``, indented as ``json.dumps``
+    indents it where ``newline`` (a newline and the indent of the line the
+    value starts on) begins its line, and call ``flush`` after each element
+    of a list that ``value``, or a dict in it, holds. Strings, ints, floats,
+    bools, None, non-empty lists and non-empty dicts with string keys are
+    written here; any other value, a subclass, a tuple or an empty
+    container among them, by ``json.dumps`` itself."""
+    kind = value.__class__
+    if kind is str:
+        parts.append(_encode_string(value))
+    elif kind is int:
+        parts.append(int.__repr__(value))
+    elif kind is float:
+        text = float.__repr__(value)
+        parts.append(_FLOAT_WORDS.get(text, text))
+    elif kind is bool:
+        parts.append("true" if value else "false")
+    elif value is None:
+        parts.append("null")
+    elif kind is list and value:
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            separator = "," + inner
+            _json_parts(item, inner, parts, None)
+            if flush:
+                flush()
+        parts.append(newline + "]")
+    # Sorting raises TypeError for keys of mixed types, as json.dumps does,
+    # so the keys are all strings when the first one is.
+    elif kind is dict and value and isinstance((keys := sorted(value))[0], str):
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in keys:
+            parts.append(separator + _encode_string(key) + ": ")
+            separator = "," + inner
+            _json_parts(value[key], inner, parts, flush)
+        parts.append(newline + "}")
+    else:
+        # JSON strings hold no raw newline, so this re-indents the whole value.
+        parts.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
+
+
+def _write_document(document, write) -> None:
+    """``json.dumps(document, sort_keys=True, indent=2)`` and a newline, passed
+    to ``write`` in chunks: one per element of each list a dict in the
+    document holds, so that no chunk holds a whole report."""
+    parts = []
+
+    def flush():
+        write("".join(parts))
+        parts.clear()
+
+    _json_parts(document, "\n", parts, flush)
+    parts.append("\n")
+    flush()
+
+
 def write_json(path: str, document: dict) -> None:
-    """Every JSON output (reports and manifests): sorted keys, two-space indent."""
-    # json.dump streams its chunks to the file. One json.dumps string would
-    # hold all of them at once: writing the 1.4 MB audit report of a
-    # 2,000-question cohort that way raised peak RSS from 50.0 to 54.4 MB.
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    """Write ``document`` to ``path`` as ``json.dumps(document, sort_keys=True,
+    indent=2)`` and a newline, streamed a list element at a time, and
+    atomically: into ``<path>.tmp``, which then replaces ``path``. A reader
+    sees the previous file or the whole new one, and a write that fails
+    leaves the previous file and no temporary one. Every JSON output (reports
+    and manifests) is written here."""
+    temporary = f"{path}.tmp"
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            _write_document(document, handle.write)
+        os.replace(temporary, path)
+    finally:
+        # After the replace there is nothing left to remove.
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temporary)
 
 
 def _jsonl_objects(path: str):
@@ -73,7 +152,7 @@ def _jsonl_objects(path: str):
         raise not_utf8(path, exc) from exc
 
 
-def read_jsonl(path: str, record_type=dict) -> list:
+def read_jsonl(path: str, record_type) -> list:
     """``record_type(**object)`` per JSONL line; a missing or unknown key, a value
     the type rejects, or a repeated ``question_id`` is a DatasetError naming the line."""
     records, seen = [], set()
@@ -244,12 +323,13 @@ class SampleRecord:
         """A record line read back, as elasticity's --estimates does: each field
         of its JSON type, and an estimate as parse_estimate clamps it, >= 1.
         A run builds its own records of these types, so only a line read back
-        is checked."""
+        is checked, and a line as `eval` writes it needs no ``_typed``."""
         record = cls(**line)
         budget = record.estimated_budget
         if budget is not None and (budget.__class__ is not int or budget < 1):
             raise ValueError(f"estimated_budget must be null or an integer >= 1, got {budget!r}")
-        vars(record).update(_typed(vars(record), "", _SAMPLE_NULLABLE, **_SAMPLE_TYPES))
+        if not _written(line, _SAMPLE_NULLABLE, _SAMPLE_TYPES):
+            vars(record).update(_typed(vars(record), "", _SAMPLE_NULLABLE, **_SAMPLE_TYPES))
         return record
 
 
@@ -483,7 +563,9 @@ def render_report(
             "model_id": model_id,
             "config_hash": config_hash,
         }
-        return json.dumps(document, sort_keys=True, indent=2) + "\n"
+        chunks = []
+        _write_document(document, chunks.append)
+        return "".join(chunks)
     if fmt == CSV_FORMAT:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import os
 import random
-import time
 
 import numpy as np
 
+from tokenbudget import search
 from tokenbudget.backend import ResponseCache
 from tokenbudget.cli import main
 from tokenbudget.core import (
@@ -127,9 +127,13 @@ def _random_curve(rng: random.Random, upper: int):
     return costs
 
 
-def test_criterion_01_and_02_search_matches_bruteforce_oracle():
+def test_criterion_01_and_02_search_matches_bruteforce_oracle(monkeypatch):
     rng = random.Random(20260810)
-    started = time.monotonic()
+    # Work, not seconds: each search sends at most its bound of prompts
+    # (this backend has no cache) and grades each reply once.
+    graded = []
+    monkeypatch.setattr(search, "grade", lambda text, question: graded.append(1)
+                        or grade(text, question))
     checked = 0
     for index in range(220):
         upper = rng.randint(8, 4096)
@@ -148,6 +152,7 @@ def test_criterion_01_and_02_search_matches_bruteforce_oracle():
             }
         )
         misses = count_misses(backend)
+        graded.clear()
 
         expected_status, expected_best, expected_trace = _simulate_search(
             upper,
@@ -165,12 +170,11 @@ def test_criterion_01_and_02_search_matches_bruteforce_oracle():
 
         # Criterion 2: vanilla + optional probe + halving walk.
         bound = (upper - 1).bit_length() + 2
-        assert misses() <= bound
+        assert len(graded) == misses() <= bound
         checked += 1
-    elapsed = time.monotonic() - started
     assert checked >= 200
-    assert elapsed < 1.0, f"oracle sweep took {elapsed:.3f}s"
-    _passed(1, f"search equals brute-force oracle on {checked} random curves in {elapsed:.2f}s")
+    _passed(1, f"search equals brute-force oracle on {checked} random curves, "
+               "grading each prompt it sends once")
     _passed(2, "every search stayed within ceil(log2(upper)) + 2 completions")
 
 
@@ -234,26 +238,46 @@ def _window_oracle(costs: list[int], k: int) -> tuple[int, int]:
 
 
 def test_criterion_04_window_matches_exhaustive_enumeration():
+    # Work, not seconds: every sum or difference taken with a cost is
+    # counted, and a window that rolls takes one per point of the trace,
+    # where summing each window afresh takes about n * k.
+    operations = []
+
+    class Cost(int):
+        def __add__(self, other):
+            operations.append(1)
+            return int(self) + int(other)
+
+        def __sub__(self, other):
+            operations.append(1)
+            return int(self) - int(other)
+
+        def __rsub__(self, other):
+            operations.append(1)
+            return int(other) - int(self)
+
+        __radd__ = __add__
+
     rng = random.Random(41)
-    started = time.monotonic()
     cases = 0
     for _ in range(1000):
         length = rng.randint(3, 300)
         budgets = sorted(rng.sample(range(1, 12 * length + 12), length), reverse=True)
         costs = [rng.randint(1, 1000) for _ in range(length)]
-        trace = [TracePoint(b, c, True) for b, c in zip(budgets, costs)]
+        trace = [TracePoint(b, Cost(c), True) for b, c in zip(budgets, costs)]
         for k in ("auto", 1, 2, 5):
             window_size = max(1, length // 3) if k == "auto" else k
             if window_size > length:
                 continue
             start, total = _window_oracle(costs, window_size)
+            operations.clear()
             window = ideal_budget_range(trace, k)
+            assert len(operations) <= 2 * length + 2, (length, window_size, len(operations))
             assert window.total_cost == total
             assert window.budgets == tuple(budgets[start:start + window_size])
             cases += 1
-    elapsed = time.monotonic() - started
-    assert elapsed < 1.0, f"window sweep took {elapsed:.3f}s"
-    _passed(4, f"rolling window equals exhaustive enumeration on {cases} cases in {elapsed:.2f}s")
+    _passed(4, f"rolling window equals exhaustive enumeration on {cases} cases, "
+               "with at most 2n + 2 sums and differences of costs each")
 
 
 # ---------------------------------------------------------------------------

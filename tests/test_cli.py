@@ -1067,6 +1067,9 @@ def test_malformed_search_results_name_the_file_and_the_line(demo, capsys):
            {"question_id": "wrong", "status": "no_feasible_budget", "upper_bound": 0,
             "trace": [{"budget": 64, "output_tokens": 60, "correct": True}]},
            "no_feasible_budget record 'wrong' carries trace: (TracePoint(budget=64"),
+          ("no-feasible-record-with-an-object-trace",
+           {"question_id": "wrong", "status": "no_feasible_budget", "upper_bound": 0, "trace": {}},
+           "trace must be a JSON array, got {}"),
           ("no-feasible-record-with-a-target",
            {"question_id": "wrong", "status": "no_feasible_budget", "upper_bound": 0,
             "target_output": ""},

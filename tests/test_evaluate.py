@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import signal
 import sys
 import threading
@@ -33,6 +34,7 @@ from tokenbudget.evaluate import (
     run_method,
     sample_dataset,
     token_reduction,
+    write_json,
 )
 
 from conftest import JSON_VALUES, behavior_from_curve, main_refuses, make_question, scripted_backend
@@ -69,6 +71,40 @@ _RECORD_VALUES = st.recursive(
 @given(record=st.dictionaries(st.text(), _RECORD_VALUES, max_size=6))
 def test_record_line_is_the_sorted_key_json_dumps(record):
     assert encode_record(record) == json.dumps(record, sort_keys=True)
+
+
+# What write_json writes itself, and what it hands to json.dumps: tuples and
+# dicts with integer keys.
+_KEYS = st.text() | st.sampled_from(["\ud800", "\u00e9", ""])
+_DOCUMENT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 2**64, -(10**40),
+                       "\u00e9\u6f22\U0001f600\ud800", "\u2028\x00\x7f"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_KEYS, children, max_size=4)
+    | st.tuples(children) | st.dictionaries(st.integers(), children, max_size=2),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=80)
+@given(document=st.dictionaries(_KEYS, _DOCUMENT_VALUES, max_size=6))
+def test_write_json_writes_the_bytes_of_json_dumps(tmp_path_factory, document):
+    path = tmp_path_factory.getbasetemp() / "document.json"
+    write_json(str(path), document)
+    assert path.read_bytes() == (json.dumps(document, sort_keys=True, indent=2) + "\n").encode()
+    assert not os.path.exists(f"{path}.tmp")
+
+
+def test_a_write_json_that_fails_leaves_the_previous_file(tmp_path):
+    path = tmp_path / "report.json"
+    write_json(str(path), {"rows": [1]})
+    before = path.read_bytes()
+    # The first element is written; the second cannot be encoded.
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_json(str(path), {"rows": [2, object()]})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["report.json"]
 
 
 # Values of each field's JSON type, a float field's ints among them (10**400

@@ -184,3 +184,15 @@ def test_a_default_counts_only_when_a_call_under_the_entry_leaves_it_out(tmp_pat
     assert kept == [("toy", "styled", "style", "kept")]
     assert unused == [("toy", "Box.__init__", "size")]
     assert stale == [("kept", "toy", "styled", "colour=")]
+
+
+@pytest.mark.parametrize("colour, failed", [("green", False), ("red", True)])
+def test_a_red_suite_fails_the_tool(tmp_path, monkeypatch, capsys, colour, failed):
+    # One module name per suite: both run in this process.
+    suite = tmp_path / f"test_reach_{colour}_suite.py"
+    suite.write_text(f"def test_suite():\n    assert {not failed}\n")
+    monkeypatch.setattr(reach, "TESTS", (str(suite),))
+    # A suite this small leaves lines unreached, so the tool exits 1 either
+    # way; only a red one is named as such.
+    assert reach.main() == 1
+    assert ("pytest failed with exit status 1" in capsys.readouterr().out) == failed

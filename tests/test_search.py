@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import functools
 import json
-
 import math
+from dataclasses import MISSING, fields
+from unittest import mock
 
 import pytest
 
+from tokenbudget import evaluate, search
 from tokenbudget.backend import ScriptedEntry
+from tokenbudget.core import Dataset, ModelPricing
+from tokenbudget.errors import DatasetError
+from tokenbudget.evaluate import (_SAMPLE_TYPES, MethodSpec, SampleRecord, encode_record,
+                                  read_jsonl, run_method)
 from tokenbudget.prompting import PromptTemplates
 from tokenbudget.search import (
+    STATUS_FIELDS,
     IdealRange,
     SearchRecord,
     TracePoint,
@@ -27,6 +35,7 @@ from conftest import (behavior_from_curve, count_misses, main_refuses, make_ques
 
 # The CLI's --multipliers default.
 MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
+PRICING = ModelPricing("scripted-v1", 0.15, 0.60)
 
 
 def trace_of(costs, budgets=None, correct=None) -> tuple[TracePoint, ...]:
@@ -417,3 +426,136 @@ def test_elasticity_rows_are_iteration_ordered(rebound_question, rebound_backend
     assert rows[0] == ("rebound", 1, 256, 130, True)
     assert rows[-1] == ("rebound", 4, 32, 90, True)
     assert SearchRecord("rebound", "error", error="interrupted").elasticity_rows() == []
+
+
+# ---------------------------------------------------------------------------
+# Read-back: the direct path, and lines corrupted by one field
+# ---------------------------------------------------------------------------
+
+_SEARCH_DEFAULTS = {f.name: [] if f.default == () else f.default
+                    for f in fields(SearchRecord) if f.default is not MISSING}
+_ROW_DEFAULTS = {"response_fingerprint": None}
+_SAMPLE_DEFAULTS = {f.name: f.default for f in fields(SampleRecord) if f.default is not MISSING}
+
+
+@functools.lru_cache(maxsize=None)
+def _written_lines() -> tuple[tuple[object, str], ...]:
+    """(reader, line) for lines as their writers write them: SearchRecord.line()
+    of each status, and encode_record of run_method's ep and direct records."""
+    question = make_question(qid="rebound", text="What is 12 + 6 halved three times?", gold="18")
+    found = search_optimal_budget(scripted_backend({question: behavior_from_curve(
+        vanilla_tokens=256, curve={256: (130, True), 128: (120, True), 64: (70, True),
+                                   32: (90, True)}, default=(300, False))}), question)
+    searched = [found, _wrong_vanilla_record(question), _zero_vanilla_record(),
+                SearchRecord("rebound", "error", error="TransportError")]
+    estimated = make_question(qid="ep", text="How many eggs are left?", gold="18")
+    backend = scripted_backend({estimated: behavior_from_curve(
+        vanilla_tokens=258, curve={50: (86, True)}, estimate="50", default=(200, True))})
+    dataset = Dataset("fixture", [estimated])
+    sampled = [record for method in (MethodSpec("ep", alpha=1.5), MethodSpec("direct"))
+               for record in run_method(backend, dataset, method, PRICING, concurrency=1)]
+    return (*((SearchRecord, record.line()) for record in searched),
+            *((SampleRecord.read, encode_record(vars(record))) for record in sampled))
+
+
+def _read(path, reader) -> tuple[str, str]:
+    """("read", the line the record read from ``path`` writes) or ("refused", why)."""
+    try:
+        [record] = read_jsonl(str(path), reader)
+    except DatasetError as exc:
+        return "refused", str(exc)
+    return "read", record.line() if reader is SearchRecord else encode_record(vars(record))
+
+
+def test_a_line_as_its_writer_writes_it_is_read_without_typed(tmp_path, monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("a line as written went through _typed")
+    monkeypatch.setattr(search, "_typed", unused)
+    monkeypatch.setattr(evaluate, "_typed", unused)
+    for reader, line in _written_lines():
+        (tmp_path / "line.jsonl").write_text(line + "\n")
+        assert _read(tmp_path / "line.jsonl", reader) == ("read", line)
+
+
+def _json_type(value) -> str:
+    return "number" if value.__class__ in (int, float) else value.__class__.__name__
+
+
+# A value of each JSON type, and values outside the set a field allows.
+_ANY_VALUES = [None, True, 0, 7, 1.5, "", "x", [], {}]
+_OUTSIDE = {"status": ["done"], "upper_bound": [-1], "optimal_budget": [0, 999], "error": [""],
+            "target_output": [""], "budget": [0, -3], "output_tokens": [-1],
+            "estimated_budget": [0, -2]}
+_FLOAT_FIELDS = {name for name, kind in _SAMPLE_TYPES.items() if kind is float}
+_DROP = object()
+
+
+def _corruptions(reader, text: str):
+    """Each line that ``text`` becomes when one key, of the line or of its
+    first trace row, is dropped, added with any value, given a value of
+    another JSON type (an int in a float field is a number still) or a value
+    outside its set."""
+    def copy(in_row: bool) -> tuple[dict, dict]:
+        line = json.loads(text)
+        return line, line["trace"][0] if in_row else line
+
+    defaults = _SEARCH_DEFAULTS if reader is SearchRecord else _SAMPLE_DEFAULTS
+    for in_row in (False, True) if json.loads(text).get("trace") else (False,):
+        _, target = copy(in_row)
+        known = _ROW_DEFAULTS if in_row else defaults
+        changes = [(key, _DROP) for key in target]
+        changes += [(key, value) for key in ["extra", *known.keys() - target.keys()]
+                    for value in _ANY_VALUES]
+        changes += [(key, value) for key in target for value in _ANY_VALUES
+                    if _json_type(value) != _json_type(target[key])
+                    and not (key in _FLOAT_FIELDS and value.__class__ is int)]
+        changes += [(key, value) for key in target.keys() & _OUTSIDE.keys()
+                    for value in _OUTSIDE[key]]
+        for key, value in changes:
+            line, target = copy(in_row)
+            if value is _DROP:
+                del target[key]
+            else:
+                target[key] = value
+            yield line
+
+
+def _expected_line(reader, line: dict) -> str | None:
+    """The line that the record read from ``line`` writes, if the reader reads
+    it: a key the writer writes and the line lacks takes its default, and a
+    key the writer leaves out is read only at its default. None when no
+    record writes it."""
+    if reader is SearchRecord:
+        keys = {"question_id", "status", *STATUS_FIELDS[line["status"]][0]}
+        defaults = _SEARCH_DEFAULTS
+    else:
+        keys, defaults = set(_SAMPLE_TYPES), _SAMPLE_DEFAULTS
+    if any(encode_record(line[key]) != encode_record(defaults.get(key, ...))
+           for key in line.keys() - keys):
+        return None
+    expected = {key: line[key] if key in line else defaults[key] for key in keys}
+    if "trace" in expected:
+        expected["trace"] = [dict(_ROW_DEFAULTS, **row) for row in expected["trace"]]
+    return encode_record(expected)
+
+
+def test_a_line_corrupted_in_one_field_is_refused_or_read_as_it_is(tmp_path):
+    """Every corruption of every written line: the direct path reads it as the
+    _typed path does. It refuses it with the same message, naming the line,
+    or reads a record that writes the line back, a dropped key at its default."""
+    path = tmp_path / "corrupted.jsonl"
+    verdicts = []
+    for reader, text in _written_lines():
+        for mutated in _corruptions(reader, text):
+            path.write_text(encode_record(mutated) + "\n")
+            outcome = _read(path, reader)
+            with mock.patch.object(search, "_written", lambda *args: False), \
+                    mock.patch.object(evaluate, "_written", lambda *args: False):
+                assert _read(path, reader) == outcome, mutated
+            verdict, written = outcome
+            verdicts.append(verdict)
+            if verdict == "refused":
+                assert written.startswith(f"{path}: line 1: ")
+            else:
+                assert written == _expected_line(reader, mutated), mutated
+    assert verdicts.count("read") > 50 and verdicts.count("refused") > 300, len(verdicts)

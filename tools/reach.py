@@ -26,9 +26,10 @@ keep list holds: a candidate for deletion, if the source holds code only for
 it. The list does not gate: a plain default that only shortens the tests'
 calls may stay.
 
-Test results do not gate the collection: the two wall-clock bounds in
-tests/test_acceptance.py fail under any line tracer. The tool prints pytest's
-exit status and leaves the tests as they are.
+The suite must pass under the tracer: the tool exits 1 when pytest fails,
+after printing the report, since a test that stopped early leaves lines
+unreached that it would have run. The tests bound the work they guard by
+counts, not by the clock, so tracing slows them without failing them.
 
 The keep list: ``@<reason>: <why>`` defines a reason. Every other line that
 is not blank or a ``#`` comment is ``<reason> | <module> | <function> |
@@ -272,8 +273,9 @@ def main() -> int:
         omitted, [entry for entry in entries if is_default_entry(entry)])
     stale += stale_defaults
 
-    print(f"\npytest exit status {int(status)}; a failure of a wall-clock bound is "
-          f"expected under the tracer and does not gate this report")
+    if status:
+        print(f"\npytest failed with exit status {int(status)}: this is the report of a red "
+              "suite, and the tool exits 1")
     print(f"{'module':<12} {'lines':>6} {'reached':>8} {'kept':>5} {'left':>5}")
     totals = [0, 0, 0, 0]
     for module, row in report.items():
@@ -303,7 +305,7 @@ def main() -> int:
         print(f"\n{KEEP} names lines or parameter defaults the source no longer has:")
         for entry in stale:
             print("  " + " | ".join(entry))
-    return 1 if left or stale else 0
+    return 1 if status or left or stale else 0
 
 
 if __name__ == "__main__":
