@@ -132,20 +132,6 @@ def _typed(section, where: str, nullable=(), **types) -> dict:
     return typed
 
 
-def _written(row: dict, nullable, types: dict) -> bool:
-    """Whether ``row`` holds exactly the keys of ``types``, each value of
-    exactly its class, or null where ``nullable`` lets it: a row as its writer
-    writes it. A reader builds such a row as it is, and sends any other
-    through ``_typed``, which converts an int to a float or refuses the row
-    with its message; the rules on values run on both paths."""
-    if len(row) != len(types):
-        return False
-    for key, value in row.items():
-        if value.__class__ is not types.get(key) and (value is not None or key not in nullable):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class ModelPricing:
     """USD per one million input/output tokens for one model."""

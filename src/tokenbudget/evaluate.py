@@ -19,7 +19,7 @@ import threading
 from dataclasses import dataclass, fields
 
 from .backend import CompletionBackend, parse_scripted_file
-from .core import AnswerKind, Dataset, ModelPricing, Question, _typed, _written, compute_expense
+from .core import AnswerKind, Dataset, ModelPricing, Question, _typed, compute_expense
 from .ep import run_ep
 from .errors import DatasetError, ProtocolError, TransportError
 from .grading import grade
@@ -323,13 +323,12 @@ class SampleRecord:
         """A record line read back, as elasticity's --estimates does: each field
         of its JSON type, and an estimate as parse_estimate clamps it, >= 1.
         A run builds its own records of these types, so only a line read back
-        is checked, and a line as `eval` writes it needs no ``_typed``."""
+        is checked."""
         record = cls(**line)
         budget = record.estimated_budget
         if budget is not None and (budget.__class__ is not int or budget < 1):
             raise ValueError(f"estimated_budget must be null or an integer >= 1, got {budget!r}")
-        if not _written(line, _SAMPLE_NULLABLE, _SAMPLE_TYPES):
-            vars(record).update(_typed(vars(record), "", _SAMPLE_NULLABLE, **_SAMPLE_TYPES))
+        vars(record).update(_typed(vars(record), "", _SAMPLE_NULLABLE, **_SAMPLE_TYPES))
         return record
 
 

@@ -19,12 +19,10 @@ monotonicity audit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
-from operator import ge
 from typing import Sequence
 
 from .backend import CompletionBackend
-from .core import CompletionOutcome, Question, _typed, _written, clamp_budget
+from .core import CompletionOutcome, Question, _typed, clamp_budget
 from .evaluate import encode_record
 from .grading import grade
 from .prompting import PromptKind
@@ -41,25 +39,12 @@ class TracePoint:
     response_fingerprint: str | None = None
 
 
-_POINT_TYPES = {"budget": int, "output_tokens": int, "correct": bool, "response_fingerprint": str}
-_POINT_NULLABLE = frozenset({"response_fingerprint"})
-
-
-def _read_point(row, index: int) -> TracePoint:
-    """Trace row ``index`` read back, each field of its JSON type, budget >= 1,
-    output_tokens >= 0; a TracePoint is kept as it is."""
-    if isinstance(row, TracePoint):
-        return row
-    if _written(row, _POINT_NULLABLE, _POINT_TYPES):
-        # Exactly its fields, each of its class: set them at once, where the
-        # frozen __init__ (TracePoint has no __post_init__) sets them one
-        # object.__setattr__ call at a time.
-        point = object.__new__(TracePoint)
-        vars(point).update(row)
-    else:
-        point = TracePoint(**_typed(row, f"trace[{index}]", _POINT_NULLABLE, **_POINT_TYPES))
+def _read_point(row: dict, where: str) -> TracePoint:
+    """A trace row read back, each field of its JSON type, budget >= 1, output_tokens >= 0."""
+    point = TracePoint(**_typed(row, where, {"response_fingerprint"}, budget=int,
+                                output_tokens=int, correct=bool, response_fingerprint=str))
     if point.budget < 1 or point.output_tokens < 0:
-        raise ValueError(f"trace[{index}] needs budget >= 1 and output_tokens >= 0, got "
+        raise ValueError(f"{where} needs budget >= 1 and output_tokens >= 0, got "
                          f"{point.budget} and {point.output_tokens}")
     return point
 
@@ -67,7 +52,6 @@ def _read_point(row, index: int) -> TracePoint:
 # Per status, the fields its line holds besides question_id and status, and
 # those of them it may set: every other field is null, or an empty trace.
 _SEARCHED = ("optimal_budget", "upper_bound", "target_output", "trace")
-_OPTIONAL = (*_SEARCHED, "error")
 STATUS_FIELDS = {
     "found": (_SEARCHED, _SEARCHED),
     "vanilla_incorrect": (_SEARCHED, ("upper_bound",)),
@@ -107,11 +91,12 @@ class SearchRecord:
         if self.status not in STATUS_FIELDS:
             raise ValueError(f"status must be one of {', '.join(STATUS_FIELDS)}, "
                              f"got {self.status!r}")
-        rows, self.trace = self.trace, tuple(map(_read_point, self.trace, count()))
+        rows, self.trace = self.trace, tuple(
+            p if isinstance(p, TracePoint) else _read_point(p, f"trace[{i}]")
+            for i, p in enumerate(self.trace))
         if rows.__class__ not in (tuple, list):  # an empty object or string holds no row
             raise ValueError(f"trace must be a JSON array, got {rows!r}")
-        budgets = [point.budget for point in self.trace]
-        if any(map(ge, budgets[1:], budgets)):
+        if any(b.budget >= a.budget for a, b in zip(self.trace, self.trace[1:])):
             raise ValueError("trace budgets must be strictly decreasing")
         if self.upper_bound.__class__ not in (int, type(None)):
             raise ValueError(f"upper_bound must be an integer, got {self.upper_bound!r}")
@@ -121,15 +106,15 @@ class SearchRecord:
             raise ValueError(f"error record {self.question_id!r} has error "
                              f"{self.error!r}, not a non-empty string")
         settable = STATUS_FIELDS[self.status][1]
-        for name in _OPTIONAL:
+        for name in (*_SEARCHED, "error"):
             if name not in settable and (value := getattr(self, name)) not in (None, ()):
                 what = "an error" if name == "error" else name
                 raise ValueError(f"{self.status} record {self.question_id!r} carries "
                                  f"{what}: {value!r}")
         if self.status != "found":
             return
-        if self.optimal_budget.__class__ is not int or (
-                self.optimal_budget != self.upper_bound and self.optimal_budget not in budgets):
+        budgets = {self.upper_bound, *(p.budget for p in self.trace)}
+        if self.optimal_budget.__class__ is not int or self.optimal_budget not in budgets:
             raise ValueError(f"found record {self.question_id!r} has optimal_budget "
                              f"{self.optimal_budget!r}, not its upper_bound or a trace budget")
         if self.optimal_budget < 1:

@@ -130,10 +130,25 @@ def _random_curve(rng: random.Random, upper: int):
 def test_criterion_01_and_02_search_matches_bruteforce_oracle(monkeypatch):
     rng = random.Random(20260810)
     # Work, not seconds: each search sends at most its bound of prompts
-    # (this backend has no cache) and grades each reply once.
-    graded = []
+    # (this backend has no cache), grades each reply once, builds each row
+    # of its trace once and checks its trace once, in the one record it
+    # returns, so no work between probes grows with the trace.
+    graded, built, checked_rows = [], [], []
     monkeypatch.setattr(search, "grade", lambda text, question: graded.append(1)
                         or grade(text, question))
+
+    class CountedPoint(search.TracePoint):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    class CountedRecord(search.SearchRecord):
+        def __post_init__(self):
+            checked_rows.extend(self.trace)
+            super().__post_init__()
+
+    monkeypatch.setattr(search, "TracePoint", CountedPoint)
+    monkeypatch.setattr(search, "SearchRecord", CountedRecord)
     checked = 0
     for index in range(220):
         upper = rng.randint(8, 4096)
@@ -152,7 +167,8 @@ def test_criterion_01_and_02_search_matches_bruteforce_oracle(monkeypatch):
             }
         )
         misses = count_misses(backend)
-        graded.clear()
+        for counted in (graded, built, checked_rows):
+            counted.clear()
 
         expected_status, expected_best, expected_trace = _simulate_search(
             upper,
@@ -171,10 +187,11 @@ def test_criterion_01_and_02_search_matches_bruteforce_oracle(monkeypatch):
         # Criterion 2: vanilla + optional probe + halving walk.
         bound = (upper - 1).bit_length() + 2
         assert len(graded) == misses() <= bound
+        assert len(built) == len(checked_rows) == len(result.trace) < bound
         checked += 1
     assert checked >= 200
     _passed(1, f"search equals brute-force oracle on {checked} random curves, "
-               "grading each prompt it sends once")
+               "grading each prompt it sends and building each trace row once")
     _passed(2, "every search stayed within ceil(log2(upper)) + 2 completions")
 
 

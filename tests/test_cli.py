@@ -1029,6 +1029,13 @@ def test_malformed_search_results_name_the_file_and_the_line(demo, capsys):
           ("fingerprint-a-number", {"response_fingerprint": 5},
            "trace[1].response_fingerprint must be a string or null, got 5"),
       )],
+    # A row that is no JSON object, of any length.
+    *[pytest.param(verb, flag, dict(_FOUND, optimal_budget=256, upper_bound=256, trace=[row]),
+                   "trace[0] must be a JSON object", id=f"{verb}-trace-row-{name}")
+      for verb, flag in (("audit", "--search-output"), ("elasticity", "--search-output"),
+                         ("ptdata", "--out-dir"))
+      for name, row in (("a-number", 5), ("a-string", "abcd"), ("a-list", [1, 2, 3, 4]),
+                        ("null", None))],
     *[pytest.param(verb, flag, line, "a second record of 'mono'",
                    id=f"{verb}-{flag[2:]}-question-twice")
       for verb, flag, line in (

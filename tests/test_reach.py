@@ -192,7 +192,9 @@ def test_a_red_suite_fails_the_tool(tmp_path, monkeypatch, capsys, colour, faile
     suite = tmp_path / f"test_reach_{colour}_suite.py"
     suite.write_text(f"def test_suite():\n    assert {not failed}\n")
     monkeypatch.setattr(reach, "TESTS", (str(suite),))
-    # A suite this small leaves lines unreached, so the tool exits 1 either
-    # way; only a red one is named as such.
-    assert reach.main() == 1
+    # A suite this small leaves lines unreached: count none left and no keep
+    # entry stale, so that only pytest's status decides the exit.
+    monkeypatch.setattr(reach, "classify", lambda *args: ({}, []))
+    monkeypatch.setattr(reach, "classify_defaults", lambda *args: ([], [], []))
+    assert reach.main() == int(failed)
     assert ("pytest failed with exit status 1" in capsys.readouterr().out) == failed

@@ -6,11 +6,9 @@ import functools
 import json
 import math
 from dataclasses import MISSING, fields
-from unittest import mock
 
 import pytest
 
-from tokenbudget import evaluate, search
 from tokenbudget.backend import ScriptedEntry
 from tokenbudget.core import Dataset, ModelPricing
 from tokenbudget.errors import DatasetError
@@ -429,7 +427,7 @@ def test_elasticity_rows_are_iteration_ordered(rebound_question, rebound_backend
 
 
 # ---------------------------------------------------------------------------
-# Read-back: the direct path, and lines corrupted by one field
+# Read-back: written lines corrupted by one field
 # ---------------------------------------------------------------------------
 
 _SEARCH_DEFAULTS = {f.name: [] if f.default == () else f.default
@@ -467,16 +465,6 @@ def _read(path, reader) -> tuple[str, str]:
     return "read", record.line() if reader is SearchRecord else encode_record(vars(record))
 
 
-def test_a_line_as_its_writer_writes_it_is_read_without_typed(tmp_path, monkeypatch):
-    def unused(*args, **kwargs):
-        raise AssertionError("a line as written went through _typed")
-    monkeypatch.setattr(search, "_typed", unused)
-    monkeypatch.setattr(evaluate, "_typed", unused)
-    for reader, line in _written_lines():
-        (tmp_path / "line.jsonl").write_text(line + "\n")
-        assert _read(tmp_path / "line.jsonl", reader) == ("read", line)
-
-
 def _json_type(value) -> str:
     return "number" if value.__class__ in (int, float) else value.__class__.__name__
 
@@ -494,13 +482,18 @@ def _corruptions(reader, text: str):
     """Each line that ``text`` becomes when one key, of the line or of its
     first trace row, is dropped, added with any value, given a value of
     another JSON type (an int in a float field is a number still) or a value
-    outside its set."""
+    outside its set, or when that row is replaced by a value of any JSON type."""
     def copy(in_row: bool) -> tuple[dict, dict]:
         line = json.loads(text)
         return line, line["trace"][0] if in_row else line
 
     defaults = _SEARCH_DEFAULTS if reader is SearchRecord else _SAMPLE_DEFAULTS
-    for in_row in (False, True) if json.loads(text).get("trace") else (False,):
+    traced = bool(json.loads(text).get("trace"))
+    for value in _ANY_VALUES if traced else ():
+        line, _ = copy(False)
+        line["trace"][0] = value
+        yield line
+    for in_row in (False, True) if traced else (False,):
         _, target = copy(in_row)
         known = _ROW_DEFAULTS if in_row else defaults
         changes = [(key, _DROP) for key in target]
@@ -540,19 +533,14 @@ def _expected_line(reader, line: dict) -> str | None:
 
 
 def test_a_line_corrupted_in_one_field_is_refused_or_read_as_it_is(tmp_path):
-    """Every corruption of every written line: the direct path reads it as the
-    _typed path does. It refuses it with the same message, naming the line,
-    or reads a record that writes the line back, a dropped key at its default."""
+    """Every corruption of every written line is refused, naming the line, or
+    read as a record that writes the line back, a dropped key at its default."""
     path = tmp_path / "corrupted.jsonl"
     verdicts = []
     for reader, text in _written_lines():
         for mutated in _corruptions(reader, text):
             path.write_text(encode_record(mutated) + "\n")
-            outcome = _read(path, reader)
-            with mock.patch.object(search, "_written", lambda *args: False), \
-                    mock.patch.object(evaluate, "_written", lambda *args: False):
-                assert _read(path, reader) == outcome, mutated
-            verdict, written = outcome
+            verdict, written = _read(path, reader)
             verdicts.append(verdict)
             if verdict == "refused":
                 assert written.startswith(f"{path}: line 1: ")
