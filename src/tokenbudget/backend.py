@@ -53,7 +53,7 @@ from .core import (
 )
 from .errors import ConfigError, DatasetError, ProtocolError, RateLimitError, TransportError
 from .jsonstream import JSONStream, build_each, not_utf8
-from .prompting import DEFAULT_TEMPLATES, Prompt, PromptKind, PromptTemplates, build_prompt
+from .prompting import Prompt, PromptKind, PromptTemplates, build_prompt
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,6 @@ class SamplingParams:
         or ``1`` and ``1.0``, compare equal but render differently.
         """
         return {}
-
-
-DEFAULT_SAMPLING = SamplingParams()
 
 
 def _budget_pattern(budgeted_suffix: str) -> re.Pattern:
@@ -124,15 +121,12 @@ def request_fingerprint(prompt: Prompt, params: SamplingParams) -> str:
 CACHE_FORMAT = "tokenbudget-cache/2"
 
 
-def backend_tag(kind: str, model_id: str, endpoint: str | None = None) -> str:
+def backend_tag(kind: str, model_id: str, endpoint: str | None) -> str:
     """The 16-hex-digit tag of one backend's cache lines: a hash of the cache
     format, the backend kind, its model id and, for a live backend, its endpoint."""
     identity = json.dumps([CACHE_FORMAT, kind, model_id, endpoint])
     return hashlib.sha256(identity.encode("ascii")).hexdigest()[:16]
 
-
-# The tag of ScriptedBackend's default identity.
-SCRIPTED_TAG = backend_tag("scripted", "scripted-v1")
 
 # Every cache line is ``json.dumps({"backend", "fingerprint", "outcome"},
 # sort_keys=True)``: the tag sits at a fixed offset and the fingerprint
@@ -207,7 +201,7 @@ class ResponseCache:
     or fingerprint is unreadable, else at each ``get`` of its fingerprint.
     """
 
-    def __init__(self, path: str, tag: str = SCRIPTED_TAG):
+    def __init__(self, path: str, tag: str):
         self.path = path
         self.tag = tag
         # Every line of this cache up to its fingerprint's opening quote.
@@ -342,17 +336,12 @@ class CompletionBackend:
 
     kind = ""
 
-    def __init__(
-        self,
-        model_id: str,
-        cache: ResponseCache | None = None,
-        params: SamplingParams = DEFAULT_SAMPLING,
-        templates: PromptTemplates | None = None,
-    ):
+    def __init__(self, model_id: str, cache: ResponseCache, params: SamplingParams,
+                 templates: PromptTemplates):
         self.model_id = model_id
         self._cache = cache
         self.params = params
-        self.templates = templates or DEFAULT_TEMPLATES
+        self.templates = templates
 
     def ask(self, question: Question, kind: PromptKind, budget: int | None = None) -> CompletionOutcome:
         """Render one prompt about ``question`` and complete it."""
@@ -360,16 +349,14 @@ class CompletionBackend:
 
     def complete(self, prompt: Prompt) -> CompletionOutcome:
         fingerprint = request_fingerprint(prompt, self.params)
-        if self._cache is not None:
-            hit = self._cache.get(fingerprint)
-            if hit is not None:
-                return hit
+        hit = self._cache.get(fingerprint)
+        if hit is not None:
+            return hit
         text, usage = self._request(prompt)
         outcome = CompletionOutcome(
             text=text, usage=usage, model_id=self.model_id, request_fingerprint=fingerprint
         )
-        if self._cache is not None:
-            self._cache.put(fingerprint, outcome)
+        self._cache.put(fingerprint, outcome)
         return outcome
 
     def _request(self, prompt: Prompt) -> tuple[str, TokenUsage]:
@@ -428,15 +415,9 @@ class ScriptedBackend(CompletionBackend):
 
     kind = "scripted"
 
-    def __init__(
-        self,
-        scenario: ScriptedScenario,
-        model_id: str = "scripted-v1",
-        cache: ResponseCache | None = None,
-        params: SamplingParams = DEFAULT_SAMPLING,
-        templates: PromptTemplates | None = None,
-    ):
-        super().__init__(model_id=model_id, cache=cache, params=params, templates=templates)
+    def __init__(self, scenario: ScriptedScenario, model_id: str, cache: ResponseCache,
+                 params: SamplingParams, templates: PromptTemplates):
+        super().__init__(model_id, cache, params, templates)
         self._behaviors = scenario.behaviors
         self._default_entry = scenario.default_entry
         # Every rendered prompt joins the question text and the template lines
@@ -911,17 +892,17 @@ class LiveBackend(CompletionBackend):
         endpoint: str,
         model_id: str,
         api_key: str,
-        retry: RetryPolicy | None = None,
-        cache: ResponseCache | None = None,
-        params: SamplingParams = DEFAULT_SAMPLING,
-        templates: PromptTemplates | None = None,
+        retry: RetryPolicy,
+        cache: ResponseCache,
+        params: SamplingParams,
+        templates: PromptTemplates,
     ):
-        super().__init__(model_id=model_id, cache=cache, params=params, templates=templates)
+        super().__init__(model_id, cache, params, templates)
         if _TARGET_UNSAFE.search(endpoint):
             raise ValueError("endpoint holds a space or a control character")
         if _HEADER_UNSAFE.search(api_key):
             raise ValueError("API key holds a control character")
-        self._retry = retry or RetryPolicy()
+        self._retry = retry
         url = urllib.parse.urlsplit(endpoint)
         https = url.scheme == "https"
         host, port = url.hostname, url.port or (443 if https else 80)
@@ -1021,17 +1002,14 @@ class LiveBackend(CompletionBackend):
             elif status >= 500:
                 last_error = TransportError(f"server error HTTP {status}")
             elif status != 200:
-                raise ProtocolError(
-                    f"unexpected HTTP {status}", raw_body=data.decode("utf-8", "replace")
-                )
+                raise ProtocolError(f"unexpected HTTP {status}")
             else:
                 return self._parse_response(data, prompt)
         raise last_error
 
     def _parse_response(self, data: bytes, prompt: Prompt) -> tuple[str, TokenUsage]:
         def malformed(reason) -> ProtocolError:
-            return ProtocolError(f"malformed completion payload: {reason}",
-                                 raw_body=data.decode("utf-8", "replace"))
+            return ProtocolError(f"malformed completion payload: {reason}")
 
         try:
             payload = json.loads(data)

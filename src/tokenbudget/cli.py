@@ -42,6 +42,7 @@ from .evaluate import (
     SCRIPTED_JSON,
     SampleRecord,
     _pool_map,
+    atomic_open,
     encode_record,
     load_dataset,
     parse_method,
@@ -302,7 +303,7 @@ def cmd_eval(args) -> int:
     # Written only once every method has run, so a fatal error in a later
     # method leaves the out-dir as it was.
     for method, records in runs:
-        with open(ctx.path(f"records_{method.slug}.jsonl"), "w", encoding="utf-8") as sink:
+        with atomic_open(ctx.path(f"records_{method.slug}.jsonl")) as sink:
             for record in records:
                 sink.write(encode_record(vars(record)) + "\n")
         ctx.failed = ctx.failed or any(record.failed for record in records)
@@ -313,7 +314,7 @@ def cmd_eval(args) -> int:
     print(report(TABLE_TEXT), end="")
     extension = {TABLE_TEXT: "txt", CSV_FORMAT: "csv", JSON_FORMAT: "json"}[args.format]
     report_name = f"report.{extension}"
-    with open(ctx.path(report_name), "w", encoding="utf-8") as handle:
+    with atomic_open(ctx.path(report_name)) as handle:
         handle.write(report(args.format))
 
     return ctx.finish(methods=[m.label for m in methods], alpha=args.alpha, report=report_name)
@@ -328,8 +329,8 @@ def cmd_search(args) -> int:
                                              error=str(error) or type(error).__name__),
     )
 
-    with open(ctx.path("search_results.jsonl"), "w", encoding="utf-8") as handle, \
-            open(ctx.path("elasticity.csv"), "w", encoding="utf-8", newline="") as csv_handle:
+    with atomic_open(ctx.path("search_results.jsonl")) as handle, \
+            atomic_open(ctx.path("elasticity.csv")) as csv_handle:
         writer = csv.writer(csv_handle, lineterminator="\n")
         writer.writerow(["question_id", "iteration", "budget", "output_tokens", "correct"])
         for record in records:

@@ -149,7 +149,7 @@ class ModelPricing:
 class PricingTable:
     """Registry of per-model pricing, one entry per model id."""
 
-    def __init__(self, entries: Iterable[ModelPricing] = ()):
+    def __init__(self, entries: Iterable[ModelPricing]):
         self._entries: dict[str, ModelPricing] = {}
         for entry in entries:
             if entry.model_id in self._entries:

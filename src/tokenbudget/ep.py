@@ -46,11 +46,7 @@ class EpResult:
         return self.estimation_usage.combined(self.answer_usage)
 
 
-def run_ep(
-    backend: CompletionBackend,
-    question: Question,
-    alpha: float = 1.0,
-) -> EpResult:
+def run_ep(backend: CompletionBackend, question: Question, alpha: float) -> EpResult:
     """Estimate a budget, answer under it, grade the answer.
 
     Exactly two backend calls on both the happy path and the fallback path.

@@ -28,8 +28,3 @@ class RateLimitError(TransportError):
 
 class ProtocolError(HarnessError):
     """The provider answered, but the payload is not a usable completion."""
-
-    def __init__(self, message, raw_body=""):
-        super().__init__(message)
-        self.raw_body = raw_body
-

@@ -116,22 +116,30 @@ def _write_document(document, write) -> None:
     flush()
 
 
-def write_json(path: str, document: dict) -> None:
-    """Write ``document`` to ``path`` as ``json.dumps(document, sort_keys=True,
-    indent=2)`` and a newline, streamed a list element at a time, and
-    atomically: into ``<path>.tmp``, which then replaces ``path``. A reader
-    sees the previous file or the whole new one, and a write that fails
-    leaves the previous file and no temporary one. Every JSON output (reports
-    and manifests) is written here."""
+@contextlib.contextmanager
+def atomic_open(path: str):
+    """A text handle on ``<path>.tmp``, which replaces ``path`` once the block
+    ends without an error. A reader sees the previous file or the whole new
+    one, and a write that fails leaves the previous file and no temporary
+    one. Every output but the append-only response cache is written through
+    here, a line or a list element at a time, with no newline translation."""
     temporary = f"{path}.tmp"
     try:
-        with open(temporary, "w", encoding="utf-8") as handle:
-            _write_document(document, handle.write)
+        with open(temporary, "w", encoding="utf-8", newline="") as handle:
+            yield handle
         os.replace(temporary, path)
     finally:
         # After the replace there is nothing left to remove.
         with contextlib.suppress(FileNotFoundError):
             os.remove(temporary)
+
+
+def write_json(path: str, document: dict) -> None:
+    """Write ``document`` to ``path`` as ``json.dumps(document, sort_keys=True,
+    indent=2)`` and a newline, streamed a list element at a time through
+    atomic_open. Every JSON output (reports and manifests) is written here."""
+    with atomic_open(path) as handle:
+        _write_document(document, handle.write)
 
 
 def _jsonl_objects(path: str):
@@ -286,7 +294,7 @@ class MethodSpec:
         return self.label.replace("(", "_").replace(")", "").replace("=", "").replace(".", "p")
 
 
-def parse_method(token: str, alpha: float = 1.0) -> MethodSpec:
+def parse_method(token: str, alpha: float) -> MethodSpec:
     token = token.strip()
     if token in ("direct", "vanilla", "ep"):
         return MethodSpec(kind=token, alpha=alpha if token == "ep" else 1.0)
@@ -475,8 +483,8 @@ def run_method(
     dataset: Dataset,
     method: MethodSpec,
     pricing: ModelPricing,
-    concurrency: int = 4,
-    include_estimation_tokens: bool = False,
+    concurrency: int,
+    include_estimation_tokens: bool,
 ) -> list[SampleRecord]:
     """Execute one method over the cohort with bounded parallelism.
 
@@ -546,8 +554,8 @@ def render_report(
     runs: list[tuple[MethodSpec, list[SampleRecord]]],
     dataset_name: str,
     model_id: str,
-    fmt: str = TABLE_TEXT,
-    config_hash: str = "",
+    fmt: str,
+    config_hash: str,
 ) -> str:
     """One row per (method, records) run over one dataset: accuracy, output
     tokens, expense, each aggregated here from the records.
@@ -585,6 +593,5 @@ def render_report(
             f"{row['expense_1e5_usd']:>10.2f} {row['samples']:>8d} "
             f"{row['failed']:>7d} {reduction:>10}"
         )
-    if config_hash:
-        lines.append(f"config_hash: {config_hash}  model: {model_id}")
+    lines.append(f"config_hash: {config_hash}  model: {model_id}")
     return "\n".join(lines) + "\n"

@@ -58,41 +58,29 @@ class PromptTemplates:
                              f"got {self.budgeted_suffix!r}")
 
 
-DEFAULT_TEMPLATES = PromptTemplates()
-
-
-def build_prompt(
-    question: Question,
-    kind: PromptKind,
-    budget: int | None = None,
-    templates: PromptTemplates | None = None,
-) -> Prompt:
+def build_prompt(question: Question, kind: PromptKind, budget: int | None,
+                 templates: PromptTemplates) -> Prompt:
     """Render the user-facing prompt for one question.
 
     The user text is the question followed by the kind's instruction suffix;
     multiple-choice questions additionally get the answer-format instruction.
     Rendering is deterministic and injective over (question, kind, budget).
     """
-    t = templates or DEFAULT_TEMPLATES
     if kind is PromptKind.BUDGET_ESTIMATION:
-        return build_estimation_prompt(question, templates=t)
+        return build_estimation_prompt(question, templates)
 
     parts = [question.text]
     if kind is PromptKind.VANILLA_COT:
-        parts.append(t.vanilla_suffix)
+        parts.append(templates.vanilla_suffix)
     elif kind is PromptKind.BUDGETED_COT:
-        parts.append(t.budgeted_suffix.format(budget=budget))
+        parts.append(templates.budgeted_suffix.format(budget=budget))
 
     if question.answer_kind is AnswerKind.MULTIPLE_CHOICE:
-        parts.append(t.format_instruction)
-    return Prompt(system=t.system, user="\n".join(parts))
+        parts.append(templates.format_instruction)
+    return Prompt(system=templates.system, user="\n".join(parts))
 
 
-def build_estimation_prompt(
-    question: Question,
-    templates: PromptTemplates | None = None,
-) -> Prompt:
+def build_estimation_prompt(question: Question, templates: PromptTemplates) -> Prompt:
     """Zero-shot budget-estimation prompt: task line, question, output contract."""
-    t = templates or DEFAULT_TEMPLATES
-    user = "\n".join([t.estimation_task, question.text, t.estimation_contract])
-    return Prompt(system=t.system, user=user)
+    user = "\n".join([templates.estimation_task, question.text, templates.estimation_contract])
+    return Prompt(system=templates.system, user=user)

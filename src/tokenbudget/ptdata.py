@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .backend import CompletionBackend
 from .core import Question
-from .evaluate import encode_record, write_json
+from .evaluate import atomic_open, encode_record, write_json
 from .grading import grade
 from .prompting import PromptKind, build_prompt
 from .search import SearchRecord
@@ -65,7 +65,7 @@ def generate_target(
     backend: CompletionBackend,
     question: Question,
     record: SearchRecord,
-    input_style: str = "vanilla",
+    input_style: str,
 ) -> SftExample | Skip:
     """The search record's response under its optimal budget, the vanilla answer
     at the upper bound, as the training target; no backend call."""
@@ -90,7 +90,7 @@ def build_preference_pair(
     backend: CompletionBackend,
     question: Question,
     record: SearchRecord,
-    input_style: str = "vanilla",
+    input_style: str,
 ) -> PreferencePair | Skip:
     """Pair the budgeted target with the (cached) vanilla output as rejected."""
     target = generate_target(backend, question, record, input_style)
@@ -143,9 +143,9 @@ def export_corpus(
     records,
     corpus_format: str,
     path: str,
-    dataset_name: str = "",
-    model_id: str = "",
-    config_hash: str = "",
+    dataset_name: str,
+    model_id: str,
+    config_hash: str,
 ) -> dict:
     """Write a JSONL corpus plus its manifest, and return the manifest; skips
     are counted, not written. ``counts`` holds the ``attempted`` and
@@ -162,7 +162,7 @@ def export_corpus(
         _validate_record(record, corpus_format, index)
         exported.append(record)
 
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_open(path) as handle:
         for record in exported:
             handle.write(encode_record(vars(record)) + "\n")
 

@@ -154,7 +154,7 @@ def halving_candidates(upper_bound: int) -> list[int]:
 def search_optimal_budget(
     backend: CompletionBackend,
     question: Question,
-    baseline: str = "probe",
+    baseline: str,
 ) -> SearchRecord:
     """The question's SearchRecord: the smallest correctness-preserving budget
     with the lowest cost, the response under it, and the probe trace.
@@ -162,7 +162,7 @@ def search_optimal_budget(
     Runs vanilla CoT first; its output-token count is the search upper bound
     and its verdict is the precondition (a wrong vanilla answer aborts the
     search). The baseline cost for the first feasibility test comes from an
-    explicit probe at the upper bound (``baseline="probe"``, default) or from
+    explicit probe at the upper bound (``baseline="probe"``) or from
     the vanilla cost itself (``baseline="vanilla"``).
 
     Backend errors propagate; an ungradable response counts as incorrect.
@@ -237,7 +237,7 @@ class IdealRange:
         return max(0, self.low - budget, budget - self.high)
 
 
-def ideal_budget_range(trace: Sequence[TracePoint], k: int | str = "auto") -> IdealRange:
+def ideal_budget_range(trace: Sequence[TracePoint], k: int | str) -> IdealRange:
     """Size-k contiguous window of a search trace minimizing total observed cost.
 
     Only correctness-preserving points participate. ``k="auto"`` picks

@@ -1,22 +1,45 @@
-"""Shared fixtures: question factories, scripted backend builders, a local
-OpenAI-compatible HTTP server (plain or TLS) and a raw-reply server."""
+"""Shared fixtures: question factories, backend builders, a request-order
+shuffler, a local OpenAI-compatible HTTP server (plain or TLS) and a
+raw-reply server."""
 
 from __future__ import annotations
 
 import datetime
+import hashlib
 import ipaddress
 import json
+import os
+import shutil
 import socketserver
+import tempfile
 import threading
+import time
 import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import strategies as st
 
-from tokenbudget.backend import ScriptedBackend, ScriptedBehavior, ScriptedEntry, ScriptedScenario
+from tokenbudget.backend import (
+    LiveBackend,
+    ResponseCache,
+    RetryPolicy,
+    SamplingParams,
+    ScriptedBackend,
+    ScriptedBehavior,
+    ScriptedEntry,
+    ScriptedScenario,
+    backend_tag,
+)
 from tokenbudget.cli import main
 from tokenbudget.core import AnswerKind, Question
+from tokenbudget.prompting import PromptTemplates
+
+# What build_backend gives a config that leaves out ``templates`` and
+# ``sampling``, and the cache tag of its scripted backend under the demo
+# config's model id.
+TEMPLATES = PromptTemplates()
+SCRIPTED_TAG = backend_tag("scripted", "scripted-v1", None)
 
 
 # Any JSON document the standard encoder writes, non-ASCII and lone
@@ -61,10 +84,29 @@ def behavior_from_curve(
     )
 
 
+def make_backend(backend_class, *args, **settings):
+    """``backend_class(*args, **settings)``, built as build_backend builds it
+    from a config that leaves those settings out: model ``scripted-v1``,
+    ``SamplingParams()``, ``PromptTemplates()``, ``RetryPolicy()`` for a live
+    backend, and a fresh ResponseCache under the backend's tag, in a
+    temporary directory that goes with the cache."""
+    settings.setdefault("model_id", "scripted-v1")
+    settings.setdefault("params", SamplingParams())
+    settings.setdefault("templates", TEMPLATES)
+    if backend_class is LiveBackend:
+        settings.setdefault("retry", RetryPolicy())
+    if "cache" not in settings:
+        directory = tempfile.mkdtemp(prefix="tokenbudget-cache-")
+        tag = backend_tag(backend_class.kind, settings["model_id"], settings.get("endpoint"))
+        settings["cache"] = ResponseCache(os.path.join(directory, "cache.jsonl"), tag)
+        weakref.finalize(settings["cache"], shutil.rmtree, directory, ignore_errors=True)
+    return backend_class(*args, **settings)
+
+
 def scripted_backend(
     question_behaviors: dict[Question, ScriptedBehavior],
     default_entry: ScriptedEntry | None = None,
-    **kwargs,
+    **settings,
 ) -> ScriptedBackend:
     scenario = ScriptedScenario(
         name="fixture",
@@ -72,7 +114,7 @@ def scripted_backend(
         behaviors={q.id: b for q, b in question_behaviors.items()},
         default_entry=default_entry,
     )
-    return ScriptedBackend(scenario, **kwargs)
+    return make_backend(ScriptedBackend, scenario, **settings)
 
 
 def count_misses(backend):
@@ -89,6 +131,28 @@ def count_misses(backend):
 
     backend._request = counted
     return lambda: len(calls)
+
+
+def shuffle_completions(monkeypatch, backend_class, seed: int):
+    """From now on, delay each request of every ``backend_class`` by 0-4 ms,
+    fixed per prompt by a hash of ``seed`` and the prompt, so that a pool's
+    requests complete in an order the seed picks rather than the order they
+    started in; returns the function that tells whether any request has
+    completed before one that started earlier."""
+    request = backend_class._request
+    started, completed = [], []
+
+    def delayed(self, prompt):
+        key = json.dumps([seed, prompt.system, prompt.user]).encode("utf-8")
+        started.append(prompt)
+        try:
+            time.sleep(hashlib.sha256(key).digest()[0] % 5 / 1000)
+            return request(self, prompt)
+        finally:
+            completed.append(prompt)
+
+    monkeypatch.setattr(backend_class, "_request", delayed)
+    return lambda: completed != started
 
 
 @pytest.fixture

@@ -60,6 +60,8 @@ from tokenbudget.search import (
 from tokenbudget.grading import grade
 
 from conftest import (
+    SCRIPTED_TAG,
+    TEMPLATES,
     behavior_from_curve,
     count_misses,
     make_question,
@@ -201,7 +203,7 @@ def test_criterion_01_and_02_search_matches_bruteforce_oracle(monkeypatch):
 
 
 def test_criterion_03_elasticity_rebound_reproduced(tmp_path, rebound_question, rebound_backend):
-    result = search_optimal_budget(rebound_backend, rebound_question)
+    result = search_optimal_budget(rebound_backend, rebound_question, "probe")
     assert result.optimal_budget == 64
     assert [(p.budget, p.output_tokens, p.correct) for p in result.trace] == [
         (256, 130, True), (128, 120, True), (64, 70, True), (32, 90, True),
@@ -234,7 +236,7 @@ def test_criterion_03_elasticity_rebound_reproduced(tmp_path, rebound_question, 
             )
         }
     )
-    tier_result = search_optimal_budget(backend, question)
+    tier_result = search_optimal_budget(backend, question, "probe")
     assert tier_result.optimal_budget == 50
     assert tier_result.trace[-1].output_tokens == 157
     _passed(3, "halving trace reproduces the 130/120/70/90 rebound and keeps 64")
@@ -326,14 +328,15 @@ def test_criterion_06_prompt_golden_bytes():
     )
 
     question = make_question(qid="g", text="How many bolts in total?", gold="3")
-    assert build_prompt(question, PromptKind.VANILLA_COT).user == (
+    assert build_prompt(question, PromptKind.VANILLA_COT, None, TEMPLATES).user == (
         "How many bolts in total?\nLet's think step by step:"
     )
-    assert build_prompt(question, PromptKind.BUDGETED_COT, budget=50).user == (
+    assert build_prompt(question, PromptKind.BUDGETED_COT, 50, TEMPLATES).user == (
         "How many bolts in total?\nLet's think step by step and use less than 50 tokens:"
     )
-    assert build_prompt(question, PromptKind.DIRECT_ANSWER).user == "How many bolts in total?"
-    assert build_estimation_prompt(question).user.startswith(ESTIMATION_TASK)
+    assert build_prompt(question, PromptKind.DIRECT_ANSWER, None,
+                        TEMPLATES).user == "How many bolts in total?"
+    assert build_estimation_prompt(question, TEMPLATES).user.startswith(ESTIMATION_TASK)
     _passed(6, "template texts and the rendered 50-token example are byte-exact")
 
 
@@ -390,7 +393,8 @@ def test_criterion_08_metrics_arithmetic():
     )
     pricing = ModelPricing("scripted-v1", 0.15, 0.60)
     report = aggregate_records(run_method(
-        backend, Dataset("metrics", questions), MethodSpec("vanilla"), pricing, concurrency=1
+        backend, Dataset("metrics", questions), MethodSpec("vanilla"), pricing, concurrency=1,
+        include_estimation_tokens=False,
     ))
     assert abs(report.accuracy - 2 / 3) == 0.0
     assert report.mean_output_tokens == 20.0
@@ -426,13 +430,13 @@ def _pt_cohort():
 def test_criterion_09_pt_corpus_integrity(tmp_path):
     questions, backend = _pt_cohort()
 
-    records = {q.id: search_optimal_budget(backend, q) for q in questions}
+    records = {q.id: search_optimal_budget(backend, q, "probe") for q in questions}
     assert stale_targets(records, questions) == []
-    sft_outcomes = [generate_target(backend, q, records[q.id]) for q in questions]
+    sft_outcomes = [generate_target(backend, q, records[q.id], "vanilla") for q in questions]
     sft_path = str(tmp_path / "corpus_sft.jsonl")
     manifest = export_corpus(
         sft_outcomes, SFT_FORMAT, sft_path,
-        dataset_name="pt-fixture", model_id="scripted-v1",
+        dataset_name="pt-fixture", model_id="scripted-v1", config_hash="",
     )
     assert manifest["counts"] == {
         "attempted": 4, "succeeded": 3, "skipped": {"vanilla_incorrect": 1}}
@@ -444,11 +448,11 @@ def test_criterion_09_pt_corpus_integrity(tmp_path):
     for record in loaded:
         assert grade(record.target, question_index[record.meta["question_id"]]).correct
 
-    dpo_outcomes = [build_preference_pair(backend, q, records[q.id]) for q in questions]
+    dpo_outcomes = [build_preference_pair(backend, q, records[q.id], "vanilla") for q in questions]
     dpo_path = str(tmp_path / "corpus_dpo.jsonl")
     dpo_manifest = export_corpus(
         dpo_outcomes, DPO_FORMAT, dpo_path,
-        dataset_name="pt-fixture", model_id="scripted-v1",
+        dataset_name="pt-fixture", model_id="scripted-v1", config_hash="",
     )
     pairs = read_jsonl(dpo_path, PreferencePair)
     assert dpo_manifest["counts"]["succeeded"] <= 3
@@ -508,12 +512,12 @@ def test_criterion_10_determinism_and_resumability(tmp_path):
         vanilla_tokens=256,
         curve={256: (130, True), 128: (120, True), 64: (70, True), 32: (90, True)},
     )
-    cache = ResponseCache(str(tmp_path / "resume-cache.jsonl"))
+    cache = ResponseCache(str(tmp_path / "resume-cache.jsonl"), SCRIPTED_TAG)
     backend = scripted_backend({question: behavior}, cache=cache)
     misses = count_misses(backend)
-    search_optimal_budget(backend, question)
+    search_optimal_budget(backend, question, "probe")
     first_pass = misses()
-    search_optimal_budget(backend, question)
+    search_optimal_budget(backend, question, "probe")
     assert misses() == first_pass
     assert misses() == len(cache)
     _passed(10, "two runs byte-identical; warm-cache rerun made zero upstream calls")
@@ -539,13 +543,13 @@ def test_criterion_11_ep_contract():
         estimate="50",
     )
     search_backend = scripted_backend({question: behavior})
-    result = search_optimal_budget(search_backend, question)
+    result = search_optimal_budget(search_backend, question, "probe")
     window = ideal_budget_range(result.trace, k=2)
     assert window.contains(50), "fixture must place the estimate inside the ideal range"
 
     ep_backend = scripted_backend({question: behavior})
     ep_misses = count_misses(ep_backend)
-    ep_result = run_ep(ep_backend, question)
+    ep_result = run_ep(ep_backend, question, alpha=1.0)
     assert ep_result.estimate == 50
     assert ep_result.verdict.correct
     assert ep_result.answer_usage.output_tokens == 86

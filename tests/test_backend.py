@@ -25,7 +25,6 @@ from hypothesis import given, settings, strategies as st
 import tokenbudget
 from tokenbudget import jsonstream
 from tokenbudget.backend import (
-    DEFAULT_SAMPLING,
     LiveBackend,
     ResponseCache,
     RetryPolicy,
@@ -33,7 +32,6 @@ from tokenbudget.backend import (
     ScriptedBackend,
     ScriptedBehavior,
     ScriptedEntry,
-    SCRIPTED_TAG,
     ScriptedScenario,
     backend_tag,
     parse_scripted_file,
@@ -66,9 +64,12 @@ from tokenbudget.search import search_optimal_budget
 
 from conftest import (
     JSON_VALUES,
+    SCRIPTED_TAG,
+    TEMPLATES,
     behavior_from_curve,
     completion_payload,
     count_misses,
+    make_backend,
     make_question,
     scripted_backend,
 )
@@ -80,20 +81,20 @@ from conftest import (
 
 
 def test_mock_reports_scripted_token_counts(fig_like_question, fig_like_backend):
-    prompt = build_prompt(fig_like_question, PromptKind.BUDGETED_COT, budget=50)
+    prompt = build_prompt(fig_like_question, PromptKind.BUDGETED_COT, 50, TEMPLATES)
     outcome = fig_like_backend.complete(prompt)
     assert outcome.usage.output_tokens == 86
     assert outcome.usage.counting_source is CountingSource.PROVIDER_REPORTED
 
 
 def test_mock_vanilla_entry_serves_no_budget_prompts(fig_like_question, fig_like_backend):
-    prompt = build_prompt(fig_like_question, PromptKind.VANILLA_COT)
+    prompt = build_prompt(fig_like_question, PromptKind.VANILLA_COT, None, TEMPLATES)
     assert fig_like_backend.complete(prompt).usage.output_tokens == 258
 
 
 def test_mock_synthesized_text_grades_as_scripted(fig_like_question, fig_like_backend):
     good = fig_like_backend.complete(
-        build_prompt(fig_like_question, PromptKind.BUDGETED_COT, budget=50)
+        build_prompt(fig_like_question, PromptKind.BUDGETED_COT, 50, TEMPLATES)
     )
     assert grade(good.text, fig_like_question).correct
 
@@ -101,17 +102,17 @@ def test_mock_synthesized_text_grades_as_scripted(fig_like_question, fig_like_ba
     backend = scripted_backend(
         {question: behavior_from_curve(vanilla_tokens=100, curve={}, vanilla_correct=False)}
     )
-    bad = backend.complete(build_prompt(question, PromptKind.VANILLA_COT))
+    bad = backend.complete(build_prompt(question, PromptKind.VANILLA_COT, None, TEMPLATES))
     assert not grade(bad.text, question).correct
 
 
 def test_mock_estimation_prompt_uses_estimate_entry(fig_like_question, fig_like_backend):
-    outcome = fig_like_backend.complete(build_estimation_prompt(fig_like_question))
+    outcome = fig_like_backend.complete(build_estimation_prompt(fig_like_question, TEMPLATES))
     assert outcome.text == "50"
 
 
 def test_mock_unknown_budget_falls_back_to_default(fig_like_question, fig_like_backend):
-    prompt = build_prompt(fig_like_question, PromptKind.BUDGETED_COT, budget=999)
+    prompt = build_prompt(fig_like_question, PromptKind.BUDGETED_COT, 999, TEMPLATES)
     assert fig_like_backend.complete(prompt).usage.output_tokens == 200
 
 
@@ -121,13 +122,13 @@ def test_mock_without_entry_or_fallback_is_loud():
         {question: behavior_from_curve(vanilla_tokens=10, curve={})}
     )
     with pytest.raises(ConfigError):
-        backend.complete(build_prompt(question, PromptKind.BUDGETED_COT, budget=4))
+        backend.complete(build_prompt(question, PromptKind.BUDGETED_COT, 4, TEMPLATES))
 
 
 def test_mock_unmatched_prompt_is_loud(fig_like_backend):
     stranger = make_question(qid="x", text="Entirely different text?", gold="1")
     with pytest.raises(ConfigError):
-        fig_like_backend.complete(build_prompt(stranger, PromptKind.VANILLA_COT))
+        fig_like_backend.complete(build_prompt(stranger, PromptKind.VANILLA_COT, None, TEMPLATES))
 
 
 def test_mock_determinism_is_order_and_concurrency_independent(fig_like_question):
@@ -141,9 +142,9 @@ def test_mock_determinism_is_order_and_concurrency_independent(fig_like_question
         )
 
     prompts = [
-        build_prompt(fig_like_question, PromptKind.BUDGETED_COT, budget=10),
-        build_prompt(fig_like_question, PromptKind.VANILLA_COT),
-        build_prompt(fig_like_question, PromptKind.BUDGETED_COT, budget=50),
+        build_prompt(fig_like_question, PromptKind.BUDGETED_COT, 10, TEMPLATES),
+        build_prompt(fig_like_question, PromptKind.VANILLA_COT, None, TEMPLATES),
+        build_prompt(fig_like_question, PromptKind.BUDGETED_COT, 50, TEMPLATES),
     ]
     forward = [build().complete(p) for p in prompts]
     backward = [build().complete(p) for p in reversed(prompts)][::-1]
@@ -164,7 +165,7 @@ def test_longest_question_text_wins_prompt_matching():
             long: behavior_from_curve(vanilla_tokens=99, curve={}),
         }
     )
-    outcome = backend.complete(build_prompt(long, PromptKind.VANILLA_COT))
+    outcome = backend.complete(build_prompt(long, PromptKind.VANILLA_COT, None, TEMPLATES))
     assert outcome.usage.output_tokens == 99
 
 
@@ -177,7 +178,8 @@ def test_shared_question_text_serves_the_first_question():
             second: behavior_from_curve(vanilla_tokens=99, curve={}),
         }
     )
-    assert backend.complete(build_prompt(second, PromptKind.VANILLA_COT)).usage.output_tokens == 11
+    prompt = build_prompt(second, PromptKind.VANILLA_COT, None, TEMPLATES)
+    assert backend.complete(prompt).usage.output_tokens == 11
 
 
 OVERRIDDEN_TEMPLATES = PromptTemplates(
@@ -211,7 +213,8 @@ _MATCHING_QUESTIONS = [
 ]
 
 
-@pytest.mark.parametrize("templates", [None, OVERRIDDEN_TEMPLATES], ids=["default", "overridden"])
+@pytest.mark.parametrize("templates", [TEMPLATES, OVERRIDDEN_TEMPLATES],
+                         ids=["default", "overridden"])
 @pytest.mark.parametrize("question,base", _MATCHING_QUESTIONS, ids=[q.id for q, _ in _MATCHING_QUESTIONS])
 def test_prompt_matching_resolves_every_prompt_kind(question, base, templates):
     backend = scripted_backend(
@@ -230,9 +233,8 @@ def test_prompt_matching_resolves_every_prompt_kind(question, base, templates):
     assert served[PromptKind.BUDGETED_COT].usage.output_tokens == base + 8
     assert served[PromptKind.BUDGET_ESTIMATION].text == str(base + 1)
     # The bare format instruction carries no question at all.
-    rendered = templates or PromptTemplates()
     with pytest.raises(ConfigError):
-        backend.complete(Prompt(system=rendered.system, user=rendered.format_instruction))
+        backend.complete(Prompt(system=templates.system, user=templates.format_instruction))
 
 
 def test_budget_parsing_follows_template_override():
@@ -257,7 +259,7 @@ def test_suffix_wording_inside_a_question_is_not_a_budget():
         {question: behavior_from_curve(vanilla_tokens=100, curve={8: (7, True)}, default=(5, True))},
         templates=templates,
     )
-    vanilla = build_prompt(question, PromptKind.VANILLA_COT, templates=templates)
+    vanilla = build_prompt(question, PromptKind.VANILLA_COT, None, templates)
     assert backend.complete(vanilla).usage.output_tokens == 100
     budgeted = build_prompt(question, PromptKind.BUDGETED_COT, budget=8, templates=templates)
     assert backend.complete(budgeted).usage.output_tokens == 7
@@ -267,7 +269,7 @@ def test_suffix_wording_inside_a_question_is_not_a_budget():
         {default_wording: behavior_from_curve(vanilla_tokens=100, curve={50: (7, True)},
                                               default=(5, True))}
     )
-    vanilla = build_prompt(default_wording, PromptKind.VANILLA_COT)
+    vanilla = build_prompt(default_wording, PromptKind.VANILLA_COT, None, TEMPLATES)
     assert backend.complete(vanilla).usage.output_tokens == 100
 
 
@@ -290,7 +292,7 @@ def test_scripted_input_count_is_the_count_of_the_whole_prompt(data):
                                                   "Respond with a single integer.", "a\n"]),
         min_size=1, max_size=3, unique=True))
     line = _COUNTED | st.sampled_from(texts)
-    templates = data.draw(st.none() | st.builds(
+    templates = data.draw(st.just(TEMPLATES) | st.builds(
         PromptTemplates, system=line, vanilla_suffix=line, estimation_task=line,
         estimation_contract=line, format_instruction=line,
         budgeted_suffix=st.builds("{}{{budget}}{}".format, _COUNTED, _COUNTED)))
@@ -299,9 +301,9 @@ def test_scripted_input_count_is_the_count_of_the_whole_prompt(data):
                  answer_kind=data.draw(st.sampled_from([AnswerKind.NUMERIC,
                                                         AnswerKind.MULTIPLE_CHOICE])))
         for index, text in enumerate(texts)]
-    backend = ScriptedBackend(ScriptedScenario(name="counted", questions=questions, behaviors={},
-                                               default_entry=ScriptedEntry(5)),
-                              templates=templates)
+    scenario = ScriptedScenario(name="counted", questions=questions, behaviors={},
+                                default_entry=ScriptedEntry(5))
+    backend = make_backend(ScriptedBackend, scenario, templates=templates)
     budget = data.draw(st.integers(min_value=1, max_value=10**6))
     for _ in range(2):  # the second round counts each question from its first count
         for question in questions:
@@ -341,9 +343,9 @@ def test_sampling_and_retry_defaults_pinned():
 def test_classify_examples(fig_like_question, fig_like_backend):
     # The served entry names the budget the mock read: 50 -> 86, none -> 258
     # (vanilla), 10 -> 157; any other budget would get the default's 200.
-    budgeted = build_prompt(fig_like_question, PromptKind.BUDGETED_COT, budget=50)
-    vanilla = build_prompt(fig_like_question, PromptKind.VANILLA_COT)
-    tiny = build_prompt(fig_like_question, PromptKind.BUDGETED_COT, budget=10)
+    budgeted = build_prompt(fig_like_question, PromptKind.BUDGETED_COT, 50, TEMPLATES)
+    vanilla = build_prompt(fig_like_question, PromptKind.VANILLA_COT, None, TEMPLATES)
+    tiny = build_prompt(fig_like_question, PromptKind.BUDGETED_COT, 10, TEMPLATES)
     assert fig_like_backend.complete(budgeted).usage.output_tokens == 86
     assert fig_like_backend.complete(vanilla).usage.output_tokens == 258
     assert fig_like_backend.complete(tiny).usage.output_tokens == 157
@@ -355,12 +357,12 @@ def test_classify_examples(fig_like_question, fig_like_backend):
 
 
 def test_cache_idempotence_one_upstream_call(tmp_path, fig_like_question):
-    cache = ResponseCache(str(tmp_path / "cache.jsonl"))
+    cache = ResponseCache(str(tmp_path / "cache.jsonl"), SCRIPTED_TAG)
     backend = scripted_backend(
         {fig_like_question: behavior_from_curve(vanilla_tokens=258, curve={50: (86, True)})},
         cache=cache,
     )
-    prompt = build_prompt(fig_like_question, PromptKind.BUDGETED_COT, budget=50)
+    prompt = build_prompt(fig_like_question, PromptKind.BUDGETED_COT, 50, TEMPLATES)
     misses = count_misses(backend)
     first = backend.complete(prompt)
     second = backend.complete(prompt)
@@ -373,14 +375,14 @@ def test_cache_survives_reload(tmp_path, fig_like_question):
     path = str(tmp_path / "cache.jsonl")
     backend = scripted_backend(
         {fig_like_question: behavior_from_curve(vanilla_tokens=258, curve={})},
-        cache=ResponseCache(path),
+        cache=ResponseCache(path, SCRIPTED_TAG),
     )
-    prompt = build_prompt(fig_like_question, PromptKind.VANILLA_COT)
+    prompt = build_prompt(fig_like_question, PromptKind.VANILLA_COT, None, TEMPLATES)
     original = backend.complete(prompt)
 
     resumed = scripted_backend(
         {fig_like_question: behavior_from_curve(vanilla_tokens=258, curve={})},
-        cache=ResponseCache(path),
+        cache=ResponseCache(path, SCRIPTED_TAG),
     )
     misses = count_misses(resumed)
     assert resumed.complete(prompt) == original
@@ -396,10 +398,10 @@ def test_concurrent_cached_completions_are_consistent(tmp_path, fig_like_questio
                 curve={b: (b + 7, True) for b in range(1, 65)},
             )
         },
-        cache=ResponseCache(path),
+        cache=ResponseCache(path, SCRIPTED_TAG),
     )
     prompts = [
-        build_prompt(fig_like_question, PromptKind.BUDGETED_COT, budget=b)
+        build_prompt(fig_like_question, PromptKind.BUDGETED_COT, b, TEMPLATES)
         for b in range(1, 65)
     ]
     with ThreadPoolExecutor(max_workers=16) as pool:
@@ -433,17 +435,17 @@ def _outcome_dict(outcome: CompletionOutcome) -> dict:
 
 def test_cache_puts_are_visible_to_a_fresh_cache(tmp_path):
     path = str(tmp_path / "cache.jsonl")
-    cache = ResponseCache(path)
+    cache = ResponseCache(path, SCRIPTED_TAG)
     for index in range(20):
         cache.put(f"fp{index}", _outcome(index))
-    fresh = ResponseCache(path)
+    fresh = ResponseCache(path, SCRIPTED_TAG)
     assert len(fresh) == 20
     assert all(fresh.get(f"fp{index}") == _outcome(index) for index in range(20))
 
 
 def test_cache_without_puts_creates_no_file(tmp_path):
     path = tmp_path / "out" / "cache.jsonl"
-    cache = ResponseCache(str(path))
+    cache = ResponseCache(str(path), SCRIPTED_TAG)
     assert cache.get("fp0") is None
     assert not (tmp_path / "out").exists()
 
@@ -455,10 +457,11 @@ def test_cache_cut_at_any_byte_resumes_like_uninterrupted(tmp_path, rebound_ques
             curve={256: (130, True), 128: (120, True), 64: (70, True), 32: (90, True)},
             default=(300, False),
         )
-        return scripted_backend({rebound_question: behavior}, cache=ResponseCache(path))
+        return scripted_backend({rebound_question: behavior},
+                                cache=ResponseCache(path, SCRIPTED_TAG))
 
     full_path = tmp_path / "full.jsonl"
-    reference = search_optimal_budget(backend_on(str(full_path)), rebound_question)
+    reference = search_optimal_budget(backend_on(str(full_path)), rebound_question, "probe")
     data = full_path.read_bytes()
     line_ends = [index + 1 for index, byte in enumerate(data) if byte == ord("\n")]
 
@@ -467,7 +470,7 @@ def test_cache_cut_at_any_byte_resumes_like_uninterrupted(tmp_path, rebound_ques
         path.write_bytes(data[:cut])
         backend = backend_on(str(path))
         misses = count_misses(backend)
-        assert search_optimal_budget(backend, rebound_question) == reference
+        assert search_optimal_budget(backend, rebound_question, "probe") == reference
         # Whole lines before the cut are served; so is a record cut only
         # before its newline. Every other request is issued again.
         served = sum(1 for end in line_ends if end <= cut + 1)
@@ -477,30 +480,30 @@ def test_cache_cut_at_any_byte_resumes_like_uninterrupted(tmp_path, rebound_ques
 
 def test_cache_completes_an_unterminated_last_record_before_appending(tmp_path):
     path = tmp_path / "cache.jsonl"
-    cache = ResponseCache(str(path))
+    cache = ResponseCache(str(path), SCRIPTED_TAG)
     cache.put("fp0", _outcome(0))
     path.write_bytes(path.read_bytes().rstrip(b"\n"))
-    resumed = ResponseCache(str(path))
+    resumed = ResponseCache(str(path), SCRIPTED_TAG)
     resumed.put("fp1", _outcome(1))
     assert len(path.read_bytes().splitlines()) == 2
-    assert len(ResponseCache(str(path))) == 2
+    assert len(ResponseCache(str(path), SCRIPTED_TAG)) == 2
 
 
 def test_cache_corrupt_middle_line_names_the_line(tmp_path):
     path = tmp_path / "cache.jsonl"
-    cache = ResponseCache(str(path))
+    cache = ResponseCache(str(path), SCRIPTED_TAG)
     for index in range(3):
         cache.put(f"fp{index}", _outcome(index))
     lines = path.read_bytes().splitlines(keepends=True)
     lines[1] = lines[1][:20] + b"\n"
     path.write_bytes(b"".join(lines))
     with pytest.raises(DatasetError, match=r"cache\.jsonl: corrupt cache record at line 2"):
-        ResponseCache(str(path))
+        ResponseCache(str(path), SCRIPTED_TAG)
 
 
 def test_cache_corrupt_body_behind_an_intact_prefix_is_never_served(tmp_path):
     path = tmp_path / "cache.jsonl"
-    cache = ResponseCache(str(path))
+    cache = ResponseCache(str(path), SCRIPTED_TAG)
     for index in range(3):
         cache.put(f"fp{index}", _outcome(index))
     lines = path.read_bytes().splitlines(keepends=True)
@@ -508,7 +511,7 @@ def test_cache_corrupt_body_behind_an_intact_prefix_is_never_served(tmp_path):
     lines[1] = lines[1].replace(b'"text": "answer 1"', b'"text": answer 1"')
     path.write_bytes(b"".join(lines))
 
-    resumed = ResponseCache(str(path))
+    resumed = ResponseCache(str(path), SCRIPTED_TAG)
     assert len(resumed) == 3
     for _ in range(2):
         with pytest.raises(DatasetError, match=r"cache\.jsonl: corrupt cache record at line 2"):
@@ -518,11 +521,11 @@ def test_cache_corrupt_body_behind_an_intact_prefix_is_never_served(tmp_path):
 
 def test_cache_line_rewritten_under_an_open_cache_is_never_served(tmp_path):
     path = tmp_path / "cache.jsonl"
-    writer = ResponseCache(str(path))
+    writer = ResponseCache(str(path), SCRIPTED_TAG)
     for index in range(3):
         writer.put(f"fp{index}", _outcome(index))
     lines = path.read_bytes().splitlines(keepends=True)
-    cache = ResponseCache(str(path))
+    cache = ResponseCache(str(path), SCRIPTED_TAG)
     # Lines 1 and 2 trade places: each offset now holds a whole record of
     # another fingerprint.
     path.write_bytes(lines[1] + lines[0] + lines[2])
@@ -531,7 +534,7 @@ def test_cache_line_rewritten_under_an_open_cache_is_never_served(tmp_path):
                                                rf"{number}: not the record of '{fingerprint}'"):
             cache.get(fingerprint)
     # Another backend's record of the same fingerprint, at the same offset.
-    other = backend_tag("scripted", "other-model")
+    other = backend_tag("scripted", "other-model", None)
     path.write_bytes(b"".join(lines).replace(SCRIPTED_TAG.encode(), other.encode(), 1))
     with pytest.raises(DatasetError, match=r"cache record at line 1: not the record of 'fp0'"):
         cache.get("fp0")
@@ -545,7 +548,7 @@ def test_cache_line_rewritten_under_an_open_cache_is_never_served(tmp_path):
 def test_cache_load_holds_no_answer_text(tmp_path):
     def held_per_entry(text_length: int) -> float:
         path = str(tmp_path / f"cache{text_length}.jsonl")
-        writer = ResponseCache(path)
+        writer = ResponseCache(path, SCRIPTED_TAG)
         for index in range(500):
             writer.put(f"{index:064x}", CompletionOutcome(
                 text="x" * text_length, usage=TokenUsage(index, 1, CountingSource.PROVIDER_REPORTED),
@@ -553,7 +556,7 @@ def test_cache_load_holds_no_answer_text(tmp_path):
         del writer
         tracemalloc.start()
         try:
-            cache = ResponseCache(path)
+            cache = ResponseCache(path, SCRIPTED_TAG)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -567,7 +570,7 @@ def test_cache_load_holds_no_answer_text(tmp_path):
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists descriptors via /proc")
 def test_dropped_caches_leave_no_descriptor_open(tmp_path):
     path = tmp_path / "cache.jsonl"
-    ResponseCache(str(path)).put("fp0", _outcome(0))
+    ResponseCache(str(path), SCRIPTED_TAG).put("fp0", _outcome(0))
     corrupt = tmp_path / "corrupt.jsonl"
     corrupt.write_bytes(path.read_bytes()[:20] + b"\n" + path.read_bytes())
     watched = {os.path.realpath(path), os.path.realpath(corrupt)}
@@ -585,11 +588,11 @@ def test_dropped_caches_leave_no_descriptor_open(tmp_path):
     assert open_on_the_caches() == 0
     errors = []
     for index in range(200):
-        cache = ResponseCache(str(path))
+        cache = ResponseCache(str(path), SCRIPTED_TAG)
         assert cache.get("fp0") == _outcome(0)
         cache.put(f"fp{index + 1}", _outcome(index + 1))
         with pytest.raises(DatasetError, match="line 1") as error:
-            ResponseCache(str(corrupt))
+            ResponseCache(str(corrupt), SCRIPTED_TAG)
         errors.append(error.value)
     assert open_on_the_caches() == 2  # the live cache's reader and appender
     del cache
@@ -600,23 +603,23 @@ def test_dropped_caches_leave_no_descriptor_open(tmp_path):
 def test_cache_indexes_any_fingerprint_string(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     keys = ['fp"quoted"', "back\\slash", 'x", "outcome": {', "caf\u00e9 \u2603", "\ud800", ""]
-    cache = ResponseCache(path)
+    cache = ResponseCache(path, SCRIPTED_TAG)
     for index, key in enumerate(keys):
         cache.put(key, _outcome(index))
-    fresh = ResponseCache(path)
+    fresh = ResponseCache(path, SCRIPTED_TAG)
     assert len(fresh) == len(keys)
     assert [fresh.get(key) for key in keys] == [_outcome(index) for index in range(len(keys))]
 
 
 def test_cache_serves_only_the_lines_of_its_own_backend(tmp_path):
     path = str(tmp_path / "cache.jsonl")
-    other = backend_tag("scripted", "other-model")
-    assert len(other) == 16 and other != backend_tag("scripted", "scripted-v1")
-    ResponseCache(path).put("fp0", _outcome(0))
+    other = backend_tag("scripted", "other-model", None)
+    assert len(other) == 16 and other != backend_tag("scripted", "scripted-v1", None)
+    ResponseCache(path, SCRIPTED_TAG).put("fp0", _outcome(0))
     theirs = ResponseCache(path, other)
     assert len(theirs) == 0 and theirs.get("fp0") is None
     theirs.put("fp0", _outcome(1))
-    assert ResponseCache(path).get("fp0") == _outcome(0)
+    assert ResponseCache(path, SCRIPTED_TAG).get("fp0") == _outcome(0)
     assert ResponseCache(path, other).get("fp0") == _outcome(1)
 
 
@@ -625,7 +628,7 @@ def test_cache_of_an_older_format_is_rejected_naming_the_format(tmp_path):
     record = {"fingerprint": "fp0", "outcome": _outcome_dict(_outcome(0))}
     path.write_text(json.dumps(record, sort_keys=True) + "\n")
     with pytest.raises(DatasetError, match=r"line 1: not a tokenbudget-cache/2 record"):
-        ResponseCache(str(path))
+        ResponseCache(str(path), SCRIPTED_TAG)
 
 
 def test_cache_does_not_serve_another_endpoint(http_server, tmp_path, monkeypatch,
@@ -643,7 +646,7 @@ def test_cache_does_not_serve_another_endpoint(http_server, tmp_path, monkeypatc
         }}))
         return build_backend(load_config(str(config)), str(tmp_path / "out"), "unused")
 
-    prompt = build_prompt(fig_like_question, PromptKind.VANILLA_COT)
+    prompt = build_prompt(fig_like_question, PromptKind.VANILLA_COT, None, TEMPLATES)
     assert backend_for(first).complete(prompt).text == "The answer is 18."
     assert backend_for(second).complete(prompt).text == "The answer is 17."
     # Each endpoint's answer is served back to it from the one cache file.
@@ -676,7 +679,7 @@ def _in_threads(count, target):
 
 def test_cache_appends_from_many_threads_are_whole_lines(tmp_path):
     path = tmp_path / "cache.jsonl"
-    cache = ResponseCache(str(path))
+    cache = ResponseCache(str(path), SCRIPTED_TAG)
 
     def put_own(thread):
         for index in range(thread * 500, (thread + 1) * 500):
@@ -688,16 +691,16 @@ def test_cache_appends_from_many_threads_are_whole_lines(tmp_path):
     assert len(lines) == 4000
     assert sorted(json.loads(line)["fingerprint"] for line in lines) == sorted(
         f"fp{index}" for index in range(4000))
-    fresh = ResponseCache(str(path))
+    fresh = ResponseCache(str(path), SCRIPTED_TAG)
     assert all(fresh.get(f"fp{index}") == _outcome(index) for index in range(4000))
 
 
 def test_first_gets_and_fingerprints_from_many_threads_agree(tmp_path):
     path = str(tmp_path / "cache.jsonl")
-    writer = ResponseCache(path)
+    writer = ResponseCache(path, SCRIPTED_TAG)
     for index in range(1000):
         writer.put(f"fp{index}", _outcome(index))
-    cache, params = ResponseCache(path), SamplingParams(temperature=0.5)
+    cache, params = ResponseCache(path, SCRIPTED_TAG), SamplingParams(temperature=0.5)
     prompts = [Prompt(system=DEFAULT_SYSTEM, user=f"Q{index}?") for index in range(1000)]
     wrong = []
 
@@ -715,7 +718,7 @@ def test_first_gets_and_fingerprints_from_many_threads_agree(tmp_path):
 
 def test_cache_puts_of_one_fingerprint_from_many_threads_append_once(tmp_path):
     path = tmp_path / "cache.jsonl"
-    cache = ResponseCache(str(path))
+    cache = ResponseCache(str(path), SCRIPTED_TAG)
     # Every thread puts the same 1,000 fingerprints, each with its own outcome.
     _in_threads(8, lambda thread: [cache.put(f"fp{index}", _outcome(1000 * thread + index))
                                   for index in range(1000)])
@@ -726,12 +729,13 @@ def test_cache_puts_of_one_fingerprint_from_many_threads_append_once(tmp_path):
 
 
 def test_fingerprint_depends_on_prompt_and_params(fig_like_question):
-    prompt = build_prompt(fig_like_question, PromptKind.VANILLA_COT)
-    base = request_fingerprint(prompt, DEFAULT_SAMPLING)
+    prompt = build_prompt(fig_like_question, PromptKind.VANILLA_COT, None, TEMPLATES)
+    params = SamplingParams()
+    base = request_fingerprint(prompt, params)
     assert base == request_fingerprint(prompt, SamplingParams())
     assert base != request_fingerprint(prompt, SamplingParams(seed=7))
-    other = build_prompt(fig_like_question, PromptKind.BUDGETED_COT, budget=3)
-    assert base != request_fingerprint(other, DEFAULT_SAMPLING)
+    other = build_prompt(fig_like_question, PromptKind.BUDGETED_COT, 3, TEMPLATES)
+    assert base != request_fingerprint(other, params)
 
 
 def _reference_fingerprint(prompt, params) -> str:
@@ -796,7 +800,7 @@ _OUTCOMES = st.builds(
 
 
 def _record(model_id: str, fingerprint: str, outcome: CompletionOutcome) -> dict:
-    return {"backend": backend_tag("scripted", model_id), "fingerprint": fingerprint,
+    return {"backend": backend_tag("scripted", model_id, None), "fingerprint": fingerprint,
             "outcome": _outcome_dict(outcome)}
 
 
@@ -895,8 +899,8 @@ def test_parse_scripted_file_round_trip(tmp_path):
     assert scenario.behaviors["q1"].cost_curve[50] == ScriptedEntry(86, True, None)
     assert scenario.default_entry == ScriptedEntry(40, False, None)
 
-    backend = ScriptedBackend(scenario)
-    prompt = build_prompt(scenario.questions[0], PromptKind.BUDGETED_COT, budget=50)
+    backend = make_backend(ScriptedBackend, scenario)
+    prompt = build_prompt(scenario.questions[0], PromptKind.BUDGETED_COT, 50, TEMPLATES)
     assert backend.complete(prompt).usage.output_tokens == 86
 
 
@@ -1285,7 +1289,8 @@ def test_request_body_is_the_json_dumps_that_refuses_nan(body):
 
 
 def _live(server, **kwargs):
-    return LiveBackend(
+    return make_backend(
+        LiveBackend,
         endpoint=server.endpoint,
         model_id="gpt-4o-mini",
         api_key="sk-test",
@@ -1297,7 +1302,7 @@ def _live(server, **kwargs):
 def test_live_backend_parses_usage_and_sends_protocol_fields(http_server, fig_like_question):
     server = http_server([(200, completion_payload())])
     backend = _live(server)
-    prompt = build_prompt(fig_like_question, PromptKind.BUDGETED_COT, budget=50)
+    prompt = build_prompt(fig_like_question, PromptKind.BUDGETED_COT, 50, TEMPLATES)
     outcome = backend.complete(prompt)
 
     assert outcome.text == "The answer is 18."
@@ -1315,14 +1320,14 @@ def test_live_backend_parses_usage_and_sends_protocol_fields(http_server, fig_li
 
 def test_live_backend_missing_usage_falls_back_to_approximation(http_server, fig_like_question):
     server = http_server([(200, completion_payload(usage=False))])
-    outcome = _live(server).complete(build_prompt(fig_like_question, PromptKind.VANILLA_COT))
+    outcome = _live(server).ask(fig_like_question, PromptKind.VANILLA_COT)
     assert outcome.usage.counting_source is CountingSource.LOCAL_APPROXIMATION
     assert outcome.usage.output_tokens > 0
 
 
 def test_live_backend_retries_through_429(http_server, fig_like_question):
     server = http_server([(429, {}), (429, {}), (200, completion_payload())])
-    outcome = _live(server).complete(build_prompt(fig_like_question, PromptKind.VANILLA_COT))
+    outcome = _live(server).ask(fig_like_question, PromptKind.VANILLA_COT)
     assert outcome.text == "The answer is 18."
     assert len(server.requests) == 3
 
@@ -1330,25 +1335,24 @@ def test_live_backend_retries_through_429(http_server, fig_like_question):
 def test_live_backend_persistent_429_raises_rate_limit(http_server, fig_like_question):
     server = http_server([(429, {})] * 5)
     with pytest.raises(RateLimitError):
-        _live(server).complete(build_prompt(fig_like_question, PromptKind.VANILLA_COT))
+        _live(server).ask(fig_like_question, PromptKind.VANILLA_COT)
     assert len(server.requests) == FAST_RETRY.max_attempts
 
 
 def test_live_backend_retries_server_errors_then_transport_error(http_server, fig_like_question):
     server = http_server([(500, {})] * 5)
     with pytest.raises(TransportError):
-        _live(server).complete(build_prompt(fig_like_question, PromptKind.VANILLA_COT))
+        _live(server).ask(fig_like_question, PromptKind.VANILLA_COT)
 
 
 def test_live_backend_malformed_payload_is_protocol_error(http_server, fig_like_question):
     server = http_server([(200, "this is not json")])
-    with pytest.raises(ProtocolError) as excinfo:
-        _live(server).complete(build_prompt(fig_like_question, PromptKind.VANILLA_COT))
-    assert "not json" in excinfo.value.raw_body
+    with pytest.raises(ProtocolError, match="malformed completion payload"):
+        _live(server).ask(fig_like_question, PromptKind.VANILLA_COT)
 
     server = http_server([(200, {"choices": []})])
     with pytest.raises(ProtocolError):
-        _live(server).complete(build_prompt(fig_like_question, PromptKind.VANILLA_COT))
+        _live(server).ask(fig_like_question, PromptKind.VANILLA_COT)
 
 
 def _with_usage(**usage):
@@ -1375,12 +1379,12 @@ def _with_usage(**usage):
                  id="count-an-integral-float"),
 ])
 def test_live_backend_payload_of_the_wrong_shape_names_the_field(fig_like_question, payload, field):
-    backend = LiveBackend(endpoint="http://127.0.0.1:1/v1/chat/completions",
-                          model_id="gpt-4o-mini", api_key="sk-test")
+    backend = make_backend(LiveBackend, endpoint="http://127.0.0.1:1/v1/chat/completions",
+                           model_id="gpt-4o-mini", api_key="sk-test")
     data = json.dumps(payload).encode("utf-8")
-    with pytest.raises(ProtocolError, match=field) as excinfo:
-        backend._parse_response(data, build_prompt(fig_like_question, PromptKind.VANILLA_COT))
-    assert excinfo.value.raw_body == data.decode("utf-8")
+    with pytest.raises(ProtocolError, match=field):
+        backend._parse_response(
+            data, build_prompt(fig_like_question, PromptKind.VANILLA_COT, None, TEMPLATES))
 
 
 @pytest.mark.parametrize("payload, expected", [
@@ -1392,10 +1396,10 @@ def test_live_backend_payload_of_the_wrong_shape_names_the_field(fig_like_questi
                  id="a-null-count"),
 ])
 def test_live_backend_accepts_null_content_usage_and_counts(fig_like_question, payload, expected):
-    backend = LiveBackend(endpoint="http://127.0.0.1:1/v1/chat/completions",
-                          model_id="gpt-4o-mini", api_key="sk-test")
-    text, usage = backend._parse_response(json.dumps(payload).encode("utf-8"),
-                                          build_prompt(fig_like_question, PromptKind.VANILLA_COT))
+    backend = make_backend(LiveBackend, endpoint="http://127.0.0.1:1/v1/chat/completions",
+                           model_id="gpt-4o-mini", api_key="sk-test")
+    prompt = build_prompt(fig_like_question, PromptKind.VANILLA_COT, None, TEMPLATES)
+    text, usage = backend._parse_response(json.dumps(payload).encode("utf-8"), prompt)
     assert (text, usage.counting_source.value.split("_")[0]) == expected
 
 
@@ -1404,7 +1408,7 @@ def test_live_backend_uses_cache(http_server, tmp_path, fig_like_question):
     cache = ResponseCache(str(tmp_path / "cache.jsonl"),
                           backend_tag("live", "gpt-4o-mini", server.endpoint))
     backend = _live(server, cache=cache)
-    prompt = build_prompt(fig_like_question, PromptKind.VANILLA_COT)
+    prompt = build_prompt(fig_like_question, PromptKind.VANILLA_COT, None, TEMPLATES)
     first = backend.complete(prompt)
     second = backend.complete(prompt)
     assert first == second
@@ -1431,8 +1435,8 @@ def _replayed(replies, retry, monkeypatch):
     sleeps = []
     monkeypatch.setattr("tokenbudget.backend.time.sleep", sleeps.append)
     post = _ReplayPost(replies)
-    backend = LiveBackend(endpoint="http://127.0.0.1:1/v1/chat/completions",
-                          model_id="gpt-4o-mini", api_key="sk-test", retry=retry)
+    backend = make_backend(LiveBackend, endpoint="http://127.0.0.1:1/v1/chat/completions",
+                           model_id="gpt-4o-mini", api_key="sk-test", retry=retry)
     monkeypatch.setattr(backend, "_post", post)
     return backend, post, sleeps
 
@@ -1473,7 +1477,7 @@ def test_live_backend_client_error_is_not_retried(monkeypatch, fig_like_question
 
 
 def _budgeted(question, budget):
-    return build_prompt(question, PromptKind.BUDGETED_COT, budget=budget)
+    return build_prompt(question, PromptKind.BUDGETED_COT, budget, TEMPLATES)
 
 
 def test_live_backend_reuses_one_connection_for_sequential_requests(http_server, fig_like_question):
@@ -1582,8 +1586,8 @@ def test_live_backend_tunnels_https_through_the_proxy(http_server, monkeypatch, 
     upstream = http_server([])
     host, port = proxy.server.server_address
     _proxy_env(monkeypatch, HTTPS_PROXY=f"http://{host}:{port}")
-    backend = LiveBackend(endpoint=upstream.endpoint.replace("http://", "https://"),
-                          model_id="gpt-4o-mini", api_key="sk-test", retry=FAST_RETRY)
+    backend = make_backend(LiveBackend, endpoint=upstream.endpoint.replace("http://", "https://"),
+                           model_id="gpt-4o-mini", api_key="sk-test", retry=FAST_RETRY)
     with pytest.raises(TransportError, match="Tunnel connection failed"):
         backend.ask(fig_like_question, PromptKind.VANILLA_COT)
     assert proxy.server.accepts == FAST_RETRY.max_attempts
@@ -1737,7 +1741,8 @@ def test_live_backend_reads_replies_without_http_client_responses(
 def test_live_backend_sends_the_host_without_userinfo(http_server, fig_like_question):
     server = http_server([(200, completion_payload())])
     endpoint = server.endpoint.replace("http://", "http://user:secret@")
-    backend = LiveBackend(endpoint=endpoint, model_id="gpt-4o-mini", api_key="sk-test")
+    backend = make_backend(LiveBackend, endpoint=endpoint, model_id="gpt-4o-mini",
+                           api_key="sk-test")
     assert backend.ask(fig_like_question, PromptKind.VANILLA_COT).text == "The answer is 18."
     assert server.requests[0]["host"] == urllib.parse.urlsplit(server.endpoint).netloc
 
@@ -1750,7 +1755,7 @@ def test_live_backend_sends_the_host_without_userinfo(http_server, fig_like_ques
 ], ids=["key-crlf", "key-nul", "endpoint-crlf", "endpoint-space"])
 def test_live_backend_refuses_a_control_character_at_construction(endpoint, api_key):
     with pytest.raises(ValueError, match="control character") as excinfo:
-        LiveBackend(endpoint=endpoint, model_id="gpt-4o-mini", api_key=api_key)
+        make_backend(LiveBackend, endpoint=endpoint, model_id="gpt-4o-mini", api_key=api_key)
     assert "sk-" not in str(excinfo.value)
 
 

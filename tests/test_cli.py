@@ -16,6 +16,7 @@ import pytest
 import tokenbudget.backend as backend
 import tokenbudget.cli as cli
 import tokenbudget.evaluate as evaluate
+import tokenbudget.ptdata as ptdata
 from tokenbudget.cli import main
 from tokenbudget.errors import TransportError
 from tokenbudget.jsonstream import WINDOW
@@ -28,6 +29,8 @@ from conftest import (
     completion_payload,
     count_misses,
     main_refuses,
+    make_backend,
+    shuffle_completions,
     write_demo_files,
 )
 
@@ -180,7 +183,7 @@ def test_eval_report_is_rebuilt_from_the_written_records(demo, capsys, fmt):
                  "--methods", methods, "--format", fmt]) == 0
     manifest = _read_json(os.path.join(out, "run_manifest.json"))
     runs = []
-    for method in map(evaluate.parse_method, methods.split(",")):
+    for method in [evaluate.parse_method(token, 1.0) for token in methods.split(",")]:
         path = os.path.join(out, f"records_{method.slug}.jsonl")
         runs.append((method, evaluate.read_jsonl(path, evaluate.SampleRecord.read)))
     rebuilt = {form: evaluate.render_report(runs, DEMO_SCENARIO["name"], manifest["model_id"],
@@ -890,8 +893,8 @@ def test_search_writes_the_records_the_search_returns(demo):
     out = tmp / "out"
     assert main(["search", "--config", config, "--dataset", dataset, "--out-dir", str(out)]) == 0
     scenario = backend.parse_scripted_file(dataset)
-    fresh = backend.ScriptedBackend(scenario)
-    returned = [search_optimal_budget(fresh, question) for question in scenario.questions]
+    fresh = make_backend(backend.ScriptedBackend, scenario)
+    returned = [search_optimal_budget(fresh, question, "probe") for question in scenario.questions]
     assert evaluate.read_jsonl(str(out / "search_results.jsonl"), SearchRecord) == returned
     assert (out / "search_results.jsonl").read_text() == "".join(
         record.line() + "\n" for record in returned)
@@ -1806,8 +1809,12 @@ def test_per_question_config_error_is_fatal_in_every_cohort_verb(demo, verb, cap
 # Concurrency independence
 # ---------------------------------------------------------------------------
 
+# The seeds of the request schedules that the concurrency tests run under,
+# each a 0-4 ms delay per prompt (conftest.shuffle_completions).
+ORDER_SEEDS = (1, 2, 3)
 
-def test_demo_outputs_do_not_depend_on_concurrency(demo, capsys):
+
+def test_demo_outputs_do_not_depend_on_concurrency(demo, monkeypatch, capsys):
     config, dataset, tmp = demo
     out = str(tmp / "out")
     results = os.path.join(out, "search_results.jsonl")
@@ -1829,16 +1836,22 @@ def test_demo_outputs_do_not_depend_on_concurrency(demo, capsys):
         for name in sorted(os.listdir(out)):
             with open(os.path.join(out, name), "rb") as handle:
                 files[name] = handle.read()
-        # cache.jsonl is appended in completion order, so only its set of
-        # lines is concurrency-independent today (ROADMAP open item 5).
+        # cache.jsonl is appended in completion order, which the schedules
+        # change, so only its set of lines is concurrency-independent until
+        # its appends follow input order (ROADMAP item 3).
         files["cache.jsonl"] = sorted(files["cache.jsonl"].splitlines())
         shutil.rmtree(out)
         return files, capsys.readouterr().out
 
-    # Both runs use the same out-dir path, which the run manifests record.
+    # Every run uses the same out-dir path, which the run manifests record.
     sequential = run_demo(1)
     assert "corpus_sft.manifest.json" in sequential[0]
-    assert run_demo(4) == sequential
+    shuffled = []
+    for seed in ORDER_SEEDS:
+        with monkeypatch.context() as schedule:
+            shuffled.append(shuffle_completions(schedule, backend.ScriptedBackend, seed))
+            assert run_demo(4) == sequential
+    assert any(out_of_order() for out_of_order in shuffled)
 
 
 @pytest.mark.parametrize("verb, failures", [
@@ -1874,13 +1887,64 @@ def test_a_provider_error_fails_only_its_question_at_any_concurrency(demo, monke
             shutil.copy(search_out / "search_results.jsonl", out)
         assert main([*argv, "--concurrency", str(concurrency)]) == 2
         files = _tree(out)
+        # Appended in completion order until ROADMAP item 3: compared as a set of lines.
         files["cache.jsonl"] = sorted(files["cache.jsonl"].splitlines())
         shutil.rmtree(out)
         return files, capsys.readouterr().out
 
     sequential = run(1)
     assert b"connection reset" in sequential[0][failures]
-    assert run(4) == sequential
+    shuffled = []
+    for seed in ORDER_SEEDS:
+        with monkeypatch.context() as schedule:
+            shuffled.append(shuffle_completions(schedule, backend.ScriptedBackend, seed))
+            assert run(4) == sequential
+    assert any(out_of_order() for out_of_order in shuffled)
+
+
+# ---------------------------------------------------------------------------
+# Atomic outputs
+# ---------------------------------------------------------------------------
+
+
+# (verb, output, the owner and name of the function that encodes its records)
+_OUTPUT_ENCODERS = [
+    ("eval", "records_direct.jsonl", cli, "encode_record"),
+    ("eval", "report.json", cli, "render_report"),
+    ("search", "search_results.jsonl", SearchRecord, "line"),
+    ("search", "elasticity.csv", SearchRecord, "elasticity_rows"),
+    ("ptdata", "corpus_sft.jsonl", ptdata, "encode_record"),
+]
+
+
+@pytest.mark.parametrize("verb, name, owner, encoder", _OUTPUT_ENCODERS,
+                         ids=[case[1] for case in _OUTPUT_ENCODERS])
+def test_a_write_that_fails_leaves_the_previous_output_whole(demo, monkeypatch, capsys,
+                                                             verb, name, owner, encoder):
+    config, dataset, tmp = demo
+    out = tmp / "out"
+    argv = [verb, "--config", config, "--dataset", dataset, "--out-dir", str(out)]
+    argv += {"eval": ["--methods", "direct,vanilla", "--format", "json"]}.get(verb, [])
+    if verb == "ptdata":
+        assert main(["search", *argv[1:]]) == 0
+    assert main(argv) == 0
+    previous = (out / name).read_bytes()
+    # The second record (for the report, its second rendering, after the
+    # printed table) fails to encode.
+    real, calls = getattr(owner, encoder), []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ValueError("cannot encode this record")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, encoder, failing)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "cannot encode this record" in capsys.readouterr().err
+    assert (out / name).read_bytes() == previous
+    assert not (out / f"{name}.tmp").exists()
 
 
 # ---------------------------------------------------------------------------

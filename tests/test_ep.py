@@ -11,7 +11,7 @@ from tokenbudget.backend import ScriptedEntry
 from tokenbudget.ep import parse_estimate, run_ep, scale_budget
 from tokenbudget.prompting import PromptTemplates, build_estimation_prompt
 
-from conftest import behavior_from_curve, count_misses, main_refuses, scripted_backend
+from conftest import TEMPLATES, behavior_from_curve, count_misses, main_refuses, scripted_backend
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +46,7 @@ def test_parse_zero_clamps_to_one():
 
 
 def test_estimate_budget_via_backend(fig_like_question, fig_like_backend):
-    assert run_ep(fig_like_backend, fig_like_question).estimate == 50
+    assert run_ep(fig_like_backend, fig_like_question, alpha=1.0).estimate == 50
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +94,7 @@ def test_scale_monotone_in_alpha(value, alpha_a, alpha_b):
 
 def test_run_ep_happy_path(fig_like_question, fig_like_backend):
     misses = count_misses(fig_like_backend)
-    result = run_ep(fig_like_backend, fig_like_question)
+    result = run_ep(fig_like_backend, fig_like_question, alpha=1.0)
     assert result.verdict.correct
     assert result.estimate == 50
     assert result.budget_used == 50
@@ -104,7 +104,7 @@ def test_run_ep_happy_path(fig_like_question, fig_like_backend):
 
 
 def test_run_ep_usage_sums_exactly(fig_like_question, fig_like_backend):
-    result = run_ep(fig_like_backend, fig_like_question)
+    result = run_ep(fig_like_backend, fig_like_question, alpha=1.0)
     total = result.total_usage
     assert total.input_tokens == (
         result.estimation_usage.input_tokens + result.answer_usage.input_tokens
@@ -134,7 +134,7 @@ def test_run_ep_renders_with_the_backend_templates(fig_like_question):
     )
     backend = scripted_backend({fig_like_question: behavior}, templates=templates)
     misses = count_misses(backend)
-    result = run_ep(backend, fig_like_question)
+    result = run_ep(backend, fig_like_question, alpha=1.0)
     assert result.estimate == 50
     assert result.answer_usage.output_tokens == 86
     assert misses() == 2
@@ -149,7 +149,7 @@ def test_run_ep_fallback_on_unparsable_estimate(fig_like_question):
     behavior.estimate = ScriptedEntry(output_tokens=4, text="I don't know")
     backend = scripted_backend({fig_like_question: behavior})
     misses = count_misses(backend)
-    result = run_ep(backend, fig_like_question)
+    result = run_ep(backend, fig_like_question, alpha=1.0)
     assert result.used_fallback
     assert result.estimate is None
     assert result.budget_used is None
@@ -158,7 +158,7 @@ def test_run_ep_fallback_on_unparsable_estimate(fig_like_question):
     assert result.answer_usage.output_tokens == 258
     assert misses() == 2
     # The unparsable estimation call's usage is still accounted for.
-    estimation = backend.complete(build_estimation_prompt(fig_like_question))
+    estimation = backend.complete(build_estimation_prompt(fig_like_question, TEMPLATES))
     assert result.estimation_usage == estimation.usage
     assert result.estimation_usage.output_tokens == 4
 

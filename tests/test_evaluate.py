@@ -37,7 +37,8 @@ from tokenbudget.evaluate import (
     write_json,
 )
 
-from conftest import JSON_VALUES, behavior_from_curve, main_refuses, make_question, scripted_backend
+from conftest import (JSON_VALUES, behavior_from_curve, main_refuses, make_backend, make_question,
+                      scripted_backend)
 
 PRICING = ModelPricing("scripted-v1", 0.15, 0.60)
 
@@ -269,7 +270,8 @@ def test_sample_of_fewer_than_one_is_domain_error(tmp_path, capsys, n):
 def test_three_sample_aggregation_oracle():
     dataset, backend = three_sample_cohort()
     report = aggregate_records(
-        run_method(backend, dataset, MethodSpec("vanilla"), PRICING, concurrency=1))
+        run_method(backend, dataset, MethodSpec("vanilla"), PRICING,
+                   concurrency=1, include_estimation_tokens=False))
     assert report.accuracy == pytest.approx(2 / 3)
     assert report.mean_output_tokens == 20.0
     assert report.sample_count == 3
@@ -286,17 +288,19 @@ def test_empty_cohort_is_domain_error(tmp_path, capsys):
 
 def test_aggregate_recomputable_from_records():
     dataset, backend = three_sample_cohort()
-    records = run_method(backend, dataset, MethodSpec("vanilla"), PRICING, concurrency=2)
+    records = run_method(backend, dataset, MethodSpec("vanilla"), PRICING,
+                         concurrency=2, include_estimation_tokens=False)
     report = aggregate_records(records)
     [row] = json.loads(render_report([(MethodSpec("vanilla"), records)], "fixture", "m",
-                                     JSON_FORMAT))["rows"]
+                                     JSON_FORMAT, config_hash=""))["rows"]
     assert (row["accuracy_pct"], row["output_tokens"], row["samples"], row["failed"]) == (
         round(report.accuracy * 100, 2), report.mean_output_tokens, 3, 0)
 
 
 def test_records_stream_in_dataset_order_regardless_of_concurrency():
     dataset, backend = three_sample_cohort()
-    records = run_method(backend, dataset, MethodSpec("vanilla"), PRICING, concurrency=4)
+    records = run_method(backend, dataset, MethodSpec("vanilla"), PRICING,
+                         concurrency=4, include_estimation_tokens=False)
     assert [r.question_id for r in records] == ["a", "b", "c"]
 
 
@@ -312,8 +316,9 @@ def test_backend_failures_excluded_from_denominator():
         q.id: behavior_from_curve(vanilla_tokens=10 * (i + 1), curve={}, vanilla_correct=i != 2)
         for i, q in enumerate(dataset.questions)
     }
-    backend = Flaky(ScriptedScenario("fixture", dataset.questions, behaviors))
-    records = run_method(backend, dataset, MethodSpec("vanilla"), PRICING, concurrency=1)
+    backend = make_backend(Flaky, ScriptedScenario("fixture", dataset.questions, behaviors))
+    records = run_method(backend, dataset, MethodSpec("vanilla"), PRICING,
+                         concurrency=1, include_estimation_tokens=False)
     report = aggregate_records(records)
     assert report.failed_count == 1
     assert report.sample_count == 2
@@ -454,7 +459,8 @@ def test_pool_map_at_concurrency_1_runs_on_one_worker_thread_and_an_interrupt_wa
 
 def test_ep_method_records_budget_fields(fig_like_question, fig_like_backend):
     dataset = Dataset("fig", [fig_like_question])
-    records = run_method(fig_like_backend, dataset, MethodSpec("ep"), PRICING, concurrency=1)
+    records = run_method(fig_like_backend, dataset, MethodSpec("ep"), PRICING,
+                         concurrency=1, include_estimation_tokens=False)
     record = records[0]
     assert record.estimated_budget == 50
     assert record.alpha == 1.0
@@ -477,7 +483,8 @@ def test_ep_method_can_include_estimation_tokens(fig_like_question, fig_like_bac
 
 def test_fixed_budget_method(fig_like_question, fig_like_backend):
     dataset = Dataset("fig", [fig_like_question])
-    [record] = run_method(fig_like_backend, dataset, MethodSpec("fixed", budget=50), PRICING)
+    [record] = run_method(fig_like_backend, dataset, MethodSpec("fixed", budget=50), PRICING,
+                          concurrency=4, include_estimation_tokens=False)
     assert record.output_tokens == 86
     assert record.budget_used == 50
 
@@ -491,21 +498,22 @@ def test_direct_method_sends_bare_prompt(fig_like_question):
             return super()._request(prompt)
 
     behavior = behavior_from_curve(vanilla_tokens=15, curve={})
-    backend = Recording(
-        ScriptedScenario("fig", [fig_like_question], {fig_like_question.id: behavior})
+    backend = make_backend(
+        Recording, ScriptedScenario("fig", [fig_like_question], {fig_like_question.id: behavior})
     )
-    run_method(backend, Dataset("fig", [fig_like_question]), MethodSpec("direct"), PRICING)
+    run_method(backend, Dataset("fig", [fig_like_question]), MethodSpec("direct"), PRICING,
+               concurrency=4, include_estimation_tokens=False)
     assert seen == [fig_like_question.text]
 
 
 def test_parse_method_tokens():
-    assert parse_method("direct").kind == "direct"
+    assert parse_method("direct", alpha=1.0).kind == "direct"
     assert parse_method("ep", alpha=2.0).alpha == 2.0
     assert parse_method("vanilla", alpha=2.0).alpha == 1.0
-    fixed = parse_method("fixed:64")
+    fixed = parse_method("fixed:64", alpha=1.0)
     assert fixed.kind == "fixed" and fixed.budget == 64
     with pytest.raises(ValueError):
-        parse_method("mystery")
+        parse_method("mystery", alpha=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +523,8 @@ def test_parse_method_tokens():
 
 def _runs_for_report():
     dataset, backend = three_sample_cohort()
-    return [(method, run_method(backend, dataset, method, PRICING, concurrency=1))
+    return [(method, run_method(backend, dataset, method, PRICING,
+                                concurrency=1, include_estimation_tokens=False))
             for method in (MethodSpec("vanilla"), MethodSpec("direct"))]
 
 

@@ -15,7 +15,7 @@ from tokenbudget.prompting import (
     build_prompt,
 )
 
-from conftest import behavior_from_curve, main_refuses, make_question, scripted_backend
+from conftest import TEMPLATES, behavior_from_curve, main_refuses, make_question, scripted_backend
 
 NUMERIC_Q = make_question(qid="n1", text="How many bolts in total?", gold="3")
 CHOICE_Q = make_question(
@@ -32,24 +32,25 @@ CHOICE_Q = make_question(
 
 
 def test_vanilla_suffix_verbatim():
-    prompt = build_prompt(NUMERIC_Q, PromptKind.VANILLA_COT)
+    prompt = build_prompt(NUMERIC_Q, PromptKind.VANILLA_COT, None, TEMPLATES)
     assert prompt.user == "How many bolts in total?\nLet's think step by step:"
 
 
 def test_budgeted_suffix_verbatim_at_50():
-    prompt = build_prompt(NUMERIC_Q, PromptKind.BUDGETED_COT, budget=50)
+    prompt = build_prompt(NUMERIC_Q, PromptKind.BUDGETED_COT, 50, TEMPLATES)
     assert prompt.user == (
         "How many bolts in total?\nLet's think step by step and use less than 50 tokens:"
     )
 
 
 def test_budgeted_suffix_renders_decimal():
-    prompt = build_prompt(NUMERIC_Q, PromptKind.BUDGETED_COT, budget=10)
+    prompt = build_prompt(NUMERIC_Q, PromptKind.BUDGETED_COT, 10, TEMPLATES)
     assert prompt.user.endswith("use less than 10 tokens:")
 
 
 def test_direct_answer_is_bare_question():
-    assert build_prompt(NUMERIC_Q, PromptKind.DIRECT_ANSWER).user == "How many bolts in total?"
+    assert build_prompt(NUMERIC_Q, PromptKind.DIRECT_ANSWER, None,
+                        TEMPLATES).user == "How many bolts in total?"
 
 
 def test_estimation_task_line_verbatim():
@@ -57,7 +58,7 @@ def test_estimation_task_line_verbatim():
         "Task: Analyze the given question and estimate the minimum number of "
         "tokens required for reasoning."
     )
-    prompt = build_estimation_prompt(NUMERIC_Q)
+    prompt = build_estimation_prompt(NUMERIC_Q, TEMPLATES)
     assert prompt.user == (
         "Task: Analyze the given question and estimate the minimum number of "
         "tokens required for reasoning.\n"
@@ -67,14 +68,14 @@ def test_estimation_task_line_verbatim():
 
 
 def test_multiple_choice_gets_format_instruction():
-    prompt = build_prompt(CHOICE_Q, PromptKind.VANILLA_COT)
+    prompt = build_prompt(CHOICE_Q, PromptKind.VANILLA_COT, None, TEMPLATES)
     assert prompt.user.endswith("Respond with only the letter of the correct option.")
-    numeric = build_prompt(NUMERIC_Q, PromptKind.VANILLA_COT)
+    numeric = build_prompt(NUMERIC_Q, PromptKind.VANILLA_COT, None, TEMPLATES)
     assert "letter of the correct option" not in numeric.user
 
 
 def test_estimation_prompt_has_no_format_instruction():
-    prompt = build_estimation_prompt(CHOICE_Q)
+    prompt = build_estimation_prompt(CHOICE_Q, TEMPLATES)
     assert "letter of the correct option" not in prompt.user
 
 
@@ -86,11 +87,11 @@ def test_estimation_prompt_has_no_format_instruction():
 def test_rendering_is_injective_across_kinds_and_budgets():
     for question in (NUMERIC_Q, CHOICE_Q):
         rendered = [
-            build_prompt(question, PromptKind.DIRECT_ANSWER).user,
-            build_prompt(question, PromptKind.VANILLA_COT).user,
-            build_prompt(question, PromptKind.BUDGETED_COT, budget=50).user,
-            build_prompt(question, PromptKind.BUDGETED_COT, budget=51).user,
-            build_prompt(question, PromptKind.BUDGET_ESTIMATION).user,
+            build_prompt(question, PromptKind.DIRECT_ANSWER, None, TEMPLATES).user,
+            build_prompt(question, PromptKind.VANILLA_COT, None, TEMPLATES).user,
+            build_prompt(question, PromptKind.BUDGETED_COT, 50, TEMPLATES).user,
+            build_prompt(question, PromptKind.BUDGETED_COT, 51, TEMPLATES).user,
+            build_prompt(question, PromptKind.BUDGET_ESTIMATION, None, TEMPLATES).user,
         ]
         assert len(set(rendered)) == len(rendered)
 
@@ -103,7 +104,7 @@ def test_budget_round_trips_through_classification(budget):
         {NUMERIC_Q: behavior_from_curve(vanilla_tokens=1, curve={budget: (budget + 1, True)})},
         default_entry=ScriptedEntry(output_tokens=0),
     )
-    prompt = build_prompt(NUMERIC_Q, PromptKind.BUDGETED_COT, budget=budget)
+    prompt = build_prompt(NUMERIC_Q, PromptKind.BUDGETED_COT, budget, TEMPLATES)
     assert backend.complete(prompt).usage.output_tokens == budget + 1
 
 
@@ -112,16 +113,16 @@ def test_unbudgeted_prompts_classify_as_no_budget():
         {NUMERIC_Q: behavior_from_curve(vanilla_tokens=7, curve={}, default=(0, True))}
     )
     for kind in (PromptKind.VANILLA_COT, PromptKind.DIRECT_ANSWER):
-        assert backend.complete(build_prompt(NUMERIC_Q, kind)).usage.output_tokens == 7
+        prompt = build_prompt(NUMERIC_Q, kind, None, TEMPLATES)
+        assert backend.complete(prompt).usage.output_tokens == 7
 
 
 def test_no_prompt_embeds_the_gold_answer():
     question = make_question(qid="g", text="What is one plus one?", gold="23456")
     for kind in (PromptKind.DIRECT_ANSWER, PromptKind.VANILLA_COT, PromptKind.BUDGET_ESTIMATION):
-        assert question.gold_answer not in build_prompt(question, kind).user
+        assert question.gold_answer not in build_prompt(question, kind, None, TEMPLATES).user
     assert question.gold_answer not in build_prompt(
-        question, PromptKind.BUDGETED_COT, budget=7
-    ).user
+        question, PromptKind.BUDGETED_COT, 7, TEMPLATES).user
 
 
 def test_budget_invariant_enforced(tmp_path, capsys):
@@ -137,8 +138,8 @@ def test_budget_invariant_enforced(tmp_path, capsys):
 def test_determinism_two_questions_differ_only_in_body():
     q_a = make_question(qid="a", text="Question A?")
     q_b = make_question(qid="b", text="Question B?")
-    user_a = build_estimation_prompt(q_a).user
-    user_b = build_estimation_prompt(q_b).user
+    user_a = build_estimation_prompt(q_a, TEMPLATES).user
+    user_b = build_estimation_prompt(q_b, TEMPLATES).user
     assert user_a.replace("Question A?", "Question B?") == user_b
 
 

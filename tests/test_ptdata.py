@@ -24,9 +24,11 @@ from tokenbudget.ptdata import (
 from tokenbudget.search import SearchRecord, search_optimal_budget
 
 from conftest import (
+    SCRIPTED_TAG,
     behavior_from_curve,
     count_misses,
     main_refuses,
+    make_backend,
     make_question,
     scripted_backend,
     write_demo_files,
@@ -41,7 +43,7 @@ def wrong_vanilla_question():
     return question, backend
 
 
-def upper_bound_question(cache=None):
+def upper_bound_question(**settings):
     """The first candidate is infeasible, so the optimum is the upper bound."""
     question = make_question(qid="inv", text="Inverted?", gold="3")
     backend = scripted_backend(
@@ -51,7 +53,7 @@ def upper_bound_question(cache=None):
                 curve={100: (60, True), 50: (70, True)},
             )
         },
-        cache=cache,
+        **settings,
     )
     return question, backend
 
@@ -61,7 +63,7 @@ def reference_records(backend, question, input_style):
     is asked again at the optimum, a cache hit, as the corpus was built before
     it was read from the search's records."""
     misses = count_misses(backend)
-    result = search_optimal_budget(backend, question)
+    result = search_optimal_budget(backend, question, "probe")
     if result.status != "found":
         skip = Skip(question_id=question.id, reason=result.status)
         return skip, skip
@@ -95,7 +97,8 @@ def reference_records(backend, question, input_style):
 def demo_question(tmp_path, qid):
     write_demo_files(tmp_path)
     scenario = parse_scripted_file(str(tmp_path / "demo_dataset.json"))
-    backend = ScriptedBackend(scenario, cache=ResponseCache(str(tmp_path / "cache.jsonl")))
+    backend = make_backend(ScriptedBackend, scenario,
+                           cache=ResponseCache(str(tmp_path / "cache.jsonl"), SCRIPTED_TAG))
     return next(q for q in scenario.questions if q.id == qid), backend
 
 
@@ -106,7 +109,8 @@ def demo_question(tmp_path, qid):
 
 def test_generate_target_uses_search_optimum(rebound_question, rebound_backend):
     example = generate_target(
-        rebound_backend, rebound_question, search_optimal_budget(rebound_backend, rebound_question)
+        rebound_backend, rebound_question,
+        search_optimal_budget(rebound_backend, rebound_question, "probe"), "vanilla"
     )
     assert isinstance(example, SftExample)
     assert example.meta == {
@@ -120,22 +124,23 @@ def test_generate_target_uses_search_optimum(rebound_question, rebound_backend):
 
 
 def test_generate_target_budgeted_input_style(rebound_question, rebound_backend):
-    record = search_optimal_budget(rebound_backend, rebound_question)
+    record = search_optimal_budget(rebound_backend, rebound_question, "probe")
     example = generate_target(rebound_backend, rebound_question, record, input_style="budgeted")
     assert example.input.endswith("use less than 64 tokens:")
 
 
 def test_generate_target_skips_vanilla_incorrect():
     question, backend = wrong_vanilla_question()
-    skip = generate_target(backend, question, search_optimal_budget(backend, question))
+    skip = generate_target(backend, question, search_optimal_budget(backend, question, "probe"),
+                           "vanilla")
     assert skip == Skip(question_id="wrong", reason="vanilla_incorrect")
 
 
 def test_error_record_is_a_backend_error_skip(rebound_question, rebound_backend):
     record = SearchRecord(question_id="rebound", status="error", error="interrupted")
     expected = Skip(question_id="rebound", reason="backend_error: interrupted")
-    assert generate_target(rebound_backend, rebound_question, record) == expected
-    assert build_preference_pair(rebound_backend, rebound_question, record) == expected
+    assert generate_target(rebound_backend, rebound_question, record, "vanilla") == expected
+    assert build_preference_pair(rebound_backend, rebound_question, record, "vanilla") == expected
 
 
 @pytest.mark.parametrize("input_style", ["vanilla", "budgeted"])
@@ -143,10 +148,11 @@ def test_error_record_is_a_backend_error_skip(rebound_question, rebound_backend)
 def test_records_equal_those_built_from_the_search_result(tmp_path, case, input_style):
     """The demo questions, and a curve whose optimum is the upper bound."""
     if case == "upper-bound":
-        question, backend = upper_bound_question(ResponseCache(str(tmp_path / "cache.jsonl")))
+        question, backend = upper_bound_question(
+            cache=ResponseCache(str(tmp_path / "cache.jsonl"), SCRIPTED_TAG))
     else:
         question, backend = demo_question(tmp_path, case)
-    record = search_optimal_budget(backend, question)
+    record = search_optimal_budget(backend, question, "probe")
     assert (case == "upper-bound") == (record.optimal_budget == record.upper_bound)
     sft, dpo = reference_records(backend, question, input_style)
     assert generate_target(backend, question, record, input_style) == sft
@@ -159,8 +165,8 @@ def test_records_equal_those_built_from_the_search_result(tmp_path, case, input_
 
 
 def test_preference_pair_positive_shorter_than_negative(rebound_question, rebound_backend):
-    record = search_optimal_budget(rebound_backend, rebound_question)
-    pair = build_preference_pair(rebound_backend, rebound_question, record)
+    record = search_optimal_budget(rebound_backend, rebound_question, "probe")
+    pair = build_preference_pair(rebound_backend, rebound_question, record, "vanilla")
     assert isinstance(pair, PreferencePair)
     assert pair.meta["positive_tokens"] == 70
     assert pair.meta["negative_tokens"] == 256
@@ -174,13 +180,13 @@ def test_preference_pair_negative_reuses_cached_vanilla(tmp_path, rebound_questi
     )
     backend = scripted_backend(
         {rebound_question: behavior},
-        cache=ResponseCache(str(tmp_path / "cache.jsonl")),
+        cache=ResponseCache(str(tmp_path / "cache.jsonl"), SCRIPTED_TAG),
     )
     misses = count_misses(backend)
-    record = search_optimal_budget(backend, rebound_question)
+    record = search_optimal_budget(backend, rebound_question, "probe")
     # vanilla + probe + three halving candidates.
     assert misses() == 5
-    build_preference_pair(backend, rebound_question, record)
+    build_preference_pair(backend, rebound_question, record, "vanilla")
     # The negative is a cache hit.
     assert misses() == 5
 
@@ -189,13 +195,15 @@ def test_preference_pair_skips_length_inversion():
     question, backend = upper_bound_question()
     # First candidate infeasible, so the target is the vanilla output itself:
     # equal token counts violate the strict inequality.
-    skip = build_preference_pair(backend, question, search_optimal_budget(backend, question))
+    skip = build_preference_pair(backend, question,
+                                 search_optimal_budget(backend, question, "probe"), "vanilla")
     assert skip == Skip(question_id="inv", reason="length_inversion")
 
 
 def test_preference_pair_skips_vanilla_incorrect():
     question, backend = wrong_vanilla_question()
-    skip = build_preference_pair(backend, question, search_optimal_budget(backend, question))
+    skip = build_preference_pair(backend, question,
+                                 search_optimal_budget(backend, question, "probe"), "vanilla")
     assert skip.reason == "vanilla_incorrect"
 
 
@@ -206,7 +214,8 @@ def test_preference_pair_skips_vanilla_incorrect():
 
 def test_export_counts_and_round_trip(tmp_path, rebound_question, rebound_backend):
     example = generate_target(
-        rebound_backend, rebound_question, search_optimal_budget(rebound_backend, rebound_question)
+        rebound_backend, rebound_question,
+        search_optimal_budget(rebound_backend, rebound_question, "probe"), "vanilla"
     )
     other = SftExample(
         input="Second question?\nLet's think step by step:",
@@ -221,7 +230,7 @@ def test_export_counts_and_round_trip(tmp_path, rebound_question, rebound_backen
             SFT_FORMAT,
             path,
             dataset_name="fixture",
-            model_id="scripted-v1",
+            model_id="scripted-v1", config_hash="",
         )
 
     path = str(tmp_path / "corpus_sft.jsonl")
@@ -246,10 +255,10 @@ def test_export_counts_and_round_trip(tmp_path, rebound_question, rebound_backen
 
 
 def test_export_dpo_round_trip(tmp_path, rebound_question, rebound_backend):
-    record = search_optimal_budget(rebound_backend, rebound_question)
-    pair = build_preference_pair(rebound_backend, rebound_question, record)
+    record = search_optimal_budget(rebound_backend, rebound_question, "probe")
+    pair = build_preference_pair(rebound_backend, rebound_question, record, "vanilla")
     path = str(tmp_path / "corpus_dpo.jsonl")
-    export_corpus([pair], DPO_FORMAT, path)
+    export_corpus([pair], DPO_FORMAT, path, dataset_name="", model_id="", config_hash="")
     assert read_jsonl(path, PreferencePair) == [pair]
     with open(path) as handle:
         record = json.loads(handle.readline())
@@ -322,14 +331,15 @@ def test_export_aborts_on_schema_violation_with_index(tmp_path):
     )
     bad = SftExample(input="", target="x", meta={"question_id": "b"})
     with pytest.raises(ValueError, match="record 1"):
-        export_corpus([good, bad], SFT_FORMAT, str(tmp_path / "c.jsonl"))
+        export_corpus([good, bad], SFT_FORMAT, str(tmp_path / "c.jsonl"),
+                      dataset_name="", model_id="", config_hash="")
 
 
 def test_stale_targets_regrades_each_found_target(rebound_question, rebound_backend):
     wrong, wrong_backend = wrong_vanilla_question()
     records = {
-        "rebound": search_optimal_budget(rebound_backend, rebound_question),
-        "wrong": search_optimal_budget(wrong_backend, wrong),
+        "rebound": search_optimal_budget(rebound_backend, rebound_question, "probe"),
+        "wrong": search_optimal_budget(wrong_backend, wrong, "probe"),
     }
     assert records["wrong"].status == "vanilla_incorrect"
     assert stale_targets(records, [rebound_question, wrong]) == []
@@ -350,7 +360,8 @@ def test_export_enforces_pair_length_invariant(tmp_path, rebound_question):
         },
     )
     with pytest.raises(ValueError, match="record 0"):
-        export_corpus([inverted], DPO_FORMAT, str(tmp_path / "c.jsonl"))
+        export_corpus([inverted], DPO_FORMAT, str(tmp_path / "c.jsonl"),
+                      dataset_name="", model_id="", config_hash="")
 
 
 def test_export_unknown_format_rejected(tmp_path, capsys):

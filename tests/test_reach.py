@@ -198,3 +198,18 @@ def test_a_red_suite_fails_the_tool(tmp_path, monkeypatch, capsys, colour, faile
     monkeypatch.setattr(reach, "classify_defaults", lambda *args: ([], [], []))
     assert reach.main() == int(failed)
     assert ("pytest failed with exit status 1" in capsys.readouterr().out) == failed
+
+
+@pytest.mark.parametrize("kept", [False, True])
+def test_an_unused_default_fails_the_tool_unless_the_keep_list_holds_it(tmp_path, monkeypatch,
+                                                                        capsys, kept):
+    # A green suite whose calls under main() left out no default of
+    # styled's style, and no line left or stale.
+    monkeypatch.setattr(reach, "watch_defaults",
+                        lambda *args: (0, {("toy", "styled", "style"): False}))
+    monkeypatch.setattr(reach, "classify", lambda *args: ({}, []))
+    keep = tmp_path / "keep.txt"
+    keep.write_text("@kept: why\n" + ("kept | toy | styled | style=\n" if kept else ""))
+    monkeypatch.setattr(reach, "KEEP", str(keep))
+    assert reach.main() == int(not kept)
+    assert ("  toy | styled | style=" in capsys.readouterr().out) == (not kept)

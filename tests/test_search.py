@@ -51,7 +51,7 @@ def trace_of(costs, budgets=None, correct=None) -> tuple[TracePoint, ...]:
 def test_rebound_curve_finds_64(rebound_question, rebound_backend):
     # Probe at 256 costs 130; 128 (120) and 64 (70) are accepted, 32 rebounds
     # to 90 >= 70 and terminates the walk.
-    result = search_optimal_budget(rebound_backend, rebound_question)
+    result = search_optimal_budget(rebound_backend, rebound_question, "probe")
     assert result.status == "found"
     assert result.optimal_budget == 64
     observed = [(p.budget, p.output_tokens, p.correct) for p in result.trace]
@@ -67,9 +67,11 @@ def test_overridden_budgeted_suffix_finds_the_same_optimum(rebound_question):
         default=(300, False),
     )
     templates = PromptTemplates(budgeted_suffix="Think briefly, at most {budget} tokens:")
-    default = search_optimal_budget(scripted_backend({rebound_question: behavior}), rebound_question)
+    default = search_optimal_budget(scripted_backend({rebound_question: behavior}),
+                                    rebound_question, "probe")
     overridden = search_optimal_budget(
-        scripted_backend({rebound_question: behavior}, templates=templates), rebound_question
+        scripted_backend({rebound_question: behavior}, templates=templates), rebound_question,
+        "probe",
     )
 
     def observed(result):
@@ -92,7 +94,7 @@ def test_vanilla_incorrect_aborts(rebound_question):
             )
         }
     )
-    result = search_optimal_budget(backend, rebound_question)
+    result = search_optimal_budget(backend, rebound_question, "probe")
     assert result.status == "vanilla_incorrect"
     assert result.optimal_budget is None
     assert result.target_output is None
@@ -109,7 +111,7 @@ def test_cost_tie_fails_strict_decrease():
     backend = scripted_backend(
         {question: behavior_from_curve(vanilla_tokens=256, curve=curve)}
     )
-    result = search_optimal_budget(backend, question)
+    result = search_optimal_budget(backend, question, "probe")
     assert result.optimal_budget == 2
     assert result.trace[-1].budget == 1
     assert result.trace[-1].output_tokens == 1
@@ -123,7 +125,7 @@ def test_unreasonable_budget_rejected_reasonable_kept():
     backend = scripted_backend(
         {question: behavior_from_curve(vanilla_tokens=100, curve=curve)}
     )
-    result = search_optimal_budget(backend, question)
+    result = search_optimal_budget(backend, question, "probe")
     assert result.optimal_budget == 50
     rejected = result.trace[-1]
     assert rejected.budget == 25 and rejected.output_tokens == 157
@@ -140,7 +142,7 @@ def test_first_candidate_infeasible_falls_back_to_upper_bound():
         output_tokens=100, correct=True, text="Step one, step two. The answer is 3."
     )
     backend = scripted_backend({question: behavior})
-    result = search_optimal_budget(backend, question)
+    result = search_optimal_budget(backend, question, "probe")
     assert result.status == "found"
     assert result.optimal_budget == 100
     assert result.target_output == "Step one, step two. The answer is 3."
@@ -164,7 +166,7 @@ def test_upper_bound_one_has_no_candidates():
     backend = scripted_backend(
         {question: behavior_from_curve(vanilla_tokens=1, curve={})}
     )
-    result = search_optimal_budget(backend, question)
+    result = search_optimal_budget(backend, question, "probe")
     assert result.status == "found"
     assert result.optimal_budget == 1
     assert len(result.trace) == 0
@@ -182,7 +184,7 @@ def test_halving_candidates():
 
 def test_search_query_bound(rebound_question, rebound_backend):
     misses = count_misses(rebound_backend)
-    search_optimal_budget(rebound_backend, rebound_question)
+    search_optimal_budget(rebound_backend, rebound_question, "probe")
     bound = (256 - 1).bit_length() + 2
     assert misses() <= bound
 
@@ -376,14 +378,14 @@ def _zero_vanilla_record():
     question = make_question(qid="zero", text="Zero?", gold="1")
     behavior = behavior_from_curve(vanilla_tokens=0, curve={})
     behavior.vanilla = ScriptedEntry(output_tokens=0, correct=True, text="The answer is 1.")
-    return search_optimal_budget(scripted_backend({question: behavior}), question)
+    return search_optimal_budget(scripted_backend({question: behavior}), question, "probe")
 
 
 def _wrong_vanilla_record(question):
     backend = scripted_backend(
         {question: behavior_from_curve(vanilla_tokens=256, curve={}, vanilla_correct=False)}
     )
-    return search_optimal_budget(backend, question)
+    return search_optimal_budget(backend, question, "probe")
 
 
 _RESULT_KEYS = {"question_id", "status", "optimal_budget", "upper_bound", "target_output", "trace"}
@@ -392,7 +394,7 @@ _RESULT_KEYS = {"question_id", "status", "optimal_budget", "upper_bound", "targe
 def test_search_record_round_trip(rebound_question, rebound_backend):
     """Each status: the line read back is the record, and writes the same bytes."""
     records = {
-        "found": search_optimal_budget(rebound_backend, rebound_question),
+        "found": search_optimal_budget(rebound_backend, rebound_question, "probe"),
         "vanilla_incorrect": _wrong_vanilla_record(rebound_question),
         "no_feasible_budget": _zero_vanilla_record(),
         "error": SearchRecord("rebound", "error", error="interrupted"),
@@ -420,7 +422,7 @@ def test_found_record_needs_a_target_text(target):
 
 
 def test_elasticity_rows_are_iteration_ordered(rebound_question, rebound_backend):
-    rows = search_optimal_budget(rebound_backend, rebound_question).elasticity_rows()
+    rows = search_optimal_budget(rebound_backend, rebound_question, "probe").elasticity_rows()
     assert rows[0] == ("rebound", 1, 256, 130, True)
     assert rows[-1] == ("rebound", 4, 32, 90, True)
     assert SearchRecord("rebound", "error", error="interrupted").elasticity_rows() == []
@@ -443,7 +445,7 @@ def _written_lines() -> tuple[tuple[object, str], ...]:
     question = make_question(qid="rebound", text="What is 12 + 6 halved three times?", gold="18")
     found = search_optimal_budget(scripted_backend({question: behavior_from_curve(
         vanilla_tokens=256, curve={256: (130, True), 128: (120, True), 64: (70, True),
-                                   32: (90, True)}, default=(300, False))}), question)
+                                   32: (90, True)}, default=(300, False))}), question, "probe")
     searched = [found, _wrong_vanilla_record(question), _zero_vanilla_record(),
                 SearchRecord("rebound", "error", error="TransportError")]
     estimated = make_question(qid="ep", text="How many eggs are left?", gold="18")
@@ -451,7 +453,8 @@ def _written_lines() -> tuple[tuple[object, str], ...]:
         vanilla_tokens=258, curve={50: (86, True)}, estimate="50", default=(200, True))})
     dataset = Dataset("fixture", [estimated])
     sampled = [record for method in (MethodSpec("ep", alpha=1.5), MethodSpec("direct"))
-               for record in run_method(backend, dataset, method, PRICING, concurrency=1)]
+               for record in run_method(backend, dataset, method, PRICING, concurrency=1,
+                                        include_estimation_tokens=False)]
     return (*((SearchRecord, record.line()) for record in searched),
             *((SampleRecord.read, encode_record(vars(record))) for record in sampled))
 

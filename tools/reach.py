@@ -14,17 +14,17 @@ the package is imported or while ``main()`` runs, on any thread; a call that
 a test makes to the package outside ``main()`` does not count. A line that
 no verb ran is left over unless tools/reach_keep.txt holds it with a reason.
 The tool prints the counts per module and every line left over, and exits 1
-if any line is left, or if a keep entry names a line the source no longer
-has.
+if any line or parameter default (below) is left, or if a keep entry names a
+line or default the source no longer has.
 
 The same run wraps every function and method of the package that has a
 parameter default, at its module, its class and each import site, and records
 which parameters a call left to their default while ``main()`` ran (calls
-that the unit tests make outside ``main()`` do not count). The tool lists
-every parameter that no such call left to its default, apart from those the
-keep list holds: a candidate for deletion, if the source holds code only for
-it. The list does not gate: a plain default that only shortens the tests'
-calls may stay.
+that the unit tests make outside ``main()`` do not count). Every parameter
+that no such call left to its default is left over, unless the keep list
+holds it: the package's API is what ``main()`` calls, so such a default is
+deleted, with any code that only the default runs, and the tests pass the
+value themselves.
 
 The suite must pass under the tracer: the tool exits 1 when pytest fails,
 after printing the report, since a test that stopped early leaves lines
@@ -296,16 +296,15 @@ def main() -> int:
         for module, number, function, text in left:
             print(f"  {module}.py:{number} | {function} | {text}")
     if unused:
-        print("\nno call under main() leaves these parameters to their default; each is a "
-              "candidate for deletion where the source holds code only for the default "
-              "(this list does not gate):")
+        print("\nno call under main() leaves these parameters to their default, and the keep "
+              "list does not hold them:")
         for module, function, parameter in unused:
             print(f"  {module} | {function} | {parameter}=")
     if stale:
         print(f"\n{KEEP} names lines or parameter defaults the source no longer has:")
         for entry in stale:
             print("  " + " | ".join(entry))
-    return 1 if status or left or stale else 0
+    return 1 if status or left or unused or stale else 0
 
 
 if __name__ == "__main__":
